@@ -36,7 +36,7 @@ from .estimators import _categorical_rows, coupled_difference_batch
 from .hedge import HedgeState, clamp_mask, hedge_step, rescale_loss
 from .sampling import _cftp_core
 from .seeding import as_generator, seed_sequence, substream
-from .solvers import optimal_policy, stationary_distribution
+from .solvers import optimal_policy, policy_evaluation, stationary_distribution
 
 
 class ExpertModel:
@@ -69,13 +69,20 @@ class ExpertModel:
 
 
 def feature_expectations_exact(mdp: TabularMDP, policy) -> np.ndarray:
-    """Phi(pi) = sum_s mu_pi(s) phi(s); mixed policies average their members."""
+    """Phi(pi) = sum_s mu_pi(s) phi(s); mixed policies average their members.
+
+    A deterministic policy's mu comes from the MDP's policy-evaluation cache
+    (``solvers.policy_evaluation``); a stochastic policy's is solved afresh.
+    """
     if mdp.features is None:
         raise ValueError("MDP has no feature map")
     if isinstance(policy, MixedPolicy):
         member_values = [feature_expectations_exact(mdp, m) for m in policy.members]
         return np.einsum("m,mk->k", policy.weights, np.array(member_values))
-    mu = stationary_distribution(induce_chain(mdp, policy))
+    if isinstance(policy, DeterministicPolicy):
+        mu = policy_evaluation(mdp, policy).mu
+    else:
+        mu = stationary_distribution(induce_chain(mdp, policy))
     return mu @ mdp.features
 
 
@@ -162,20 +169,18 @@ def game_column_batch(
     rng,
     step_cap: int = 1_000_000,
     ledger: SampleLedger | None = None,
-    mu_pi_t: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batched game-column samples; each coordinate mean is Phi(pi_t)[i] - Phi(expert)[i].
 
     Start states come from the stationary distribution of ``pi_t`` by exact
-    linear solve (the dynamics and pi_t are known). Trajectory A takes
-    pi_t's action first and follows the expert afterwards; trajectory B
-    follows the expert from the start; feature differences (A minus B)
-    accumulate until the pair coalesces.
+    linear solve (the dynamics and pi_t are known), read from the MDP's
+    policy-evaluation cache. Trajectory A takes pi_t's action first and
+    follows the expert afterwards; trajectory B follows the expert from the
+    start; feature differences (A minus B) accumulate until the pair
+    coalesces.
     """
     gen = as_generator(rng)
-    if mu_pi_t is None:
-        mu_pi_t = stationary_distribution(induce_chain(mdp, pi_t))
-    cum_mu = np.tile(np.cumsum(mu_pi_t), (n_samples, 1))
+    cum_mu = np.tile(np.cumsum(policy_evaluation(mdp, pi_t).mu), (n_samples, 1))
     s0 = _categorical_rows(cum_mu, gen.random(n_samples))
     first_a = pi_t.actions[s0]
     first_b = expert.act_batch(s0)
@@ -241,7 +246,8 @@ def mwal(
 
     Estimates the expert's feature expectations once from m CFTP samples,
     then for T rounds plays Hedge over features against the exactly
-    evaluated optimal policy for the current feature weighting. Returns the
+    evaluated optimal policy for the current feature weighting; policy
+    iteration warm-starts from the previous round's policy. Returns the
     uniform mixture of the per-round policies.
     """
     if mdp.features is None or mdp.features.shape[1] != k:
@@ -257,16 +263,13 @@ def mwal(
     weights = np.empty((n_rounds, k))
     losses = np.empty((n_rounds, k))
     round_values = np.empty(n_rounds)
-    phi_cache: dict[tuple[int, ...], np.ndarray] = {}
+    pi_t = None
     for t in range(n_rounds):
         w = state.weights
         weights[t] = w
-        pi_t = optimal_policy(mdp, reward_override=mdp.features @ w)
+        pi_t = optimal_policy(mdp, reward_override=mdp.features @ w, start=pi_t)
         policies.append(pi_t)
-        phi_t = phi_cache.get(pi_t.key())
-        if phi_t is None:
-            phi_t = feature_expectations_exact(mdp, pi_t)
-            phi_cache[pi_t.key()] = phi_t
+        phi_t = feature_expectations_exact(mdp, pi_t)
         g_tilde = (phi_t - estimate.phi + 1.0) / 2.0
         losses[t] = g_tilde
         round_values[t] = float(w @ phi_t)
@@ -299,6 +302,7 @@ def mwal_generative(
     Each round draws one unbiased game-column sample from two expert
     trajectories, rescales it into [0, 1] with B = b log(2 T k / delta)
     (clamping the low-probability overshoots), and feeds it to Hedge.
+    Policy iteration warm-starts from the previous round's policy.
     """
     if mdp.features is None or mdp.features.shape[1] != k:
         raise ValueError("MDP features must be present with width k")
@@ -316,21 +320,15 @@ def mwal_generative(
     raw = np.empty((n_rounds, k))
     clamped = np.zeros((n_rounds, k), dtype=bool)
     round_values = np.empty(n_rounds)
-    phi_cache: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
+    pi_t = None
     for t in range(n_rounds):
         w = state.weights
         weights[t] = w
-        pi_t = optimal_policy(mdp, reward_override=mdp.features @ w)
+        pi_t = optimal_policy(mdp, reward_override=mdp.features @ w, start=pi_t)
         policies.append(pi_t)
-        cached = phi_cache.get(pi_t.key())
-        if cached is None:
-            mu_t = stationary_distribution(induce_chain(mdp, pi_t))
-            cached = (mu_t, mu_t @ mdp.features)
-            phi_cache[pi_t.key()] = cached
-        mu_t, phi_t = cached
+        phi_t = feature_expectations_exact(mdp, pi_t)
         g, _ = game_column_batch(
-            mdp, expert, pi_t, 1, substream(base, t), step_cap=step_cap,
-            ledger=ledger, mu_pi_t=mu_t,
+            mdp, expert, pi_t, 1, substream(base, t), step_cap=step_cap, ledger=ledger,
         )
         raw[t] = g[0]
         clamped[t] = clamp_mask(g[0], bound)

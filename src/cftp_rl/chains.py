@@ -107,9 +107,6 @@ class RewardModel:
             return means_selected.copy()
         return (rng.random(means_selected.shape) < means_selected).astype(float)
 
-    def sample_state(self, state: int, rng: np.random.Generator) -> float:
-        return float(self.sample(self.means[state], rng))
-
 
 class MarkovChain:
     """Finite-state chain: row-stochastic transition matrix plus a per-state reward model."""
@@ -169,6 +166,9 @@ class TabularMDP:
         self.transition = _frozen(transition)
         self.reward = reward
         self.features = features
+        # Reward-independent evaluations of deterministic policies, keyed by
+        # DeterministicPolicy.key(); filled by solvers.policy_evaluation.
+        self.policy_evaluations: dict[tuple[int, ...], object] = {}
 
     @property
     def n_features(self) -> int:
@@ -185,6 +185,7 @@ class DeterministicPolicy:
         if actions.ndim != 1:
             raise ValueError("actions must be a 1-d array of action indices")
         self.actions = _frozen(actions, dtype=int)
+        self._key = tuple(self.actions.tolist())
 
     def action_probs(self, n_actions: int) -> np.ndarray:
         probs = np.zeros((self.actions.shape[0], n_actions))
@@ -192,7 +193,7 @@ class DeterministicPolicy:
         return probs
 
     def key(self) -> tuple[int, ...]:
-        return tuple(int(a) for a in self.actions)
+        return self._key
 
     def __eq__(self, other) -> bool:
         return isinstance(other, DeterministicPolicy) and self.key() == other.key()

@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from ..errors import CapExceededError
-from .config import PARAM_SPECS, ConfigError, build_config
+from .config import PARALLEL_SUBCOMMANDS, PARAM_SPECS, ConfigError, build_config
 from .runners import RUNNERS
 
 CSV_SCHEMAS = {
@@ -71,9 +71,11 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument(
             "--replicates", type=int, default=None, help="independent replicates (default 10)"
         )
-        cmd.add_argument(
-            "--jobs", type=int, default=None, help="parallel workers over replicates (default 1)"
-        )
+        if name in PARALLEL_SUBCOMMANDS:
+            jobs_help = "parallel workers over replicates (default 1)"
+        else:
+            jobs_help = "must be 1: this subcommand runs in one process (default 1)"
+        cmd.add_argument("--jobs", type=int, default=None, help=jobs_help)
         cmd.add_argument(
             "--config", type=str, default=None, help="key=value config file; flags override it"
         )

@@ -17,6 +17,10 @@ class ConfigError(ValueError):
     """Invalid experiment configuration (maps to exit code 2)."""
 
 
+# Subcommands whose runner spreads replicates over --jobs worker processes.
+PARALLEL_SUBCOMMANDS = ("example",)
+
+
 def _int_list(text: str) -> list[int]:
     return [int(part) for part in str(text).split(",") if part != ""]
 
@@ -141,6 +145,8 @@ class ExperimentConfig:
             raise ConfigError("replicates must be >= 1")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
+        if self.jobs > 1 and self.subcommand not in PARALLEL_SUBCOMMANDS:
+            raise ConfigError(f"{self.subcommand} runs in one process; jobs must be 1")
         p = self.params
         positive = {
             "runs", "chains_per_size", "lazy_size", "grand_runs", "step_cap",

@@ -3,14 +3,18 @@
 These are the ground-truth oracles every stochastic estimator in the
 package is validated against: stationary distribution, average reward,
 bias and Q-values (Poisson equation), mixing time by exact distribution
-iteration, and average-reward policy iteration.
+iteration, and average-reward policy iteration. The reward-independent
+part of each deterministic policy's evaluation is cached on its MDP.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from dataclasses import dataclass
 
-from .chains import DeterministicPolicy, MarkovChain, RewardModel, TabularMDP, induce_chain
+import numpy as np
+from scipy.linalg import lapack
+
+from .chains import DeterministicPolicy, MarkovChain, TabularMDP, induce_chain
 from .errors import CapExceededError, SolveError
 
 STATIONARY_TOL = 1e-10
@@ -74,7 +78,51 @@ def average_reward(chain: MarkovChain) -> float:
     return float(mu @ chain.reward.means)
 
 
-def bias_and_q(mdp: TabularMDP, policy: DeterministicPolicy) -> tuple[float, np.ndarray, np.ndarray]:
+@dataclass(frozen=True)
+class PolicyEvaluation:
+    """Reward-independent part of one deterministic policy's evaluation.
+
+    ``mu`` is the stationary distribution of the induced chain P, and
+    ``lu``/``piv`` the LAPACK LU factor of I - P + 1 mu^T. Every array is
+    read-only.
+    """
+
+    mu: np.ndarray
+    lu: np.ndarray
+    piv: np.ndarray
+
+
+def policy_evaluation(mdp: TabularMDP, policy: DeterministicPolicy) -> PolicyEvaluation:
+    """The cached evaluation of ``policy`` on ``mdp``, built on first use.
+
+    The cache lives on the MDP (``mdp.policy_evaluations``, keyed by
+    ``policy.key()``), so its lifetime is the MDP's. The induced chain is
+    validated, its ergodicity checked and mu solved once per policy. A
+    failure is never cached: a non-ergodic or singular policy raises on
+    every call.
+    """
+    key = policy.key()
+    cached = mdp.policy_evaluations.get(key)
+    if cached is not None:
+        return cached
+    chain = induce_chain(mdp, policy)
+    mu = stationary_distribution(chain)
+    n = mdp.n_states
+    lu, piv, info = lapack.dgetrf(np.eye(n) - chain.transition + np.outer(np.ones(n), mu))
+    if info != 0:
+        raise SolveError("bias solve is singular")
+    for array in (mu, lu, piv):
+        array.setflags(write=False)
+    evaluation = PolicyEvaluation(mu, lu, piv)
+    mdp.policy_evaluations[key] = evaluation
+    return evaluation
+
+
+def bias_and_q(
+    mdp: TabularMDP,
+    policy: DeterministicPolicy,
+    reward: np.ndarray | None = None,
+) -> tuple[float, np.ndarray, np.ndarray]:
     """Gain rho, bias h, and Q-values of a deterministic policy.
 
     h solves (I - P) h = r - rho with the normalization E_mu[h] = 0, the one
@@ -83,18 +131,23 @@ def bias_and_q(mdp: TabularMDP, policy: DeterministicPolicy) -> tuple[float, np.
     whose solution automatically satisfies mu^T h = 0.
 
     Q(s, a) = r(s, a) - rho + sum_s' P^a(s, s') h(s').
+
+    ``reward`` replaces the MDP's (n_states, n_actions) reward means. mu
+    and the LU factor come from ``policy_evaluation``, so a repeat call on
+    the same MDP and policy costs one back-substitution plus the Q
+    contraction, whatever the reward.
     """
-    chain = induce_chain(mdp, policy)
-    mu = stationary_distribution(chain)
-    r_pi = chain.reward.means
-    rho = float(mu @ r_pi)
-    n = mdp.n_states
-    a = np.eye(n) - chain.transition + np.outer(np.ones(n), mu)
-    try:
-        h = np.linalg.solve(a, r_pi - rho)
-    except np.linalg.LinAlgError as exc:
-        raise SolveError("bias solve is singular") from exc
-    q = mdp.reward.means - rho + np.einsum("axy,y->xa", mdp.transition, h)
+    evaluation = policy_evaluation(mdp, policy)
+    if reward is None:
+        reward = mdp.reward.means
+    else:
+        reward = np.asarray(reward, dtype=float)
+        if reward.shape != (mdp.n_states, mdp.n_actions):
+            raise ValueError("reward must have shape (n_states, n_actions)")
+    r_pi = reward[np.arange(mdp.n_states), policy.actions]
+    rho = float(evaluation.mu @ r_pi)
+    h, _ = lapack.dgetrs(evaluation.lu, evaluation.piv, r_pi - rho)
+    q = reward - rho + np.einsum("axy,y->xa", mdp.transition, h)
     return rho, h, q
 
 
@@ -102,27 +155,31 @@ def optimal_policy(
     mdp: TabularMDP,
     reward_override: np.ndarray | None = None,
     max_iterations: int = 1000,
+    start: DeterministicPolicy | None = None,
 ) -> DeterministicPolicy:
     """Average-reward Howard policy iteration with exact gain/bias solves.
 
     ``reward_override`` replaces the MDP's reward with a per-state reward
-    (the action only affects dynamics). Ties in the improvement step break
-    toward the lowest action index. The returned policy is certified by a
-    one-step improvement test; failure to certify raises SolveError.
+    (the action only affects dynamics), clipped to [0, 1]. Iteration starts
+    from ``start`` (default: action 0 everywhere); a warm start must induce
+    an ergodic chain. Each iteration is one ``bias_and_q`` call on the MDP's
+    policy-evaluation cache. Ties in the improvement step break toward the
+    lowest action index. The returned policy is certified by a one-step
+    improvement test on its own Q-values; failure to certify raises
+    SolveError.
     """
-    work = mdp
+    reward = None
     if reward_override is not None:
         reward_override = np.asarray(reward_override, dtype=float)
         if reward_override.shape != (mdp.n_states,):
             raise ValueError("reward_override must have one entry per state")
-        means = np.repeat(reward_override[:, None], mdp.n_actions, axis=1)
-        work = TabularMDP(mdp.transition, RewardModel(np.clip(means, 0.0, 1.0), "mean"), mdp.features)
+        reward = np.repeat(np.clip(reward_override, 0.0, 1.0)[:, None], mdp.n_actions, axis=1)
 
     tol = 1e-10
-    policy = DeterministicPolicy(np.zeros(work.n_states, dtype=int))
+    policy = DeterministicPolicy(np.zeros(mdp.n_states, dtype=int)) if start is None else start
     seen = {policy.key()}
     for _ in range(max_iterations):
-        _, _, q = bias_and_q(work, policy)
+        _, _, q = bias_and_q(mdp, policy, reward)
         best = q.max(axis=1, keepdims=True)
         improved = DeterministicPolicy(np.argmax(q >= best - tol, axis=1))
         if improved == policy:
@@ -136,8 +193,8 @@ def optimal_policy(
     else:
         raise CapExceededError(f"policy iteration did not converge in {max_iterations} iterations")
 
-    _, _, q = bias_and_q(work, policy)
-    slack = q[np.arange(work.n_states), policy.actions] - q.max(axis=1)
+    # q holds the Q-values of ``policy``: both exits above leave it unchanged.
+    slack = q[np.arange(mdp.n_states), policy.actions] - q.max(axis=1)
     if slack.min() < -1e-8:
         raise SolveError("policy iteration certificate failed: one-step improvement exists")
     return policy

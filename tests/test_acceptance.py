@@ -9,6 +9,7 @@ lines as they complete.
 import contextlib
 import itertools
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -43,12 +44,13 @@ from cftp_rl.solvers import average_reward, mixing_time, optimal_policy, station
 
 @contextlib.contextmanager
 def criterion(cid: int, name: str):
+    start = time.perf_counter()
     try:
         yield
     except Exception:
-        print(f"\nACCEPTANCE {cid:2d} {name}: FAIL")
+        print(f"\nACCEPTANCE {cid:2d} {name}: FAIL ({time.perf_counter() - start:.1f} s)")
         raise
-    print(f"\nACCEPTANCE {cid:2d} {name}: PASS")
+    print(f"\nACCEPTANCE {cid:2d} {name}: PASS ({time.perf_counter() - start:.1f} s)")
 
 
 def read_csv(path: Path) -> list[dict[str, str]]:

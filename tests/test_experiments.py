@@ -179,6 +179,16 @@ class TestExitCodes:
     def test_success_is_zero(self, tmp_path):
         assert run_cli("pg", "--out", str(tmp_path), "--samples", "200") == 0
 
+    @pytest.mark.parametrize("sub", ["coalescence", "mwal", "mwal-gen", "pg", "eval-store"])
+    def test_jobs_above_one_rejected_where_unsupported(self, sub, tmp_path):
+        assert run_cli(sub, "--out", str(tmp_path / "flag"), "--jobs", "2") == 2
+        assert not (tmp_path / "flag").exists()
+        path = tmp_path / "cfg.txt"
+        path.write_text("jobs=3\n")
+        with pytest.raises(ConfigError, match="jobs must be 1"):
+            build_config(sub, {}, path)
+        assert build_config(sub, {"jobs": 1}, None).jobs == 1
+
     def test_validation_error_is_two(self, tmp_path):
         assert run_cli("example", "--out", str(tmp_path), "--replicates", "0") == 2
         assert run_cli("mwal", "--out", str(tmp_path), "--epsilon", "2.0") == 2

@@ -1,0 +1,150 @@
+"""Property tests for the per-MDP policy-evaluation cache and warm-started policy iteration."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cftp_rl.chains import DeterministicPolicy, RewardModel, TabularMDP
+from cftp_rl.errors import NonErgodicError
+from cftp_rl.instances import random_mdp
+from cftp_rl.solvers import bias_and_q, optimal_policy, policy_evaluation
+
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
+
+
+def dense_bias_and_q(mdp, policy, reward):
+    """Uncached reference: mu and h by least squares on the stacked, constrained systems."""
+    n = mdp.n_states
+    idx = np.arange(n)
+    p = mdp.transition[policy.actions, idx, :]
+    stacked = np.vstack([p.T - np.eye(n), np.ones(n)])
+    mu = np.linalg.lstsq(stacked, np.eye(n + 1)[-1], rcond=None)[0]
+    r = reward[idx, policy.actions]
+    rho = float(mu @ r)
+    stacked = np.vstack([np.eye(n) - p, mu])
+    h = np.linalg.lstsq(stacked, np.append(r - rho, 0.0), rcond=None)[0]
+    q = reward - rho + np.einsum("axy,y->xa", mdp.transition, h)
+    return rho, h, q
+
+
+def reference_howard(mdp, reward, tol=1e-10):
+    """Cold-start Howard iteration on the dense reference, lowest-index tie-breaking."""
+    policy = DeterministicPolicy(np.zeros(mdp.n_states, dtype=int))
+    seen = {policy.key()}
+    while True:
+        _, _, q = dense_bias_and_q(mdp, policy, reward)
+        improved = DeterministicPolicy(np.argmax(q >= q.max(axis=1, keepdims=True) - tol, axis=1))
+        if improved == policy or improved.key() in seen:
+            return policy
+        seen.add(improved.key())
+        policy = improved
+
+
+@st.composite
+def instances(draw):
+    """A random ergodic MDP (Dirichlet rows), a per-state reward and a policy on it."""
+    n = draw(st.integers(2, 6))
+    n_actions = draw(st.integers(2, 3))
+    mdp = random_mdp(n, n_actions, draw(st.integers(0, 2**32 - 1)))
+    reward = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    actions = draw(st.lists(st.integers(0, n_actions - 1), min_size=n, max_size=n))
+    return mdp, reward, DeterministicPolicy(np.array(actions))
+
+
+def per_action(mdp, reward):
+    return np.repeat(reward[:, None], mdp.n_actions, axis=1)
+
+
+@PROPERTY_SETTINGS
+@given(instances())
+def test_cached_bias_and_q_matches_dense_reference(instance):
+    mdp, reward, policy = instance
+    for means in (None, per_action(mdp, reward)):
+        expected = dense_bias_and_q(mdp, policy, mdp.reward.means if means is None else means)
+        for _ in range(2):  # the first call fills the cache, the second reads it
+            rho, h, q = bias_and_q(mdp, policy, means)
+            assert abs(rho - expected[0]) <= 1e-12
+            assert np.max(np.abs(h - expected[1])) <= 1e-12
+            assert np.max(np.abs(q - expected[2])) <= 1e-12
+    assert list(mdp.policy_evaluations) == [policy.key()]
+
+
+@PROPERTY_SETTINGS
+@given(instances())
+def test_cold_start_matches_reference_howard(instance):
+    mdp, reward, _ = instance
+    found = optimal_policy(mdp, reward_override=reward)
+    assert found == reference_howard(mdp, per_action(mdp, reward))
+
+
+@PROPERTY_SETTINGS
+@given(instances())
+def test_warm_start_reaches_the_cold_start_gain(instance):
+    mdp, reward, start = instance
+    means = per_action(mdp, reward)
+    cold = optimal_policy(mdp, reward_override=reward)
+    warm = optimal_policy(mdp, reward_override=reward, start=start)
+    rho_cold = dense_bias_and_q(mdp, cold, means)[0]
+    rho_warm, _, q = dense_bias_and_q(mdp, warm, means)
+    assert abs(rho_warm - rho_cold) <= 1e-10
+    slack = q[np.arange(mdp.n_states), warm.actions] - q.max(axis=1)
+    assert slack.min() >= -1e-8
+
+
+@PROPERTY_SETTINGS
+@given(instances())
+def test_cached_arrays_are_read_only(instance):
+    mdp, _, policy = instance
+    evaluation = policy_evaluation(mdp, policy)
+    assert policy_evaluation(mdp, policy) is evaluation
+    for array in (evaluation.mu, evaluation.lu, evaluation.piv):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0
+
+
+def periodic_first_action_mdp(n, n_actions, seed):
+    """Action 0 is a deterministic n-cycle (period n); the others are dense."""
+    dense = random_mdp(n, n_actions, seed)
+    transition = np.array(dense.transition)
+    transition[0] = np.roll(np.eye(n), 1, axis=1)
+    return TabularMDP(transition, RewardModel(np.array(dense.reward.means)))
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(2, 6), st.integers(2, 3), st.integers(0, 2**32 - 1))
+def test_periodic_policy_raises_on_every_call(n, n_actions, seed):
+    mdp = periodic_first_action_mdp(n, n_actions, seed)
+    cycle = DeterministicPolicy(np.zeros(n, dtype=int))
+    for _ in range(3):
+        with pytest.raises(NonErgodicError):
+            bias_and_q(mdp, cycle)
+        with pytest.raises(NonErgodicError):
+            optimal_policy(mdp)
+    assert cycle.key() not in mdp.policy_evaluations
+    dense = DeterministicPolicy(np.ones(n, dtype=int))
+    bias_and_q(mdp, dense)
+    assert list(mdp.policy_evaluations) == [dense.key()]
+
+
+@PROPERTY_SETTINGS
+@given(instances(), st.integers(0, 2**32 - 1))
+def test_mdps_of_one_shape_never_share_entries(instance, other_seed):
+    mdp, _, policy = instance
+    other = random_mdp(mdp.n_states, mdp.n_actions, other_seed)
+    for model in (mdp, other, mdp, other):
+        rho, h, q = bias_and_q(model, policy)
+        expected = dense_bias_and_q(model, policy, model.reward.means)
+        assert abs(rho - expected[0]) <= 1e-12
+        assert np.max(np.abs(q - expected[2])) <= 1e-12
+    assert mdp.policy_evaluations[policy.key()] is not other.policy_evaluations[policy.key()]
+
+
+def test_reward_shape_is_checked():
+    mdp = random_mdp(3, 2, 0)
+    policy = DeterministicPolicy(np.zeros(3, dtype=int))
+    with pytest.raises(ValueError, match="shape"):
+        bias_and_q(mdp, policy, np.zeros((3, 3)))
+    with pytest.raises(ValueError, match="one entry per state"):
+        optimal_policy(mdp, reward_override=np.zeros(2))
