@@ -7,6 +7,14 @@ so the same rows drive CFTP for every policy. Rows are appended on demand
 and never modified, which is what lets exponentially many policies share
 polynomially many generative calls.
 
+Every evaluation runs one CFTP loop over all (matrix, policy) pairs at once:
+step t reads row t of each matrix that still has an unfinished pair, and
+each pair retires at its own coalescence time. Row t depends only on
+(seed, t), so the order in which rows are drawn does not change any result.
+Policies are checked up front: an action index outside the MDP raises
+ValueError and a non-ergodic induced chain raises NonErgodicError, before
+any row is drawn.
+
 Reusing rows across policies correlates their estimates within one matrix;
 averaging over independent copies (StoreEnsemble) restores concentration.
 """
@@ -18,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import DeterministicPolicy, SampleLedger, TabularMDP
-from .sampling import _cftp_core
+from .chains import DeterministicPolicy, SampleLedger, TabularMDP, induce_chain
+from .errors import CapExceededError
 from .seeding import child_sequence, seed_sequence, substream
 
 
@@ -43,7 +51,8 @@ class SampleMatrix:
     def __init__(self, mdp: TabularMDP, rng, ledger: SampleLedger | None = None):
         self.mdp = mdp
         self._base = seed_sequence(rng)
-        self._cum = np.cumsum(mdp.transition, axis=2)
+        # (n_states, n_actions, n_states): row s, column a is the CDF of P^a(s, .).
+        self._cum = np.cumsum(mdp.transition, axis=2).transpose(1, 0, 2)
         self.rows: list[StoreRow] = []
         self.ledger = ledger if ledger is not None else SampleLedger()
 
@@ -55,9 +64,7 @@ class SampleMatrix:
         gen = substream(self._base, idx)
         n, m = self.mdp.n_states, self.mdp.n_actions
         u_next = gen.random((n, m))
-        nxt = np.empty((n, m), dtype=np.int64)
-        for a in range(m):
-            nxt[:, a] = (u_next[:, [a]] >= self._cum[a]).sum(axis=1)
+        nxt = (u_next[:, :, None] >= self._cum).sum(axis=2, dtype=np.int64)
         np.minimum(nxt, n - 1, out=nxt)
         reward = self.mdp.reward.sample(self.mdp.reward.means, gen)
         row = StoreRow(next_state=nxt, reward=np.asarray(reward, dtype=float))
@@ -89,6 +96,62 @@ class EvaluationRecord:
     state: int
 
 
+def _check_policies(mdp: TabularMDP, policies: list[DeterministicPolicy]) -> None:
+    """Reject a policy with an action outside the MDP or a non-ergodic chain."""
+    for policy in policies:
+        induce_chain(mdp, policy).require_ergodic()
+
+
+def _cftp_pairs(
+    stores: list[SampleMatrix],
+    policies: list[DeterministicPolicy],
+    step_cap: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CFTP for every (store, policy) pair on the stored rows, in one loop.
+
+    Returns (states, t_c, rewards), each of shape (len(stores), len(policies)).
+    A pair composes its restricted maps exactly as scalar CFTP does and reads
+    rows 1..t_c of its store; a store grows to the largest t_c of its pairs.
+    """
+    n, m = stores[0].mdp.n_states, stores[0].mdp.n_actions
+    shape = (len(stores), len(policies))
+    states = np.empty(shape, dtype=np.int64)
+    times = np.empty(shape, dtype=np.int64)
+    rewards = np.empty(shape)
+    actions = np.array([policy.actions for policy in policies], dtype=np.int64).reshape(-1, n)
+    # Active pairs, store-major; cols holds each pair's offsets of (s, pi(s))
+    # in a row flattened to n * m entries.
+    pair_store, pair_policy = np.indices(shape).reshape(2, -1)
+    cols = (np.arange(n) * m + actions)[pair_policy]
+    composite = np.tile(np.arange(n), (pair_store.size, 1))
+    t = 0
+    while pair_store.size:
+        # The stores with an active pair (live), each pair's position among
+        # them (slot), where its maps sit in the stacked rows (gather), and
+        # where its composite starts in the flattened composites (offsets).
+        live, slot = np.unique(pair_store, return_inverse=True)
+        gather = slot[:, None] * (n * m) + cols
+        offsets = np.arange(pair_store.size)[:, None] * n
+        done = np.zeros(pair_store.size, dtype=bool)
+        while not done.any():
+            t += 1
+            if t > step_cap:
+                raise CapExceededError(f"no coalescence within {step_cap} steps")
+            rows = [stores[i].row_at(t) for i in live]
+            next_state = np.concatenate([row.next_state for row in rows]).ravel()
+            composite = composite.ravel()[offsets + next_state[gather]]
+            done = (composite == composite[:, :1]).all(axis=1)
+        i, j, state = pair_store[done], pair_policy[done], composite[done, 0]
+        reward = np.concatenate([row.reward for row in rows]).ravel()
+        states[i, j] = state
+        times[i, j] = t
+        rewards[i, j] = reward[slot[done] * (n * m) + state * m + actions[j, state]]
+        keep = ~done
+        pair_store, pair_policy = pair_store[keep], pair_policy[keep]
+        cols, composite = cols[keep], composite[keep]
+    return states, times, rewards
+
+
 def evaluate_policy(
     store: SampleMatrix,
     policy: DeterministicPolicy,
@@ -96,20 +159,22 @@ def evaluate_policy(
 ) -> EvaluationRecord:
     """Run CFTP for ``policy`` on the stored rows; returns the reward sample.
 
-    Row t supplies the random map for past time -t, with rows appended until
+    The one-store, one-policy case of ``estimate_all``'s loop. Row t
+    supplies the random map for past time -t, with rows appended until
     coalescence. The returned reward is the sample stored at (coalescence
     state, pi(state)) in the row whose addition made the composite constant;
     reward draws are independent of every next-state draw, so the stored
     sample is an unbiased draw of R(state, pi(state)).
+
+    Raises ValueError for an action index outside the MDP and
+    NonErgodicError for a non-ergodic induced chain, before drawing a row;
+    CapExceededError once ``step_cap`` rows are read without coalescence.
     """
-    if policy.actions.shape[0] != store.mdp.n_states:
-        raise ValueError("policy does not match the stored MDP")
-    state, t_c = _cftp_core(
-        lambda t: store.restricted_map(t, policy), store.mdp.n_states, step_cap, "dense"
+    _check_policies(store.mdp, [policy])
+    states, times, rewards = _cftp_pairs([store], [policy], step_cap)
+    return EvaluationRecord(
+        reward=float(rewards[0, 0]), rows_consumed=int(times[0, 0]), state=int(states[0, 0])
     )
-    row = store.row_at(t_c)
-    reward = float(row.reward[state, policy.actions[state]])
-    return EvaluationRecord(reward=reward, rows_consumed=t_c, state=state)
 
 
 class StoreEnsemble:
@@ -140,11 +205,23 @@ def estimate_all(
     policies: list[DeterministicPolicy],
     step_cap: int = 1_000_000,
 ) -> np.ndarray:
-    """Per-policy average-reward estimates, averaging one sample per copy."""
+    """Per-policy average-reward estimates, averaging one sample per copy.
+
+    One CFTP loop runs over every (copy, policy) pair; each sample equals
+    ``evaluate_policy(copy, policy)`` and each copy grows to the largest
+    coalescence time among its pairs. Samples are summed in copy order.
+
+    Every policy's induced chain is checked once per call before any row is
+    drawn: ValueError for an action index outside the MDP, NonErgodicError
+    for a reducible or periodic chain. An ergodic chain that has not
+    coalesced within ``step_cap`` rows raises CapExceededError; by then
+    every copy with an unfinished pair has drawn ``step_cap`` rows.
+    """
+    _check_policies(ensemble.copies[0].mdp, policies)
+    _, _, rewards = _cftp_pairs(ensemble.copies, policies, step_cap)
     estimates = np.zeros(len(policies))
-    for copy in ensemble.copies:
-        for j, policy in enumerate(policies):
-            estimates[j] += evaluate_policy(copy, policy, step_cap=step_cap).reward
+    for per_copy in rewards:
+        estimates += per_copy
     return estimates / ensemble.n_copies
 
 

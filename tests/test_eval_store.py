@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from cftp_rl.chains import DeterministicPolicy, RewardModel, SampleLedger, TabularMDP, induce_chain
+from cftp_rl.errors import CapExceededError, NonErgodicError
 from cftp_rl.eval_store import (
     SampleMatrix,
     StoreEnsemble,
@@ -17,8 +20,11 @@ from cftp_rl.eval_store import (
     save_store,
 )
 from cftp_rl.instances import random_mdp
-from cftp_rl.sampling import lower_bound_chain
+from cftp_rl.sampling import _cftp_core, lower_bound_chain
+from cftp_rl.seeding import substream
 from cftp_rl.solvers import average_reward, mixing_time
+
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 
 
 def all_policies(mdp):
@@ -33,6 +39,66 @@ def lazy_mdp(n, eps):
     return TabularMDP(
         chain.transition[None, :, :], RewardModel(chain.reward.means[:, None], "mean")
     )
+
+
+def swap_mdp():
+    """Two states, one action that swaps them: a periodic induced chain."""
+    transition = np.array([[[0.0, 1.0], [1.0, 0.0]]])
+    return TabularMDP(transition, RewardModel(np.full((2, 1), 0.5), "mean"))
+
+
+def reference_row(store, t):
+    """Row t drawn with one inverse-CDF comparison per action, from row t's keyed substream."""
+    mdp = store.mdp
+    n, m = mdp.n_states, mdp.n_actions
+    gen = substream(store._base, t)
+    u_next = gen.random((n, m))
+    cum = np.cumsum(mdp.transition, axis=2)
+    nxt = np.empty((n, m), dtype=np.int64)
+    for a in range(m):
+        nxt[:, a] = (u_next[:, [a]] >= cum[a]).sum(axis=1)
+    np.minimum(nxt, n - 1, out=nxt)
+    return nxt, mdp.reward.sample(mdp.reward.means, gen)
+
+
+def reference_evaluate(store, policy):
+    """Per-pair reference: scalar CFTP over the restricted maps, reward from row t_c."""
+    state, t_c = _cftp_core(
+        lambda t: store.restricted_map(t, policy), store.mdp.n_states, 10**6, "dense"
+    )
+    reward = float(store.row_at(t_c).reward[state, policy.actions[state]])
+    return reward, t_c, state
+
+
+def reference_estimate_all(ensemble, policies):
+    """Per-pair reference for estimate_all: one scalar CFTP per (copy, policy), copy order."""
+    estimates = np.zeros(len(policies))
+    for copy in ensemble.copies:
+        for j, policy in enumerate(policies):
+            estimates[j] += reference_evaluate(copy, policy)[0]
+    return estimates / ensemble.n_copies
+
+
+@st.composite
+def store_instances(draw):
+    """A random Dirichlet MDP and a list of its policies, with repeats allowed."""
+    n = draw(st.integers(1, 5))
+    n_actions = draw(st.integers(1, 3))
+    mode = draw(st.sampled_from(RewardModel.MODES))
+    mdp = random_mdp(n, n_actions, draw(st.integers(0, 2**32 - 1)), reward_mode=mode)
+    action_lists = st.lists(st.integers(0, n_actions - 1), min_size=n, max_size=n)
+    policies = [
+        DeterministicPolicy(np.array(actions, dtype=int))
+        for actions in draw(st.lists(action_lists, min_size=1, max_size=6))
+    ]
+    return mdp, policies, draw(st.integers(0, 2**32 - 1))
+
+
+def assert_same_rows(a, b):
+    assert len(a) == len(b)
+    for row_a, row_b in zip(a.rows, b.rows):
+        assert np.array_equal(row_a.next_state, row_b.next_state)
+        assert np.array_equal(row_a.reward, row_b.reward)
 
 
 class TestSampleMatrix:
@@ -75,6 +141,91 @@ class TestSampleMatrix:
             counts = np.bincount(draws[idx], minlength=2)
             _, p_value = stats.chisquare(counts, mdp.transition[a, s] * draws.shape[1])
             assert p_value > 0.001
+
+
+class TestBatchedEvaluation:
+    """The batched loop against the per-pair reference kept in this file."""
+
+    @PROPERTY_SETTINGS
+    @given(store_instances())
+    def test_estimate_all_matches_the_per_pair_loop(self, instance):
+        mdp, policies, seed = instance
+        batched = StoreEnsemble(mdp, 0.6, 0.5, len(policies), seed)
+        reference = StoreEnsemble(mdp, 0.6, 0.5, len(policies), seed)
+        estimates = estimate_all(batched, policies)
+        assert estimates.tobytes() == reference_estimate_all(reference, policies).tobytes()
+        assert batched.ledger_total == reference.ledger_total
+        for copy, ref_copy in zip(batched.copies, reference.copies):
+            assert_same_rows(copy, ref_copy)
+            for t, row in enumerate(copy.rows, start=1):
+                next_state, reward = reference_row(copy, t)
+                assert np.array_equal(row.next_state, next_state)
+                assert np.array_equal(row.reward, reward)
+
+    @PROPERTY_SETTINGS
+    @given(store_instances(), st.lists(st.integers(1, 5), min_size=1, max_size=4))
+    def test_policy_groups_on_one_ensemble_match_one_call(self, instance, sizes):
+        mdp, policies, seed = instance
+        whole = StoreEnsemble(mdp, 0.6, 0.5, len(policies), seed)
+        grouped = StoreEnsemble(mdp, 0.6, 0.5, len(policies), seed)
+        expected = estimate_all(whole, policies)
+        parts, start = [], 0
+        for size in sizes + [len(policies)]:
+            if start < len(policies):
+                parts.append(estimate_all(grouped, policies[start:start + size]))
+                start += size
+        assert np.concatenate(parts).tobytes() == expected.tobytes()
+        for copy, ref_copy in zip(grouped.copies, whole.copies):
+            assert_same_rows(copy, ref_copy)
+
+    @PROPERTY_SETTINGS
+    @given(store_instances())
+    def test_evaluate_policy_matches_the_per_pair_loop(self, instance):
+        mdp, policies, seed = instance
+        store = SampleMatrix(mdp, rng=seed)
+        reference = SampleMatrix(mdp, rng=seed)
+        for policy in policies:
+            record = evaluate_policy(store, policy)
+            assert (record.reward, record.rows_consumed, record.state) == reference_evaluate(
+                reference, policy
+            )
+            assert_same_rows(store, reference)
+
+
+class TestPolicyChecks:
+    @pytest.mark.parametrize("bad_action", [-1, 2])
+    def test_action_outside_the_mdp_is_rejected_before_any_row(self, bad_action):
+        mdp = random_mdp(3, 2, rng=40)
+        policy = DeterministicPolicy(np.array([bad_action, 0, 1]))
+        store = SampleMatrix(mdp, rng=41)
+        with pytest.raises(ValueError, match="action index outside the MDP"):
+            evaluate_policy(store, policy)
+        ensemble = StoreEnsemble(mdp, 0.5, 0.5, 2, rng=42)
+        with pytest.raises(ValueError, match="action index outside the MDP"):
+            estimate_all(ensemble, [DeterministicPolicy(np.zeros(3, dtype=int)), policy])
+        assert len(store) == 0 and store.ledger.generative_calls == 0
+        assert all(len(copy) == 0 for copy in ensemble.copies) and ensemble.ledger_total == 0
+
+    def test_non_ergodic_policy_fails_at_once(self):
+        mdp = swap_mdp()
+        policy = DeterministicPolicy(np.zeros(2, dtype=int))
+        store = SampleMatrix(mdp, rng=43)
+        with pytest.raises(NonErgodicError):
+            evaluate_policy(store, policy)
+        ensemble = StoreEnsemble(mdp, 0.3, 0.3, 1, rng=44)
+        with pytest.raises(NonErgodicError):
+            estimate_all(ensemble, [policy])
+        assert len(store) == 0 and store.ledger.generative_calls == 0
+        assert all(len(copy) == 0 for copy in ensemble.copies) and ensemble.ledger_total == 0
+
+    def test_cap_leaves_every_unfinished_copy_at_the_cap(self):
+        # A lazy chain on 4 states almost never coalesces within 3 steps.
+        mdp = lazy_mdp(4, 0.02)
+        ensemble = StoreEnsemble(mdp, 0.5, 0.5, 1, rng=45)
+        with pytest.raises(CapExceededError):
+            estimate_all(ensemble, [DeterministicPolicy(np.zeros(4, dtype=int))], step_cap=3)
+        assert [len(copy) for copy in ensemble.copies] == [3] * ensemble.n_copies
+        assert ensemble.ledger_total == 3 * 4 * ensemble.n_copies
 
 
 class TestEvaluatePolicy:
