@@ -29,10 +29,12 @@ from .chains import (
     SampleLedger,
     StochasticPolicy,
     TabularMDP,
+    cdf_table,
     induce_chain,
+    inverse_cdf,
 )
 from .errors import CapExceededError
-from .estimators import _categorical_rows, coupled_difference_batch
+from .estimators import coupled_difference_batch
 from .hedge import HedgeState, clamp_mask, hedge_step, rescale_loss
 from .sampling import _cftp_core
 from .seeding import as_generator, seed_sequence, substream
@@ -55,7 +57,7 @@ class ExpertModel:
         else:
             raise TypeError("expert policy must be deterministic or stochastic")
         self.policy = StochasticPolicy(probs)
-        self._cum = np.cumsum(probs, axis=1)
+        self._cum = cdf_table(probs)
         self.rng = as_generator(rng)
         self.ledger = ledger if ledger is not None else SampleLedger()
 
@@ -63,7 +65,7 @@ class ExpertModel:
         return int(self.act_batch(np.array([state], dtype=np.int64))[0])
 
     def act_batch(self, states: np.ndarray) -> np.ndarray:
-        actions = _categorical_rows(self._cum[states], self.rng.random(states.shape[0]))
+        actions = inverse_cdf(self._cum, states, self.rng.random(states.shape[0]))
         self.ledger.add_expert(states.shape[0])
         return actions
 
@@ -113,8 +115,9 @@ def expert_stationary_samples(
     """
     base = seed_sequence(rng) if not isinstance(rng, np.random.Generator) else None
     gen_fallback = rng if base is None else None
-    cum3 = np.cumsum(mdp.transition, axis=2)
-    all_states = np.arange(mdp.n_states)
+    n = mdp.n_states
+    cum = cdf_table(mdp.transition).reshape(-1, n)
+    all_states = np.arange(n)
     ledger = SampleLedger()
     samples = np.empty(m, dtype=np.int64)
     times = np.empty(m, dtype=np.int64)
@@ -123,11 +126,11 @@ def expert_stationary_samples(
 
         def map_at(t: int, _gen=gen) -> np.ndarray:
             actions = expert.act_batch(all_states)
-            nxt = _categorical_rows(cum3[actions, all_states], _gen.random(mdp.n_states))
-            ledger.add_generative(mdp.n_states)
+            nxt = inverse_cdf(cum, actions * n + all_states, _gen.random(n))
+            ledger.add_generative(n)
             return nxt
 
-        samples[i], times[i] = _cftp_core(map_at, mdp.n_states, step_cap, "dense")
+        samples[i], times[i] = _cftp_core(map_at, n, step_cap)
     return samples, times, ledger.generative_calls
 
 
@@ -180,8 +183,8 @@ def game_column_batch(
     coalesces.
     """
     gen = as_generator(rng)
-    cum_mu = np.tile(np.cumsum(policy_evaluation(mdp, pi_t).mu), (n_samples, 1))
-    s0 = _categorical_rows(cum_mu, gen.random(n_samples))
+    cum_mu = cdf_table(policy_evaluation(mdp, pi_t).mu)[None, :]
+    s0 = inverse_cdf(cum_mu, np.zeros(n_samples, dtype=np.int64), gen.random(n_samples))
     first_a = pi_t.actions[s0]
     first_b = expert.act_batch(s0)
     g, t_c = coupled_difference_batch(

@@ -20,7 +20,9 @@ from .chains import (
     SampleLedger,
     StochasticPolicy,
     TabularMDP,
+    cdf_table,
     induce_chain,
+    inverse_cdf,
     policy_matrix,
 )
 from .errors import CapExceededError
@@ -60,11 +62,6 @@ class DiffEstimate:
     calls: int
 
 
-def _categorical_rows(cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    pick = (u[:, None] >= cum_rows).sum(axis=1)
-    return np.minimum(pick, cum_rows.shape[1] - 1)
-
-
 def coupled_difference_batch(
     mdp: TabularMDP,
     s0: np.ndarray,
@@ -90,7 +87,8 @@ def coupled_difference_batch(
     if value not in ("reward", "features"):
         raise ValueError(f"unknown value kind {value!r}")
     gen = as_generator(rng)
-    cum3 = np.cumsum(mdp.transition, axis=2)
+    n = mdp.n_states
+    cum = cdf_table(mdp.transition).reshape(-1, n)
     means = mdp.reward.means
     bernoulli = mdp.reward.mode == "bernoulli"
     if value == "features":
@@ -124,8 +122,8 @@ def coupled_difference_batch(
             acc[active, 0] += rx - ry
         else:
             acc[active] += feats[x] - feats[y]
-        x = _categorical_rows(cum3[ax, x], gen.random(active.size))
-        y = _categorical_rows(cum3[ay, y], gen.random(active.size))
+        x = inverse_cdf(cum, ax * n + x, gen.random(active.size))
+        y = inverse_cdf(cum, ay * n + y, gen.random(active.size))
         if ledger is not None:
             ledger.add_generative(2 * active.size)
         t += 1
@@ -148,10 +146,10 @@ def policy_action_drawer(policy, mdp: TabularMDP, gen: np.random.Generator):
             return actions[states]
 
     else:
-        cum = np.cumsum(policy_matrix(policy, mdp), axis=1)
+        cum = cdf_table(policy_matrix(policy, mdp))
 
         def draw(states: np.ndarray) -> np.ndarray:
-            return _categorical_rows(cum[states], gen.random(states.shape[0]))
+            return inverse_cdf(cum, states, gen.random(states.shape[0]))
 
     return draw
 
@@ -159,9 +157,8 @@ def policy_action_drawer(policy, mdp: TabularMDP, gen: np.random.Generator):
 def _stationary_starts(mdp, policy, n, source, gen, step_cap, ledger):
     chain = induce_chain(mdp, policy)
     if source == "exact_solve":
-        mu = stationary_distribution(chain)
-        cum = np.cumsum(mu)
-        starts = _categorical_rows(np.tile(cum, (n, 1)), gen.random(n))
+        cum = cdf_table(stationary_distribution(chain))[None, :]
+        starts = inverse_cdf(cum, np.zeros(n, dtype=np.int64), gen.random(n))
         return starts, 0
     if source == "cftp":
         states, times = cftp_batch(chain, n, gen, step_cap=step_cap)
@@ -241,9 +238,9 @@ def policy_gradient_batch(
     gen = as_generator(rng)
     stoch = policy.as_policy()
     s0, _ = _stationary_starts(mdp, stoch, n_samples, "cftp", gen, step_cap, ledger)
-    cum_pi = np.cumsum(policy.probs, axis=1)
-    a_main = _categorical_rows(cum_pi[s0], gen.random(n_samples))
-    a_base = _categorical_rows(cum_pi[s0], gen.random(n_samples))
+    cum_pi = cdf_table(policy.probs)
+    a_main = inverse_cdf(cum_pi, s0, gen.random(n_samples))
+    a_base = inverse_cdf(cum_pi, s0, gen.random(n_samples))
     draw = policy_action_drawer(stoch, mdp, gen)
     q_hat, _ = coupled_difference_batch(
         mdp, s0, a_main, a_base, draw, gen, value="reward", step_cap=step_cap, ledger=ledger

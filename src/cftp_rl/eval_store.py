@@ -26,9 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import DeterministicPolicy, SampleLedger, TabularMDP, induce_chain
+from .chains import DeterministicPolicy, SampleLedger, TabularMDP, cdf_table, inverse_cdf
 from .errors import CapExceededError
 from .seeding import child_sequence, seed_sequence, substream
+from .solvers import policy_evaluation
 
 
 @dataclass
@@ -51,8 +52,9 @@ class SampleMatrix:
     def __init__(self, mdp: TabularMDP, rng, ledger: SampleLedger | None = None):
         self.mdp = mdp
         self._base = seed_sequence(rng)
-        # (n_states, n_actions, n_states): row s, column a is the CDF of P^a(s, .).
-        self._cum = np.cumsum(mdp.transition, axis=2).transpose(1, 0, 2)
+        # Row s * n_actions + a is the CDF of P^a(s, .).
+        n = mdp.n_states
+        self._cum = cdf_table(mdp.transition.transpose(1, 0, 2)).reshape(-1, n)
         self.rows: list[StoreRow] = []
         self.ledger = ledger if ledger is not None else SampleLedger()
 
@@ -63,9 +65,8 @@ class SampleMatrix:
         idx = len(self.rows) + 1
         gen = substream(self._base, idx)
         n, m = self.mdp.n_states, self.mdp.n_actions
-        u_next = gen.random((n, m))
-        nxt = (u_next[:, :, None] >= self._cum).sum(axis=2, dtype=np.int64)
-        np.minimum(nxt, n - 1, out=nxt)
+        u_next = gen.random(n * m)
+        nxt = inverse_cdf(self._cum, np.arange(n * m), u_next).reshape(n, m)
         reward = self.mdp.reward.sample(self.mdp.reward.means, gen)
         row = StoreRow(next_state=nxt, reward=np.asarray(reward, dtype=float))
         row.next_state.setflags(write=False)
@@ -97,9 +98,9 @@ class EvaluationRecord:
 
 
 def _check_policies(mdp: TabularMDP, policies: list[DeterministicPolicy]) -> None:
-    """Reject a policy with an action outside the MDP or a non-ergodic chain."""
+    """Reject a bad action or a non-ergodic chain; a pass is cached on the MDP."""
     for policy in policies:
-        induce_chain(mdp, policy).require_ergodic()
+        policy_evaluation(mdp, policy)
 
 
 def _cftp_pairs(

@@ -23,7 +23,7 @@ from ..apprenticeship import (
     mwal_generative,
     mwal_rounds_csv,
 )
-from ..chains import induce_chain
+from ..chains import induce_chain, inverse_cdf
 from ..errors import CapExceededError
 from ..estimators import SoftmaxPolicy, policy_gradient_batch
 from ..eval_store import StoreEnsemble, estimate_all
@@ -95,8 +95,7 @@ def _example_replicate(payload: tuple) -> tuple[int, dict]:
         gen = substream(seed, replicate, idx)
         states = np.ones(n_runs, dtype=np.int64)  # initial distribution (0, 1)
         for _ in range(t_guess):
-            u = gen.random(n_runs)
-            states = np.minimum((u[:, None] >= cum[states]).sum(axis=1), 1)
+            states = inverse_cdf(cum, states, gen.random(n_runs))
         rewards = (gen.random(n_runs) < means[states]).astype(float)
         steps = np.full(n_runs, t_guess, dtype=np.int64)
         results[f"guess_{t_guess}"] = (rewards, steps)

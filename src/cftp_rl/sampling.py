@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import MarkovChain, RewardModel, SampleLedger
+from .chains import MarkovChain, RewardModel, SampleLedger, inverse_cdf
 from .errors import CapExceededError
 from .seeding import as_generator, seed_sequence, substream
 
@@ -32,9 +32,8 @@ class CoalescenceRecord:
 
 
 def _map_from_cum(cum: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    u = rng.random(cum.shape[0])
-    image = (u[:, None] >= cum).sum(axis=1)
-    return np.minimum(image, cum.shape[1] - 1)
+    n = cum.shape[0]
+    return inverse_cdf(cum, np.arange(n), rng.random(n))
 
 
 def draw_random_map(chain: MarkovChain, rng: np.random.Generator) -> np.ndarray:
@@ -79,27 +78,13 @@ class MapStore:
         return self._maps[t - 1]
 
 
-def _cftp_core(map_at, n_states: int, step_cap: int, mode: str) -> tuple[int, int]:
+def _cftp_core(map_at, n_states: int, step_cap: int) -> tuple[int, int]:
     """Shared CFTP loop over an arbitrary map source; returns (state, t_c)."""
-    if mode not in ("dense", "reps"):
-        raise ValueError(f"unknown cftp mode {mode!r}")
-    if mode == "dense":
-        composite = np.arange(n_states)
-        for t in range(1, step_cap + 1):
-            composite = composite[map_at(t)]
-            if (composite == composite[0]).all():
-                return int(composite[0]), t
-    else:
-        # Track one representative value per coalesced class instead of the
-        # full composite: labels[s] is s's class, values[c] its image.
-        labels = np.arange(n_states)
-        values = np.arange(n_states)
-        for t in range(1, step_cap + 1):
-            raw = labels[map_at(t)]
-            uniq, labels = np.unique(raw, return_inverse=True)
-            values = values[uniq]
-            if values.shape[0] == 1:
-                return int(values[0]), t
+    composite = np.arange(n_states)
+    for t in range(1, step_cap + 1):
+        composite = composite[map_at(t)]
+        if (composite == composite[0]).all():
+            return int(composite[0]), t
     raise CapExceededError(f"no coalescence within {step_cap} steps")
 
 
@@ -107,23 +92,21 @@ def cftp(
     chain: MarkovChain,
     rng,
     step_cap: int = 1_000_000,
-    mode: str = "dense",
     store: MapStore | None = None,
     ledger: SampleLedger | None = None,
 ) -> tuple[int, CoalescenceRecord]:
     """Exact draw from the stationary distribution of an ergodic chain.
 
     Extends the past one step per iteration; the composite is maintained
-    incrementally so each step costs O(n_states). ``mode="reps"`` tracks
-    only class representatives once classes merge; both modes draw the same
-    maps and return identically distributed outputs.
+    incrementally so each step costs O(n_states) plus the map draw.
 
-    Ergodicity is the caller's precondition: a chain that cannot coalesce
-    surfaces as a step-cap error rather than an upfront rejection.
+    Raises NonErgodicError before drawing when the maps can never coalesce
+    (``MarkovChain.require_coalescing``), CapExceededError after ``step_cap`` steps.
     """
+    chain.require_coalescing()
     if store is None:
         store = MapStore(chain, rng)
-    state, t_c = _cftp_core(store.map_at, chain.n_states, step_cap, mode)
+    state, t_c = _cftp_core(store.map_at, chain.n_states, step_cap)
     calls = t_c * chain.n_states
     if ledger is not None:
         ledger.add_generative(calls)
@@ -140,11 +123,15 @@ def cftp_batch(
 
     Each run extends its own past one step per iteration with its own maps,
     exactly as ``cftp`` does run by run, so the output distribution is the
-    same; only the loop is shared across runs.
+    same; only the loop is shared across runs. Raises NonErgodicError
+    before drawing, as ``cftp`` does, when the maps can never coalesce.
     """
+    chain.require_coalescing()
     gen = as_generator(rng)
     n = chain.n_states
     cum = chain.cumulative()
+    # Entry r * n + s of the stacked maps draws from CDF row s.
+    map_rows = np.tile(np.arange(n), n_samples)
     states = np.empty(n_samples, dtype=np.int64)
     times = np.empty(n_samples, dtype=np.int64)
     active = np.arange(n_samples)
@@ -154,11 +141,8 @@ def cftp_batch(
         t += 1
         if t > step_cap:
             raise CapExceededError(f"no coalescence within {step_cap} steps")
-        u = gen.random((active.size, n))
-        maps = np.empty((active.size, n), dtype=np.int64)
-        for s in range(n):
-            maps[:, s] = np.searchsorted(cum[s], u[:, s], side="right")
-        np.minimum(maps, n - 1, out=maps)
+        u = gen.random(active.size * n)
+        maps = inverse_cdf(cum, map_rows[: u.size], u).reshape(active.size, n)
         composite = np.take_along_axis(composite, maps, axis=1)
         done = (composite == composite[:, [0]]).all(axis=1)
         if done.any():
@@ -190,22 +174,17 @@ def two_chain_coalesce(
     if i == j:
         return CoalescenceRecord(t_c=0, state=int(i), calls=0)
     cum = chain.cumulative()
-    cum_rows = [cum[s] for s in range(chain.n_states)]
     x, y = int(i), int(j)
     calls = 0
     for t in range(1, step_cap + 1):
         if coupling == "independent":
-            u = gen.random(2)
-            x = int(np.searchsorted(cum_rows[x], u[0], side="right"))
-            y = int(np.searchsorted(cum_rows[y], u[1], side="right"))
+            x, y = inverse_cdf(cum, np.array([x, y]), gen.random(2)).tolist()
             calls += 2
         else:
             image = _map_from_cum(cum, gen)
             x = int(image[x])
             y = int(image[y])
             calls += chain.n_states
-        x = min(x, chain.n_states - 1)
-        y = min(y, chain.n_states - 1)
         if x == y:
             return CoalescenceRecord(t_c=t, state=x, calls=calls)
     raise CapExceededError(f"no coalescence within {step_cap} steps")
@@ -244,20 +223,13 @@ def coalescence_times_batch(
             raise CapExceededError(f"no coalescence within {step_cap} steps")
         ux = gen.random(active.size)
         uy = gen.random(active.size)
-        x = _row_sample(cum, x, ux)
-        y = _row_sample(cum, y, uy)
+        x = inverse_cdf(cum, x, ux)
+        y = inverse_cdf(cum, y, uy)
         met = x == y
         times[active[met]] = t
         keep = ~met
         active, x, y = active[keep], x[keep], y[keep]
     return times
-
-
-def _row_sample(cum: np.ndarray, states: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Next states for a batch of chains, by inverse CDF on each row."""
-    rows = cum[states]
-    nxt = (u[:, None] >= rows).sum(axis=1)
-    return np.minimum(nxt, cum.shape[1] - 1)
 
 
 def lower_bound_chain(n_states: int, epsilon: float, reward_mode: str = "bernoulli") -> MarkovChain:
@@ -274,34 +246,6 @@ def lower_bound_chain(n_states: int, epsilon: float, reward_mode: str = "bernoul
     transition[np.diag_indices(n_states)] += 1.0 - epsilon
     rewards = np.linspace(0.0, 1.0, n_states)
     return MarkovChain(transition, RewardModel(rewards, reward_mode))
-
-
-class UnionFind:
-    """Disjoint sets over 0..n-1 with path compression and union by size."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-        self.n_classes = n
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        self.n_classes -= 1
-        return True
 
 
 @dataclass
@@ -321,15 +265,15 @@ def grand_coupling_sim(
 ) -> GrandCouplingRecord:
     """Run n_states forward chains under shared random maps until one class remains.
 
-    Chains occupying the same state are merged (union-find over classes);
-    the returned trajectory records the surviving-class count after each
-    step, starting at n_states before any step.
+    Chains occupying the same state move together from then on, so the
+    surviving classes are the distinct occupied states; the returned
+    trajectory records their count after each step, starting at n_states
+    before any step.
     """
     gen = as_generator(rng)
     n = chain.n_states
     cum = chain.cumulative()
-    uf = UnionFind(n)
-    position = np.arange(n)  # current state of each class representative
+    position = np.arange(n)  # the distinct occupied states, sorted
     counts = [n]
     calls = 0
     if n == 1:
@@ -337,21 +281,9 @@ def grand_coupling_sim(
     for t in range(1, step_cap + 1):
         image = _map_from_cum(cum, gen)
         calls += n
-        reps = {}
-        for s in range(n):
-            root = uf.find(s)
-            if root in reps:
-                continue
-            reps[root] = int(image[position[root]])
-        by_state: dict[int, int] = {}
-        for root, state in reps.items():
-            position[root] = state
-            if state in by_state:
-                uf.union(by_state[state], root)
-            else:
-                by_state[state] = root
-        counts.append(uf.n_classes)
-        if uf.n_classes == 1:
-            final = int(position[uf.find(0)])
+        position = np.unique(image[position])
+        counts.append(position.size)
+        if position.size == 1:
+            final = int(position[0])
             return GrandCouplingRecord(merge_time=t, class_counts=counts, final_state=final, calls=calls)
     raise CapExceededError(f"no full merge within {step_cap} steps")

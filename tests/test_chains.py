@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cftp_rl import chains
 from cftp_rl.chains import (
     DeterministicPolicy,
     GenerativeModel,
@@ -10,9 +13,12 @@ from cftp_rl.chains import (
     SampleLedger,
     StochasticPolicy,
     TabularMDP,
+    cdf_table,
+    coalesces,
     dumps_chain,
     dumps_mdp,
     induce_chain,
+    inverse_cdf,
     is_ergodic,
     loads_chain,
     loads_mdp,
@@ -39,6 +45,58 @@ def test_feature_entries_bounded():
     transition = np.full((1, 2, 2), 0.5)
     with pytest.raises(ValueError, match="feature entries"):
         TabularMDP(transition, RewardModel(np.zeros((2, 1))), features=np.array([[0.5], [1.5]]))
+
+
+@st.composite
+def cdf_cases(draw):
+    """A cdf_table over random rows with zero entries, plus rows and u to look up.
+
+    u mixes uniforms with exact table entries (1.0 included) and the largest
+    double below 1; the batch is either well below or above the size at
+    which inverse_cdf switches strategy.
+    """
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 40))
+    n_rows = draw(st.integers(1, 6))
+    probs = gen.random((n_rows, n)) * (gen.random((n_rows, n)) < draw(st.floats(0.2, 1.0)))
+    probs[np.arange(n_rows), gen.integers(0, n, n_rows)] += 0.5
+    probs /= probs.sum(axis=1, keepdims=True)
+    table = cdf_table(probs)
+    if draw(st.booleans()):
+        size = chains.SEARCH_MIN_ENTRIES // n + draw(st.integers(1, 50))
+    else:
+        size = draw(st.integers(1, 40))
+    rows = gen.integers(0, n_rows, size)
+    u = gen.random(size)
+    exact = gen.random(size) < 0.5
+    u[exact] = table[gen.integers(0, n_rows, exact.sum()), gen.integers(0, n, exact.sum())]
+    u[gen.random(size) < 0.05] = np.nextafter(1.0, 0.0)
+    return probs, table, rows, u
+
+
+class TestInverseCdf:
+    @settings(max_examples=150, deadline=None)
+    @given(cdf_cases())
+    def test_counts_entries_at_or_below_u(self, case):
+        probs, table, rows, u = case
+        expected = np.array(
+            [np.searchsorted(table[r], x, side="right") for r, x in zip(rows, u)]
+        )
+        got = inverse_cdf(table, rows, u)
+        assert np.array_equal(got, expected)
+        below_one = u < 1.0
+        assert (probs[rows[below_one], got[below_one]] > 0.0).all()
+
+    @pytest.mark.parametrize("search_min", [0, 2**62], ids=["search", "compare"])
+    def test_zero_probability_tail_is_never_drawn(self, monkeypatch, search_min):
+        # Both rows sum to just below 1, so a clamp to the last index or a
+        # forced last entry alone returns the zero-probability tail.
+        monkeypatch.setattr(chains, "SEARCH_MIN_ENTRIES", search_min)
+        short = cdf_table(np.array([[0.5, 0.4999999999999, 0.0]]))
+        assert inverse_cdf(short, np.array([0]), np.array([0.99999999999995])).tolist() == [1]
+        tenths = cdf_table(np.array([[0.1] * 10 + [0.0]]))
+        top = np.nextafter(1.0, 0.0)
+        assert inverse_cdf(tenths, np.array([0]), np.array([top])).tolist() == [9]
 
 
 class TestErgodicity:
@@ -71,6 +129,22 @@ class TestErgodicity:
         p = rng.dirichlet(np.ones(5), size=5)
         p = p / p.sum(axis=1, keepdims=True)
         assert is_ergodic(p)
+
+    @pytest.mark.parametrize(
+        "rows, expected",
+        [
+            ([[0.5, 0.5], [1.0, 0.0]], True),  # ergodic
+            ([[0.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 1.0, 0.0]], True),  # transient states
+            ([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.0, 0.5, 0.5]], True),  # transient entry state
+            (np.eye(6, k=1) + np.diag([0, 0, 0, 0, 0, 1.0]), True),  # path into an absorbing state
+            ([[0.0, 1.0], [1.0, 0.0]], False),  # periodic
+            ([[1.0, 0.0], [0.0, 1.0]], False),  # two closed classes
+            ([[0.0, 0.5, 0.5], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]], False),  # transient into a 2-cycle
+            ([[1.0, 0.0, 0.0], [0.5, 0.0, 0.5], [0.0, 0.0, 1.0]], False),  # two absorbing states
+        ],
+    )
+    def test_coalescence_needs_one_aperiodic_closed_class(self, rows, expected):
+        assert coalesces(np.array(rows)) is expected
 
 
 class TestPolicies:

@@ -63,9 +63,7 @@ def reference_row(store, t):
 
 def reference_evaluate(store, policy):
     """Per-pair reference: scalar CFTP over the restricted maps, reward from row t_c."""
-    state, t_c = _cftp_core(
-        lambda t: store.restricted_map(t, policy), store.mdp.n_states, 10**6, "dense"
-    )
+    state, t_c = _cftp_core(lambda t: store.restricted_map(t, policy), store.mdp.n_states, 10**6)
     reward = float(store.row_at(t_c).reward[state, policy.actions[state]])
     return reward, t_c, state
 

@@ -3,11 +3,10 @@ import pytest
 from scipy import stats
 
 from cftp_rl.chains import MarkovChain, RewardModel, SampleLedger
-from cftp_rl.errors import CapExceededError
+from cftp_rl.errors import CapExceededError, NonErgodicError
 from cftp_rl.sampling import (
     CoalescenceRecord,
     MapStore,
-    UnionFind,
     _cftp_core,
     cftp,
     cftp_batch,
@@ -59,17 +58,11 @@ class TestCftp:
         f1 = np.array([1, 1, 2])
         f2 = np.array([0, 0, 1])
         maps = {1: f1, 2: f2}
-        state, t_c = _cftp_core(lambda t: maps[t], 3, step_cap=10, mode="dense")
+        state, t_c = _cftp_core(lambda t: maps[t], 3, step_cap=10)
         # f1 o f2 is constant at 1; f2 o f1 is not constant.
         assert (state, t_c) == (1, 2)
         composed_wrong = f2[f1]
         assert not (composed_wrong == composed_wrong[0]).all()
-
-    def test_reps_mode_agrees_on_hand_built_maps(self):
-        f1 = np.array([1, 1, 2])
-        f2 = np.array([0, 0, 1])
-        maps = {1: f1, 2: f2}
-        assert _cftp_core(lambda t: maps[t], 3, 10, "reps") == (1, 2)
 
     def test_map_store_reuse_is_bit_identical(self, chain_factory):
         chain = chain_factory(6, seed=1)
@@ -107,26 +100,6 @@ class TestCftp:
         _, record = cftp(example_chain, rng=3, ledger=ledger)
         assert record.calls == record.t_c * 2 == ledger.generative_calls
 
-    def test_modes_agree_on_the_same_maps(self, chain_factory):
-        # Sharing one seeded store, the two bookkeeping modes must return
-        # the very same draw, not merely the same distribution.
-        chain = chain_factory(7, seed=31)
-        for seed in range(20):
-            dense = cftp(chain, rng=seed, mode="dense", store=MapStore(chain, rng=seed))
-            reps = cftp(chain, rng=seed, mode="reps", store=MapStore(chain, rng=seed))
-            assert dense == reps
-
-    def test_modes_are_identically_distributed(self, chain_factory):
-        chain = chain_factory(5, seed=9)
-        n = 4000
-        dense = np.array([cftp(chain, rng=(10_000 + i), mode="dense")[0] for i in range(n)])
-        reps = np.array([cftp(chain, rng=(50_000 + i), mode="reps")[0] for i in range(n)])
-        table = np.array(
-            [np.bincount(dense, minlength=5), np.bincount(reps, minlength=5)]
-        )
-        _, p_value, _, _ = stats.chi2_contingency(table)
-        assert p_value > 0.001
-
     @pytest.mark.parametrize("seed", range(3))
     def test_exactness_chi_square(self, chain_factory, seed):
         chain = chain_factory(4 + seed * 3, seed=20 + seed)
@@ -142,6 +115,19 @@ class TestCftp:
             cftp(chain, rng=0, step_cap=5)
         with pytest.raises(CapExceededError):
             cftp_batch(chain, 4, rng=0, step_cap=5)
+
+    def test_non_ergodic_chain_is_rejected_before_any_draw(self):
+        swap = MarkovChain(np.array([[0.0, 1.0], [1.0, 0.0]]), RewardModel(np.zeros(2)))
+        ledger = SampleLedger()
+        store = MapStore(swap, rng=0)
+        with pytest.raises(NonErgodicError):
+            cftp(swap, rng=0, store=store, ledger=ledger)
+        assert ledger.generative_calls == 0 and len(store) == 0
+        gen = np.random.default_rng(0)
+        before = gen.bit_generator.state
+        with pytest.raises(NonErgodicError):
+            cftp_batch(swap, 4, gen)
+        assert gen.bit_generator.state == before
 
 
 class TestTwoChainCoalesce:
@@ -247,22 +233,3 @@ class TestGrandCoupling:
         bound = 512 * 16 * t_mix * np.log(1 / 0.05)
         merges = np.array([grand_coupling_sim(chain, rng=1000 + i).merge_time for i in range(200)])
         assert (merges > bound).mean() <= 0.05
-
-
-class TestUnionFind:
-    def test_basic_merging(self):
-        uf = UnionFind(5)
-        assert uf.union(0, 1)
-        assert uf.union(1, 2)
-        assert not uf.union(0, 2)
-        assert uf.n_classes == 3
-        assert uf.find(0) == uf.find(2)
-        assert uf.find(3) != uf.find(4)
-
-    def test_path_compression_keeps_roots_stable(self):
-        uf = UnionFind(8)
-        for i in range(7):
-            uf.union(i, i + 1)
-        root = uf.find(0)
-        assert all(uf.find(i) == root for i in range(8))
-        assert uf.n_classes == 1
