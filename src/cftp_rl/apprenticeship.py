@@ -36,9 +36,12 @@ from .chains import (
 from .errors import CapExceededError
 from .estimators import coupled_difference_batch
 from .hedge import HedgeState, clamp_mask, hedge_step, rescale_loss
-from .sampling import _cftp_core
+from .sampling import _cftp_batch_core
 from .seeding import as_generator, seed_sequence, substream
 from .solvers import optimal_policy, policy_evaluation, stationary_distribution
+
+# Steps of dynamics uniforms read at once from each sample's keyed substream.
+KEYED_CHUNK_STEPS = 16
 
 
 class ExpertModel:
@@ -110,28 +113,49 @@ def expert_stationary_samples(
 
     Runs CFTP on the expert-induced chain without ever representing that
     chain: each random-map entry queries the expert once for an action and
-    the dynamics once for the resulting transition. Returns the sampled
-    states, per-sample coalescence times, and total dynamics calls.
+    the dynamics once for the resulting transition. All m runs share one
+    loop: step t queries the expert once for every (unfinished sample,
+    state) entry, and each sample retires at its own coalescence time.
+    Returns the sampled states, per-sample coalescence times, and total
+    dynamics calls (equal to the expert calls, sum of t_c times n_states).
+
+    With an int or SeedSequence ``rng`` sample i reads its dynamics
+    uniforms from ``substream(rng, i)`` in step order; with a Generator
+    they come from it in step order across samples. Raises ValueError for
+    m < 1 before drawing, CapExceededError once a sample has run
+    ``step_cap`` steps without coalescing.
     """
-    base = seed_sequence(rng) if not isinstance(rng, np.random.Generator) else None
-    gen_fallback = rng if base is None else None
+    if m < 1:
+        raise ValueError(f"need at least one expert sample, got m={m}")
     n = mdp.n_states
     cum = cdf_table(mdp.transition).reshape(-1, n)
-    all_states = np.arange(n)
-    ledger = SampleLedger()
-    samples = np.empty(m, dtype=np.int64)
-    times = np.empty(m, dtype=np.int64)
-    for i in range(m):
-        gen = substream(base, i) if base is not None else gen_fallback
+    # Entry r * n + s of a step's stacked maps belongs to state s.
+    map_states = np.tile(np.arange(n), m)
+    keyed = not isinstance(rng, np.random.Generator)
+    if keyed:
+        base = seed_sequence(rng)
+        gens = [substream(base, i) for i in range(m)]
+        # Row i holds sample i's uniforms for the current chunk of steps.
+        chunk = np.empty((m, KEYED_CHUNK_STEPS * n))
+        pos = chunk.shape[1]
 
-        def map_at(t: int, _gen=gen) -> np.ndarray:
-            actions = expert.act_batch(all_states)
-            nxt = inverse_cdf(cum, actions * n + all_states, _gen.random(n))
-            ledger.add_generative(n)
-            return nxt
+    def draw_maps(active: np.ndarray) -> np.ndarray:
+        nonlocal pos
+        if keyed:
+            # Reading k steps at once returns the doubles k per-step reads would.
+            if pos == chunk.shape[1]:
+                chunk[active] = [gens[i].random(chunk.shape[1]) for i in active]
+                pos = 0
+            u = chunk[active, pos : pos + n].ravel()
+            pos += n
+        else:
+            u = rng.random(active.size * n)
+        states = map_states[: u.size]
+        actions = expert.act_batch(states)
+        return inverse_cdf(cum, actions * n + states, u).reshape(active.size, n)
 
-        samples[i], times[i] = _cftp_core(map_at, n, step_cap)
-    return samples, times, ledger.generative_calls
+    samples, times = _cftp_batch_core(draw_maps, m, n, step_cap)
+    return samples, times, int(times.sum()) * n
 
 
 def estimate_expert_features(
@@ -141,7 +165,10 @@ def estimate_expert_features(
     rng,
     step_cap: int = 1_000_000,
 ) -> ExpertFeatureEstimate:
-    """Average phi over m exact samples from the expert's stationary distribution."""
+    """Average phi over m exact samples from the expert's stationary distribution.
+
+    Raises ValueError for m < 1 before drawing, as ``expert_stationary_samples`` does.
+    """
     if mdp.features is None:
         raise ValueError("MDP has no feature map")
     expert_before = expert.ledger.expert_calls
@@ -251,7 +278,8 @@ def mwal(
     then for T rounds plays Hedge over features against the exactly
     evaluated optimal policy for the current feature weighting; policy
     iteration warm-starts from the previous round's policy. Returns the
-    uniform mixture of the per-round policies.
+    uniform mixture of the per-round policies. Raises ValueError for m < 1
+    before drawing.
     """
     if mdp.features is None or mdp.features.shape[1] != k:
         raise ValueError("MDP features must be present with width k")

@@ -88,6 +88,35 @@ def _cftp_core(map_at, n_states: int, step_cap: int) -> tuple[int, int]:
     raise CapExceededError(f"no coalescence within {step_cap} steps")
 
 
+def _cftp_batch_core(
+    draw_maps, n_samples: int, n_states: int, step_cap: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Shared loop of independent CFTP runs; returns (states, coalescence times).
+
+    ``draw_maps(active)`` returns the next step's (active.size, n_states)
+    maps for the unfinished runs ``active`` (ascending run indices); each
+    run composes its own maps as ``_cftp_core`` does and retires at its t_c.
+    """
+    states = np.empty(n_samples, dtype=np.int64)
+    times = np.empty(n_samples, dtype=np.int64)
+    active = np.arange(n_samples)
+    composite = np.tile(np.arange(n_states), (n_samples, 1))
+    t = 0
+    while active.size:
+        t += 1
+        if t > step_cap:
+            raise CapExceededError(f"no coalescence within {step_cap} steps")
+        composite = np.take_along_axis(composite, draw_maps(active), axis=1)
+        done = (composite == composite[:, :1]).all(axis=1)
+        if done.any():
+            states[active[done]] = composite[done, 0]
+            times[active[done]] = t
+            keep = ~done
+            active = active[keep]
+            composite = composite[keep]
+    return states, times
+
+
 def cftp(
     chain: MarkovChain,
     rng,
@@ -132,26 +161,12 @@ def cftp_batch(
     cum = chain.cumulative()
     # Entry r * n + s of the stacked maps draws from CDF row s.
     map_rows = np.tile(np.arange(n), n_samples)
-    states = np.empty(n_samples, dtype=np.int64)
-    times = np.empty(n_samples, dtype=np.int64)
-    active = np.arange(n_samples)
-    composite = np.tile(np.arange(n), (n_samples, 1))
-    t = 0
-    while active.size:
-        t += 1
-        if t > step_cap:
-            raise CapExceededError(f"no coalescence within {step_cap} steps")
+
+    def draw_maps(active: np.ndarray) -> np.ndarray:
         u = gen.random(active.size * n)
-        maps = inverse_cdf(cum, map_rows[: u.size], u).reshape(active.size, n)
-        composite = np.take_along_axis(composite, maps, axis=1)
-        done = (composite == composite[:, [0]]).all(axis=1)
-        if done.any():
-            states[active[done]] = composite[done, 0]
-            times[active[done]] = t
-            keep = ~done
-            active = active[keep]
-            composite = composite[keep]
-    return states, times
+        return inverse_cdf(cum, map_rows[: u.size], u).reshape(active.size, n)
+
+    return _cftp_batch_core(draw_maps, n_samples, n, step_cap)
 
 
 def two_chain_coalesce(
@@ -166,13 +181,18 @@ def two_chain_coalesce(
 
     ``independent`` draws each chain's transition separately; ``shared_map``
     applies one random map per step to both chains (costing n_states draws
-    per step).
+    per step). Returns t_c = 0 at once when i == j. Otherwise raises
+    NonErgodicError before drawing unless the whole chain can coalesce
+    (``MarkovChain.require_coalescing``), even where the pair itself could
+    meet (a periodic chain with i and j in one phase, say), and raises
+    CapExceededError after ``step_cap`` steps.
     """
     if coupling not in ("independent", "shared_map"):
         raise ValueError(f"unknown coupling {coupling!r}")
     gen = as_generator(rng if rng is not None else 0)
     if i == j:
         return CoalescenceRecord(t_c=0, state=int(i), calls=0)
+    chain.require_coalescing()
     cum = chain.cumulative()
     x, y = int(i), int(j)
     calls = 0
@@ -203,7 +223,9 @@ def coalescence_times_batch(
 
     With ``censor_at_cap`` runs still apart at the cap report ``step_cap``
     as a censored time instead of raising, so sweeps can record the
-    exceedance and continue.
+    exceedance and continue. Returns zeros when i == j; otherwise, as
+    ``two_chain_coalesce`` does, raises NonErgodicError before drawing
+    unless the whole chain can coalesce.
     """
     gen = as_generator(rng)
     cum = chain.cumulative()
@@ -213,6 +235,7 @@ def coalescence_times_batch(
     active = np.arange(n_runs)
     if i == j:
         return times
+    chain.require_coalescing()
     t = 0
     while active.size:
         t += 1
@@ -268,8 +291,10 @@ def grand_coupling_sim(
     Chains occupying the same state move together from then on, so the
     surviving classes are the distinct occupied states; the returned
     trajectory records their count after each step, starting at n_states
-    before any step.
+    before any step. Raises NonErgodicError before drawing when the shared
+    maps can never merge every chain (``MarkovChain.require_coalescing``).
     """
+    chain.require_coalescing()
     gen = as_generator(rng)
     n = chain.n_states
     cum = chain.cumulative()

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from cftp_rl.chains import MarkovChain, RewardModel
 from cftp_rl.instances import random_ergodic_chain, random_mdp, two_state_chain
+
+# Property tests draw numpy work whose time varies with load, so no example
+# has a deadline; each test sets its own max_examples.
+settings.register_profile("cftp-rl", deadline=None)
+settings.load_profile("cftp-rl")
 
 
 @pytest.fixture

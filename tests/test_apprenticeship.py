@@ -1,16 +1,23 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+from cftp_rl import apprenticeship
 from cftp_rl.chains import (
     DeterministicPolicy,
     MixedPolicy,
     RewardModel,
+    SampleLedger,
     StochasticPolicy,
     TabularMDP,
+    cdf_table,
     induce_chain,
+    inverse_cdf,
 )
 from cftp_rl.apprenticeship import (
     ExpertModel,
@@ -28,7 +35,14 @@ from cftp_rl.apprenticeship import (
     solve_game_lp,
 )
 from cftp_rl.errors import CapExceededError
-from cftp_rl.instances import random_mdp, sparse_cycle_mdp, two_state_chain
+from cftp_rl.instances import (
+    random_mdp,
+    random_stochastic_policy,
+    sparse_cycle_mdp,
+    two_state_chain,
+)
+from cftp_rl.sampling import _cftp_core
+from cftp_rl.seeding import seed_sequence, substream
 from cftp_rl.solvers import average_reward, optimal_policy, stationary_distribution
 
 
@@ -132,6 +146,159 @@ class TestFeatureExpectationsExact:
         mdp = random_mdp(3, 2, rng=6)
         with pytest.raises(ValueError, match="feature"):
             feature_expectations_exact(mdp, DeterministicPolicy(np.zeros(3, dtype=int)))
+
+
+def reference_expert_samples(mdp, expert, m, rng, step_cap=1_000_000):
+    """Per-sample reference: one scalar CFTP per sample, from its keyed substream."""
+    base = seed_sequence(rng) if not isinstance(rng, np.random.Generator) else None
+    n = mdp.n_states
+    cum = cdf_table(mdp.transition).reshape(-1, n)
+    all_states = np.arange(n)
+    ledger = SampleLedger()
+    samples = np.empty(m, dtype=np.int64)
+    times = np.empty(m, dtype=np.int64)
+    for i in range(m):
+        gen = substream(base, i) if base is not None else rng
+
+        def map_at(t, _gen=gen):
+            actions = expert.act_batch(all_states)
+            ledger.add_generative(n)
+            return inverse_cdf(cum, actions * n + all_states, _gen.random(n))
+
+        samples[i], times[i] = _cftp_core(map_at, n, step_cap)
+    return samples, times, ledger.generative_calls
+
+
+def example_chain_mdp():
+    """The two-state chain with a second, lazier action out of state 0.
+
+    Under both actions state 1 always returns to state 0, so forward
+    coupling from both states can only meet in state 0: sampling at the
+    forward meeting time, or composing maps in the wrong order, is heavily
+    biased here.
+    """
+    lazy = np.array([[0.75, 0.25], [1.0, 0.0]])
+    transition = np.stack([two_state_chain().transition, lazy])
+    return TabularMDP(transition, RewardModel(np.full((2, 2), 0.5)))
+
+
+@st.composite
+def expert_instances(draw, stochastic):
+    """A random Dirichlet MDP with an expert on it, a sample count and a seed."""
+    n = draw(st.integers(1, 5))
+    n_actions = draw(st.integers(1, 3))
+    mdp = random_mdp(n, n_actions, draw(st.integers(0, 2**32 - 1)))
+    if stochastic:
+        policy = random_stochastic_policy(n, n_actions, draw(st.integers(0, 2**32 - 1)))
+    else:
+        actions = draw(st.lists(st.integers(0, n_actions - 1), min_size=n, max_size=n))
+        policy = DeterministicPolicy(np.array(actions, dtype=int))
+    m = draw(st.integers(1, 40))
+    return mdp, policy, m, draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 2**32 - 1))
+
+
+class TestExpertStationarySamples:
+    @settings(max_examples=80)
+    @given(
+        expert_instances(stochastic=False),
+        st.sampled_from([1, 2, 3, 16]),
+        st.booleans(),
+    )
+    def test_deterministic_expert_matches_per_sample_reference(
+        self, case, chunk_steps, seed_as_sequence
+    ):
+        # A deterministic expert's actions ignore its uniforms, so only the
+        # per-sample keyed dynamics streams decide the result: every sample,
+        # time and counter must equal the per-sample loop's, whatever the
+        # chunking of the keyed reads.
+        mdp, policy, m, expert_seed, seed = case
+        rng = np.random.SeedSequence(seed) if seed_as_sequence else seed
+        ref_expert = ExpertModel(policy, mdp.n_actions, expert_seed)
+        expected = reference_expert_samples(mdp, ref_expert, m, rng)
+        expert = ExpertModel(policy, mdp.n_actions, expert_seed)
+        with mock.patch.object(apprenticeship, "KEYED_CHUNK_STEPS", chunk_steps):
+            samples, times, calls = expert_stationary_samples(mdp, expert, m, rng)
+        assert np.array_equal(samples, expected[0])
+        assert np.array_equal(times, expected[1])
+        assert calls == expected[2]
+        assert expert.ledger == ref_expert.ledger
+        assert expert.rng.bit_generator.state == ref_expert.rng.bit_generator.state
+
+    @settings(max_examples=60)
+    @given(expert_instances(stochastic=True), st.booleans())
+    def test_stochastic_expert_counts_one_query_per_map_entry(self, case, keyed):
+        mdp, policy, m, expert_seed, seed = case
+        n = mdp.n_states
+        expert = ExpertModel(policy, mdp.n_actions, expert_seed)
+        rng = seed if keyed else np.random.default_rng(seed)
+        samples, times, calls = expert_stationary_samples(mdp, expert, m, rng)
+        assert samples.shape == times.shape == (m,)
+        assert ((samples >= 0) & (samples < n)).all() and (times >= 1).all()
+        assert expert.ledger.expert_calls == calls == int(times.sum()) * n
+        if not keyed:
+            # The Generator supplied exactly one uniform per map entry.
+            replay = np.random.default_rng(seed)
+            replay.random(calls)
+            assert rng.bit_generator.state == replay.bit_generator.state
+
+    @pytest.mark.parametrize("keyed", [True, False], ids=["keyed", "generator"])
+    def test_stochastic_expert_samples_are_exact(self, keyed):
+        mdp = example_chain_mdp()
+        policy = StochasticPolicy(np.array([[0.3, 0.7], [0.6, 0.4]]))
+        mu = stationary_distribution(induce_chain(mdp, policy))
+        expert = ExpertModel(policy, 2, rng=31)
+        rng = 32 if keyed else np.random.default_rng(32)
+        samples, _, _ = expert_stationary_samples(mdp, expert, 4000, rng)
+        counts = np.bincount(samples, minlength=2)
+        _, p_value = stats.chisquare(counts, mu * samples.size)
+        assert p_value > 0.001
+
+    @pytest.mark.parametrize("keyed", [True, False], ids=["keyed", "generator"])
+    def test_step_cap_exceeded(self, keyed):
+        # Near-identity dynamics: the maps almost never merge all 6 states.
+        transition = np.full((1, 6, 6), 0.001 / 6)
+        transition[0][np.diag_indices(6)] += 0.999
+        mdp = TabularMDP(transition, RewardModel(np.full((6, 1), 0.5)))
+        expert = ExpertModel(DeterministicPolicy(np.zeros(6, dtype=int)), 1, rng=0)
+        rng = 5 if keyed else np.random.default_rng(5)
+        with pytest.raises(CapExceededError):
+            expert_stationary_samples(mdp, expert, 8, rng, step_cap=20)
+
+    @pytest.mark.parametrize("m", [0, -3])
+    def test_nonpositive_sample_count_is_rejected_before_drawing(self, m):
+        mdp, expert_policy = thm8_style_instance(seed=41)
+        expert = ExpertModel(expert_policy, 2, rng=42)
+        before = expert.rng.bit_generator.state
+        gen = np.random.default_rng(43)
+        gen_before = gen.bit_generator.state
+        with pytest.raises(ValueError, match="expert sample"):
+            expert_stationary_samples(mdp, expert, m, gen)
+        with pytest.raises(ValueError, match="expert sample"):
+            estimate_expert_features(mdp, expert, m, rng=44)
+        with pytest.raises(ValueError, match="expert sample"):
+            mwal(mdp, expert, k=2, n_rounds=5, m=m, rng=45)
+        assert gen.bit_generator.state == gen_before
+        assert expert.rng.bit_generator.state == before
+        assert expert.ledger.expert_calls == 0
+
+    @settings(max_examples=40)
+    @given(
+        st.integers(1, 6), st.integers(1, 3), st.data(), st.integers(0, 2**32 - 1), st.booleans()
+    )
+    def test_rank_one_dynamics_coalesce_in_one_step(self, n, n_actions, data, seed, keyed):
+        # Every action sends every state to the same state j: each map is
+        # constant, so every sample is j at t_c = 1.
+        j = data.draw(st.integers(0, n - 1))
+        transition = np.zeros((n_actions, n, n))
+        transition[:, :, j] = 1.0
+        mdp = TabularMDP(transition, RewardModel(np.full((n, n_actions), 0.5)))
+        policy = random_stochastic_policy(n, n_actions, seed)
+        expert = ExpertModel(policy, n_actions, seed)
+        m = data.draw(st.integers(1, 20))
+        rng = seed if keyed else np.random.default_rng(seed)
+        samples, times, calls = expert_stationary_samples(mdp, expert, m, rng)
+        assert (samples == j).all() and (times == 1).all()
+        assert calls == expert.ledger.expert_calls == m * n
 
 
 class TestEstimateExpertFeatures:

@@ -75,7 +75,7 @@ def cdf_cases(draw):
 
 
 class TestInverseCdf:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(cdf_cases())
     def test_counts_entries_at_or_below_u(self, case):
         probs, table, rows, u = case

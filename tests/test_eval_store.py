@@ -24,7 +24,7 @@ from cftp_rl.sampling import _cftp_core, lower_bound_chain
 from cftp_rl.seeding import substream
 from cftp_rl.solvers import average_reward, mixing_time
 
-PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
+PROPERTY_SETTINGS = settings(max_examples=60)
 
 
 def all_policies(mdp):

@@ -10,7 +10,7 @@ from cftp_rl.errors import NonErgodicError
 from cftp_rl.instances import random_mdp
 from cftp_rl.solvers import bias_and_q, optimal_policy, policy_evaluation
 
-PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
+PROPERTY_SETTINGS = settings(max_examples=60)
 
 
 def dense_bias_and_q(mdp, policy, reward):

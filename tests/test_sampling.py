@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from cftp_rl.chains import MarkovChain, RewardModel, SampleLedger
 from cftp_rl.errors import CapExceededError, NonErgodicError
+from cftp_rl.instances import random_ergodic_chain
 from cftp_rl.sampling import (
     CoalescenceRecord,
     MapStore,
@@ -17,6 +20,18 @@ from cftp_rl.sampling import (
     two_chain_coalesce,
 )
 from cftp_rl.solvers import mixing_time, stationary_distribution
+
+
+def swap_chain():
+    """Two states that swap every step: periodic, so no coupling ever meets."""
+    return MarkovChain(np.array([[0.0, 1.0], [1.0, 0.0]]), RewardModel(np.zeros(2)))
+
+
+def rank_one_chain(n, j):
+    """Every row is the point mass on state j: P = 1 e_j^T."""
+    transition = np.zeros((n, n))
+    transition[:, j] = 1.0
+    return MarkovChain(transition, RewardModel(np.zeros(n)))
 
 
 class TestDrawRandomMap:
@@ -117,7 +132,7 @@ class TestCftp:
             cftp_batch(chain, 4, rng=0, step_cap=5)
 
     def test_non_ergodic_chain_is_rejected_before_any_draw(self):
-        swap = MarkovChain(np.array([[0.0, 1.0], [1.0, 0.0]]), RewardModel(np.zeros(2)))
+        swap = swap_chain()
         ledger = SampleLedger()
         store = MapStore(swap, rng=0)
         with pytest.raises(NonErgodicError):
@@ -128,6 +143,78 @@ class TestCftp:
         with pytest.raises(NonErgodicError):
             cftp_batch(swap, 4, gen)
         assert gen.bit_generator.state == before
+
+    @settings(max_examples=40)
+    @given(st.integers(1, 8), st.data(), st.integers(0, 2**32 - 1))
+    def test_rank_one_chain_coalesces_in_one_step(self, n, data, seed):
+        j = data.draw(st.integers(0, n - 1))
+        chain = rank_one_chain(n, j)
+        ledger = SampleLedger()
+        state, record = cftp(chain, rng=seed, ledger=ledger)
+        assert (state, record.t_c, record.calls, ledger.generative_calls) == (j, 1, n, n)
+        states, times = cftp_batch(chain, data.draw(st.integers(1, 20)), rng=seed)
+        assert (states == j).all() and (times == 1).all()
+
+    @settings(max_examples=40)
+    @given(st.integers(1, 8), st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
+    def test_ledger_counts_t_c_maps_and_coalesces_exactly_at_t_c(self, n, chain_seed, seed):
+        chain = random_ergodic_chain(n, chain_seed)
+        store = MapStore(chain, rng=seed)
+        ledger = SampleLedger()
+        state, record = cftp(chain, rng=seed, store=store, ledger=ledger)
+        assert record.calls == ledger.generative_calls == record.t_c * n
+        assert len(store) == record.t_c
+        composite = np.arange(n)
+        for t in range(1, record.t_c + 1):
+            # Not constant before t_c (a one-state chain is constant from the start).
+            assert n == 1 or (composite != composite[0]).any()
+            composite = composite[store.map_at(t)]
+        assert (composite == state).all()
+
+
+class TestBoundedFailure:
+    """Couplings of a chain that can never coalesce fail at once, at the default cap."""
+
+    def test_two_chain_coalesce(self):
+        for coupling in ("independent", "shared_map"):
+            gen = np.random.default_rng(0)
+            before = gen.bit_generator.state
+            with pytest.raises(NonErgodicError):
+                two_chain_coalesce(swap_chain(), 0, 1, coupling, gen)
+            assert gen.bit_generator.state == before
+
+    def test_coalescence_times_batch(self):
+        gen = np.random.default_rng(0)
+        before = gen.bit_generator.state
+        with pytest.raises(NonErgodicError):
+            coalescence_times_batch(swap_chain(), 0, 1, 10, gen)
+        with pytest.raises(NonErgodicError):
+            coalescence_times_batch(swap_chain(), 0, 1, 10, gen, censor_at_cap=True)
+        assert gen.bit_generator.state == before
+
+    def test_grand_coupling_sim(self):
+        gen = np.random.default_rng(0)
+        before = gen.bit_generator.state
+        with pytest.raises(NonErgodicError):
+            grand_coupling_sim(swap_chain(), gen)
+        assert gen.bit_generator.state == before
+
+    def test_equal_starts_need_no_check(self):
+        # Two chains started together have met at t = 0, even on a chain
+        # that can never coalesce as a whole.
+        for coupling in ("independent", "shared_map"):
+            record = two_chain_coalesce(swap_chain(), 1, 1, coupling, rng=0)
+            assert record == CoalescenceRecord(t_c=0, state=1, calls=0)
+        assert (coalescence_times_batch(swap_chain(), 1, 1, 5, rng=0) == 0).all()
+
+    def test_slow_ergodic_chain_still_hits_the_cap(self):
+        chain = lower_bound_chain(10, 0.001)
+        with pytest.raises(CapExceededError):
+            two_chain_coalesce(chain, 0, 1, "independent", rng=0, step_cap=5)
+        with pytest.raises(CapExceededError):
+            coalescence_times_batch(chain, 0, 1, 4, rng=0, step_cap=5)
+        with pytest.raises(CapExceededError):
+            grand_coupling_sim(chain, rng=0, step_cap=5)
 
 
 class TestTwoChainCoalesce:
