@@ -37,11 +37,8 @@ from .errors import CapExceededError
 from .estimators import coupled_difference_batch
 from .hedge import HedgeState, clamp_mask, hedge_step, rescale_loss
 from .sampling import _cftp_batch_core
-from .seeding import as_generator, seed_sequence, substream
+from .seeding import KeyedUniforms, as_generator, seed_sequence, substream
 from .solvers import optimal_policy, policy_evaluation, stationary_distribution
-
-# Steps of dynamics uniforms read at once from each sample's keyed substream.
-KEYED_CHUNK_STEPS = 16
 
 
 class ExpertModel:
@@ -119,11 +116,15 @@ def expert_stationary_samples(
     Returns the sampled states, per-sample coalescence times, and total
     dynamics calls (equal to the expert calls, sum of t_c times n_states).
 
-    With an int or SeedSequence ``rng`` sample i reads its dynamics
-    uniforms from ``substream(rng, i)`` in step order; with a Generator
-    they come from it in step order across samples. Raises ValueError for
-    m < 1 before drawing, CapExceededError once a sample has run
-    ``step_cap`` steps without coalescing.
+    With an int or SeedSequence ``rng`` step t makes one draw from
+    ``KeyedUniforms(rng).at(t)``, and sample i reads its dynamics uniforms
+    at offset i * w, with w = 4 * ceil(n_states / 4); so draw (i, t) is a
+    pure function of (rng, i, t), whatever m and whichever samples are
+    still running. With a Generator the uniforms come from it in step
+    order across samples. Raises ValueError for m < 1 before drawing,
+    CapExceededError once a sample has run ``step_cap`` steps without
+    coalescing: the expert's chain is unknown, so only ``step_cap`` bounds
+    a chain that cannot coalesce.
     """
     if m < 1:
         raise ValueError(f"need at least one expert sample, got m={m}")
@@ -131,23 +132,17 @@ def expert_stationary_samples(
     cum = cdf_table(mdp.transition).reshape(-1, n)
     # Entry r * n + s of a step's stacked maps belongs to state s.
     map_states = np.tile(np.arange(n), m)
-    keyed = not isinstance(rng, np.random.Generator)
-    if keyed:
-        base = seed_sequence(rng)
-        gens = [substream(base, i) for i in range(m)]
-        # Row i holds sample i's uniforms for the current chunk of steps.
-        chunk = np.empty((m, KEYED_CHUNK_STEPS * n))
-        pos = chunk.shape[1]
+    keyed = None if isinstance(rng, np.random.Generator) else KeyedUniforms(rng)
+    # Sample i's uniforms for a keyed step start at double i * width.
+    width = 4 * -(-n // 4)
+    t = 0
 
     def draw_maps(active: np.ndarray) -> np.ndarray:
-        nonlocal pos
-        if keyed:
-            # Reading k steps at once returns the doubles k per-step reads would.
-            if pos == chunk.shape[1]:
-                chunk[active] = [gens[i].random(chunk.shape[1]) for i in active]
-                pos = 0
-            u = chunk[active, pos : pos + n].ravel()
-            pos += n
+        nonlocal t
+        if keyed is not None:
+            t += 1
+            step = keyed.at(t).random((active[-1] + 1) * width).reshape(-1, width)
+            u = step[active, :n].ravel()
         else:
             u = rng.random(active.size * n)
         states = map_states[: u.size]
@@ -207,7 +202,8 @@ def game_column_batch(
     policy-evaluation cache. Trajectory A takes pi_t's action first and
     follows the expert afterwards; trajectory B follows the expert from the
     start; feature differences (A minus B) accumulate until the pair
-    coalesces.
+    coalesces. The expert's chain is unknown, so only ``step_cap`` bounds
+    pairs that can never meet (CapExceededError).
     """
     gen = as_generator(rng)
     cum_mu = cdf_table(policy_evaluation(mdp, pi_t).mu)[None, :]

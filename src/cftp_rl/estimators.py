@@ -83,6 +83,9 @@ def coupled_difference_batch(
 
     ``value="reward"`` accumulates reward samples, returning shape (n,);
     ``value="features"`` accumulates feature vectors, returning (n, k).
+
+    ``draw_actions`` hides the policy, so no chain is checked here: only
+    ``step_cap`` bounds pairs that can never meet (CapExceededError).
     """
     if value not in ("reward", "features"):
         raise ValueError(f"unknown value kind {value!r}")
@@ -184,7 +187,12 @@ def delta_rho_batch(
     Start states follow the stationary distribution of ``pi_prime`` (exact
     linear solve, or CFTP when only sampling access is wanted); trajectory A
     takes pi_prime's action first, B takes pi's, and both follow ``pi``.
+
+    Raises NonErgodicError before drawing when ``pi``'s chain, which the
+    pairs follow, cannot coalesce (``MarkovChain.require_coalescing``);
+    CapExceededError when a pair has not met within ``step_cap`` steps.
     """
+    induce_chain(mdp, pi).require_coalescing()
     gen = as_generator(rng)
     s0, _ = _stationary_starts(mdp, pi_prime, n_samples, s0_source, gen, step_cap, ledger)
     draw_pi = policy_action_drawer(pi, mdp, gen)
@@ -234,9 +242,14 @@ def policy_gradient_batch(
     of their Q-value difference, times the score d log pi(s, a) / d theta.
     The second trajectory acts as a mean-zero baseline, so only the first
     action's score enters.
+
+    Raises NonErgodicError before drawing when the policy's chain cannot
+    coalesce (``MarkovChain.require_coalescing``); CapExceededError when a
+    start-state CFTP or a pair runs ``step_cap`` steps.
     """
-    gen = as_generator(rng)
     stoch = policy.as_policy()
+    induce_chain(mdp, stoch).require_coalescing()
+    gen = as_generator(rng)
     s0, _ = _stationary_starts(mdp, stoch, n_samples, "cftp", gen, step_cap, ledger)
     cum_pi = cdf_table(policy.probs)
     a_main = inverse_cdf(cum_pi, s0, gen.random(n_samples))

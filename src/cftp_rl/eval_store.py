@@ -9,8 +9,9 @@ polynomially many generative calls.
 
 Every evaluation runs one CFTP loop over all (matrix, policy) pairs at once:
 step t reads row t of each matrix that still has an unfinished pair, and
-each pair retires at its own coalescence time. Row t depends only on
-(seed, t), so the order in which rows are drawn does not change any result.
+each pair retires at its own coalescence time. Row t is drawn from
+``KeyedUniforms(seed).at(t)`` and so depends only on (seed, t): the order
+in which rows are drawn does not change any result.
 Policies are checked up front: an action index outside the MDP raises
 ValueError and a non-ergodic induced chain raises NonErgodicError, before
 any row is drawn.
@@ -28,7 +29,7 @@ import numpy as np
 
 from .chains import DeterministicPolicy, SampleLedger, TabularMDP, cdf_table, inverse_cdf
 from .errors import CapExceededError
-from .seeding import child_sequence, seed_sequence, substream
+from .seeding import KeyedUniforms, child_sequence, seed_sequence
 from .solvers import policy_evaluation
 
 
@@ -43,15 +44,17 @@ class StoreRow:
 class SampleMatrix:
     """Append-only matrix of per-(state, action) samples; rows double as CFTP maps.
 
-    Row t is drawn from the substream keyed by t, so a matrix grown after a
-    checkpoint restore is bit-identical to one grown without interruption.
+    Row t reads ``KeyedUniforms(rng).at(t)``: first the n_states * n_actions
+    next-state uniforms, state-major, then the reward draws, so a matrix
+    grown after a checkpoint restore is bit-identical to one grown without
+    interruption.
     Single-writer: do not evaluate one matrix concurrently, growth during
     evaluation is part of the contract.
     """
 
     def __init__(self, mdp: TabularMDP, rng, ledger: SampleLedger | None = None):
         self.mdp = mdp
-        self._base = seed_sequence(rng)
+        self._keyed = KeyedUniforms(rng)
         # Row s * n_actions + a is the CDF of P^a(s, .).
         n = mdp.n_states
         self._cum = cdf_table(mdp.transition.transpose(1, 0, 2)).reshape(-1, n)
@@ -62,8 +65,7 @@ class SampleMatrix:
         return len(self.rows)
 
     def _append_row(self) -> None:
-        idx = len(self.rows) + 1
-        gen = substream(self._base, idx)
+        gen = self._keyed.at(len(self.rows) + 1)
         n, m = self.mdp.n_states, self.mdp.n_actions
         u_next = gen.random(n * m)
         nxt = inverse_cdf(self._cum, np.arange(n * m), u_next).reshape(n, m)
@@ -183,7 +185,9 @@ class StoreEnsemble:
 
     n = ceil(log(n_policies / delta) / epsilon^2) copies suffice for all
     ``n_policies`` estimates to be within epsilon simultaneously with
-    probability at least 1 - delta.
+    probability at least 1 - delta. Copy i is keyed by
+    ``child_sequence(rng, i)``, so each copy has its own Philox key and its
+    rows do not depend on the number of copies.
     """
 
     def __init__(self, mdp: TabularMDP, epsilon: float, delta: float, n_policies: int, rng):

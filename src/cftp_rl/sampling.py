@@ -19,7 +19,7 @@ import numpy as np
 
 from .chains import MarkovChain, RewardModel, SampleLedger, inverse_cdf
 from .errors import CapExceededError
-from .seeding import as_generator, seed_sequence, substream
+from .seeding import KeyedUniforms, as_generator
 
 
 @dataclass
@@ -45,10 +45,10 @@ class MapStore:
     """Append-only store of random maps indexed by past time t = 1, 2, ...
 
     The map for past time -t is drawn on first access and never redrawn.
-    When constructed from an int or SeedSequence, map t comes from the
-    substream keyed by t, so a run is reproducible and stores for parallel
-    runs can be derived independently. When constructed from a Generator,
-    maps are drawn from it sequentially.
+    When constructed from an int or SeedSequence, map t is the first
+    n_states doubles of ``KeyedUniforms(rng).at(t)``, so a run is
+    reproducible and stores for parallel runs can be derived independently.
+    When constructed from a Generator, maps are drawn from it sequentially.
     """
 
     def __init__(self, chain: MarkovChain, rng):
@@ -56,10 +56,10 @@ class MapStore:
         self._cum = chain.cumulative()
         self._maps: list[np.ndarray] = []
         if isinstance(rng, np.random.Generator):
-            self._base = None
+            self._keyed = None
             self._gen = rng
         else:
-            self._base = seed_sequence(rng)
+            self._keyed = KeyedUniforms(rng)
             self._gen = None
 
     def __len__(self) -> int:
@@ -71,7 +71,7 @@ class MapStore:
             raise ValueError("past time index starts at 1")
         while len(self._maps) < t:
             idx = len(self._maps) + 1
-            rng = self._gen if self._gen is not None else substream(self._base, idx)
+            rng = self._gen if self._gen is not None else self._keyed.at(idx)
             image = _map_from_cum(self._cum, rng)
             image.setflags(write=False)
             self._maps.append(image)

@@ -1,9 +1,26 @@
 """Deterministic stream derivation for reproducible, parallelizable runs.
 
-All randomness enters through seeded ``numpy.random.Generator`` streams.
-Substreams are derived from a master seed by extending the SeedSequence
-spawn key with integer path components, so the stream for (seed, run, t)
-never depends on how many other streams were created before it.
+All randomness enters through seeded ``numpy.random.Generator`` streams,
+in one of two forms.
+
+- **Substreams.** ``substream(seed, *path)`` extends the SeedSequence spawn
+  key with integer path components, so the stream for (seed, run, t) never
+  depends on how many other streams were created before it. Every call
+  site that takes a Generator (the CLI runners, ``mwal``,
+  ``mwal_generative``, ``cftp_batch``, the estimators) derives its streams
+  this way.
+- **Keyed uniforms.** The keyed paths draw one short row per past time t:
+  ``MapStore`` maps, ``SampleMatrix`` rows and keyed
+  ``expert_stationary_samples`` steps. A fresh substream per row costs
+  more than the row, so these read a counter-based Philox stream instead
+  (Salmon, Moraes, Dror & Shaw, "Parallel random numbers: as easy as
+  1, 2, 3", SC 2011). ``KeyedUniforms(seed)`` derives one 128-bit key per
+  seed; ``at(t)`` starts the stream at counter words (0, t), so map or row
+  t is a pure function of (seed, t). Expert samples are laid out step
+  major: counter (0, t) holds step t of every sample, and sample i reads
+  its n_states doubles from i * w on, with w = 4 * ceil(n_states / 4).
+  Each sample thus starts on a Philox block of its own, and its draws
+  depend neither on m nor on which samples are still running.
 """
 
 from __future__ import annotations
@@ -44,3 +61,39 @@ def as_generator(rng) -> np.random.Generator:
     if isinstance(rng, np.random.Generator):
         return rng
     return np.random.default_rng(seed_sequence(rng))
+
+
+class KeyedUniforms:
+    """One Philox stream per seed, repositioned to a counter per keyed draw.
+
+    ``at(*words)`` sets the counter to (0, *words) with an empty buffer and
+    returns the shared Generator, so what it draws next equals the draws of
+    a fresh ``Generator(Philox(key=key, counter=(0, *words)))`` whatever the
+    Generator was used for before. Up to three non-negative words; numpy
+    steps the first word before each block of four doubles, so draws at
+    distinct words never overlap. The returned Generator is only valid
+    until the next ``at`` call.
+    """
+
+    def __init__(self, seed):
+        key = seed_sequence(seed).generate_state(2, np.uint64)
+        self._bit_generator = np.random.Philox(key=key)
+        self._generator = np.random.Generator(self._bit_generator)
+        self._counter = np.zeros(4, dtype=np.uint64)
+        self._state = {
+            "bit_generator": "Philox",
+            "state": {"counter": self._counter, "key": key},
+            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+
+    def at(self, *words: int) -> np.random.Generator:
+        """The Generator, positioned at counter (0, *words)."""
+        self._counter[1:] = 0
+        self._counter[1 : 1 + len(words)] = words
+        # The setter copies the counter and resets the buffer (and any
+        # half-used 32-bit word) from the template.
+        self._bit_generator.state = self._state
+        return self._generator

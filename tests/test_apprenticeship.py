@@ -1,5 +1,4 @@
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from cftp_rl import apprenticeship
 from cftp_rl.chains import (
     DeterministicPolicy,
     MixedPolicy,
@@ -42,7 +40,7 @@ from cftp_rl.instances import (
     two_state_chain,
 )
 from cftp_rl.sampling import _cftp_core
-from cftp_rl.seeding import seed_sequence, substream
+from cftp_rl.seeding import seed_sequence
 from cftp_rl.solvers import average_reward, optimal_policy, stationary_distribution
 
 
@@ -149,21 +147,34 @@ class TestFeatureExpectationsExact:
 
 
 def reference_expert_samples(mdp, expert, m, rng, step_cap=1_000_000):
-    """Per-sample reference: one scalar CFTP per sample, from its keyed substream."""
-    base = seed_sequence(rng) if not isinstance(rng, np.random.Generator) else None
+    """Per-sample reference: one scalar CFTP per sample.
+
+    With a keyed rng, the uniforms of sample i at step t come from a fresh
+    Philox stream built here: the key from the rng's SeedSequence, the
+    counter at sample i's first block of step t, (i * w / 4, t), where
+    w = 4 * ceil(n / 4) doubles are set aside per sample and step.
+    """
+    keyed = not isinstance(rng, np.random.Generator)
+    if keyed:
+        key = seed_sequence(rng).generate_state(2, np.uint64)
     n = mdp.n_states
+    blocks = -(-n // 4)
     cum = cdf_table(mdp.transition).reshape(-1, n)
     all_states = np.arange(n)
     ledger = SampleLedger()
     samples = np.empty(m, dtype=np.int64)
     times = np.empty(m, dtype=np.int64)
     for i in range(m):
-        gen = substream(base, i) if base is not None else rng
 
-        def map_at(t, _gen=gen):
+        def map_at(t, i=i):
+            if keyed:
+                philox = np.random.Philox(key=key, counter=[i * blocks, t, 0, 0])
+                u = np.random.Generator(philox).random(n)
+            else:
+                u = rng.random(n)
             actions = expert.act_batch(all_states)
             ledger.add_generative(n)
-            return inverse_cdf(cum, actions * n + all_states, _gen.random(n))
+            return inverse_cdf(cum, actions * n + all_states, u)
 
         samples[i], times[i] = _cftp_core(map_at, n, step_cap)
     return samples, times, ledger.generative_calls
@@ -199,30 +210,36 @@ def expert_instances(draw, stochastic):
 
 class TestExpertStationarySamples:
     @settings(max_examples=80)
-    @given(
-        expert_instances(stochastic=False),
-        st.sampled_from([1, 2, 3, 16]),
-        st.booleans(),
-    )
-    def test_deterministic_expert_matches_per_sample_reference(
-        self, case, chunk_steps, seed_as_sequence
-    ):
+    @given(expert_instances(stochastic=False), st.booleans())
+    def test_deterministic_expert_matches_per_sample_reference(self, case, seed_as_sequence):
         # A deterministic expert's actions ignore its uniforms, so only the
-        # per-sample keyed dynamics streams decide the result: every sample,
-        # time and counter must equal the per-sample loop's, whatever the
-        # chunking of the keyed reads.
+        # keyed dynamics uniforms decide the result: every sample, time and
+        # counter must equal the per-sample loop's.
         mdp, policy, m, expert_seed, seed = case
         rng = np.random.SeedSequence(seed) if seed_as_sequence else seed
         ref_expert = ExpertModel(policy, mdp.n_actions, expert_seed)
         expected = reference_expert_samples(mdp, ref_expert, m, rng)
         expert = ExpertModel(policy, mdp.n_actions, expert_seed)
-        with mock.patch.object(apprenticeship, "KEYED_CHUNK_STEPS", chunk_steps):
-            samples, times, calls = expert_stationary_samples(mdp, expert, m, rng)
+        samples, times, calls = expert_stationary_samples(mdp, expert, m, rng)
         assert np.array_equal(samples, expected[0])
         assert np.array_equal(times, expected[1])
         assert calls == expected[2]
         assert expert.ledger == ref_expert.ledger
         assert expert.rng.bit_generator.state == ref_expert.rng.bit_generator.state
+
+    @settings(max_examples=60)
+    @given(expert_instances(stochastic=False), st.data())
+    def test_keyed_samples_do_not_depend_on_m(self, case, data):
+        # Keyed draw (i, t) is a function of (seed, i, t) alone, so the first
+        # m' samples of an m-sample run are the m'-sample run.
+        mdp, policy, m, expert_seed, seed = case
+        m_prefix = data.draw(st.integers(1, m))
+        full = expert_stationary_samples(mdp, ExpertModel(policy, mdp.n_actions, expert_seed), m, seed)
+        prefix = expert_stationary_samples(
+            mdp, ExpertModel(policy, mdp.n_actions, expert_seed), m_prefix, seed
+        )
+        assert np.array_equal(full[0][:m_prefix], prefix[0])
+        assert np.array_equal(full[1][:m_prefix], prefix[1])
 
     @settings(max_examples=60)
     @given(expert_instances(stochastic=True), st.booleans())

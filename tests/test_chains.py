@@ -1,3 +1,6 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,10 +23,14 @@ from cftp_rl.chains import (
     induce_chain,
     inverse_cdf,
     is_ergodic,
+    load_chain,
+    load_mdp,
     loads_chain,
     loads_mdp,
+    save_chain,
+    save_mdp,
 )
-from cftp_rl.instances import random_mdp, two_state_chain
+from cftp_rl.instances import random_ergodic_chain, random_mdp, two_state_chain
 
 
 def test_transition_rows_must_sum_to_one():
@@ -263,6 +270,40 @@ class TestSerialization:
         chain = MarkovChain(p, RewardModel(rng.random(5)))
         loaded = loads_chain(dumps_chain(chain))
         assert np.array_equal(loaded.transition, chain.transition)
+
+    @settings(max_examples=60)
+    @given(
+        st.integers(1, 6),
+        st.integers(1, 3),
+        st.integers(0, 3),
+        st.sampled_from(RewardModel.MODES),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_mdp_file_round_trip_is_exact(self, n, n_actions, k, mode, seed):
+        mdp = random_mdp(n, n_actions, seed, n_features=k or None, reward_mode=mode)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "mdp.txt"
+            save_mdp(mdp, path)
+            loaded = load_mdp(path, reward_mode=mode)
+        assert loaded.transition.tobytes() == mdp.transition.tobytes()
+        assert loaded.reward.means.tobytes() == mdp.reward.means.tobytes()
+        assert loaded.reward.mode == mode
+        if k:
+            assert loaded.features.tobytes() == mdp.features.tobytes()
+        else:
+            assert loaded.features is None
+
+    @settings(max_examples=60)
+    @given(st.integers(1, 8), st.sampled_from(RewardModel.MODES), st.integers(0, 2**32 - 1))
+    def test_chain_file_round_trip_is_exact(self, n, mode, seed):
+        chain = random_ergodic_chain(n, seed, reward_mode=mode)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "chain.txt"
+            save_chain(chain, path)
+            loaded = load_chain(path, reward_mode=mode)
+        assert loaded.transition.tobytes() == chain.transition.tobytes()
+        assert loaded.reward.means.tobytes() == chain.reward.means.tobytes()
+        assert loaded.reward.mode == mode
 
     def test_header_validation(self):
         with pytest.raises(ValueError, match="header"):

@@ -4,10 +4,12 @@ import pytest
 from cftp_rl.chains import (
     DeterministicPolicy,
     RewardModel,
+    SampleLedger,
     StochasticPolicy,
     TabularMDP,
     induce_chain,
 )
+from cftp_rl.errors import CapExceededError, NonErgodicError
 from cftp_rl.estimators import (
     SoftmaxPolicy,
     delta_rho_batch,
@@ -16,6 +18,7 @@ from cftp_rl.estimators import (
     policy_gradient_sample,
 )
 from cftp_rl.instances import random_mdp
+from cftp_rl.sampling import lower_bound_chain
 from cftp_rl.solvers import average_reward, mixing_time
 
 
@@ -196,3 +199,47 @@ class TestPolicyGradient:
         # Only one state row can be nonzero: the sampled start state.
         nonzero_rows = np.unique(np.nonzero(grad)[0])
         assert nonzero_rows.size <= 1
+
+
+SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+class TestBoundedFailure:
+    """A pair chain that can never meet fails at once, before any draw."""
+
+    def test_delta_rho_rejects_a_periodic_followed_policy(self):
+        # Action 0 swaps the states; both trajectories follow pi = (0, 0),
+        # so pairs started apart alternate forever. pi_prime's chain is fine.
+        mdp = TabularMDP(np.stack([SWAP, np.full((2, 2), 0.5)]), RewardModel(np.full((2, 2), 0.5)))
+        pi, pi_prime = DeterministicPolicy(np.array([0, 0])), DeterministicPolicy(np.array([1, 1]))
+        for source in ("exact_solve", "cftp"):
+            gen = np.random.default_rng(0)
+            before = gen.bit_generator.state
+            ledger = SampleLedger()
+            with pytest.raises(NonErgodicError):
+                delta_rho_batch(mdp, pi, pi_prime, 10, gen, s0_source=source, ledger=ledger)
+            assert ledger.generative_calls == 0
+            assert gen.bit_generator.state == before
+
+    def test_policy_gradient_rejects_a_periodic_policy_chain(self):
+        mdp = TabularMDP(np.stack([SWAP, SWAP]), RewardModel(np.full((2, 2), 0.5)))
+        gen = np.random.default_rng(0)
+        before = gen.bit_generator.state
+        ledger = SampleLedger()
+        with pytest.raises(NonErgodicError):
+            policy_gradient_batch(mdp, SoftmaxPolicy(np.zeros((2, 2))), 10, gen, ledger=ledger)
+        assert ledger.generative_calls == 0
+        assert gen.bit_generator.state == before
+
+    def test_slow_ergodic_chain_still_hits_the_cap(self):
+        # Action 0 is the lazy chain, action 1 jumps uniformly. Pairs that
+        # follow action 0 after a first jump meet only after about n / eps steps.
+        lazy = lower_bound_chain(10, 0.001).transition
+        mdp = TabularMDP(np.stack([lazy, np.full((10, 10), 0.1)]), RewardModel(np.full((10, 2), 0.5)))
+        pi, pi_prime = DeterministicPolicy(np.zeros(10, dtype=int)), DeterministicPolicy(np.ones(10, dtype=int))
+        with pytest.raises(CapExceededError):
+            delta_rho_batch(mdp, pi, pi_prime, 50, rng=0, step_cap=5)
+        # The start-state CFTP on the lazy chain hits the cap.
+        mdp = TabularMDP(np.stack([lazy, lazy]), RewardModel(np.full((10, 2), 0.5)))
+        with pytest.raises(CapExceededError):
+            policy_gradient_batch(mdp, SoftmaxPolicy(np.zeros((10, 2))), 4, rng=0, step_cap=5)

@@ -1,5 +1,7 @@
 import itertools
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +23,6 @@ from cftp_rl.eval_store import (
 )
 from cftp_rl.instances import random_mdp
 from cftp_rl.sampling import _cftp_core, lower_bound_chain
-from cftp_rl.seeding import substream
 from cftp_rl.solvers import average_reward, mixing_time
 
 PROPERTY_SETTINGS = settings(max_examples=60)
@@ -47,11 +48,15 @@ def swap_mdp():
     return TabularMDP(transition, RewardModel(np.full((2, 1), 0.5), "mean"))
 
 
-def reference_row(store, t):
-    """Row t drawn with one inverse-CDF comparison per action, from row t's keyed substream."""
-    mdp = store.mdp
+def reference_row(mdp, seed, copy, t):
+    """Row t of copy ``copy`` drawn with one inverse-CDF comparison per action.
+
+    The uniforms come from a fresh Philox stream built here: the key from
+    the copy's SeedSequence, the counter at (0, t).
+    """
     n, m = mdp.n_states, mdp.n_actions
-    gen = substream(store._base, t)
+    key = np.random.SeedSequence(seed, spawn_key=(copy,)).generate_state(2, np.uint64)
+    gen = np.random.Generator(np.random.Philox(key=key, counter=[0, t, 0, 0]))
     u_next = gen.random((n, m))
     cum = np.cumsum(mdp.transition, axis=2)
     nxt = np.empty((n, m), dtype=np.int64)
@@ -153,10 +158,10 @@ class TestBatchedEvaluation:
         estimates = estimate_all(batched, policies)
         assert estimates.tobytes() == reference_estimate_all(reference, policies).tobytes()
         assert batched.ledger_total == reference.ledger_total
-        for copy, ref_copy in zip(batched.copies, reference.copies):
+        for i, (copy, ref_copy) in enumerate(zip(batched.copies, reference.copies)):
             assert_same_rows(copy, ref_copy)
             for t, row in enumerate(copy.rows, start=1):
-                next_state, reward = reference_row(copy, t)
+                next_state, reward = reference_row(mdp, seed, i, t)
                 assert np.array_equal(row.next_state, next_state)
                 assert np.array_equal(row.reward, reward)
 
@@ -357,6 +362,35 @@ class TestPersistence:
         for a, b in zip(full.rows, resumed.rows):
             assert np.array_equal(a.next_state, b.next_state)
             assert np.array_equal(a.reward, b.reward)
+
+    @PROPERTY_SETTINGS
+    @given(
+        st.integers(1, 5),
+        st.integers(1, 3),
+        st.sampled_from(RewardModel.MODES),
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 2**32 - 1),
+        st.data(),
+    )
+    def test_restore_anywhere_then_grow_is_bit_identical(self, n, n_actions, mode, mdp_seed, seed, data):
+        mdp = random_mdp(n, n_actions, mdp_seed, reward_mode=mode)
+        total = data.draw(st.integers(1, 30))
+        restore_at = data.draw(st.integers(0, total))
+        full = SampleMatrix(mdp, rng=seed)
+        full.row_at(total)
+        partial = SampleMatrix(mdp, rng=seed)
+        if restore_at:
+            partial.row_at(restore_at)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "store.txt"
+            save_store(partial, path)
+            resumed = load_store(path, mdp, rng=seed)
+        assert len(resumed) == restore_at
+        resumed.row_at(total)
+        assert len(resumed) == total
+        for a, b in zip(full.rows, resumed.rows):
+            assert a.next_state.tobytes() == b.next_state.tobytes()
+            assert a.reward.tobytes() == b.reward.tobytes()
 
     def test_shape_validation(self):
         mdp = random_mdp(3, 2, rng=34)

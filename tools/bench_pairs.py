@@ -1,0 +1,93 @@
+"""Run perfbench in alternating parent/change pairs and summarize into a BENCH file.
+
+Usage, from anywhere:
+
+    python3 tools/bench_pairs.py --parent DIR --change DIR --workload policy-eval \
+        --seed 1905 --pairs 10 --seconds 30 --out BENCH_6.json
+
+DIR is the root of a checkout (e.g. ``git archive <commit> | tar -x -C DIR``).
+Each pair runs ``perfbench/run.py`` once in each checkout, one after the
+other; the side that goes first alternates from pair to pair, so a drift in
+host speed hits both sides alike. The summary for ``<workload>@<seed>`` is
+merged into ``--out`` (other entries are kept). Per side it holds, for every
+end-to-end metric of the final result line, the median and quartiles over
+the runs and every run's value, plus failed/attempted checks, the phase
+digests and the machine record from the report line. Per metric it adds the pairs the change won
+(lower is better for every metric here) and the median of the per-pair
+gaps, parent minus change.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def run_once(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    lines = subprocess.run(cmd, cwd=root, check=True, capture_output=True, text=True).stdout.splitlines()
+    return json.loads(lines[-1]), json.loads(lines[-2])["report"]
+
+
+def quartiles(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1, "runs": values}
+
+
+def side_summary(runs: list[tuple[dict, dict]]) -> dict:
+    names = runs[0][0]["metrics"]
+    digests = {
+        phase: sorted({report["counters"][phase]["digest"] for _, report in runs})
+        for phase in runs[0][1]["counters"]
+    }
+    return {
+        "metrics": {n: quartiles([r["metrics"][n]["value"] for r, _ in runs]) for n in names},
+        "failed": sum(r["failed"] for r, _ in runs),
+        "attempted": sum(r["attempted"] for r, _ in runs),
+        "digests": {p: d[0] if len(d) == 1 else d for p, d in digests.items()},
+        "machine": runs[0][1]["machine"],
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, default=1905)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+
+    sides = {"parent": args.parent, "change": args.change}
+    runs: dict[str, list] = {"parent": [], "change": []}
+    for i in range(args.pairs):
+        for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+            runs[side].append(run_once(sides[side], args.workload, args.seed, args.seconds))
+        print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr)
+
+    summary = {side: side_summary(r) for side, r in runs.items()}
+    summary["pairs"] = args.pairs
+    summary["seconds"] = args.seconds
+    summary["change_wins"] = {}
+    summary["median_gap"] = {}
+    for name in summary["parent"]["metrics"]:
+        gaps = [p["metrics"][name]["value"] - c["metrics"][name]["value"]
+                for (p, _), (c, _) in zip(runs["parent"], runs["change"])]
+        summary["change_wins"][name] = sum(g > 0 for g in gaps)
+        summary["median_gap"][name] = statistics.median(gaps)
+
+    bench = json.loads(args.out.read_text()) if args.out.exists() else {}
+    bench[f"{args.workload}@{args.seed}"] = summary
+    args.out.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
