@@ -31,7 +31,6 @@ from .solvers import (
 )
 from .sampling import (
     CoalescenceRecord,
-    MapStore,
     cftp,
     cftp_batch,
     draw_random_map,

@@ -11,14 +11,15 @@ learners are provided:
   each round queries the expert for two coalescing trajectories to get an
   unbiased sample of the game-matrix column of the current candidate.
 
-Both return a mixed policy mixing the per-round optimal policies uniformly.
+Both run the same Hedge loop and differ only in the loss they feed it; both
+return a mixed policy mixing the per-round optimal policies uniformly.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import linprog
@@ -254,9 +255,41 @@ class MwalResult:
     rescale_bound: float | None = None
 
 
-def _uniform_mixture(policies: list[DeterministicPolicy]) -> MixedPolicy:
-    n = len(policies)
-    return MixedPolicy(np.full(n, 1.0 / n), policies)
+def _mwal_rounds(mdp: TabularMDP, k: int, n_rounds: int, loss) -> MwalResult:
+    """The Hedge loop both learners share: T rounds of w^(t) against a best response.
+
+    Round t takes the policy pi_t that is optimal for the reward
+    phi . w^(t) (policy iteration warm-starts from pi_{t-1}), evaluates
+    Phi(pi_t) exactly and feeds Hedge the loss ``loss(t, pi_t, Phi(pi_t))``
+    in [0, 1]^k. Returns the uniform mixture of the per-round policies and
+    the trail; the ledger counts are left at 0 for the caller to fill in.
+    """
+    state = HedgeState.create(k, n_rounds)
+    policies: list[DeterministicPolicy] = []
+    weights = np.empty((n_rounds, k))
+    losses = np.empty((n_rounds, k))
+    round_values = np.empty(n_rounds)
+    pi_t = None
+    for t in range(n_rounds):
+        w = state.weights
+        weights[t] = w
+        pi_t = optimal_policy(mdp, reward_override=mdp.features @ w, start=pi_t)
+        policies.append(pi_t)
+        phi_t = feature_expectations_exact(mdp, pi_t)
+        g_tilde = loss(t, pi_t, phi_t)
+        losses[t] = g_tilde
+        round_values[t] = float(w @ phi_t)
+        state = hedge_step(state, g_tilde)
+    return MwalResult(
+        mixture=MixedPolicy(np.full(n_rounds, 1.0 / n_rounds), policies),
+        policies=policies,
+        weights=weights,
+        losses=losses,
+        round_values=round_values,
+        beta=state.beta,
+        expert_calls=0,
+        generative_calls=0,
+    )
 
 
 def mwal(
@@ -279,37 +312,16 @@ def mwal(
     """
     if mdp.features is None or mdp.features.shape[1] != k:
         raise ValueError("MDP features must be present with width k")
-    base = seed_sequence(rng)
-    gen_before = 0
-    estimate = estimate_expert_features(mdp, expert, m, substream(base, 0), step_cap=step_cap)
-    expert_calls = estimate.expert_calls
-    gen_before += estimate.generative_calls
-
-    state = HedgeState.create(k, n_rounds)
-    policies: list[DeterministicPolicy] = []
-    weights = np.empty((n_rounds, k))
-    losses = np.empty((n_rounds, k))
-    round_values = np.empty(n_rounds)
-    pi_t = None
-    for t in range(n_rounds):
-        w = state.weights
-        weights[t] = w
-        pi_t = optimal_policy(mdp, reward_override=mdp.features @ w, start=pi_t)
-        policies.append(pi_t)
-        phi_t = feature_expectations_exact(mdp, pi_t)
-        g_tilde = (phi_t - estimate.phi + 1.0) / 2.0
-        losses[t] = g_tilde
-        round_values[t] = float(w @ phi_t)
-        state = hedge_step(state, g_tilde)
-    return MwalResult(
-        mixture=_uniform_mixture(policies),
-        policies=policies,
-        weights=weights,
-        losses=losses,
-        round_values=round_values,
-        beta=state.beta,
-        expert_calls=expert_calls,
-        generative_calls=gen_before,
+    estimate = estimate_expert_features(
+        mdp, expert, m, substream(seed_sequence(rng), 0), step_cap=step_cap
+    )
+    result = _mwal_rounds(
+        mdp, k, n_rounds, lambda t, pi_t, phi_t: (phi_t - estimate.phi + 1.0) / 2.0
+    )
+    return replace(
+        result,
+        expert_calls=estimate.expert_calls,
+        generative_calls=estimate.generative_calls,
         phi_expert_estimate=estimate.phi,
     )
 
@@ -339,37 +351,20 @@ def mwal_generative(
     base = seed_sequence(rng)
     ledger = SampleLedger()
     expert_before = expert.ledger.expert_calls
-
-    state = HedgeState.create(k, n_rounds)
-    policies: list[DeterministicPolicy] = []
-    weights = np.empty((n_rounds, k))
-    losses = np.empty((n_rounds, k))
     raw = np.empty((n_rounds, k))
     clamped = np.zeros((n_rounds, k), dtype=bool)
-    round_values = np.empty(n_rounds)
-    pi_t = None
-    for t in range(n_rounds):
-        w = state.weights
-        weights[t] = w
-        pi_t = optimal_policy(mdp, reward_override=mdp.features @ w, start=pi_t)
-        policies.append(pi_t)
-        phi_t = feature_expectations_exact(mdp, pi_t)
+
+    def sampled_loss(t, pi_t, phi_t):
         g, _ = game_column_batch(
             mdp, expert, pi_t, 1, substream(base, t), step_cap=step_cap, ledger=ledger,
         )
         raw[t] = g[0]
         clamped[t] = clamp_mask(g[0], bound)
-        g_tilde = rescale_loss(g[0], bound)
-        losses[t] = g_tilde
-        round_values[t] = float(w @ phi_t)
-        state = hedge_step(state, g_tilde)
-    return MwalResult(
-        mixture=_uniform_mixture(policies),
-        policies=policies,
-        weights=weights,
-        losses=losses,
-        round_values=round_values,
-        beta=state.beta,
+        return rescale_loss(g[0], bound)
+
+    result = _mwal_rounds(mdp, k, n_rounds, sampled_loss)
+    return replace(
+        result,
         expert_calls=expert.ledger.expert_calls - expert_before,
         generative_calls=ledger.generative_calls,
         raw_columns=raw,
@@ -387,12 +382,10 @@ def enumerate_deterministic_policies(n_states: int, n_actions: int) -> list[Dete
 
 @dataclass
 class GameValue:
-    """min over w in the simplex of max over policies of w . G(., pi)."""
+    """min over w in the simplex of max over policies of w . G(., pi); always exact."""
 
     value: float
     exact: bool
-    resolution: float | None = None
-    best_column: tuple[int, ...] | None = None
 
 
 def game_matrix(mdp: TabularMDP, expert) -> tuple[np.ndarray, list[DeterministicPolicy]]:
@@ -408,14 +401,8 @@ def game_matrix(mdp: TabularMDP, expert) -> tuple[np.ndarray, list[Deterministic
     return (columns - phi_expert).T, policies
 
 
-def game_value_oracle(
-    mdp: TabularMDP,
-    expert,
-    enumeration_budget: int = 256,
-    grid_points: int = 2000,
-    refinements: int = 3,
-) -> GameValue:
-    """Exact game value for k = 2 (piecewise-linear breakpoints); grid bound otherwise.
+def game_value_oracle(mdp: TabularMDP, expert, enumeration_budget: int = 256) -> GameValue:
+    """Exact game value for any number of features, by the LP over the full game matrix.
 
     Enumerates every deterministic policy, so it requires
     |A| ** |S| <= enumeration_budget. ``expert`` may be an ExpertModel or a
@@ -426,71 +413,8 @@ def game_value_oracle(
         raise CapExceededError(
             f"enumeration needs {n_policies} policies, budget is {enumeration_budget}"
         )
-    g, _ = game_matrix(mdp, expert)
-    k = g.shape[0]
-    if k == 2:
-        value = _min_max_two_features(g)
-        return GameValue(value=value, exact=True)
-    value, resolution = _min_max_grid(g, grid_points, refinements)
-    return GameValue(value=value, exact=False, resolution=resolution)
-
-
-def _min_max_two_features(g: np.ndarray) -> float:
-    """Exact min over w = (lam, 1 - lam) of max over columns, via breakpoints.
-
-    Each column is the line lam * g0 + (1 - lam) * g1; the upper envelope is
-    convex piecewise linear, so its minimum sits at an endpoint or at a
-    crossing of two column lines.
-    """
-    g0, g1 = g[0], g[1]
-    candidates = [0.0, 1.0]
-    slopes = g0 - g1
-    for i in range(g.shape[1]):
-        for j in range(i + 1, g.shape[1]):
-            denom = slopes[i] - slopes[j]
-            if denom == 0.0:
-                continue
-            lam = (g1[j] - g1[i]) / denom
-            if 0.0 <= lam <= 1.0:
-                candidates.append(float(lam))
-    best = math.inf
-    for lam in candidates:
-        envelope = (lam * g0 + (1.0 - lam) * g1).max()
-        best = min(best, float(envelope))
-    return best
-
-
-def _simplex_grid(k: int, subdivisions: int) -> np.ndarray:
-    combos = itertools.combinations(range(subdivisions + k - 1), k - 1)
-    points = []
-    for dividers in combos:
-        prev = -1
-        counts = []
-        for d in dividers:
-            counts.append(d - prev - 1)
-            prev = d
-        counts.append(subdivisions + k - 2 - prev)
-        points.append(counts)
-    return np.array(points, dtype=float) / subdivisions
-
-
-def _min_max_grid(g: np.ndarray, grid_points: int, refinements: int) -> tuple[float, float]:
-    k = g.shape[0]
-    subdivisions = max(2, int(round(grid_points ** (1.0 / max(k - 1, 1)))))
-    center = np.full(k, 1.0 / k)
-    radius = 1.0
-    best_value = math.inf
-    for _ in range(refinements + 1):
-        grid = _simplex_grid(k, subdivisions)
-        w = center[None, :] + radius * (grid - np.full(k, 1.0 / k)[None, :])
-        w = np.clip(w, 0.0, None)
-        w = w / w.sum(axis=1, keepdims=True)
-        envelope = (w @ g).max(axis=1)
-        idx = int(np.argmin(envelope))
-        best_value = min(best_value, float(envelope[idx]))
-        center = w[idx]
-        radius /= subdivisions / 2.0
-    return best_value, radius / subdivisions
+    value, _ = solve_game_lp(game_matrix(mdp, expert)[0])
+    return GameValue(value=value, exact=True)
 
 
 def solve_game_lp(g: np.ndarray) -> tuple[float, np.ndarray]:
@@ -507,7 +431,9 @@ def solve_game_lp(g: np.ndarray) -> tuple[float, np.ndarray]:
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs")
     if not res.success:
         raise RuntimeError(f"game LP failed: {res.message}")
-    return -float(res.fun), res.x[:n_cols]
+    # HiGHS reports a zero optimum as 0.0, so its negation is -0.0; adding
+    # 0.0 turns that into 0.0, and a CSV cell reads 0 rather than -0.
+    return -float(res.fun) + 0.0, res.x[:n_cols]
 
 
 def margin_against_all_rewards(mdp: TabularMDP, mixture: MixedPolicy, phi_expert: np.ndarray) -> float:

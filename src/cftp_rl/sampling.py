@@ -7,8 +7,9 @@ that value is an exact draw from the stationary distribution.
 Composition order matters: with maps f_{-1}, f_{-2}, ... (drawn in that
 order, each for one step further into the past), the composite after t
 maps is f_{-1} o f_{-2} o ... o f_{-t}, i.e. the newest map is applied
-first. Maps are drawn once per past time and reused; redrawing one breaks
-exactness.
+first. Each map is drawn once, for one past time, and used once: it is
+composed into the running composite and never read again. Drawing a second
+map for a past time already composed would break exactness.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .chains import MarkovChain, RewardModel, SampleLedger, inverse_cdf
 from .errors import CapExceededError
-from .seeding import KeyedUniforms, as_generator
+from .seeding import as_generator
 
 
 @dataclass
@@ -41,45 +42,8 @@ def draw_random_map(chain: MarkovChain, rng: np.random.Generator) -> np.ndarray:
     return _map_from_cum(chain.cumulative(), rng)
 
 
-class MapStore:
-    """Append-only store of random maps indexed by past time t = 1, 2, ...
-
-    The map for past time -t is drawn on first access and never redrawn.
-    When constructed from an int or SeedSequence, map t is the first
-    n_states doubles of ``KeyedUniforms(rng).at(t)``, so a run is
-    reproducible and stores for parallel runs can be derived independently.
-    When constructed from a Generator, maps are drawn from it sequentially.
-    """
-
-    def __init__(self, chain: MarkovChain, rng):
-        self.chain = chain
-        self._cum = chain.cumulative()
-        self._maps: list[np.ndarray] = []
-        if isinstance(rng, np.random.Generator):
-            self._keyed = None
-            self._gen = rng
-        else:
-            self._keyed = KeyedUniforms(rng)
-            self._gen = None
-
-    def __len__(self) -> int:
-        return len(self._maps)
-
-    def map_at(self, t: int) -> np.ndarray:
-        """Map for past time -t (1-indexed), drawing any missing maps."""
-        if t < 1:
-            raise ValueError("past time index starts at 1")
-        while len(self._maps) < t:
-            idx = len(self._maps) + 1
-            rng = self._gen if self._gen is not None else self._keyed.at(idx)
-            image = _map_from_cum(self._cum, rng)
-            image.setflags(write=False)
-            self._maps.append(image)
-        return self._maps[t - 1]
-
-
 def _cftp_core(map_at, n_states: int, step_cap: int) -> tuple[int, int]:
-    """Shared CFTP loop over an arbitrary map source; returns (state, t_c)."""
+    """CFTP loop over the maps ``map_at(t)`` for past times t = 1, 2, ...; returns (state, t_c)."""
     composite = np.arange(n_states)
     for t in range(1, step_cap + 1):
         composite = composite[map_at(t)]
@@ -121,21 +85,21 @@ def cftp(
     chain: MarkovChain,
     rng,
     step_cap: int = 1_000_000,
-    store: MapStore | None = None,
     ledger: SampleLedger | None = None,
 ) -> tuple[int, CoalescenceRecord]:
     """Exact draw from the stationary distribution of an ergodic chain.
 
-    Extends the past one step per iteration; the composite is maintained
-    incrementally so each step costs O(n_states) plus the map draw.
+    Extends the past one step per iteration with a map drawn from
+    ``as_generator(rng)``; the composite is maintained incrementally, so
+    each step costs O(n_states) plus the map draw and no map is kept.
 
     Raises NonErgodicError before drawing when the maps can never coalesce
     (``MarkovChain.require_coalescing``), CapExceededError after ``step_cap`` steps.
     """
     chain.require_coalescing()
-    if store is None:
-        store = MapStore(chain, rng)
-    state, t_c = _cftp_core(store.map_at, chain.n_states, step_cap)
+    gen = as_generator(rng)
+    cum = chain.cumulative()
+    state, t_c = _cftp_core(lambda t: _map_from_cum(cum, gen), chain.n_states, step_cap)
     calls = t_c * chain.n_states
     if ledger is not None:
         ledger.add_generative(calls)

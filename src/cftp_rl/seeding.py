@@ -10,17 +10,17 @@ in one of two forms.
   ``mwal_generative``, ``cftp_batch``, the estimators) derives its streams
   this way.
 - **Keyed uniforms.** The keyed paths draw one short row per past time t:
-  ``MapStore`` maps, ``SampleMatrix`` rows and keyed
-  ``expert_stationary_samples`` steps. A fresh substream per row costs
-  more than the row, so these read a counter-based Philox stream instead
-  (Salmon, Moraes, Dror & Shaw, "Parallel random numbers: as easy as
-  1, 2, 3", SC 2011). ``KeyedUniforms(seed)`` derives one 128-bit key per
-  seed; ``at(t)`` starts the stream at counter words (0, t), so map or row
-  t is a pure function of (seed, t). Expert samples are laid out step
-  major: counter (0, t) holds step t of every sample, and sample i reads
-  its n_states doubles from i * w on, with w = 4 * ceil(n_states / 4).
-  Each sample thus starts on a Philox block of its own, and its draws
-  depend neither on m nor on which samples are still running.
+  ``SampleMatrix`` rows and keyed ``expert_stationary_samples`` steps. A
+  fresh substream per row costs more than the row, so these read a
+  counter-based Philox stream instead (Salmon, Moraes, Dror & Shaw,
+  "Parallel random numbers: as easy as 1, 2, 3", SC 2011).
+  ``KeyedUniforms(seed)`` derives one 128-bit key per seed; ``at(t)``
+  starts the stream at counter words (0, t), so row t is a pure function
+  of (seed, t). Expert samples are laid out step major: counter (0, t)
+  holds step t of every sample, and sample i reads its n_states doubles
+  from i * w on, with w = 4 * ceil(n_states / 4). Each sample thus starts
+  on a Philox block of its own, and its draws depend neither on m nor on
+  which samples are still running.
 """
 
 from __future__ import annotations

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.optimize import linprog
 
 from cftp_rl.chains import (
     DeterministicPolicy,
@@ -481,15 +483,38 @@ class TestGameValueOracle:
         with pytest.raises(CapExceededError):
             game_value_oracle(mdp, expert)
 
-    def test_grid_path_for_three_features(self):
-        mdp = random_mdp(3, 2, rng=96, n_features=3)
-        expert = ExpertModel(DeterministicPolicy(np.array([0, 0, 1])), 2, rng=0)
-        value = game_value_oracle(mdp, expert)
-        assert not value.exact
-        assert value.resolution is not None
-        g, _ = game_matrix(mdp, expert)
-        lp_value, _ = solve_game_lp(g)
-        assert abs(value.value - lp_value) < 0.01
+    @settings(max_examples=50)
+    @given(
+        st.integers(2, 4), st.integers(2, 3), st.integers(2, 4),
+        st.integers(0, 2**32 - 1), st.data(),
+    )
+    def test_value_equals_the_row_players_lp(self, n, n_actions, k, seed, data):
+        mdp = random_mdp(n, n_actions, rng=seed, n_features=k)
+        expert = data.draw(st.lists(st.integers(0, n_actions - 1), min_size=n, max_size=n))
+
+        def phi(actions):
+            # Stationary law of the induced chain: mu (P - I) = 0, sum mu = 1.
+            p = mdp.transition[actions, np.arange(n)]
+            a = np.vstack([p.T - np.eye(n), np.ones(n)])
+            mu = np.linalg.lstsq(a, np.r_[np.zeros(n), 1.0], rcond=None)[0]
+            return mu @ mdp.features
+
+        columns = [phi(np.array(pi)) for pi in itertools.product(range(n_actions), repeat=n)]
+        g = (np.array(columns) - phi(np.array(expert))).T
+        # Row player: minimize v over (w, v) with w^T G <= v, w in the simplex.
+        res = linprog(
+            np.r_[np.zeros(k), 1.0],
+            A_ub=np.hstack([g.T, -np.ones((g.shape[1], 1))]),
+            b_ub=np.zeros(g.shape[1]),
+            A_eq=np.r_[np.ones(k), 0.0][None, :],
+            b_eq=[1.0],
+            bounds=[(0.0, None)] * k + [(None, None)],
+            method="highs",
+        )
+        assert res.success
+        oracle = game_value_oracle(mdp, DeterministicPolicy(np.array(expert)))
+        assert oracle.exact
+        assert abs(oracle.value - res.fun) <= 1e-9
 
 
 class TestMwal:

@@ -9,7 +9,6 @@ from cftp_rl.errors import CapExceededError, NonErgodicError
 from cftp_rl.instances import random_ergodic_chain
 from cftp_rl.sampling import (
     CoalescenceRecord,
-    MapStore,
     _cftp_core,
     cftp,
     cftp_batch,
@@ -79,31 +78,6 @@ class TestCftp:
         composed_wrong = f2[f1]
         assert not (composed_wrong == composed_wrong[0]).all()
 
-    def test_map_store_reuse_is_bit_identical(self, chain_factory):
-        chain = chain_factory(6, seed=1)
-        store = MapStore(chain, rng=42)
-        state, record = cftp(chain, rng=42, store=store)
-        # Re-consulting any past-time map returns the identical array.
-        snapshots = [store.map_at(t).copy() for t in range(1, record.t_c + 1)]
-        for t in range(1, record.t_c + 1):
-            assert np.array_equal(store.map_at(t), snapshots[t - 1])
-        # The explicit composition of the stored maps reproduces the output.
-        composite = np.arange(6)
-        for t in range(1, record.t_c + 1):
-            composite = composite[store.map_at(t)]
-        assert (composite == state).all()
-        # A fresh run from the same seed consumes identical maps.
-        store2 = MapStore(chain, rng=42)
-        state2, record2 = cftp(chain, rng=42, store=store2)
-        assert state2 == state and record2.t_c == record.t_c
-        for t in range(1, record.t_c + 1):
-            assert np.array_equal(store.map_at(t), store2.map_at(t))
-
-    def test_maps_are_immutable(self, example_chain):
-        store = MapStore(example_chain, rng=0)
-        with pytest.raises(ValueError):
-            store.map_at(1)[0] = 1
-
     def test_empirical_distribution_matches_stationary(self, example_chain):
         states, _ = cftp_batch(example_chain, 100_000, rng=7)
         freq = np.bincount(states, minlength=2) / states.size
@@ -119,10 +93,13 @@ class TestCftp:
     def test_exactness_chi_square(self, chain_factory, seed):
         chain = chain_factory(4 + seed * 3, seed=20 + seed)
         mu = stationary_distribution(chain)
-        states, _ = cftp_batch(chain, 20_000, rng=seed)
-        counts = np.bincount(states, minlength=chain.n_states)
-        _, p_value = stats.chisquare(counts, mu * states.size)
-        assert p_value > 0.001
+        gen = np.random.default_rng(seed)
+        scalar = np.array([cftp(chain, gen)[0] for _ in range(20_000)])
+        batch, _ = cftp_batch(chain, 20_000, rng=seed)
+        for states in (scalar, batch):
+            counts = np.bincount(states, minlength=chain.n_states)
+            _, p_value = stats.chisquare(counts, mu * states.size)
+            assert p_value > 0.001
 
     def test_step_cap_exceeded(self):
         chain = lower_bound_chain(10, 0.001)
@@ -134,12 +111,11 @@ class TestCftp:
     def test_non_ergodic_chain_is_rejected_before_any_draw(self):
         swap = swap_chain()
         ledger = SampleLedger()
-        store = MapStore(swap, rng=0)
-        with pytest.raises(NonErgodicError):
-            cftp(swap, rng=0, store=store, ledger=ledger)
-        assert ledger.generative_calls == 0 and len(store) == 0
         gen = np.random.default_rng(0)
         before = gen.bit_generator.state
+        with pytest.raises(NonErgodicError):
+            cftp(swap, gen, ledger=ledger)
+        assert ledger.generative_calls == 0 and gen.bit_generator.state == before
         with pytest.raises(NonErgodicError):
             cftp_batch(swap, 4, gen)
         assert gen.bit_generator.state == before
@@ -159,16 +135,16 @@ class TestCftp:
     @given(st.integers(1, 8), st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
     def test_ledger_counts_t_c_maps_and_coalesces_exactly_at_t_c(self, n, chain_seed, seed):
         chain = random_ergodic_chain(n, chain_seed)
-        store = MapStore(chain, rng=seed)
         ledger = SampleLedger()
-        state, record = cftp(chain, rng=seed, store=store, ledger=ledger)
+        state, record = cftp(chain, np.random.default_rng(seed), ledger=ledger)
         assert record.calls == ledger.generative_calls == record.t_c * n
-        assert len(store) == record.t_c
+        # Replay the run's maps, newest applied first, from the same stream.
+        replay = np.random.default_rng(seed)
         composite = np.arange(n)
-        for t in range(1, record.t_c + 1):
+        for _ in range(record.t_c):
             # Not constant before t_c (a one-state chain is constant from the start).
             assert n == 1 or (composite != composite[0]).any()
-            composite = composite[store.map_at(t)]
+            composite = composite[draw_random_map(chain, replay)]
         assert (composite == state).all()
 
 
@@ -299,12 +275,16 @@ class TestGrandCoupling:
         assert record.merge_time == 1 and record.final_state == 2
         assert record.class_counts == [4, 1]
 
-    def test_class_counts_monotone(self, chain_factory):
-        chain = chain_factory(8, seed=70)
-        record = grand_coupling_sim(chain, rng=2)
+    @settings(max_examples=60)
+    @given(st.integers(1, 10), st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
+    def test_class_counts_monotone(self, n, chain_seed, seed):
+        chain = random_ergodic_chain(n, chain_seed)
+        record = grand_coupling_sim(chain, rng=seed)
         counts = record.class_counts
-        assert counts[0] == 8 and counts[-1] == 1
+        assert counts[0] == n and counts[-1] == 1
         assert all(a >= b for a, b in zip(counts, counts[1:]))
+        assert len(counts) == record.merge_time + 1
+        assert record.calls == record.merge_time * n
 
     def test_forward_coalescence_is_biased_on_the_example_chain(self, example_chain):
         # Forward simulation until all chains merge can only ever end in the

@@ -35,7 +35,8 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict
 
 
 def quartiles(values: list[float]) -> dict:
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    # statistics.quantiles needs two runs; a single run is its own quartiles.
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1, "runs": values}
 
 
