@@ -36,24 +36,18 @@ from .sampling import (
     draw_random_map,
     grand_coupling_sim,
     lower_bound_chain,
-    two_chain_coalesce,
 )
 from .estimators import (
-    DiffEstimate,
     SoftmaxPolicy,
     delta_rho_batch,
-    delta_rho_sample,
     policy_gradient_batch,
-    policy_gradient_sample,
 )
 from .hedge import HedgeState, hedge_step, rescale_loss
 from .apprenticeship import (
     ExpertModel,
-    GameColumnEstimate,
     MwalResult,
     estimate_expert_features,
     feature_expectations_exact,
-    game_column_sample,
     game_value_oracle,
     mwal,
     mwal_generative,

@@ -38,7 +38,7 @@ from .errors import CapExceededError
 from .estimators import coupled_difference_batch
 from .hedge import HedgeState, clamp_mask, hedge_step, rescale_loss
 from .sampling import _cftp_batch_core
-from .seeding import KeyedUniforms, as_generator, seed_sequence, substream
+from .seeding import as_generator, seed_sequence, substream
 from .solvers import optimal_policy, policy_evaluation, stationary_distribution
 
 
@@ -51,12 +51,9 @@ class ExpertModel:
     """
 
     def __init__(self, policy, n_actions: int, rng, ledger: SampleLedger | None = None):
-        if isinstance(policy, DeterministicPolicy):
-            probs = policy.action_probs(n_actions)
-        elif isinstance(policy, StochasticPolicy):
-            probs = policy.action_probs(n_actions)
-        else:
+        if not isinstance(policy, (DeterministicPolicy, StochasticPolicy)):
             raise TypeError("expert policy must be deterministic or stochastic")
+        probs = policy.action_probs(n_actions)
         self.policy = StochasticPolicy(probs)
         self._cum = cdf_table(probs)
         self.rng = as_generator(rng)
@@ -117,35 +114,23 @@ def expert_stationary_samples(
     Returns the sampled states, per-sample coalescence times, and total
     dynamics calls (equal to the expert calls, sum of t_c times n_states).
 
-    With an int or SeedSequence ``rng`` step t makes one draw from
-    ``KeyedUniforms(rng).at(t)``, and sample i reads its dynamics uniforms
-    at offset i * w, with w = 4 * ceil(n_states / 4); so draw (i, t) is a
-    pure function of (rng, i, t), whatever m and whichever samples are
-    still running. With a Generator the uniforms come from it in step
-    order across samples. Raises ValueError for m < 1 before drawing,
+    The dynamics uniforms come from ``as_generator(rng)``: step t draws
+    n_states doubles for each unfinished sample, in sample order. Raises
+    ValueError for m < 1 before drawing,
     CapExceededError once a sample has run ``step_cap`` steps without
     coalescing: the expert's chain is unknown, so only ``step_cap`` bounds
     a chain that cannot coalesce.
     """
     if m < 1:
         raise ValueError(f"need at least one expert sample, got m={m}")
+    gen = as_generator(rng)
     n = mdp.n_states
     cum = cdf_table(mdp.transition).reshape(-1, n)
     # Entry r * n + s of a step's stacked maps belongs to state s.
     map_states = np.tile(np.arange(n), m)
-    keyed = None if isinstance(rng, np.random.Generator) else KeyedUniforms(rng)
-    # Sample i's uniforms for a keyed step start at double i * width.
-    width = 4 * -(-n // 4)
-    t = 0
 
     def draw_maps(active: np.ndarray) -> np.ndarray:
-        nonlocal t
-        if keyed is not None:
-            t += 1
-            step = keyed.at(t).random((active[-1] + 1) * width).reshape(-1, width)
-            u = step[active, :n].ravel()
-        else:
-            u = rng.random(active.size * n)
+        u = gen.random(active.size * n)
         states = map_states[: u.size]
         actions = expert.act_batch(states)
         return inverse_cdf(cum, actions * n + states, u).reshape(active.size, n)
@@ -176,15 +161,6 @@ def estimate_expert_features(
         expert_calls=expert.ledger.expert_calls - expert_before,
         generative_calls=generative_calls,
     )
-
-
-@dataclass
-class GameColumnEstimate:
-    """Unbiased sample of one game-matrix column Phi(pi) - Phi(expert)."""
-
-    g: np.ndarray
-    t_c: int
-    clamped: np.ndarray | None = None
 
 
 def game_column_batch(
@@ -223,18 +199,6 @@ def game_column_batch(
         ledger=ledger,
     )
     return g, t_c
-
-
-def game_column_sample(
-    mdp: TabularMDP,
-    expert: ExpertModel,
-    pi_t: DeterministicPolicy,
-    rng,
-    step_cap: int = 1_000_000,
-) -> GameColumnEstimate:
-    """One unbiased sample of the game column for ``pi_t``."""
-    g, t_c = game_column_batch(mdp, expert, pi_t, 1, rng, step_cap=step_cap)
-    return GameColumnEstimate(g=g[0], t_c=int(t_c[0]))
 
 
 @dataclass
@@ -382,10 +346,9 @@ def enumerate_deterministic_policies(n_states: int, n_actions: int) -> list[Dete
 
 @dataclass
 class GameValue:
-    """min over w in the simplex of max over policies of w . G(., pi); always exact."""
+    """min over w in the simplex of max over policies of w . G(., pi), solved exactly."""
 
     value: float
-    exact: bool
 
 
 def game_matrix(mdp: TabularMDP, expert) -> tuple[np.ndarray, list[DeterministicPolicy]]:
@@ -414,7 +377,7 @@ def game_value_oracle(mdp: TabularMDP, expert, enumeration_budget: int = 256) ->
             f"enumeration needs {n_policies} policies, budget is {enumeration_budget}"
         )
     value, _ = solve_game_lp(game_matrix(mdp, expert)[0])
-    return GameValue(value=value, exact=True)
+    return GameValue(value=value)
 
 
 def solve_game_lp(g: np.ndarray) -> tuple[float, np.ndarray]:

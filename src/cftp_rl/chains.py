@@ -286,9 +286,6 @@ class StochasticPolicy:
             raise ValueError("policy action dimension does not match the MDP")
         return self.probs
 
-    def sample_action(self, state: int, rng: np.random.Generator) -> int:
-        return int(rng.choice(self.probs.shape[1], p=self.probs[state]))
-
 
 class MixedPolicy:
     """Distribution over deterministic policies, selected once at time 0."""
@@ -303,9 +300,6 @@ class MixedPolicy:
             raise ValueError(f"mixture weights must sum to 1 within {ROW_SUM_TOL}")
         self.weights = _frozen(weights)
         self.members = list(members)
-
-    def draw_member(self, rng: np.random.Generator) -> DeterministicPolicy:
-        return self.members[int(rng.choice(len(self.members), p=self.weights))]
 
 
 def policy_matrix(policy, mdp: TabularMDP) -> np.ndarray:

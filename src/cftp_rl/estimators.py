@@ -11,8 +11,6 @@ and, combined with the score function, the policy gradient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .chains import (
@@ -51,15 +49,6 @@ class SoftmaxPolicy:
         grad[state] = -self.probs[state]
         grad[state, action] += 1.0
         return grad
-
-
-@dataclass
-class DiffEstimate:
-    """One coalescing-pair sample of an average-reward difference."""
-
-    value: float
-    t_c: int
-    calls: int
 
 
 def coupled_difference_batch(
@@ -211,22 +200,6 @@ def delta_rho_batch(
     return values, t_c
 
 
-def delta_rho_sample(
-    mdp: TabularMDP,
-    pi,
-    pi_prime,
-    rng,
-    s0_source: str = "exact_solve",
-    step_cap: int = 1_000_000,
-) -> DiffEstimate:
-    """One unbiased sample of rho(pi_prime) - rho(pi)."""
-    ledger = SampleLedger()
-    values, t_c = delta_rho_batch(
-        mdp, pi, pi_prime, 1, rng, s0_source=s0_source, step_cap=step_cap, ledger=ledger
-    )
-    return DiffEstimate(value=float(values[0]), t_c=int(t_c[0]), calls=ledger.generative_calls)
-
-
 def policy_gradient_batch(
     mdp: TabularMDP,
     policy: SoftmaxPolicy,
@@ -264,13 +237,3 @@ def policy_gradient_batch(
     grads[rows, s0, a_main] += 1.0
     grads *= q_hat[:, None, None]
     return grads
-
-
-def policy_gradient_sample(
-    mdp: TabularMDP,
-    policy: SoftmaxPolicy,
-    rng,
-    step_cap: int = 1_000_000,
-) -> np.ndarray:
-    """One unbiased sample of the average-reward policy gradient."""
-    return policy_gradient_batch(mdp, policy, 1, rng, step_cap=step_cap)[0]

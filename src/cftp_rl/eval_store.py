@@ -247,17 +247,32 @@ def dumps_store(store: SampleMatrix) -> str:
 
 
 def loads_store(text: str, mdp: TabularMDP, rng, ledger: SampleLedger | None = None) -> SampleMatrix:
+    """Parse ``dumps_store`` text into a matrix that grows on from its last row.
+
+    Raises ValueError for empty text, a bad header, a shape other than the
+    MDP's, a row count or row width other than the header's, a next-state
+    index outside [0, n_states) or a reward outside [0, 1].
+    """
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    header = lines[0].split()
-    if header[0::2] != ["states", "actions", "rows"]:
+    header = lines[0].split() if lines else []
+    if len(header) != 6 or header[0::2] != ["states", "actions", "rows"]:
         raise ValueError("bad header; expected 'states n actions m rows t'")
     n, m, t = int(header[1]), int(header[3]), int(header[5])
     if (n, m) != (mdp.n_states, mdp.n_actions):
         raise ValueError("stored shape does not match the MDP")
+    if len(lines) != 1 + 2 * t:
+        raise ValueError(f"header claims {t} rows ({1 + 2 * t} lines), got {len(lines)} lines")
     store = SampleMatrix(mdp, rng, ledger=ledger)
     for i in range(t):
-        nxt = np.array([int(v) for v in lines[1 + 2 * i].split()], dtype=np.int64).reshape(n, m)
-        reward = np.array([float(v) for v in lines[2 + 2 * i].split()]).reshape(n, m)
+        nxt = np.array([int(v) for v in lines[1 + 2 * i].split()], dtype=np.int64)
+        reward = np.array([float(v) for v in lines[2 + 2 * i].split()])
+        if nxt.size != n * m or reward.size != n * m:
+            raise ValueError(f"row {i + 1}: expected {n * m} entries per line")
+        if not ((nxt >= 0) & (nxt < n)).all():
+            raise ValueError(f"row {i + 1}: next-state index outside [0, {n})")
+        if not ((reward >= 0.0) & (reward <= 1.0)).all():
+            raise ValueError(f"row {i + 1}: reward outside [0, 1]")
+        nxt, reward = nxt.reshape(n, m), reward.reshape(n, m)
         nxt.setflags(write=False)
         reward.setflags(write=False)
         store.rows.append(StoreRow(next_state=nxt, reward=reward))

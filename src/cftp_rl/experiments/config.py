@@ -57,7 +57,7 @@ PARAM_SPECS: dict[str, list[ParamSpec]] = {
         ParamSpec("sizes", "int_list", [5, 10, 20], "state counts for random ergodic chains"),
         ParamSpec("chains_per_size", int, 3, "independent chains per size"),
         ParamSpec("runs", int, 2000, "coalescence runs per chain"),
-        ParamSpec("lazy_size", int, 20, "state count for the lazy-chain family"),
+        ParamSpec("lazy_size", int, 20, "state count for the lazy-chain family (>= 2)"),
         ParamSpec("lazy_eps", "float_list", [0.4, 0.2, 0.1], "exit rates for the lazy family"),
         ParamSpec("grand_sizes", "int_list", [8, 16], "state counts for grand couplings"),
         ParamSpec("grand_runs", int, 500, "grand-coupling runs per size"),
@@ -79,7 +79,7 @@ PARAM_SPECS: dict[str, list[ParamSpec]] = {
         ParamSpec("epsilon", float, 0.15, "target optimality gap for the summary check"),
         ParamSpec("delta", float, 0.1, "failure probability"),
         ParamSpec("k", int, 2, "feature dimension"),
-        ParamSpec("n_rounds", int, 1500, "rounds T (desk-scale; no closed form)"),
+        ParamSpec("n_rounds", int, 1500, "rounds T >= 1 (desk-scale; no closed form)"),
         ParamSpec("b", float, 2.0, "high-probability bound parameter for the columns"),
         ParamSpec("n_states", int, 3, "instance state count"),
         ParamSpec("n_actions", int, 2, "instance action count"),
@@ -167,6 +167,10 @@ class ExperimentConfig:
             raise ConfigError("instance must be single_state, random, or both")
         if "n_rounds" in p and p["n_rounds"] < 0:
             raise ConfigError("n_rounds must be >= 0")
+        if self.subcommand == "mwal-gen" and p.get("n_rounds") == 0:
+            raise ConfigError("n_rounds must be >= 1 for mwal-gen; only mwal derives it from 0")
+        if "lazy_size" in p and p["lazy_size"] < 2:
+            raise ConfigError("lazy_size must be >= 2: the lazy family measures the pair (0, 1)")
         if "m" in p and p["m"] < 0:
             raise ConfigError("m must be >= 0")
 

@@ -133,47 +133,6 @@ def cftp_batch(
     return _cftp_batch_core(draw_maps, n_samples, n, step_cap)
 
 
-def two_chain_coalesce(
-    chain: MarkovChain,
-    i: int,
-    j: int,
-    coupling: str = "independent",
-    rng=None,
-    step_cap: int = 10_000_000,
-) -> CoalescenceRecord:
-    """Run two forward chains from states i and j until they meet.
-
-    ``independent`` draws each chain's transition separately; ``shared_map``
-    applies one random map per step to both chains (costing n_states draws
-    per step). Returns t_c = 0 at once when i == j. Otherwise raises
-    NonErgodicError before drawing unless the whole chain can coalesce
-    (``MarkovChain.require_coalescing``), even where the pair itself could
-    meet (a periodic chain with i and j in one phase, say), and raises
-    CapExceededError after ``step_cap`` steps.
-    """
-    if coupling not in ("independent", "shared_map"):
-        raise ValueError(f"unknown coupling {coupling!r}")
-    gen = as_generator(rng if rng is not None else 0)
-    if i == j:
-        return CoalescenceRecord(t_c=0, state=int(i), calls=0)
-    chain.require_coalescing()
-    cum = chain.cumulative()
-    x, y = int(i), int(j)
-    calls = 0
-    for t in range(1, step_cap + 1):
-        if coupling == "independent":
-            x, y = inverse_cdf(cum, np.array([x, y]), gen.random(2)).tolist()
-            calls += 2
-        else:
-            image = _map_from_cum(cum, gen)
-            x = int(image[x])
-            y = int(image[y])
-            calls += chain.n_states
-        if x == y:
-            return CoalescenceRecord(t_c=t, state=x, calls=calls)
-    raise CapExceededError(f"no coalescence within {step_cap} steps")
-
-
 def coalescence_times_batch(
     chain: MarkovChain,
     i: int,
@@ -187,9 +146,10 @@ def coalescence_times_batch(
 
     With ``censor_at_cap`` runs still apart at the cap report ``step_cap``
     as a censored time instead of raising, so sweeps can record the
-    exceedance and continue. Returns zeros when i == j; otherwise, as
-    ``two_chain_coalesce`` does, raises NonErgodicError before drawing
-    unless the whole chain can coalesce.
+    exceedance and continue. Returns zeros when i == j; otherwise raises
+    NonErgodicError before drawing unless the whole chain can coalesce
+    (``MarkovChain.require_coalescing``), even where the pair itself could
+    meet (a periodic chain with i and j in one phase, say).
     """
     gen = as_generator(rng)
     cum = chain.cumulative()

@@ -7,27 +7,20 @@ in one of two forms.
   key with integer path components, so the stream for (seed, run, t) never
   depends on how many other streams were created before it. Every call
   site that takes a Generator (the CLI runners, ``mwal``,
-  ``mwal_generative``, ``cftp_batch``, the estimators) derives its streams
-  this way.
-- **Keyed uniforms.** The keyed paths draw one short row per past time t:
-  ``SampleMatrix`` rows and keyed ``expert_stationary_samples`` steps. A
-  fresh substream per row costs more than the row, so these read a
+  ``mwal_generative``, ``cftp_batch``, ``expert_stationary_samples``, the
+  estimators) derives its streams this way.
+- **Keyed uniforms.** ``SampleMatrix`` draws one short row per past time
+  t. A fresh substream per row costs more than the row, so rows read a
   counter-based Philox stream instead (Salmon, Moraes, Dror & Shaw,
   "Parallel random numbers: as easy as 1, 2, 3", SC 2011).
   ``KeyedUniforms(seed)`` derives one 128-bit key per seed; ``at(t)``
   starts the stream at counter words (0, t), so row t is a pure function
-  of (seed, t). Expert samples are laid out step major: counter (0, t)
-  holds step t of every sample, and sample i reads its n_states doubles
-  from i * w on, with w = 4 * ceil(n_states / 4). Each sample thus starts
-  on a Philox block of its own, and its draws depend neither on m nor on
-  which samples are still running.
+  of (seed, t).
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-RngLike = "int | np.random.SeedSequence | np.random.Generator"
 
 
 def seed_sequence(seed) -> np.random.SeedSequence:

@@ -12,7 +12,6 @@ from cftp_rl.chains import (
     DeterministicPolicy,
     MixedPolicy,
     RewardModel,
-    SampleLedger,
     StochasticPolicy,
     TabularMDP,
     cdf_table,
@@ -25,7 +24,6 @@ from cftp_rl.apprenticeship import (
     expert_stationary_samples,
     feature_expectations_exact,
     game_column_batch,
-    game_column_sample,
     game_matrix,
     game_value_oracle,
     margin_against_all_rewards,
@@ -41,8 +39,6 @@ from cftp_rl.instances import (
     sparse_cycle_mdp,
     two_state_chain,
 )
-from cftp_rl.sampling import _cftp_core
-from cftp_rl.seeding import seed_sequence
 from cftp_rl.solvers import average_reward, optimal_policy, stationary_distribution
 
 
@@ -148,38 +144,32 @@ class TestFeatureExpectationsExact:
             feature_expectations_exact(mdp, DeterministicPolicy(np.zeros(3, dtype=int)))
 
 
-def reference_expert_samples(mdp, expert, m, rng, step_cap=1_000_000):
-    """Per-sample reference: one scalar CFTP per sample.
+def reference_expert_samples(mdp, expert, m, gen, step_cap=1_000_000):
+    """Lockstep reference: m scalar CFTP runs, advanced one step at a time.
 
-    With a keyed rng, the uniforms of sample i at step t come from a fresh
-    Philox stream built here: the key from the rng's SeedSequence, the
-    counter at sample i's first block of step t, (i * w / 4, t), where
-    w = 4 * ceil(n / 4) doubles are set aside per sample and step.
+    At step t each unfinished sample, in index order, draws its n dynamics
+    uniforms from ``gen``, queries the expert once for each of its n
+    states and composes that one map into its own composite, the newest
+    map applied first.
     """
-    keyed = not isinstance(rng, np.random.Generator)
-    if keyed:
-        key = seed_sequence(rng).generate_state(2, np.uint64)
     n = mdp.n_states
-    blocks = -(-n // 4)
     cum = cdf_table(mdp.transition).reshape(-1, n)
     all_states = np.arange(n)
-    ledger = SampleLedger()
-    samples = np.empty(m, dtype=np.int64)
-    times = np.empty(m, dtype=np.int64)
-    for i in range(m):
-
-        def map_at(t, i=i):
-            if keyed:
-                philox = np.random.Philox(key=key, counter=[i * blocks, t, 0, 0])
-                u = np.random.Generator(philox).random(n)
-            else:
-                u = rng.random(n)
+    composites = [all_states] * m
+    samples = np.full(m, -1, dtype=np.int64)
+    times = np.zeros(m, dtype=np.int64)
+    calls = 0
+    for t in range(1, step_cap + 1):
+        for i in np.flatnonzero(samples < 0):
+            u = gen.random(n)
             actions = expert.act_batch(all_states)
-            ledger.add_generative(n)
-            return inverse_cdf(cum, actions * n + all_states, u)
-
-        samples[i], times[i] = _cftp_core(map_at, n, step_cap)
-    return samples, times, ledger.generative_calls
+            calls += n
+            composites[i] = composites[i][inverse_cdf(cum, actions * n + all_states, u)]
+            if (composites[i] == composites[i][0]).all():
+                samples[i], times[i] = composites[i][0], t
+        if (samples >= 0).all():
+            return samples, times, calls
+    raise CapExceededError(f"no coalescence within {step_cap} steps")
 
 
 def example_chain_mdp():
@@ -210,17 +200,23 @@ def expert_instances(draw, stochastic):
     return mdp, policy, m, draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 2**32 - 1))
 
 
+RNG_KINDS = ["int", "seed_sequence", "generator"]
+
+
 class TestExpertStationarySamples:
-    @settings(max_examples=80)
-    @given(expert_instances(stochastic=False), st.booleans())
-    def test_deterministic_expert_matches_per_sample_reference(self, case, seed_as_sequence):
-        # A deterministic expert's actions ignore its uniforms, so only the
-        # keyed dynamics uniforms decide the result: every sample, time and
-        # counter must equal the per-sample loop's.
+    @staticmethod
+    def assert_matches_reference(case, rng_kind):
+        # Every sample, time and counter, and the state of both generators,
+        # must equal the lockstep loop's, whatever form the seed takes.
         mdp, policy, m, expert_seed, seed = case
-        rng = np.random.SeedSequence(seed) if seed_as_sequence else seed
+        ref_gen = np.random.default_rng(seed)
         ref_expert = ExpertModel(policy, mdp.n_actions, expert_seed)
-        expected = reference_expert_samples(mdp, ref_expert, m, rng)
+        expected = reference_expert_samples(mdp, ref_expert, m, ref_gen)
+        rng = {
+            "int": seed,
+            "seed_sequence": np.random.SeedSequence(seed),
+            "generator": np.random.default_rng(seed),
+        }[rng_kind]
         expert = ExpertModel(policy, mdp.n_actions, expert_seed)
         samples, times, calls = expert_stationary_samples(mdp, expert, m, rng)
         assert np.array_equal(samples, expected[0])
@@ -228,58 +224,56 @@ class TestExpertStationarySamples:
         assert calls == expected[2]
         assert expert.ledger == ref_expert.ledger
         assert expert.rng.bit_generator.state == ref_expert.rng.bit_generator.state
+        if rng_kind == "generator":
+            assert rng.bit_generator.state == ref_gen.bit_generator.state
 
-    @settings(max_examples=60)
-    @given(expert_instances(stochastic=False), st.data())
-    def test_keyed_samples_do_not_depend_on_m(self, case, data):
-        # Keyed draw (i, t) is a function of (seed, i, t) alone, so the first
-        # m' samples of an m-sample run are the m'-sample run.
-        mdp, policy, m, expert_seed, seed = case
-        m_prefix = data.draw(st.integers(1, m))
-        full = expert_stationary_samples(mdp, ExpertModel(policy, mdp.n_actions, expert_seed), m, seed)
-        prefix = expert_stationary_samples(
-            mdp, ExpertModel(policy, mdp.n_actions, expert_seed), m_prefix, seed
-        )
-        assert np.array_equal(full[0][:m_prefix], prefix[0])
-        assert np.array_equal(full[1][:m_prefix], prefix[1])
+    @settings(max_examples=80)
+    @given(expert_instances(stochastic=False), st.sampled_from(RNG_KINDS))
+    def test_deterministic_expert_matches_per_sample_reference(self, case, rng_kind):
+        self.assert_matches_reference(case, rng_kind)
+
+    @settings(max_examples=80)
+    @given(expert_instances(stochastic=True), st.sampled_from(RNG_KINDS))
+    def test_stochastic_expert_matches_per_sample_reference(self, case, rng_kind):
+        self.assert_matches_reference(case, rng_kind)
 
     @settings(max_examples=60)
     @given(expert_instances(stochastic=True), st.booleans())
-    def test_stochastic_expert_counts_one_query_per_map_entry(self, case, keyed):
+    def test_stochastic_expert_counts_one_query_per_map_entry(self, case, as_int):
         mdp, policy, m, expert_seed, seed = case
         n = mdp.n_states
         expert = ExpertModel(policy, mdp.n_actions, expert_seed)
-        rng = seed if keyed else np.random.default_rng(seed)
+        rng = seed if as_int else np.random.default_rng(seed)
         samples, times, calls = expert_stationary_samples(mdp, expert, m, rng)
         assert samples.shape == times.shape == (m,)
         assert ((samples >= 0) & (samples < n)).all() and (times >= 1).all()
         assert expert.ledger.expert_calls == calls == int(times.sum()) * n
-        if not keyed:
+        if not as_int:
             # The Generator supplied exactly one uniform per map entry.
             replay = np.random.default_rng(seed)
             replay.random(calls)
             assert rng.bit_generator.state == replay.bit_generator.state
 
-    @pytest.mark.parametrize("keyed", [True, False], ids=["keyed", "generator"])
-    def test_stochastic_expert_samples_are_exact(self, keyed):
+    @pytest.mark.parametrize("as_int", [True, False], ids=["int", "generator"])
+    def test_stochastic_expert_samples_are_exact(self, as_int):
         mdp = example_chain_mdp()
         policy = StochasticPolicy(np.array([[0.3, 0.7], [0.6, 0.4]]))
         mu = stationary_distribution(induce_chain(mdp, policy))
         expert = ExpertModel(policy, 2, rng=31)
-        rng = 32 if keyed else np.random.default_rng(32)
+        rng = 32 if as_int else np.random.default_rng(32)
         samples, _, _ = expert_stationary_samples(mdp, expert, 4000, rng)
         counts = np.bincount(samples, minlength=2)
         _, p_value = stats.chisquare(counts, mu * samples.size)
         assert p_value > 0.001
 
-    @pytest.mark.parametrize("keyed", [True, False], ids=["keyed", "generator"])
-    def test_step_cap_exceeded(self, keyed):
+    @pytest.mark.parametrize("as_int", [True, False], ids=["int", "generator"])
+    def test_step_cap_exceeded(self, as_int):
         # Near-identity dynamics: the maps almost never merge all 6 states.
         transition = np.full((1, 6, 6), 0.001 / 6)
         transition[0][np.diag_indices(6)] += 0.999
         mdp = TabularMDP(transition, RewardModel(np.full((6, 1), 0.5)))
         expert = ExpertModel(DeterministicPolicy(np.zeros(6, dtype=int)), 1, rng=0)
-        rng = 5 if keyed else np.random.default_rng(5)
+        rng = 5 if as_int else np.random.default_rng(5)
         with pytest.raises(CapExceededError):
             expert_stationary_samples(mdp, expert, 8, rng, step_cap=20)
 
@@ -304,7 +298,7 @@ class TestExpertStationarySamples:
     @given(
         st.integers(1, 6), st.integers(1, 3), st.data(), st.integers(0, 2**32 - 1), st.booleans()
     )
-    def test_rank_one_dynamics_coalesce_in_one_step(self, n, n_actions, data, seed, keyed):
+    def test_rank_one_dynamics_coalesce_in_one_step(self, n, n_actions, data, seed, as_int):
         # Every action sends every state to the same state j: each map is
         # constant, so every sample is j at t_c = 1.
         j = data.draw(st.integers(0, n - 1))
@@ -314,7 +308,7 @@ class TestExpertStationarySamples:
         policy = random_stochastic_policy(n, n_actions, seed)
         expert = ExpertModel(policy, n_actions, seed)
         m = data.draw(st.integers(1, 20))
-        rng = seed if keyed else np.random.default_rng(seed)
+        rng = seed if as_int else np.random.default_rng(seed)
         samples, times, calls = expert_stationary_samples(mdp, expert, m, rng)
         assert (samples == j).all() and (times == 1).all()
         assert calls == expert.ledger.expert_calls == m * n
@@ -379,9 +373,9 @@ class TestGameColumn:
             transition, RewardModel(np.array([[0.5, 0.5]])), features=np.array([[0.4, 0.6]])
         )
         expert = ExpertModel(DeterministicPolicy(np.array([1])), 2, rng=0)
-        est = game_column_sample(mdp, expert, DeterministicPolicy(np.array([0])), rng=1)
-        assert np.array_equal(est.g, [0.0, 0.0])
-        assert est.t_c == 1
+        g, t_c = game_column_batch(mdp, expert, DeterministicPolicy(np.array([0])), 1, rng=1)
+        assert np.array_equal(g, [[0.0, 0.0]])
+        assert np.array_equal(t_c, [1])
 
     def test_expert_equals_candidate_has_mean_zero(self):
         mdp = random_mdp(4, 2, rng=20, n_features=2)
@@ -409,7 +403,7 @@ class TestGameColumn:
         mdp = random_mdp(3, 2, rng=70, n_features=2)
         expert = ExpertModel(StochasticPolicy(np.full((3, 2), 0.5)), 2, rng=71)
         before = expert.ledger.expert_calls
-        game_column_sample(mdp, expert, DeterministicPolicy(np.array([0, 1, 0])), rng=72)
+        game_column_batch(mdp, expert, DeterministicPolicy(np.array([0, 1, 0])), 1, rng=72)
         assert expert.ledger.expert_calls > before
 
 
@@ -418,7 +412,6 @@ class TestGameValueOracle:
         mdp = two_state_feature_mdp()
         expert = ExpertModel(DeterministicPolicy(np.array([0, 0])), 2, rng=0)
         value = game_value_oracle(mdp, expert)
-        assert value.exact
         assert abs(value.value) < 1e-9
 
     def test_dominated_expert_gives_the_dominance_gap(self):
@@ -513,7 +506,6 @@ class TestGameValueOracle:
         )
         assert res.success
         oracle = game_value_oracle(mdp, DeterministicPolicy(np.array(expert)))
-        assert oracle.exact
         assert abs(oracle.value - res.fun) <= 1e-9
 
 

@@ -13,9 +13,7 @@ from cftp_rl.errors import CapExceededError, NonErgodicError
 from cftp_rl.estimators import (
     SoftmaxPolicy,
     delta_rho_batch,
-    delta_rho_sample,
     policy_gradient_batch,
-    policy_gradient_sample,
 )
 from cftp_rl.instances import random_mdp
 from cftp_rl.sampling import lower_bound_chain
@@ -146,10 +144,12 @@ class TestDeltaRho:
         mdp = random_mdp(3, 2, rng=30)
         pi = DeterministicPolicy(np.array([0, 1, 0]))
         pi_prime = DeterministicPolicy(np.array([1, 0, 1]))
-        est = delta_rho_sample(mdp, pi, pi_prime, rng=31)
-        assert np.isfinite(est.value)
-        assert est.t_c >= 1
-        assert est.calls == 2 * est.t_c  # exact-solve start costs no calls
+        ledger = SampleLedger()
+        values, t_c = delta_rho_batch(mdp, pi, pi_prime, 1, rng=31, ledger=ledger)
+        assert values.shape == t_c.shape == (1,)
+        assert np.isfinite(values[0])
+        assert t_c[0] >= 1
+        assert ledger.generative_calls == 2 * t_c[0]  # exact-solve start costs no calls
 
 
 class TestPolicyGradient:
@@ -194,8 +194,9 @@ class TestPolicyGradient:
 
     def test_single_sample_shape(self):
         mdp = random_mdp(3, 2, rng=40)
-        grad = policy_gradient_sample(mdp, SoftmaxPolicy(np.zeros((3, 2))), rng=41)
-        assert grad.shape == (3, 2)
+        grads = policy_gradient_batch(mdp, SoftmaxPolicy(np.zeros((3, 2))), 1, rng=41)
+        assert grads.shape == (1, 3, 2)
+        grad = grads[0]
         # Only one state row can be nonzero: the sampled start state.
         nonzero_rows = np.unique(np.nonzero(grad)[0])
         assert nonzero_rows.size <= 1

@@ -336,6 +336,11 @@ class TestStoreEnsemble:
         assert np.max(np.abs(estimates - exact)) <= 0.15
 
 
+def _with_entry(line, value):
+    """``line`` with its first entry replaced by ``value``."""
+    return " ".join([value] + line.split()[1:])
+
+
 class TestPersistence:
     def test_round_trip_is_exact(self, tmp_path):
         mdp = random_mdp(3, 2, rng=30)
@@ -399,3 +404,32 @@ class TestPersistence:
         store.row_at(2)
         with pytest.raises(ValueError, match="shape"):
             loads_store(dumps_store(store), other, rng=36)
+
+    @pytest.mark.parametrize(
+        "corrupt, match",
+        [
+            (lambda ls: [ls[0], _with_entry(ls[1], "-1")] + ls[2:], "next-state index"),
+            (lambda ls: [ls[0], _with_entry(ls[1], "3")] + ls[2:], "next-state index"),
+            (lambda ls: [ls[0], _with_entry(ls[1], "7")] + ls[2:], "next-state index"),
+            (lambda ls: ls[:2] + [_with_entry(ls[2], "5.0")] + ls[3:], "reward"),
+            (lambda ls: ls[:2] + [_with_entry(ls[2], "nan")] + ls[3:], "reward"),
+            (lambda ls: [ls[0].replace("rows 2", "rows 3")] + ls[1:], "rows"),
+            (lambda ls: [ls[0].replace("rows 2", "rows 1")] + ls[1:], "rows"),
+            (lambda ls: [ls[0], " ".join(ls[1].split()[1:])] + ls[2:], "entries"),
+            (lambda ls: ls[:2] + [ls[2] + " 0.5"] + ls[3:], "entries"),
+            (lambda ls: [], "header"),
+        ],
+        ids=[
+            "index_negative", "index_n", "index_7", "reward_5", "reward_nan",
+            "rows_missing", "rows_extra", "next_state_short", "reward_long", "empty",
+        ],
+    )
+    def test_corrupt_file_is_rejected(self, corrupt, match):
+        # A 3 x 2 store of two rows: header, then (next states, rewards) per row.
+        mdp = random_mdp(3, 2, rng=34)
+        store = SampleMatrix(mdp, rng=36)
+        store.row_at(2)
+        lines = dumps_store(store).splitlines()
+        text = "\n".join(corrupt(lines)) + "\n"
+        with pytest.raises(ValueError, match=match):
+            loads_store(text, mdp, rng=36)

@@ -192,6 +192,9 @@ class TestExitCodes:
     def test_validation_error_is_two(self, tmp_path):
         assert run_cli("example", "--out", str(tmp_path), "--replicates", "0") == 2
         assert run_cli("mwal", "--out", str(tmp_path), "--epsilon", "2.0") == 2
+        # Only mwal derives n_rounds from 0; the lazy family needs the pair (0, 1).
+        assert run_cli("mwal-gen", "--out", str(tmp_path), "--n-rounds", "0") == 2
+        assert run_cli("coalescence", "--out", str(tmp_path), "--lazy-size", "1") == 2
 
     def test_config_file_error_is_two(self, tmp_path):
         bad = tmp_path / "bad.txt"

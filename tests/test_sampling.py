@@ -16,7 +16,6 @@ from cftp_rl.sampling import (
     draw_random_map,
     grand_coupling_sim,
     lower_bound_chain,
-    two_chain_coalesce,
 )
 from cftp_rl.solvers import mixing_time, stationary_distribution
 
@@ -151,14 +150,6 @@ class TestCftp:
 class TestBoundedFailure:
     """Couplings of a chain that can never coalesce fail at once, at the default cap."""
 
-    def test_two_chain_coalesce(self):
-        for coupling in ("independent", "shared_map"):
-            gen = np.random.default_rng(0)
-            before = gen.bit_generator.state
-            with pytest.raises(NonErgodicError):
-                two_chain_coalesce(swap_chain(), 0, 1, coupling, gen)
-            assert gen.bit_generator.state == before
-
     def test_coalescence_times_batch(self):
         gen = np.random.default_rng(0)
         before = gen.bit_generator.state
@@ -178,15 +169,10 @@ class TestBoundedFailure:
     def test_equal_starts_need_no_check(self):
         # Two chains started together have met at t = 0, even on a chain
         # that can never coalesce as a whole.
-        for coupling in ("independent", "shared_map"):
-            record = two_chain_coalesce(swap_chain(), 1, 1, coupling, rng=0)
-            assert record == CoalescenceRecord(t_c=0, state=1, calls=0)
         assert (coalescence_times_batch(swap_chain(), 1, 1, 5, rng=0) == 0).all()
 
     def test_slow_ergodic_chain_still_hits_the_cap(self):
         chain = lower_bound_chain(10, 0.001)
-        with pytest.raises(CapExceededError):
-            two_chain_coalesce(chain, 0, 1, "independent", rng=0, step_cap=5)
         with pytest.raises(CapExceededError):
             coalescence_times_batch(chain, 0, 1, 4, rng=0, step_cap=5)
         with pytest.raises(CapExceededError):
@@ -194,20 +180,6 @@ class TestBoundedFailure:
 
 
 class TestTwoChainCoalesce:
-    def test_equal_starts_coalesce_at_zero(self, example_chain):
-        record = two_chain_coalesce(example_chain, 1, 1, rng=0)
-        assert record == CoalescenceRecord(t_c=0, state=1, calls=0)
-
-    def test_example_chain_shared_map_statistics(self, example_chain):
-        rng = np.random.default_rng(17)
-        times = np.empty(100_000, dtype=int)
-        for i in range(times.size):
-            record = two_chain_coalesce(example_chain, 0, 1, "shared_map", rng)
-            times[i] = record.t_c
-            assert record.state == 0  # meeting is only possible in the left state
-        se = times.std() / np.sqrt(times.size)
-        assert abs(times.mean() - 2.0) < 3 * se
-
     def test_independent_coupling_mean_bound(self, chain_factory):
         for seed in range(3):
             chain = chain_factory(10, seed=40 + seed)
@@ -215,15 +187,13 @@ class TestTwoChainCoalesce:
             times = coalescence_times_batch(chain, 0, 9, 2000, rng=seed)
             assert times.mean() <= 2 * 10 * t_mix
 
-    def test_batch_matches_scalar_distribution(self, example_chain):
-        rng = np.random.default_rng(5)
-        scalar = np.array(
-            [two_chain_coalesce(example_chain, 0, 1, "independent", rng).t_c for _ in range(20_000)]
-        )
-        batch = coalescence_times_batch(example_chain, 0, 1, 20_000, rng=6)
-        # Same geometric law: compare means within combined standard errors.
-        se = np.hypot(scalar.std() / np.sqrt(scalar.size), batch.std() / np.sqrt(batch.size))
-        assert abs(scalar.mean() - batch.mean()) < 3 * se
+    def test_example_chain_times_are_geometric(self, example_chain):
+        # From (0, 1) the pair meets with probability 1/2 at every step:
+        # state 1 always moves to 0, and state 0 stays with probability 1/2.
+        # So t_c ~ Geometric(1/2), with mean 2 and variance 2.
+        times = coalescence_times_batch(example_chain, 0, 1, 20_000, rng=6)
+        assert times.min() >= 1
+        assert abs(times.mean() - 2.0) < 3 * np.sqrt(2.0 / times.size)
 
     def test_tail_bound(self, chain_factory):
         chain = chain_factory(5, seed=60)
@@ -235,10 +205,6 @@ class TestTwoChainCoalesce:
             # One-sided binomial test at significance 0.001.
             p_value = stats.binomtest(exceed, times.size, delta, alternative="greater").pvalue
             assert p_value > 0.001
-
-    def test_unknown_coupling_rejected(self, example_chain):
-        with pytest.raises(ValueError, match="coupling"):
-            two_chain_coalesce(example_chain, 0, 1, "synchronized", rng=0)
 
 
 class TestLowerBoundChain:
