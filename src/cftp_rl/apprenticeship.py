@@ -41,6 +41,9 @@ from .sampling import _cftp_batch_core
 from .seeding import as_generator, seed_sequence, substream
 from .solvers import optimal_policy, policy_evaluation, stationary_distribution
 
+# Most deterministic policies, |A| ** |S|, the exact game-value oracle enumerates.
+ENUMERATION_BUDGET = 256
+
 
 class ExpertModel:
     """Generative access to an expert policy: one sampled action per query.
@@ -364,17 +367,17 @@ def game_matrix(mdp: TabularMDP, expert) -> tuple[np.ndarray, list[Deterministic
     return (columns - phi_expert).T, policies
 
 
-def game_value_oracle(mdp: TabularMDP, expert, enumeration_budget: int = 256) -> GameValue:
+def game_value_oracle(mdp: TabularMDP, expert) -> GameValue:
     """Exact game value for any number of features, by the LP over the full game matrix.
 
     Enumerates every deterministic policy, so it requires
-    |A| ** |S| <= enumeration_budget. ``expert`` may be an ExpertModel or a
-    bare policy.
+    |A| ** |S| <= ENUMERATION_BUDGET and raises CapExceededError otherwise.
+    ``expert`` may be an ExpertModel or a bare policy.
     """
     n_policies = mdp.n_actions ** mdp.n_states
-    if n_policies > enumeration_budget:
+    if n_policies > ENUMERATION_BUDGET:
         raise CapExceededError(
-            f"enumeration needs {n_policies} policies, budget is {enumeration_budget}"
+            f"enumeration needs {n_policies} policies, budget is {ENUMERATION_BUDGET}"
         )
     value, _ = solve_game_lp(game_matrix(mdp, expert)[0])
     return GameValue(value=value)

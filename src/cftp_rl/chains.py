@@ -416,23 +416,49 @@ def dumps_mdp(mdp: TabularMDP) -> str:
     return "\n".join(lines) + "\n"
 
 
+def parse_table(
+    text: str, keys: tuple[str, str, str], layout
+) -> tuple[tuple[int, int, int], list[list[str]]]:
+    """Split a plain-text table into its header values and its checked body lines.
+
+    The first non-blank line must read ``key0 v0 key1 v1 key2 v2`` with the
+    given keys and integer values, v0 and v1 at least 1 and v2 at least 0.
+    ``layout(v0, v1, v2)`` lists the body as (line count, entries per line)
+    blocks. Returns the three values and each body line's tokens. Raises
+    ValueError for empty text, a bad header, a line count other than the
+    layout's, or a line of the wrong width.
+    """
+    lines = [ln.split() for ln in text.splitlines() if ln.strip()]
+    header = lines[0] if lines else []
+    if (
+        len(header) != 6
+        or header[0::2] != list(keys)
+        or not all(v.isdigit() for v in header[1::2])
+        or min(int(header[1]), int(header[3])) < 1
+    ):
+        expected = " ".join(f"{key} {key[0].upper()}" for key in keys)
+        raise ValueError(f"bad header; expected '{expected}' with integers, the first two >= 1")
+    values = (int(header[1]), int(header[3]), int(header[5]))
+    blocks = layout(*values)
+    n_lines = 1 + sum(count for count, _ in blocks)
+    if len(lines) != n_lines:
+        raise ValueError(f"header '{' '.join(header)}' calls for {n_lines} lines, got {len(lines)}")
+    widths = [width for count, width in blocks for _ in range(count)]
+    for number, (tokens, width) in enumerate(zip(lines[1:], widths), start=2):
+        if len(tokens) != width:
+            raise ValueError(f"line {number}: expected {width} entries, got {len(tokens)}")
+    return values, lines[1:]
+
+
 def loads_mdp(text: str, reward_mode: str = "bernoulli") -> TabularMDP:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    header = lines[0].split()
-    if header[0::2] != ["states", "actions", "features"]:
-        raise ValueError("bad header; expected 'states n actions m features k'")
-    n, m, k = int(header[1]), int(header[3]), int(header[5])
-    expected = 1 + m * n + n + (n if k else 0)
-    if len(lines) != expected:
-        raise ValueError(f"expected {expected} lines, got {len(lines)}")
-    body = iter(lines[1:])
-    transition = np.array(
-        [[[float(v) for v in next(body).split()] for _ in range(n)] for _ in range(m)]
+    (n, m, k), body = parse_table(
+        text, ("states", "actions", "features"),
+        lambda n, m, k: [(m * n, n), (n, m), (n if k else 0, k)],
     )
-    rewards = np.array([[float(v) for v in next(body).split()] for _ in range(n)])
-    features = None
-    if k:
-        features = np.array([[float(v) for v in next(body).split()] for _ in range(n)])
+    rows = [[float(v) for v in tokens] for tokens in body]
+    transition = np.array(rows[: m * n]).reshape(m, n, n)
+    rewards = np.array(rows[m * n : m * n + n])
+    features = np.array(rows[m * n + n :]) if k else None
     return TabularMDP(transition, RewardModel(rewards, reward_mode), features)
 
 

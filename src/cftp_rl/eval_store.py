@@ -27,7 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import DeterministicPolicy, SampleLedger, TabularMDP, cdf_table, inverse_cdf
+from .chains import (
+    DeterministicPolicy, SampleLedger, TabularMDP, cdf_table, inverse_cdf, parse_table,
+)
 from .errors import CapExceededError
 from .seeding import KeyedUniforms, child_sequence, seed_sequence
 from .solvers import policy_evaluation
@@ -253,21 +255,15 @@ def loads_store(text: str, mdp: TabularMDP, rng, ledger: SampleLedger | None = N
     MDP's, a row count or row width other than the header's, a next-state
     index outside [0, n_states) or a reward outside [0, 1].
     """
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    header = lines[0].split() if lines else []
-    if len(header) != 6 or header[0::2] != ["states", "actions", "rows"]:
-        raise ValueError("bad header; expected 'states n actions m rows t'")
-    n, m, t = int(header[1]), int(header[3]), int(header[5])
+    (n, m, t), body = parse_table(
+        text, ("states", "actions", "rows"), lambda n, m, t: [(2 * t, n * m)]
+    )
     if (n, m) != (mdp.n_states, mdp.n_actions):
         raise ValueError("stored shape does not match the MDP")
-    if len(lines) != 1 + 2 * t:
-        raise ValueError(f"header claims {t} rows ({1 + 2 * t} lines), got {len(lines)} lines")
     store = SampleMatrix(mdp, rng, ledger=ledger)
     for i in range(t):
-        nxt = np.array([int(v) for v in lines[1 + 2 * i].split()], dtype=np.int64)
-        reward = np.array([float(v) for v in lines[2 + 2 * i].split()])
-        if nxt.size != n * m or reward.size != n * m:
-            raise ValueError(f"row {i + 1}: expected {n * m} entries per line")
+        nxt = np.array([int(v) for v in body[2 * i]], dtype=np.int64)
+        reward = np.array([float(v) for v in body[2 * i + 1]])
         if not ((nxt >= 0) & (nxt < n)).all():
             raise ValueError(f"row {i + 1}: next-state index outside [0, {n})")
         if not ((reward >= 0.0) & (reward <= 1.0)).all():

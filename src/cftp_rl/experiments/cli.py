@@ -66,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
             description=DESCRIPTIONS[name] + "\n\nEmitted CSVs:\n  " + CSV_SCHEMAS[name],
             formatter_class=argparse.RawDescriptionHelpFormatter,
         )
-        cmd.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
+        cmd.add_argument("--seed", type=int, default=None, help="master seed, >= 0 (default 0)")
         cmd.add_argument("--out", type=str, default=None, help="output directory (default ./out)")
         cmd.add_argument(
             "--replicates", type=int, default=None, help="independent replicates (default 10)"

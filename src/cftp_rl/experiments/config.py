@@ -12,6 +12,8 @@ import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from ..apprenticeship import ENUMERATION_BUDGET
+
 
 class ConfigError(ValueError):
     """Invalid experiment configuration (maps to exit code 2)."""
@@ -47,10 +49,24 @@ class ParamSpec:
             raise ConfigError(f"bad value for {self.name}: {raw!r}") from exc
 
 
+ORACLE_SIZE_HELP = (
+    "instance {} count; the exact game value enumerates n_actions ** n_states "
+    f"policies, at most {ENUMERATION_BUDGET}"
+)
+
 PARAM_SPECS: dict[str, list[ParamSpec]] = {
     "example": [
-        ParamSpec("runs", int, 30_000, "samples per estimator per replicate"),
-        ParamSpec("t_guess", "int_list", [2, 4, 30], "mixing-time guesses for the baselines"),
+        ParamSpec(
+            "runs", int, 30_000,
+            "samples per estimator per replicate (> 10, and runs * min(min(t_guess), 3) >= "
+            "max(t_guess), so every guess finishes a run by the first step checkpoint; "
+            ">= 15 at the default guesses)",
+        ),
+        ParamSpec(
+            "t_guess", "int_list", [2, 4, 30],
+            "mixing-time guesses for the baselines (each 1 to 100: the step curve starts at "
+            "100 steps)",
+        ),
         ParamSpec("step_cap", int, 1_000_000, "per-run coalescence cap"),
     ],
     "coalescence": [
@@ -58,7 +74,10 @@ PARAM_SPECS: dict[str, list[ParamSpec]] = {
         ParamSpec("chains_per_size", int, 3, "independent chains per size"),
         ParamSpec("runs", int, 2000, "coalescence runs per chain"),
         ParamSpec("lazy_size", int, 20, "state count for the lazy-chain family (>= 2)"),
-        ParamSpec("lazy_eps", "float_list", [0.4, 0.2, 0.1], "exit rates for the lazy family"),
+        ParamSpec(
+            "lazy_eps", "float_list", [0.4, 0.2, 0.1],
+            "exit rates in (0, 1) for the lazy family (at least one)",
+        ),
         ParamSpec("grand_sizes", "int_list", [8, 16], "state counts for grand couplings"),
         ParamSpec("grand_runs", int, 500, "grand-coupling runs per size"),
         ParamSpec("delta", float, 0.05, "tail level for reference thresholds"),
@@ -70,9 +89,9 @@ PARAM_SPECS: dict[str, list[ParamSpec]] = {
         ParamSpec("k", int, 2, "feature dimension"),
         ParamSpec("n_rounds", int, 0, "rounds T; 0 derives (144/eps^2) log k"),
         ParamSpec("m", int, 0, "expert samples; 0 derives (18/eps^2) log(2k/delta)"),
-        ParamSpec("n_states", int, 4, "instance state count"),
-        ParamSpec("n_actions", int, 2, "instance action count"),
-        ParamSpec("instance_seed", int, 7, "seed of the built-in instance generator"),
+        ParamSpec("n_states", int, 4, ORACLE_SIZE_HELP.format("state")),
+        ParamSpec("n_actions", int, 2, ORACLE_SIZE_HELP.format("action")),
+        ParamSpec("instance_seed", int, 7, "seed of the built-in instance generator (>= 0)"),
         ParamSpec("step_cap", int, 1_000_000, "per-run coalescence cap"),
     ],
     "mwal-gen": [
@@ -81,17 +100,17 @@ PARAM_SPECS: dict[str, list[ParamSpec]] = {
         ParamSpec("k", int, 2, "feature dimension"),
         ParamSpec("n_rounds", int, 1500, "rounds T >= 1 (desk-scale; no closed form)"),
         ParamSpec("b", float, 2.0, "high-probability bound parameter for the columns"),
-        ParamSpec("n_states", int, 3, "instance state count"),
-        ParamSpec("n_actions", int, 2, "instance action count"),
-        ParamSpec("instance_seed", int, 11, "seed of the built-in instance generator"),
+        ParamSpec("n_states", int, 3, ORACLE_SIZE_HELP.format("state")),
+        ParamSpec("n_actions", int, 2, ORACLE_SIZE_HELP.format("action")),
+        ParamSpec("instance_seed", int, 11, "seed of the built-in instance generator (>= 0)"),
         ParamSpec("step_cap", int, 1_000_000, "per-run coalescence cap"),
     ],
     "pg": [
-        ParamSpec("samples", int, 50_000, "gradient samples per instance"),
+        ParamSpec("samples", int, 50_000, "gradient samples per instance (>= 2)"),
         ParamSpec("instance", str, "both", "single_state, random, or both"),
         ParamSpec("n_states", int, 3, "random-instance state count"),
         ParamSpec("n_actions", int, 2, "random-instance action count"),
-        ParamSpec("instance_seed", int, 5, "seed of the built-in instance generator"),
+        ParamSpec("instance_seed", int, 5, "seed of the built-in instance generator (>= 0)"),
         ParamSpec("step_cap", int, 1_000_000, "per-run coalescence cap"),
     ],
     "eval-store": [
@@ -99,7 +118,7 @@ PARAM_SPECS: dict[str, list[ParamSpec]] = {
         ParamSpec("delta", float, 0.1, "failure probability"),
         ParamSpec("n_states", int, 3, "instance state count"),
         ParamSpec("n_actions", int, 2, "instance action count"),
-        ParamSpec("instance_seed", int, 3, "seed of the built-in instance generator"),
+        ParamSpec("instance_seed", int, 3, "seed of the built-in instance generator (>= 0)"),
         ParamSpec("step_cap", int, 1_000_000, "per-run coalescence cap"),
     ],
 }
@@ -147,7 +166,11 @@ class ExperimentConfig:
             raise ConfigError("jobs must be >= 1")
         if self.jobs > 1 and self.subcommand not in PARALLEL_SUBCOMMANDS:
             raise ConfigError(f"{self.subcommand} runs in one process; jobs must be 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         p = self.params
+        if p.get("instance_seed", 0) < 0:
+            raise ConfigError(f"instance_seed must be >= 0, got {p['instance_seed']}")
         positive = {
             "runs", "chains_per_size", "lazy_size", "grand_runs", "step_cap",
             "samples", "n_states", "n_actions", "k", "b",
@@ -161,8 +184,8 @@ class ExperimentConfig:
         for key in ("sizes", "grand_sizes", "t_guess"):
             if key in p and (not p[key] or any(v < 1 for v in p[key])):
                 raise ConfigError(f"{key} must be a non-empty list of positive integers")
-        if "lazy_eps" in p and any(not 0.0 < e < 1.0 for e in p["lazy_eps"]):
-            raise ConfigError("lazy_eps entries must lie in (0, 1)")
+        if "lazy_eps" in p and (not p["lazy_eps"] or any(not 0 < e < 1 for e in p["lazy_eps"])):
+            raise ConfigError("lazy_eps must be a non-empty list of values in (0, 1)")
         if "instance" in p and p["instance"] not in ("single_state", "random", "both"):
             raise ConfigError("instance must be single_state, random, or both")
         if "n_rounds" in p and p["n_rounds"] < 0:
@@ -173,6 +196,33 @@ class ExperimentConfig:
             raise ConfigError("lazy_size must be >= 2: the lazy family measures the pair (0, 1)")
         if "m" in p and p["m"] < 0:
             raise ConfigError("m must be >= 0")
+        if self.subcommand == "example":
+            runs, guesses = p["runs"], p["t_guess"]
+            # The run curve fits its tail slope to the checkpoints in the last
+            # decade of runs, two of them only when runs > 10. The step curve
+            # starts at min(100, fewest total steps), and a CFTP run costs at
+            # least 3 steps, so every guess ends a run by then under this rule.
+            if runs <= 10:
+                raise ConfigError(f"runs must be > 10 for the tail slope, got {runs}")
+            first_checkpoint = min(100, runs * min(min(guesses), 3))
+            if first_checkpoint < max(guesses):
+                raise ConfigError(
+                    "every guess must finish a run by the first step checkpoint: need "
+                    f"min(100, runs * min(min(t_guess), 3)) >= max(t_guess) = {max(guesses)}, "
+                    f"got {first_checkpoint}"
+                )
+        if self.subcommand == "pg" and p["samples"] < 2:
+            raise ConfigError("samples must be >= 2 for a standard error")
+        if self.subcommand in ("mwal", "mwal-gen"):
+            n, a = p["n_states"], p["n_actions"]
+            # For a >= 2, a ** bit_length(budget) already exceeds the budget,
+            # so capping the exponent there keeps the power small and changes
+            # no verdict.
+            if a ** min(n, ENUMERATION_BUDGET.bit_length()) > ENUMERATION_BUDGET:
+                raise ConfigError(
+                    f"the exact game value enumerates n_actions ** n_states = {a} ** {n} "
+                    f"policies, more than the oracle's limit of {ENUMERATION_BUDGET}"
+                )
 
 
 def read_config_file(path: Path) -> dict[str, str]:

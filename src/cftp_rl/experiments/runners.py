@@ -52,8 +52,8 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list], config_hash: str) -> None:
-    lines = [f"# config_hash={config_hash}", ",".join(header)]
+def _write_csv(path: Path, header: list[str], rows: list[list], config: ExperimentConfig) -> None:
+    lines = [f"# config_hash={config.config_hash()}", ",".join(header)]
     lines.extend(",".join(_format_cell(cell) for cell in row) for row in rows)
     path.write_text("\n".join(lines) + "\n")
 
@@ -115,6 +115,19 @@ def _example_bias_floor(t_guess: int) -> float:
     return float((dist @ chain.reward.means - TRUTH_EXAMPLE) ** 2)
 
 
+def _mse_se(errors) -> tuple[float, float]:
+    """Mean squared error over replicates and its standard error."""
+    sq = np.asarray(errors) ** 2
+    se = float(sq.std(ddof=1) / math.sqrt(len(sq))) if len(sq) > 1 else 0.0
+    return float(sq.mean()), se
+
+
+def _curve(rows: list[list], name: str, x_col: int, y_col: int) -> tuple[list, list]:
+    """Columns x_col and y_col of the rows whose first cell is ``name``."""
+    picked = [row for row in rows if row[0] == name]
+    return [row[x_col] for row in picked], [row[y_col] for row in picked]
+
+
 def run_example(config: ExperimentConfig) -> None:
     out = _prepare_out(config)
     n_runs = config.param("runs")
@@ -135,37 +148,26 @@ def run_example(config: ExperimentConfig) -> None:
 
     run_grid = _grid_1_2_5(10, n_runs)
     rows_runs = []
-    curves_runs = {name: ([], []) for name in estimators}
-    mse_by_estimator: dict[str, dict[int, float]] = {name: {} for name in estimators}
     for name in estimators:
         for checkpoint in run_grid:
-            errors = np.array(
+            mse, se = _mse_se(
                 [rep[name][0][:checkpoint].mean() - TRUTH_EXAMPLE for rep in per_replicate]
             )
-            sq = errors**2
-            mse = float(sq.mean())
-            se = float(sq.std(ddof=1) / math.sqrt(len(sq))) if len(sq) > 1 else 0.0
             mean_steps = float(
                 np.mean([rep[name][1][:checkpoint].sum() for rep in per_replicate])
             )
             rows_runs.append([name, checkpoint, mse, se, mean_steps])
-            curves_runs[name][0].append(checkpoint)
-            curves_runs[name][1].append(mse)
-            mse_by_estimator[name][checkpoint] = mse
     _write_csv(
         out / "example_mse_vs_runs.csv",
         ["estimator", "runs", "mse", "se_mse", "mean_steps"],
         rows_runs,
-        config.config_hash(),
+        config,
     )
 
-    total_steps = {
-        name: min(int(rep[name][1].sum()) for rep in per_replicate) for name in estimators
-    }
-    step_grid = _grid_1_2_5(100, min(total_steps.values()))
+    step_grid = _grid_1_2_5(
+        100, min(int(rep[name][1].sum()) for rep in per_replicate for name in estimators)
+    )
     rows_steps = []
-    curves_steps = {name: ([], []) for name in estimators}
-    final_step_mse = {}
     for name in estimators:
         for checkpoint in step_grid:
             errors = []
@@ -177,45 +179,37 @@ def run_example(config: ExperimentConfig) -> None:
                     continue
                 errors.append(rep[name][0][:k].mean() - TRUTH_EXAMPLE)
                 used_runs.append(k)
-            sq = np.array(errors) ** 2
-            mse = float(sq.mean())
-            se = float(sq.std(ddof=1) / math.sqrt(len(sq))) if len(sq) > 1 else 0.0
-            rows_steps.append([name, checkpoint, mse, se, float(np.mean(used_runs))])
-            curves_steps[name][0].append(checkpoint)
-            curves_steps[name][1].append(mse)
-            final_step_mse[name] = mse
+            rows_steps.append([name, checkpoint, *_mse_se(errors), float(np.mean(used_runs))])
     _write_csv(
         out / "example_mse_vs_steps.csv",
         ["estimator", "steps", "mse", "se_mse", "mean_runs"],
         rows_steps,
-        config.config_hash(),
+        config,
     )
 
     # Summary: analytic bias floors, the tail log-log slope of the unbiased
-    # curve, and the equal-step-budget comparison at the last checkpoint.
-    last_decade = [c for c in run_grid if c >= n_runs / 10]
-    xs = np.log([c for c in last_decade])
-    ys = np.log([max(mse_by_estimator["cftp"][c], 1e-300) for c in last_decade])
-    slope = float(np.polyfit(xs, ys, 1)[0])
-    summary_rows = []
-    for t_guess in t_guess_list:
-        name = f"guess_{t_guess}"
-        summary_rows.append(
-            [name, _example_bias_floor(t_guess), mse_by_estimator[name][run_grid[-1]], np.nan]
-        )
-    summary_rows.append(["cftp", 0.0, mse_by_estimator["cftp"][run_grid[-1]], slope])
+    # curve, and each estimator's MSE at the last run checkpoint.
+    tail = [(c, mse) for c, mse in zip(*_curve(rows_runs, "cftp", 1, 2)) if c >= n_runs / 10]
+    slope = float(np.polyfit(np.log([c for c, _ in tail]),
+                             np.log([max(mse, 1e-300) for _, mse in tail]), 1)[0])
+    final_mse = {row[0]: row[2] for row in rows_runs}  # the last checkpoint wins
+    summary_rows = [
+        [f"guess_{t}", _example_bias_floor(t), final_mse[f"guess_{t}"], np.nan]
+        for t in t_guess_list
+    ]
+    summary_rows.append(["cftp", 0.0, final_mse["cftp"], slope])
     _write_csv(
         out / "example_summary.csv",
         ["estimator", "bias_floor", "final_mse_vs_runs", "tail_loglog_slope"],
         summary_rows,
-        config.config_hash(),
+        config,
     )
 
-    for stem, curves, x_label in (
-        ("example_mse_vs_runs", curves_runs, "runs"),
-        ("example_mse_vs_steps", curves_steps, "simulation steps"),
+    for stem, rows, x_label in (
+        ("example_mse_vs_runs", rows_runs, "runs"),
+        ("example_mse_vs_steps", rows_steps, "simulation steps"),
     ):
-        series = [(name, curves[name][0], curves[name][1]) for name in estimators]
+        series = [(name, *_curve(rows, name, 1, 2)) for name in estimators]
         (out / f"{stem}.svg").write_text(
             line_chart(series, stem.replace("_", " "), x_label, "MSE", log_x=True, log_y=True)
         )
@@ -225,14 +219,43 @@ def run_example(config: ExperimentConfig) -> None:
 # coalescence: scaling studies for pairwise and grand couplings
 # ---------------------------------------------------------------------------
 
+COALESCENCE_HEADER = [
+    "family", "size", "chain_id", "eps", "t_mix", "mean_tc",
+    "q50", "q90", "q99", "mean_bound", "tail_threshold", "exceed_frac", "n_runs", "status",
+]
+
+# family -> (curve label, reference label, reference column, title, x label)
+COALESCENCE_CHARTS = {
+    "random": ("mean coalescence time", "2 n Tmix", "mean_bound",
+               "two-chain coalescence, random ergodic chains", "states"),
+    "lazy": ("mean coalescence time", "n / (2 eps)", "mean_bound",
+             "two-chain coalescence, lazy chains", "1 / eps"),
+    "grand": ("mean merge time", "512 n Tmix log(1/delta)", "tail_threshold",
+              "grand coupling merge times", "states"),
+}
+
+
+def _coalescence_row(family, size, chain_id, eps, t_mix, times, mean_bound, threshold, capped):
+    return [
+        family, size, chain_id, eps, t_mix,
+        float(times.mean()),
+        float(np.quantile(times, 0.5)),
+        float(np.quantile(times, 0.9)),
+        float(np.quantile(times, 0.99)),
+        mean_bound,
+        threshold,
+        float((times > threshold).mean()),
+        int(times.size),
+        "capped" if capped else "ok",
+    ]
+
+
 def run_coalescence(config: ExperimentConfig) -> None:
     out = _prepare_out(config)
-    delta = config.param("delta")
+    log_delta = math.log(1 / config.param("delta"))
     step_cap = config.param("step_cap")
     n_runs = config.param("runs")
     rows = []
-    random_curve = ([], [])
-    random_ref = ([], [])
     for size in config.param("sizes"):
         for chain_id in range(config.param("chains_per_size")):
             chain = random_ergodic_chain(size, substream(config.seed, 1, size, chain_id))
@@ -241,28 +264,10 @@ def run_coalescence(config: ExperimentConfig) -> None:
                 chain, 0, size - 1, n_runs, substream(config.seed, 2, size, chain_id),
                 step_cap, censor_at_cap=True,
             )
-            capped = int((times >= step_cap).sum())
-            threshold = 2 * size * t_mix * math.log(1 / delta)
-            rows.append(
-                [
-                    "random", size, chain_id, np.nan, t_mix,
-                    float(times.mean()),
-                    float(np.quantile(times, 0.5)),
-                    float(np.quantile(times, 0.9)),
-                    float(np.quantile(times, 0.99)),
-                    2.0 * size * t_mix,
-                    threshold,
-                    float((times > threshold).mean()),
-                    n_runs,
-                    "capped" if capped else "ok",
-                ]
-            )
-            random_curve[0].append(size)
-            random_curve[1].append(float(times.mean()))
-            random_ref[0].append(size)
-            random_ref[1].append(2.0 * size * t_mix)
-    lazy_curve = ([], [])
-    lazy_ref = ([], [])
+            rows.append(_coalescence_row(
+                "random", size, chain_id, np.nan, t_mix, times, 2.0 * size * t_mix,
+                2 * size * t_mix * log_delta, (times >= step_cap).sum(),
+            ))
     lazy_size = config.param("lazy_size")
     for eps in config.param("lazy_eps"):
         chain = lower_bound_chain(lazy_size, eps)
@@ -271,92 +276,36 @@ def run_coalescence(config: ExperimentConfig) -> None:
             chain, 0, 1, n_runs, substream(config.seed, 3, int(1000 * eps)),
             step_cap, censor_at_cap=True,
         )
-        capped = int((times >= step_cap).sum())
-        threshold = 2 * lazy_size * t_mix * math.log(1 / delta)
-        rows.append(
-            [
-                "lazy", lazy_size, 0, eps, t_mix,
-                float(times.mean()),
-                float(np.quantile(times, 0.5)),
-                float(np.quantile(times, 0.9)),
-                float(np.quantile(times, 0.99)),
-                lazy_size / (2 * eps),
-                threshold,
-                float((times > threshold).mean()),
-                n_runs,
-                "capped" if capped else "ok",
-            ]
-        )
-        lazy_curve[0].append(1.0 / eps)
-        lazy_curve[1].append(float(times.mean()))
-        lazy_ref[0].append(1.0 / eps)
-        lazy_ref[1].append(lazy_size / (2 * eps))
-    grand_curve = ([], [])
-    grand_ref = ([], [])
+        rows.append(_coalescence_row(
+            "lazy", lazy_size, 0, eps, t_mix, times, lazy_size / (2 * eps),
+            2 * lazy_size * t_mix * log_delta, (times >= step_cap).sum(),
+        ))
     for size in config.param("grand_sizes"):
         chain = random_ergodic_chain(size, substream(config.seed, 4, size))
         t_mix = mixing_time(chain)
-        merge_list = []
-        capped = 0
+        merges, capped = [], 0
         for i in range(config.param("grand_runs")):
             try:
-                merge_list.append(
+                merges.append(
                     grand_coupling_sim(chain, substream(config.seed, 5, size, i), step_cap).merge_time
                 )
             except CapExceededError:
-                merge_list.append(step_cap)
+                merges.append(step_cap)
                 capped += 1
-        merges = np.array(merge_list)
-        threshold = 512 * size * t_mix * math.log(1 / delta)
-        rows.append(
-            [
-                "grand", size, 0, np.nan, t_mix,
-                float(merges.mean()),
-                float(np.quantile(merges, 0.5)),
-                float(np.quantile(merges, 0.9)),
-                float(np.quantile(merges, 0.99)),
-                2.0 * size * t_mix,
-                threshold,
-                float((merges > threshold).mean()),
-                int(merges.size),
-                "capped" if capped else "ok",
-            ]
-        )
-        grand_curve[0].append(size)
-        grand_curve[1].append(float(merges.mean()))
-        grand_ref[0].append(size)
-        grand_ref[1].append(threshold)
-    _write_csv(
-        out / "coalescence.csv",
-        [
-            "family", "size", "chain_id", "eps", "t_mix", "mean_tc",
-            "q50", "q90", "q99", "mean_bound", "tail_threshold", "exceed_frac", "n_runs",
-            "status",
-        ],
-        rows,
-        config.config_hash(),
-    )
-    (out / "coalescence_random.svg").write_text(
-        line_chart(
-            [("mean coalescence time", *random_curve), ("2 n Tmix", *random_ref)],
-            "two-chain coalescence, random ergodic chains",
-            "states", "steps",
-        )
-    )
-    (out / "coalescence_lazy.svg").write_text(
-        line_chart(
-            [("mean coalescence time", *lazy_curve), ("n / (2 eps)", *lazy_ref)],
-            "two-chain coalescence, lazy chains",
-            "1 / eps", "steps",
-        )
-    )
-    (out / "coalescence_grand.svg").write_text(
-        line_chart(
-            [("mean merge time", *grand_curve), ("512 n Tmix log(1/delta)", *grand_ref)],
-            "grand coupling merge times",
-            "states", "steps", log_y=True,
-        )
-    )
+        rows.append(_coalescence_row(
+            "grand", size, 0, np.nan, t_mix, np.array(merges), 2.0 * size * t_mix,
+            512 * size * t_mix * log_delta, capped,
+        ))
+    _write_csv(out / "coalescence.csv", COALESCENCE_HEADER, rows, config)
+    col = COALESCENCE_HEADER.index
+    for family, (label, ref_label, ref, title, x_label) in COALESCENCE_CHARTS.items():
+        sizes, means = _curve(rows, family, col("size"), col("mean_tc"))
+        eps, refs = _curve(rows, family, col("eps"), col(ref))
+        xs = [1.0 / e for e in eps] if family == "lazy" else sizes
+        (out / f"coalescence_{family}.svg").write_text(line_chart(
+            [(label, xs, means), (ref_label, xs, refs)],
+            title, x_label, "steps", log_y=family == "grand",
+        ))
 
 
 # ---------------------------------------------------------------------------
@@ -377,100 +326,80 @@ def _thm8_budgets(epsilon: float, delta: float, k: int) -> tuple[int, int]:
     return n_rounds, m
 
 
-def run_mwal(config: ExperimentConfig) -> None:
+def _run_apprenticeship(config: ExperimentConfig, stem: str, n_rounds: int, learn) -> None:
+    """Shared body of mwal and mwal-gen.
+
+    ``learn(mdp, expert, rng)`` runs one replicate's learner and returns its
+    result plus two dicts of summary cells: those that go between n_rounds
+    and v_star, and those that go between success and expert_calls.
+    """
     out = _prepare_out(config)
-    epsilon, delta, k = config.param("epsilon"), config.param("delta"), config.param("k")
-    derived_rounds, derived_m = _thm8_budgets(epsilon, delta, k)
-    n_rounds = config.param("n_rounds") or derived_rounds
-    m = config.param("m") or derived_m
+    k = config.param("k")
     mdp, expert_policy = _mwal_instance(
         config.param("n_states"), config.param("n_actions"), k, config.param("instance_seed")
     )
     phi_expert = feature_expectations_exact(mdp, expert_policy)
-    oracle = game_value_oracle(mdp, expert_policy)
-    summary_rows = []
+    v_star = game_value_oracle(mdp, expert_policy).value
+    summary = []
     for replicate in range(config.replicates):
         expert = ExpertModel(expert_policy, mdp.n_actions, substream(config.seed, replicate, 0))
-        result = mwal(
-            mdp, expert, k, n_rounds, m, child_sequence(config.seed, replicate, 1),
-            step_cap=config.param("step_cap"),
-        )
+        result, lead, trail = learn(mdp, expert, child_sequence(config.seed, replicate, 1))
         margin = margin_against_all_rewards(mdp, result.mixture, phi_expert)
-        summary_rows.append(
-            [
-                replicate, n_rounds, m, result.beta, oracle.value, margin,
-                margin >= oracle.value - epsilon,
-                result.expert_calls, result.generative_calls,
-            ]
-        )
+        summary.append({
+            "replicate": replicate, "n_rounds": n_rounds, **lead,
+            "v_star": v_star, "margin": margin,
+            "success": margin >= v_star - config.param("epsilon"), **trail,
+            "expert_calls": result.expert_calls, "generative_calls": result.generative_calls,
+        })
         if replicate == 0:
             text = f"# config_hash={config.config_hash()}\n" + mwal_rounds_csv(result)
-            (out / "mwal_rounds.csv").write_text(text)
+            (out / f"{stem}_rounds.csv").write_text(text)
             series = [
                 (f"w_{i}", list(range(1, n_rounds + 1)), list(result.weights[:, i]))
                 for i in range(k)
             ]
-            (out / "mwal_weights.svg").write_text(
+            (out / f"{stem}_weights.svg").write_text(
                 line_chart(series, "feature weights per round", "round", "weight")
             )
     _write_csv(
-        out / "mwal_summary.csv",
-        [
-            "replicate", "n_rounds", "m", "beta", "v_star", "margin",
-            "success", "expert_calls", "generative_calls",
-        ],
-        summary_rows,
-        config.config_hash(),
+        out / f"{stem}_summary.csv", list(summary[0]), [list(row.values()) for row in summary],
+        config,
     )
+
+
+def run_mwal(config: ExperimentConfig) -> None:
+    derived_rounds, derived_m = _thm8_budgets(
+        config.param("epsilon"), config.param("delta"), config.param("k")
+    )
+    n_rounds = config.param("n_rounds") or derived_rounds
+    m = config.param("m") or derived_m
+
+    def learn(mdp, expert, rng):
+        result = mwal(
+            mdp, expert, config.param("k"), n_rounds, m, rng, step_cap=config.param("step_cap")
+        )
+        return result, {"m": m, "beta": result.beta}, {}
+
+    _run_apprenticeship(config, "mwal", n_rounds, learn)
 
 
 def run_mwal_gen(config: ExperimentConfig) -> None:
-    out = _prepare_out(config)
-    epsilon, delta, k = config.param("epsilon"), config.param("delta"), config.param("k")
     n_rounds, b = config.param("n_rounds"), config.param("b")
-    mdp, expert_policy = _mwal_instance(
-        config.param("n_states"), config.param("n_actions"), k, config.param("instance_seed")
-    )
-    phi_expert = feature_expectations_exact(mdp, expert_policy)
-    oracle = game_value_oracle(mdp, expert_policy)
-    summary_rows = []
-    for replicate in range(config.replicates):
-        expert = ExpertModel(expert_policy, mdp.n_actions, substream(config.seed, replicate, 0))
+
+    def learn(mdp, expert, rng):
         result = mwal_generative(
-            mdp, expert, k, n_rounds, delta, b, child_sequence(config.seed, replicate, 1),
+            mdp, expert, config.param("k"), n_rounds, config.param("delta"), b, rng,
             step_cap=config.param("step_cap"),
         )
-        margin = margin_against_all_rewards(mdp, result.mixture, phi_expert)
         norms = np.abs(result.raw_columns).max(axis=1)
-        tail = [float((norms > ell * b).mean()) for ell in range(1, 5)]
-        summary_rows.append(
-            [
-                replicate, n_rounds, b, result.rescale_bound, oracle.value, margin,
-                margin >= oracle.value - epsilon,
-                int(result.clamped.sum()), *tail,
-                result.expert_calls, result.generative_calls,
-            ]
+        tails = {f"tail_{ell}b": float((norms > ell * b).mean()) for ell in range(1, 5)}
+        return (
+            result,
+            {"b": b, "rescale_bound": result.rescale_bound},
+            {"n_clamped": int(result.clamped.sum()), **tails},
         )
-        if replicate == 0:
-            text = f"# config_hash={config.config_hash()}\n" + mwal_rounds_csv(result)
-            (out / "mwal_gen_rounds.csv").write_text(text)
-            series = [
-                (f"w_{i}", list(range(1, n_rounds + 1)), list(result.weights[:, i]))
-                for i in range(k)
-            ]
-            (out / "mwal_gen_weights.svg").write_text(
-                line_chart(series, "feature weights per round", "round", "weight")
-            )
-    _write_csv(
-        out / "mwal_gen_summary.csv",
-        [
-            "replicate", "n_rounds", "b", "rescale_bound", "v_star", "margin", "success",
-            "n_clamped", "tail_1b", "tail_2b", "tail_3b", "tail_4b",
-            "expert_calls", "generative_calls",
-        ],
-        summary_rows,
-        config.config_hash(),
-    )
+
+    _run_apprenticeship(config, "mwal_gen", n_rounds, learn)
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +459,7 @@ def run_pg(config: ExperimentConfig) -> None:
         out / "pg_components.csv",
         ["instance", "state", "action", "estimate", "se", "oracle", "z", "within_3se"],
         rows,
-        config.config_hash(),
+        config,
     )
 
 
@@ -579,7 +508,7 @@ def run_eval_store(config: ExperimentConfig) -> None:
         out / "eval_store_policies.csv",
         ["replicate", "policy", "estimate", "exact", "abs_err"],
         rows,
-        config.config_hash(),
+        config,
     )
     _write_csv(
         out / "eval_store_summary.csv",
@@ -588,7 +517,7 @@ def run_eval_store(config: ExperimentConfig) -> None:
             "shared_calls", "fresh_calls", "shared_below_fresh",
         ],
         summary_rows,
-        config.config_hash(),
+        config,
     )
 
 

@@ -35,6 +35,27 @@ def _fmt(value: float) -> str:
     return f"{value:g}"
 
 
+def _visible(xs, ys, log_x: bool, log_y: bool) -> list[tuple[float, float]]:
+    """The (x, y) points a chart can place: no NaN, and positive on a log axis."""
+    return [
+        (x, y)
+        for x, y in zip(xs, ys)
+        if not (math.isnan(x) or math.isnan(y))
+        and not (log_x and x <= 0)
+        and not (log_y and y <= 0)
+    ]
+
+
+def _offset(value: float, lo: float, hi: float, log: bool, span: float) -> float:
+    """Distance of ``value`` from the axis start, on an axis of length ``span``."""
+    if log:
+        lo, hi = math.log10(lo), math.log10(max(hi, lo * 10))
+        return span * (math.log10(value) - lo) / (hi - lo)
+    if hi == lo:
+        return span / 2
+    return span * (value - lo) / (hi - lo)
+
+
 def line_chart(
     series: list[tuple[str, list[float], list[float]]],
     title: str,
@@ -44,38 +65,18 @@ def line_chart(
     log_y: bool = False,
 ) -> str:
     """Render named (x, y) polylines with axes, ticks, and a legend."""
-    points = [
-        (x, y)
-        for _, xs, ys in series
-        for x, y in zip(xs, ys)
-        if not (math.isnan(x) or math.isnan(y))
-        and not (log_x and x <= 0)
-        and not (log_y and y <= 0)
-    ]
+    points = [p for _, xs, ys in series for p in _visible(xs, ys, log_x, log_y)]
     if not points:
         raise ValueError("nothing to plot")
-    x_lo = min(p[0] for p in points)
-    x_hi = max(p[0] for p in points)
-    y_lo = min(p[1] for p in points)
-    y_hi = max(p[1] for p in points)
+    x_lo, x_hi = min(p[0] for p in points), max(p[0] for p in points)
+    y_lo, y_hi = min(p[1] for p in points), max(p[1] for p in points)
+    axis_y = HEIGHT - MARGIN_BOTTOM
 
     def x_pos(x: float) -> float:
-        span = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
-        if log_x:
-            lo, hi = math.log10(x_lo), math.log10(max(x_hi, x_lo * 10))
-            return MARGIN_LEFT + span * (math.log10(x) - lo) / (hi - lo)
-        if x_hi == x_lo:
-            return MARGIN_LEFT + span / 2
-        return MARGIN_LEFT + span * (x - x_lo) / (x_hi - x_lo)
+        return MARGIN_LEFT + _offset(x, x_lo, x_hi, log_x, WIDTH - MARGIN_LEFT - MARGIN_RIGHT)
 
     def y_pos(y: float) -> float:
-        span = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
-        if log_y:
-            lo, hi = math.log10(y_lo), math.log10(max(y_hi, y_lo * 10))
-            return HEIGHT - MARGIN_BOTTOM - span * (math.log10(y) - lo) / (hi - lo)
-        if y_hi == y_lo:
-            return HEIGHT - MARGIN_BOTTOM - span / 2
-        return HEIGHT - MARGIN_BOTTOM - span * (y - y_lo) / (y_hi - y_lo)
+        return axis_y - _offset(y, y_lo, y_hi, log_y, HEIGHT - MARGIN_TOP - MARGIN_BOTTOM)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
@@ -83,36 +84,26 @@ def line_chart(
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<text x="{WIDTH / 2:.1f}" y="22" text-anchor="middle" font-size="16" '
         f'font-family="sans-serif">{title}</text>',
-    ]
-    axis_y = HEIGHT - MARGIN_BOTTOM
-    parts.append(
         f'<line x1="{MARGIN_LEFT}" y1="{axis_y}" x2="{WIDTH - MARGIN_RIGHT}" y2="{axis_y}" '
-        'stroke="black"/>'
-    )
-    parts.append(
+        'stroke="black"/>',
         f'<line x1="{MARGIN_LEFT}" y1="{MARGIN_TOP}" x2="{MARGIN_LEFT}" y2="{axis_y}" '
-        'stroke="black"/>'
+        'stroke="black"/>',
+    ]
+    # Per axis: its range and scale, then a tick mark and a label at position p.
+    axes = (
+        (x_lo, x_hi, log_x, x_pos,
+         lambda p: f'<line x1="{p:.1f}" y1="{axis_y}" x2="{p:.1f}" y2="{axis_y + 5}" stroke="black"/>',
+         lambda p: f'<text x="{p:.1f}" y="{axis_y + 20}" text-anchor="middle"'),
+        (y_lo, y_hi, log_y, y_pos,
+         lambda p: f'<line x1="{MARGIN_LEFT - 5}" y1="{p:.1f}" x2="{MARGIN_LEFT}" y2="{p:.1f}" stroke="black"/>',
+         lambda p: f'<text x="{MARGIN_LEFT - 9}" y="{p + 4:.1f}" text-anchor="end"'),
     )
-    x_ticks = _ticks_log(x_lo, x_hi) if log_x else _ticks_linear(x_lo, x_hi)
-    for tick in x_ticks:
-        if not x_lo <= tick <= x_hi * (1 + 1e-12):
-            continue
-        px = x_pos(tick)
-        parts.append(f'<line x1="{px:.1f}" y1="{axis_y}" x2="{px:.1f}" y2="{axis_y + 5}" stroke="black"/>')
-        parts.append(
-            f'<text x="{px:.1f}" y="{axis_y + 20}" text-anchor="middle" font-size="11" '
-            f'font-family="sans-serif">{_fmt(tick)}</text>'
-        )
-    y_ticks = _ticks_log(y_lo, y_hi) if log_y else _ticks_linear(y_lo, y_hi)
-    for tick in y_ticks:
-        if not y_lo <= tick <= y_hi * (1 + 1e-12):
-            continue
-        py = y_pos(tick)
-        parts.append(f'<line x1="{MARGIN_LEFT - 5}" y1="{py:.1f}" x2="{MARGIN_LEFT}" y2="{py:.1f}" stroke="black"/>')
-        parts.append(
-            f'<text x="{MARGIN_LEFT - 9}" y="{py + 4:.1f}" text-anchor="end" font-size="11" '
-            f'font-family="sans-serif">{_fmt(tick)}</text>'
-        )
+    for lo, hi, log, pos, mark, label in axes:
+        for tick in _ticks_log(lo, hi) if log else _ticks_linear(lo, hi):
+            if lo <= tick <= hi * (1 + 1e-12):
+                p = pos(tick)
+                parts.append(mark(p))
+                parts.append(f'{label(p)} font-size="11" font-family="sans-serif">{_fmt(tick)}</text>')
     parts.append(
         f'<text x="{(MARGIN_LEFT + WIDTH - MARGIN_RIGHT) / 2:.1f}" y="{HEIGHT - 12}" '
         f'text-anchor="middle" font-size="13" font-family="sans-serif">{x_label}</text>'
@@ -124,13 +115,7 @@ def line_chart(
     )
     for idx, (name, xs, ys) in enumerate(series):
         color = PALETTE[idx % len(PALETTE)]
-        coords = [
-            f"{x_pos(x):.2f},{y_pos(y):.2f}"
-            for x, y in zip(xs, ys)
-            if not (math.isnan(x) or math.isnan(y))
-            and not (log_x and x <= 0)
-            and not (log_y and y <= 0)
-        ]
+        coords = [f"{x_pos(x):.2f},{y_pos(y):.2f}" for x, y in _visible(xs, ys, log_x, log_y)]
         if coords:
             parts.append(
                 f'<polyline points="{" ".join(coords)}" fill="none" stroke="{color}" stroke-width="1.8"/>'

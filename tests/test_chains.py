@@ -309,6 +309,34 @@ class TestSerialization:
         with pytest.raises(ValueError, match="header"):
             loads_mdp("states 2 foo 1 features 0\n")
 
+    @pytest.mark.parametrize(
+        "corrupt, match",
+        [
+            (lambda ls: [], "header"),
+            (lambda ls: ["states 2 actions 2 features"] + ls[1:], "header"),
+            (lambda ls: ["states 2 acts 2 features 1"] + ls[1:], "header"),
+            (lambda ls: ["states 2.5 actions 2 features 1"] + ls[1:], "header"),
+            (lambda ls: ["states 0 actions 2 features 1"] + ls[1:], "header"),
+            (lambda ls: ls[:-1], "lines"),
+            (lambda ls: ls + ls[-1:], "lines"),
+            (lambda ls: [ls[0], ls[1] + " 0.5"] + ls[2:], "entries"),
+            (lambda ls: ls[:5] + [ls[5].split()[0]] + ls[6:], "entries"),
+            (lambda ls: ls[:-1] + [ls[-1] + " 0.1"], "entries"),
+        ],
+        ids=[
+            "empty", "header_short", "header_key", "header_float", "no_states",
+            "line_missing", "line_extra", "transition_long", "reward_short", "feature_long",
+        ],
+    )
+    def test_corrupt_file_is_rejected(self, corrupt, match):
+        # A 2-state, 2-action, 1-feature MDP: header, 4 transition rows,
+        # 2 reward rows, 2 feature rows.
+        lines = dumps_mdp(random_mdp(2, 2, rng=3, n_features=1)).splitlines()
+        text = "\n".join(corrupt(lines)) + "\n"
+        for parse in (loads_mdp, loads_chain):
+            with pytest.raises(ValueError, match=match):
+                parse(text)
+
     def test_files_round_trip(self, tmp_path):
         from cftp_rl.chains import load_mdp, save_mdp
 

@@ -195,6 +195,26 @@ class TestExitCodes:
         # Only mwal derives n_rounds from 0; the lazy family needs the pair (0, 1).
         assert run_cli("mwal-gen", "--out", str(tmp_path), "--n-rounds", "0") == 2
         assert run_cli("coalescence", "--out", str(tmp_path), "--lazy-size", "1") == 2
+        # Inputs that crashed, wrote nan or hit the oracle's enumeration limit
+        # inside the runner; each must fail before its output directory exists.
+        bad = [(sub, "--seed", "-1") for sub in
+               ("example", "coalescence", "mwal", "mwal-gen", "pg", "eval-store")]
+        bad += [(sub, "--instance-seed", "-1") for sub in ("mwal", "mwal-gen", "pg", "eval-store")]
+        bad += [
+            ("coalescence", "--lazy-eps", ""),
+            ("example", "--runs", "2"),
+            ("example", "--runs", "12"),
+            ("example", "--runs", "14"),
+            ("example", "--runs", "10", "--t-guess", "2"),
+            ("example", "--runs", "1000", "--t-guess", "2,500"),
+            ("pg", "--samples", "1"),
+            ("mwal", "--n-states", "9"),
+            ("mwal-gen", "--n-states", "9"),
+        ]
+        for i, argv in enumerate(bad):
+            out = tmp_path / f"bad{i}"
+            assert run_cli(*argv, "--out", str(out)) == 2, argv
+            assert not out.exists(), argv
 
     def test_config_file_error_is_two(self, tmp_path):
         bad = tmp_path / "bad.txt"

@@ -1,0 +1,88 @@
+"""Run the CLI recipe in two checkouts and list every output file that differs.
+
+Usage, from anywhere:
+
+    python3 tools/cli_pairs.py --parent DIR --change DIR
+
+DIR is the root of a checkout (e.g. ``git archive <commit> | tar -x -C DIR``).
+In each checkout it runs the six subcommands at the test_12 configs and at
+their defaults, writing into a temporary directory. It then compares the
+two output trees file by file: every CSV, SVG and ``config.txt``. It
+prints one line per file that differs or exists on one side only, then a
+count, and exits 1 if any file differs, 0 if all match. A subcommand that
+exits non-zero stops the comparison with exit code 2.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SUBCOMMANDS = ("example", "coalescence", "mwal", "mwal-gen", "pg", "eval-store")
+
+# The test_12 configs: each subcommand at a small, fast size.
+T12_FLAGS = {
+    "example": "--seed 3 --runs 400 --replicates 3",
+    "coalescence": "--seed 3 --runs 120 --sizes 4 --chains-per-size 1 --grand-sizes 5 "
+                   "--grand-runs 25 --lazy-eps 0.4,0.2",
+    "mwal": "--seed 3 --n-rounds 25 --m 60 --replicates 2",
+    "mwal-gen": "--seed 3 --n-rounds 30 --replicates 2",
+    "pg": "--seed 3 --samples 1500",
+    "eval-store": "--seed 3 --epsilon 0.25 --delta 0.25 --replicates 1",
+}
+
+RUNS = [(f"{sub}-t12", sub, T12_FLAGS[sub].split()) for sub in SUBCOMMANDS] + [
+    (f"{sub}-default", sub, []) for sub in SUBCOMMANDS
+]
+
+
+def run_side(root: Path, out: Path) -> None:
+    env = dict(os.environ, PYTHONPATH=str(root.resolve() / "src"))
+    for name, sub, flags in RUNS:
+        cmd = [sys.executable, "-m", "cftp_rl.experiments.cli", sub, "--out", str(out / name), *flags]
+        subprocess.run(cmd, cwd=root, env=env, check=True)
+        print(f"{root}: {name} done", file=sys.stderr)
+
+
+def differing_files(left: Path, right: Path) -> tuple[list[str], int]:
+    names = sorted(
+        {str(p.relative_to(left)) for p in left.rglob("*") if p.is_file()}
+        | {str(p.relative_to(right)) for p in right.rglob("*") if p.is_file()}
+    )
+    differ = []
+    for name in names:
+        a, b = left / name, right / name
+        if not (a.is_file() and b.is_file()):
+            differ.append(f"{name} (only in {'parent' if a.is_file() else 'change'})")
+        elif a.read_bytes() != b.read_bytes():
+            differ.append(name)
+    return differ, len(names)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    args = parser.parse_args(argv)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        try:
+            for side in ("parent", "change"):
+                run_side(getattr(args, side), work / side)
+        except subprocess.CalledProcessError as exc:
+            print(f"{' '.join(exc.cmd[3:])} exited {exc.returncode}", file=sys.stderr)
+            return 2
+        differ, total = differing_files(work / "parent", work / "change")
+    for name in differ:
+        print(name)
+    print(f"{len(differ)} of {total} files differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
