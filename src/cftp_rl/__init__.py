@@ -7,7 +7,6 @@ exact linear-algebra oracles.
 
 from .chains import (
     DeterministicPolicy,
-    GenerativeModel,
     MarkovChain,
     MixedPolicy,
     RewardModel,

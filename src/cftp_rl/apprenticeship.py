@@ -62,9 +62,6 @@ class ExpertModel:
         self.rng = as_generator(rng)
         self.ledger = ledger if ledger is not None else SampleLedger()
 
-    def act(self, state: int) -> int:
-        return int(self.act_batch(np.array([state], dtype=np.int64))[0])
-
     def act_batch(self, states: np.ndarray) -> np.ndarray:
         actions = inverse_cdf(self._cum, states, self.rng.random(states.shape[0]))
         self.ledger.add_expert(states.shape[0])

@@ -354,41 +354,6 @@ class SampleLedger:
         self.expert_calls += int(n)
 
 
-class GenerativeModel:
-    """Sampling oracle over an MDP or chain; every call costs one ledger unit.
-
-    A call takes a state (and an action, for MDPs) and returns one next-state
-    draw together with one reward sample. With a fixed seed the full call
-    sequence is reproducible bit for bit. Single-threaded: parallel workers
-    need one instance each with independently derived seeds.
-    """
-
-    def __init__(self, model: TabularMDP | MarkovChain, rng, ledger: SampleLedger | None = None):
-        from .seeding import as_generator
-
-        self.model = model
-        self.rng = as_generator(rng)
-        self.ledger = ledger if ledger is not None else SampleLedger()
-        self._cum = cdf_table(model.transition)
-
-    def step(self, state: int, action: int | None = None) -> tuple[int, float]:
-        """One oracle call: next-state draw and reward sample."""
-        if isinstance(self.model, TabularMDP):
-            if action is None:
-                raise ValueError("an MDP generative model requires an action")
-            table = self._cum[action]
-            mean = self.model.reward.means[state, action]
-        else:
-            if action is not None:
-                raise ValueError("a chain generative model takes no action")
-            table = self._cum
-            mean = self.model.reward.means[state]
-        next_state = int(inverse_cdf(table, np.array([state]), np.array([self.rng.random()]))[0])
-        reward = float(self.model.reward.sample(np.asarray(mean), self.rng))
-        self.ledger.add_generative(1)
-        return next_state, reward
-
-
 # ---------------------------------------------------------------------------
 # Plain-text serialization
 #

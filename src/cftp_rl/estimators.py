@@ -24,7 +24,7 @@ from .chains import (
     policy_matrix,
 )
 from .errors import CapExceededError
-from .sampling import cftp_batch
+from .sampling import _pair_walk, cftp_batch
 from .seeding import as_generator
 from .solvers import stationary_distribution
 
@@ -43,12 +43,13 @@ class SoftmaxPolicy:
     def as_policy(self) -> StochasticPolicy:
         return StochasticPolicy(self.probs)
 
-    def grad_log(self, state: int, action: int) -> np.ndarray:
-        """d log pi(state, action) / d theta, as an (n_states, n_actions) matrix."""
-        grad = np.zeros_like(self.theta)
-        grad[state] = -self.probs[state]
-        grad[state, action] += 1.0
-        return grad
+    def grad_log(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
+        """d log pi(states[i], actions[i]) / d theta for each i, shape (len(states), S, A)."""
+        rows = np.arange(len(states))
+        grads = np.zeros((len(states),) + self.theta.shape)
+        grads[rows, states, :] = -self.probs[states]
+        grads[rows, states, actions] += 1.0
+        return grads
 
 
 def coupled_difference_batch(
@@ -76,57 +77,37 @@ def coupled_difference_batch(
     ``draw_actions`` hides the policy, so no chain is checked here: only
     ``step_cap`` bounds pairs that can never meet (CapExceededError).
     """
-    if value not in ("reward", "features"):
-        raise ValueError(f"unknown value kind {value!r}")
     gen = as_generator(rng)
-    n = mdp.n_states
-    cum = cdf_table(mdp.transition).reshape(-1, n)
-    means = mdp.reward.means
-    bernoulli = mdp.reward.mode == "bernoulli"
-    if value == "features":
+    s0 = np.asarray(s0, dtype=np.int64)
+    if value == "reward":
+        reward = mdp.reward
+        acc = np.zeros(s0.shape[0])
+
+        def on_step(active, x, ax, y, ay):
+            rx = reward.sample(reward.means[x, ax], gen)
+            acc[active] += rx - reward.sample(reward.means[y, ay], gen)
+
+    elif value == "features":
         feats = mdp.features
         if feats is None:
             raise ValueError("feature accumulation requires an MDP with features")
-        width = feats.shape[1]
-    else:
-        width = 1
+        acc = np.zeros((s0.shape[0], feats.shape[1]))
 
-    n_pairs = s0.shape[0]
-    acc = np.zeros((n_pairs, width))
-    t_c = np.zeros(n_pairs, dtype=np.int64)
-    active = np.arange(n_pairs)
-    x = np.asarray(s0, dtype=np.int64).copy()
-    y = x.copy()
-    ax = np.asarray(first_actions_a, dtype=np.int64).copy()
-    ay = np.asarray(first_actions_b, dtype=np.int64).copy()
-
-    t = 0
-    while active.size:
-        if t >= step_cap:
-            raise CapExceededError(f"trajectories did not coalesce within {step_cap} steps")
-        if value == "reward":
-            if bernoulli:
-                rx = (gen.random(active.size) < means[x, ax]).astype(float)
-                ry = (gen.random(active.size) < means[y, ay]).astype(float)
-            else:
-                rx = means[x, ax]
-                ry = means[y, ay]
-            acc[active, 0] += rx - ry
-        else:
+        def on_step(active, x, ax, y, ay):
             acc[active] += feats[x] - feats[y]
-        x = inverse_cdf(cum, ax * n + x, gen.random(active.size))
-        y = inverse_cdf(cum, ay * n + y, gen.random(active.size))
-        if ledger is not None:
-            ledger.add_generative(2 * active.size)
-        t += 1
-        met = x == y
-        t_c[active[met]] = t
-        keep = ~met
-        active, x, y = active[keep], x[keep], y[keep]
-        if active.size:
-            ax = draw_actions(x)
-            ay = draw_actions(y)
-    return (acc[:, 0], t_c) if value == "reward" else (acc, t_c)
+
+    else:
+        raise ValueError(f"unknown value kind {value!r}")
+    cum = cdf_table(mdp.transition).reshape(-1, mdp.n_states)
+    t_c, apart = _pair_walk(
+        cum, s0, s0, np.asarray(first_actions_a, dtype=np.int64),
+        np.asarray(first_actions_b, dtype=np.int64), draw_actions, gen, step_cap, on_step,
+    )
+    if ledger is not None:
+        ledger.add_generative(2 * int(t_c.sum()))
+    if apart.size:
+        raise CapExceededError(f"trajectories did not coalesce within {step_cap} steps")
+    return acc, t_c
 
 
 def policy_action_drawer(policy, mdp: TabularMDP, gen: np.random.Generator):
@@ -231,9 +212,4 @@ def policy_gradient_batch(
     q_hat, _ = coupled_difference_batch(
         mdp, s0, a_main, a_base, draw, gen, value="reward", step_cap=step_cap, ledger=ledger
     )
-    grads = np.zeros((n_samples, mdp.n_states, mdp.n_actions))
-    rows = np.arange(n_samples)
-    grads[rows, s0, :] = -policy.probs[s0]
-    grads[rows, s0, a_main] += 1.0
-    grads *= q_hat[:, None, None]
-    return grads
+    return policy.grad_log(s0, a_main) * q_hat[:, None, None]

@@ -64,21 +64,24 @@ PARAM_SPECS: dict[str, list[ParamSpec]] = {
         ),
         ParamSpec(
             "t_guess", "int_list", [2, 4, 30],
-            "mixing-time guesses for the baselines (each 1 to 100: the step curve starts at "
-            "100 steps)",
+            "distinct mixing-time guesses for the baselines (each 1 to 100: the step curve "
+            "starts at 100 steps)",
         ),
         ParamSpec("step_cap", int, 1_000_000, "per-run coalescence cap"),
     ],
     "coalescence": [
-        ParamSpec("sizes", "int_list", [5, 10, 20], "state counts for random ergodic chains"),
+        ParamSpec(
+            "sizes", "int_list", [5, 10, 20], "distinct state counts for random ergodic chains"
+        ),
         ParamSpec("chains_per_size", int, 3, "independent chains per size"),
         ParamSpec("runs", int, 2000, "coalescence runs per chain"),
         ParamSpec("lazy_size", int, 20, "state count for the lazy-chain family (>= 2)"),
         ParamSpec(
             "lazy_eps", "float_list", [0.4, 0.2, 0.1],
-            "exit rates in (0, 1) for the lazy family (at least one)",
+            "distinct exit rates in (0, 1) for the lazy family (at least one; each keys its "
+            "random stream by int(1000 * eps), so no two may share that key)",
         ),
-        ParamSpec("grand_sizes", "int_list", [8, 16], "state counts for grand couplings"),
+        ParamSpec("grand_sizes", "int_list", [8, 16], "distinct state counts for grand couplings"),
         ParamSpec("grand_runs", int, 500, "grand-coupling runs per size"),
         ParamSpec("delta", float, 0.05, "tail level for reference thresholds"),
         ParamSpec("step_cap", int, 10_000_000, "per-run coalescence cap"),
@@ -184,8 +187,17 @@ class ExperimentConfig:
         for key in ("sizes", "grand_sizes", "t_guess"):
             if key in p and (not p[key] or any(v < 1 for v in p[key])):
                 raise ConfigError(f"{key} must be a non-empty list of positive integers")
-        if "lazy_eps" in p and (not p["lazy_eps"] or any(not 0 < e < 1 for e in p["lazy_eps"])):
-            raise ConfigError("lazy_eps must be a non-empty list of values in (0, 1)")
+            if key in p and len(set(p[key])) < len(p[key]):
+                raise ConfigError(f"{key} must not repeat an entry, got {p[key]}")
+        if "lazy_eps" in p:
+            if not p["lazy_eps"] or any(not 0 < e < 1 for e in p["lazy_eps"]):
+                raise ConfigError("lazy_eps must be a non-empty list of values in (0, 1)")
+            stream_keys = [int(1000 * e) for e in p["lazy_eps"]]
+            if len(set(stream_keys)) < len(stream_keys):
+                raise ConfigError(
+                    "lazy_eps values must differ in their stream key int(1000 * eps), "
+                    f"got {p['lazy_eps']}"
+                )
         if "instance" in p and p["instance"] not in ("single_state", "random", "both"):
             raise ConfigError("instance must be single_state, random, or both")
         if "n_rounds" in p and p["n_rounds"] < 0:

@@ -89,19 +89,19 @@ def _example_replicate(payload: tuple) -> tuple[int, dict]:
     seed, replicate, n_runs, t_guess_list, step_cap = payload
     chain = two_state_chain()
     cum = chain.cumulative()
-    means = chain.reward.means
+    reward = chain.reward
     results = {}
     for idx, t_guess in enumerate(t_guess_list):
         gen = substream(seed, replicate, idx)
         states = np.ones(n_runs, dtype=np.int64)  # initial distribution (0, 1)
         for _ in range(t_guess):
             states = inverse_cdf(cum, states, gen.random(n_runs))
-        rewards = (gen.random(n_runs) < means[states]).astype(float)
+        rewards = reward.sample(reward.means[states], gen)
         steps = np.full(n_runs, t_guess, dtype=np.int64)
         results[f"guess_{t_guess}"] = (rewards, steps)
     gen = substream(seed, replicate, len(t_guess_list))
     states, t_c = cftp_batch(chain, n_runs, gen, step_cap=step_cap)
-    rewards = (gen.random(n_runs) < means[states]).astype(float)
+    rewards = reward.sample(reward.means[states], gen)
     steps = t_c * chain.n_states + 1  # map draws plus the final reward query
     results["cftp"] = (rewards, steps)
     return replicate, results

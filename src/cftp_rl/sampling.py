@@ -133,6 +133,38 @@ def cftp_batch(
     return _cftp_batch_core(draw_maps, n_samples, n, step_cap)
 
 
+def _pair_walk(cum, x, y, ax, ay, draw_actions, gen, step_cap, on_step=None):
+    """Walk coupled pairs forward until each pair meets; returns (times, apart).
+
+    Pair p starts at states (x[p], y[p]) with first actions (ax[p], ay[p]);
+    ``cum`` is a flattened CDF table whose row a * n + s is the next-state
+    law of action a in state s. Each step calls ``on_step(active, x, ax, y,
+    ay)`` if given, moves the x side with one uniform per unfinished pair
+    and then the y side with another, retires the pairs now in one state,
+    and draws the next actions with ``draw_actions(states)``. An action may
+    be a scalar shared by every pair. A pair's time is the step at which it
+    met. After ``step_cap`` steps the pairs still apart, ``apart``, get time
+    ``step_cap``; the caller raises or censors.
+    """
+    n = cum.shape[1]
+    times = np.zeros(x.shape[0], dtype=np.int64)
+    active = np.arange(x.shape[0])
+    t = 0
+    while active.size and t < step_cap:
+        t += 1
+        if on_step is not None:
+            on_step(active, x, ax, y, ay)
+        x = inverse_cdf(cum, ax * n + x, gen.random(active.size))
+        y = inverse_cdf(cum, ay * n + y, gen.random(active.size))
+        keep = x != y
+        times[active[~keep]] = t
+        active, x, y = active[keep], x[keep], y[keep]
+        if active.size:
+            ax, ay = draw_actions(x), draw_actions(y)
+    times[active] = step_cap
+    return times, active
+
+
 def coalescence_times_batch(
     chain: MarkovChain,
     i: int,
@@ -151,31 +183,17 @@ def coalescence_times_batch(
     (``MarkovChain.require_coalescing``), even where the pair itself could
     meet (a periodic chain with i and j in one phase, say).
     """
-    gen = as_generator(rng)
-    cum = chain.cumulative()
-    x = np.full(n_runs, int(i), dtype=np.int64)
-    y = np.full(n_runs, int(j), dtype=np.int64)
-    times = np.zeros(n_runs, dtype=np.int64)
-    active = np.arange(n_runs)
     if i == j:
-        return times
+        return np.zeros(n_runs, dtype=np.int64)
     chain.require_coalescing()
-    t = 0
-    while active.size:
-        t += 1
-        if t > step_cap:
-            if censor_at_cap:
-                times[active] = step_cap
-                break
-            raise CapExceededError(f"no coalescence within {step_cap} steps")
-        ux = gen.random(active.size)
-        uy = gen.random(active.size)
-        x = inverse_cdf(cum, x, ux)
-        y = inverse_cdf(cum, y, uy)
-        met = x == y
-        times[active[met]] = t
-        keep = ~met
-        active, x, y = active[keep], x[keep], y[keep]
+    # The chain is a one-action table. Its action 0 stays a scalar, so the
+    # loop builds no action arrays.
+    x, y = (np.full(n_runs, start, dtype=np.int64) for start in (i, j))
+    times, apart = _pair_walk(
+        chain.cumulative(), x, y, 0, 0, lambda states: 0, as_generator(rng), step_cap
+    )
+    if apart.size and not censor_at_cap:
+        raise CapExceededError(f"no coalescence within {step_cap} steps")
     return times
 
 

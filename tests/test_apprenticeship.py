@@ -71,7 +71,7 @@ class TestExpertModel:
         runs = []
         for _ in range(2):
             expert = ExpertModel(policy, 2, rng=99)
-            runs.append([expert.act(s % 3) for s in range(30)])
+            runs.append(expert.act_batch(np.arange(30) % 3).tolist())
             assert expert.ledger.expert_calls == 30
         assert runs[0] == runs[1]
 
@@ -84,7 +84,7 @@ class TestExpertModel:
 
     def test_deterministic_expert_accepted(self):
         expert = ExpertModel(DeterministicPolicy(np.array([1, 0])), 2, rng=0)
-        assert expert.act(0) == 1 and expert.act(1) == 0
+        assert expert.act_batch(np.array([0, 1])).tolist() == [1, 0]
 
 
 class TestFeatureExpectationsExact:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from cftp_rl import chains
 from cftp_rl.chains import (
     DeterministicPolicy,
-    GenerativeModel,
     MarkovChain,
     MixedPolicy,
     RewardModel,
@@ -213,40 +212,6 @@ class TestLedgerAndGenerativeModel:
         assert (ledger.generative_calls, ledger.expert_calls) == (3, 1)
         with pytest.raises(ValueError):
             ledger.add_generative(-1)
-
-    def test_every_call_costs_one(self):
-        mdp = random_mdp(3, 2, rng=3)
-        model = GenerativeModel(mdp, rng=5)
-        for i in range(10):
-            model.step(i % 3, i % 2)
-            assert model.ledger.generative_calls == i + 1
-
-    def test_seeded_transcripts_are_identical(self):
-        mdp = random_mdp(4, 2, rng=11)
-        queries = [(s, a) for s in range(4) for a in range(2)] * 5
-        transcripts = []
-        for _ in range(2):
-            model = GenerativeModel(mdp, rng=123)
-            transcripts.append([model.step(s, a) for s, a in queries])
-        assert transcripts[0] == transcripts[1]
-
-    def test_chain_model_takes_no_action(self):
-        model = GenerativeModel(two_state_chain(), rng=0)
-        nxt, reward = model.step(1)
-        assert nxt == 0 and reward in (0.0, 1.0)
-        with pytest.raises(ValueError):
-            model.step(0, 1)
-        mdp_model = GenerativeModel(random_mdp(2, 2, rng=0), rng=0)
-        with pytest.raises(ValueError):
-            mdp_model.step(0)
-
-    def test_transitions_follow_the_row_frequencies(self):
-        chain = two_state_chain()
-        model = GenerativeModel(chain, rng=7)
-        draws = np.array([model.step(0)[0] for _ in range(20_000)])
-        freq = (draws == 0).mean()
-        se = (0.25 / draws.size) ** 0.5
-        assert abs(freq - 0.5) < 3 * se
 
 
 class TestSerialization:

@@ -56,20 +56,24 @@ class TestSoftmaxPolicy:
         rng = np.random.default_rng(1)
         theta = rng.normal(size=(3, 2))
         policy = SoftmaxPolicy(theta)
-        s, a = 1, 0
-        analytic = policy.grad_log(s, a)
+        # Every (state, action) pair once, and state 1 a second time.
+        states = np.array([0, 0, 1, 1, 2, 2, 1])
+        actions = np.array([0, 1, 0, 1, 0, 1, 0])
+        analytic = policy.grad_log(states, actions)
+        assert analytic.shape == (states.size, 3, 2)
         step = 1e-6
-        for sp in range(3):
-            for b in range(2):
-                up = theta.copy()
-                up[sp, b] += step
-                down = theta.copy()
-                down[sp, b] -= step
-                numeric = (
-                    np.log(SoftmaxPolicy(up).probs[s, a])
-                    - np.log(SoftmaxPolicy(down).probs[s, a])
-                ) / (2 * step)
-                assert abs(analytic[sp, b] - numeric) < 1e-6
+        for i, (s, a) in enumerate(zip(states, actions)):
+            for sp in range(3):
+                for b in range(2):
+                    up = theta.copy()
+                    up[sp, b] += step
+                    down = theta.copy()
+                    down[sp, b] -= step
+                    numeric = (
+                        np.log(SoftmaxPolicy(up).probs[s, a])
+                        - np.log(SoftmaxPolicy(down).probs[s, a])
+                    ) / (2 * step)
+                    assert abs(analytic[i, sp, b] - numeric) < 1e-6
 
     def test_extreme_parameters_stay_finite(self):
         policy = SoftmaxPolicy(np.array([[1000.0, -1000.0]]))

@@ -202,6 +202,13 @@ class TestExitCodes:
         bad += [(sub, "--instance-seed", "-1") for sub in ("mwal", "mwal-gen", "pg", "eval-store")]
         bad += [
             ("coalescence", "--lazy-eps", ""),
+            # Repeated entries, and lazy_eps values that share a stream key.
+            ("coalescence", "--sizes", "4,4"),
+            ("coalescence", "--grand-sizes", "5,5"),
+            ("coalescence", "--lazy-eps", "0.2,0.2"),
+            ("coalescence", "--lazy-eps", "0.2,0.2004,0.2"),
+            ("coalescence", "--lazy-eps", "0.2,0.2004"),
+            ("example", "--t-guess", "2,2"),
             ("example", "--runs", "2"),
             ("example", "--runs", "12"),
             ("example", "--runs", "14"),

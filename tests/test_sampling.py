@@ -179,7 +179,7 @@ class TestBoundedFailure:
             grand_coupling_sim(chain, rng=0, step_cap=5)
 
 
-class TestTwoChainCoalesce:
+class TestCoalescenceTimesBatch:
     def test_independent_coupling_mean_bound(self, chain_factory):
         for seed in range(3):
             chain = chain_factory(10, seed=40 + seed)
@@ -205,6 +205,27 @@ class TestTwoChainCoalesce:
             # One-sided binomial test at significance 0.001.
             p_value = stats.binomtest(exceed, times.size, delta, alternative="greater").pvalue
             assert p_value > 0.001
+
+    @settings(max_examples=60)
+    @given(
+        st.integers(2, 10),
+        st.integers(0, 2**32 - 1),
+        st.one_of(st.none(), st.floats(0.05, 0.95)),
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 40),
+    )
+    def test_censoring_truncates_the_uncapped_times(self, n, chain_seed, lazy_eps, seed, cap):
+        # The first ``cap`` steps read the same uniforms with or without the
+        # cap, so censoring at ``cap`` is exactly min(t_c, cap).
+        if lazy_eps is None:
+            chain = random_ergodic_chain(n, chain_seed)
+        else:
+            chain = lower_bound_chain(n, lazy_eps)
+        uncapped = coalescence_times_batch(chain, 0, n - 1, 200, rng=seed)
+        capped = coalescence_times_batch(
+            chain, 0, n - 1, 200, rng=seed, step_cap=cap, censor_at_cap=True
+        )
+        assert np.array_equal(capped, np.minimum(uncapped, cap))
 
 
 class TestLowerBoundChain:

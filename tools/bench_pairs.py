@@ -14,7 +14,10 @@ end-to-end metric of the final result line, the median and quartiles over
 the runs and every run's value, plus failed/attempted checks, the phase
 digests and the machine record from the report line. Per metric it adds the pairs the change won
 (lower is better for every metric here) and the median of the per-pair
-gaps, parent minus change.
+gaps, parent minus change. ``digest_mismatches`` lists the phases whose
+digests differ between the sides (a side whose runs disagree counts as
+differing); each is also printed to stderr. The exit code does not depend
+on them.
 """
 
 from __future__ import annotations
@@ -83,6 +86,14 @@ def main(argv=None) -> int:
                 for (p, _), (c, _) in zip(runs["parent"], runs["change"])]
         summary["change_wins"][name] = sum(g > 0 for g in gaps)
         summary["median_gap"][name] = statistics.median(gaps)
+    digests = {side: summary[side]["digests"] for side in sides}
+    summary["digest_mismatches"] = sorted(
+        phase for phase in digests["parent"].keys() | digests["change"].keys()
+        if digests["parent"].get(phase) != digests["change"].get(phase)
+    )
+    for phase in summary["digest_mismatches"]:
+        print(f"digest mismatch in {phase}: parent {digests['parent'].get(phase)}, "
+              f"change {digests['change'].get(phase)}", file=sys.stderr)
 
     bench = json.loads(args.out.read_text()) if args.out.exists() else {}
     bench[f"{args.workload}@{args.seed}"] = summary
