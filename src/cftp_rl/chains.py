@@ -235,6 +235,10 @@ class TabularMDP:
         # Reward-independent evaluations of deterministic policies, keyed by
         # DeterministicPolicy.key(); filled by solvers.policy_evaluation.
         self.policy_evaluations: dict[tuple[int, ...], object] = {}
+        # Deterministic policies whose induced chain passed
+        # MarkovChain.require_coalescing, by key; filled by
+        # estimators.delta_rho_batch. A failure is never cached.
+        self.coalescing_policies: set[tuple[int, ...]] = set()
 
     @property
     def n_features(self) -> int:

@@ -161,8 +161,14 @@ def delta_rho_batch(
     Raises NonErgodicError before drawing when ``pi``'s chain, which the
     pairs follow, cannot coalesce (``MarkovChain.require_coalescing``);
     CapExceededError when a pair has not met within ``step_cap`` steps.
+    A deterministic ``pi`` that passed is not checked again on the same MDP
+    (``mdp.coalescing_policies``); one that fails raises on every call.
     """
-    induce_chain(mdp, pi).require_coalescing()
+    deterministic = isinstance(pi, DeterministicPolicy)
+    if not (deterministic and pi.key() in mdp.coalescing_policies):
+        induce_chain(mdp, pi).require_coalescing()
+        if deterministic:
+            mdp.coalescing_policies.add(pi.key())
     gen = as_generator(rng)
     s0, _ = _stationary_starts(mdp, pi_prime, n_samples, s0_source, gen, step_cap, ledger)
     draw_pi = policy_action_drawer(pi, mdp, gen)

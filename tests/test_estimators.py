@@ -3,6 +3,7 @@ import pytest
 
 from cftp_rl.chains import (
     DeterministicPolicy,
+    MarkovChain,
     RewardModel,
     SampleLedger,
     StochasticPolicy,
@@ -217,7 +218,7 @@ class TestBoundedFailure:
         # so pairs started apart alternate forever. pi_prime's chain is fine.
         mdp = TabularMDP(np.stack([SWAP, np.full((2, 2), 0.5)]), RewardModel(np.full((2, 2), 0.5)))
         pi, pi_prime = DeterministicPolicy(np.array([0, 0])), DeterministicPolicy(np.array([1, 1]))
-        for source in ("exact_solve", "cftp"):
+        for source in ("exact_solve", "cftp", "exact_solve"):
             gen = np.random.default_rng(0)
             before = gen.bit_generator.state
             ledger = SampleLedger()
@@ -225,6 +226,20 @@ class TestBoundedFailure:
                 delta_rho_batch(mdp, pi, pi_prime, 10, gen, s0_source=source, ledger=ledger)
             assert ledger.generative_calls == 0
             assert gen.bit_generator.state == before
+        # A failure is never cached, so every call above raised.
+        assert mdp.coalescing_policies == set()
+
+    def test_delta_rho_caches_a_passing_verdict_per_policy(self, monkeypatch):
+        mdp = random_mdp(4, 2, rng=3)
+        pi, pi_prime = DeterministicPolicy(np.array([0, 1, 0, 1])), DeterministicPolicy(np.ones(4, dtype=int))
+        first = delta_rho_batch(mdp, pi, pi_prime, 20, rng=5)
+        assert mdp.coalescing_policies == {pi.key()}
+        checks = []
+        monkeypatch.setattr(MarkovChain, "require_coalescing", lambda chain: checks.append(chain))
+        second = delta_rho_batch(mdp, pi, pi_prime, 20, rng=5)
+        assert checks == []
+        for a, b in zip(first, second):
+            assert np.array_equal(a, b)
 
     def test_policy_gradient_rejects_a_periodic_policy_chain(self):
         mdp = TabularMDP(np.stack([SWAP, SWAP]), RewardModel(np.full((2, 2), 0.5)))

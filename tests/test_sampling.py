@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,9 +8,11 @@ from scipy import stats
 
 from cftp_rl.chains import MarkovChain, RewardModel, SampleLedger
 from cftp_rl.errors import CapExceededError, NonErgodicError
+from cftp_rl import sampling
 from cftp_rl.instances import random_ergodic_chain
 from cftp_rl.sampling import (
     CoalescenceRecord,
+    GrandCouplingRecord,
     _cftp_core,
     cftp,
     cftp_batch,
@@ -147,6 +151,87 @@ class TestCftp:
         assert (composite == state).all()
 
 
+BIT_GENERATORS = (np.random.PCG64, np.random.Philox, np.random.MT19937, np.random.SFC64)
+
+
+def half_used_generator(bit_generator, seed):
+    """A Generator whose last draw left half of a 64-bit word buffered."""
+    gen = np.random.Generator(bit_generator(seed))
+    gen.integers(0, 2**32, dtype=np.uint32)
+    return gen
+
+
+def per_step_cftp(chain, gen, step_cap):
+    """Reference scalar CFTP: one freshly drawn map per step."""
+    state, t_c = _cftp_core(lambda t: draw_random_map(chain, gen), chain.n_states, step_cap)
+    return state, t_c, t_c * chain.n_states
+
+
+def per_step_grand_coupling(chain, gen, step_cap):
+    """Reference grand coupling: one freshly drawn map per step, classes by np.unique."""
+    n = chain.n_states
+    position = np.arange(n)
+    counts = [n]
+    if n == 1:
+        return GrandCouplingRecord(merge_time=0, class_counts=counts, final_state=0, calls=0)
+    for t in range(1, step_cap + 1):
+        position = np.unique(draw_random_map(chain, gen)[position])
+        counts.append(position.size)
+        if position.size == 1:
+            return GrandCouplingRecord(t, counts, int(position[0]), t * n)
+    raise CapExceededError(f"no full merge within {step_cap} steps")
+
+
+def outcome(call):
+    try:
+        return call()
+    except CapExceededError:
+        return "cap exceeded"
+
+
+class TestBlockedMaps:
+    """cftp's maps, drawn a block ahead, and grand_coupling_sim's are the per-step loop's.
+
+    Both must also leave the Generator in the per-step loop's state.
+    """
+
+    @settings(max_examples=40)
+    @given(
+        st.integers(1, 60),
+        st.sampled_from(BIT_GENERATORS),
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 100),
+        st.sampled_from((16, 100, sampling.MAP_BLOCK_ENTRIES)),
+    )
+    def test_same_draws_and_generator_state_as_the_per_step_loop(
+        self, n, bit_generator, chain_seed, seed, cap, block_entries
+    ):
+        chain = random_ergodic_chain(n, chain_seed)
+        # Almost never coalesces within ``cap`` steps, so the cap (which may
+        # fall inside a block) ends most of its runs.
+        lazy = lower_bound_chain(n, 0.001)
+        blocked = half_used_generator(bit_generator, seed)
+        per_step = half_used_generator(bit_generator, seed)
+        runs = [(chain, 10**6)] * 3 + [(lazy, cap), (chain, 10**6)]
+        # A small block cap makes the largest block, of any number of maps, come early.
+        with mock.patch.object(sampling, "MAP_BLOCK_ENTRIES", block_entries):
+            for target, step_cap in runs:
+                got = outcome(lambda: cftp(target, blocked, step_cap=step_cap))
+                want = outcome(lambda: per_step_cftp(target, per_step, step_cap))
+                if got != "cap exceeded":
+                    state, record = got
+                    got = (state, record.t_c, record.calls)
+                assert got == want
+                np.testing.assert_equal(blocked.bit_generator.state, per_step.bit_generator.state)
+            for target, step_cap in runs:
+                got = outcome(lambda: grand_coupling_sim(target, blocked, step_cap=step_cap))
+                want = outcome(lambda: per_step_grand_coupling(target, per_step, step_cap))
+                assert got == want
+                np.testing.assert_equal(blocked.bit_generator.state, per_step.bit_generator.state)
+        assert np.array_equal(blocked.random(5), per_step.random(5))
+
+
 class TestBoundedFailure:
     """Couplings of a chain that can never coalesce fail at once, at the default cap."""
 
@@ -180,6 +265,16 @@ class TestBoundedFailure:
 
 
 class TestCoalescenceTimesBatch:
+    def test_start_states_outside_the_chain_are_rejected_before_drawing(self):
+        # -1 would read as state 4, and 5 would raise a bare IndexError.
+        chain = lower_bound_chain(5, 0.3)
+        gen = np.random.default_rng(0)
+        before = gen.bit_generator.state
+        for i, j in ((-1, 0), (0, 5), (5, 5)):
+            with pytest.raises(ValueError, match="start states"):
+                coalescence_times_batch(chain, i, j, 5, gen)
+        assert gen.bit_generator.state == before
+
     def test_independent_coupling_mean_bound(self, chain_factory):
         for seed in range(3):
             chain = chain_factory(10, seed=40 + seed)

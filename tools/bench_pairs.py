@@ -12,9 +12,12 @@ host speed hits both sides alike. The summary for ``<workload>@<seed>`` is
 merged into ``--out`` (other entries are kept). Per side it holds, for every
 end-to-end metric of the final result line, the median and quartiles over
 the runs and every run's value, plus failed/attempted checks, the phase
-digests and the machine record from the report line. Per metric it adds the pairs the change won
-(lower is better for every metric here) and the median of the per-pair
-gaps, parent minus change. ``digest_mismatches`` lists the phases whose
+digests and the machine record from the report line. It also holds each
+run's iteration count and their median (``iterations``,
+``median_iterations``): the harness keeps every iteration's instance, so
+``peak_rss_mb`` grows with the iterations that fit in ``--seconds``. Per
+metric it adds the pairs the change won (lower is better for every metric
+here) and the median of the per-pair gaps, parent minus change. ``digest_mismatches`` lists the phases whose
 digests differ between the sides (a side whose runs disagree counts as
 differing); each is also printed to stderr. The exit code does not depend
 on them.
@@ -45,6 +48,7 @@ def quartiles(values: list[float]) -> dict:
 
 def side_summary(runs: list[tuple[dict, dict]]) -> dict:
     names = runs[0][0]["metrics"]
+    iterations = [len(report["iterations"]) for _, report in runs]
     digests = {
         phase: sorted({report["counters"][phase]["digest"] for _, report in runs})
         for phase in runs[0][1]["counters"]
@@ -54,6 +58,8 @@ def side_summary(runs: list[tuple[dict, dict]]) -> dict:
         "failed": sum(r["failed"] for r, _ in runs),
         "attempted": sum(r["attempted"] for r, _ in runs),
         "digests": {p: d[0] if len(d) == 1 else d for p, d in digests.items()},
+        "iterations": iterations,
+        "median_iterations": statistics.median(iterations),
         "machine": runs[0][1]["machine"],
     }
 
