@@ -115,8 +115,11 @@ def expert_stationary_samples(
     dynamics calls (equal to the expert calls, sum of t_c times n_states).
 
     The dynamics uniforms come from ``as_generator(rng)``: step t draws
-    n_states doubles for each unfinished sample, in sample order. Raises
-    ValueError for m < 1 before drawing,
+    n_states doubles for each unfinished sample, in sample order. Unlike
+    ``cftp_batch``, which shares this loop, the maps are drawn step by
+    step, not a block ahead: every map entry is a ledgered expert query, so
+    maps drawn ahead and then discarded would charge expert calls that no
+    sample used. Raises ValueError for m < 1 before drawing,
     CapExceededError once a sample has run ``step_cap`` steps without
     coalescing: the expert's chain is unknown, so only ``step_cap`` bounds
     a chain that cannot coalesce.
@@ -129,11 +132,11 @@ def expert_stationary_samples(
     # Entry r * n + s of a step's stacked maps belongs to state s.
     map_states = np.tile(np.arange(n), m)
 
-    def draw_maps(active: np.ndarray) -> np.ndarray:
-        u = gen.random(active.size * n)
+    def draw_maps(k: int) -> np.ndarray:
+        u = gen.random(k * n)
         states = map_states[: u.size]
         actions = expert.act_batch(states)
-        return inverse_cdf(cum, actions * n + states, u).reshape(active.size, n)
+        return inverse_cdf(cum, actions * n + states, u).reshape(k, n)
 
     samples, times = _cftp_batch_core(draw_maps, m, n, step_cap)
     return samples, times, int(times.sum()) * n

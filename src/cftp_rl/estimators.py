@@ -127,8 +127,7 @@ def policy_action_drawer(policy, mdp: TabularMDP, gen: np.random.Generator):
     return draw
 
 
-def _stationary_starts(mdp, policy, n, source, gen, step_cap, ledger):
-    chain = induce_chain(mdp, policy)
+def _stationary_starts(chain, n, source, gen, step_cap, ledger):
     if source == "exact_solve":
         cum = cdf_table(stationary_distribution(chain))[None, :]
         starts = inverse_cdf(cum, np.zeros(n, dtype=np.int64), gen.random(n))
@@ -170,7 +169,7 @@ def delta_rho_batch(
         if deterministic:
             mdp.coalescing_policies.add(pi.key())
     gen = as_generator(rng)
-    s0, _ = _stationary_starts(mdp, pi_prime, n_samples, s0_source, gen, step_cap, ledger)
+    s0, _ = _stationary_starts(induce_chain(mdp, pi_prime), n_samples, s0_source, gen, step_cap, ledger)
     draw_pi = policy_action_drawer(pi, mdp, gen)
     draw_pi_prime = policy_action_drawer(pi_prime, mdp, gen)
     values, t_c = coupled_difference_batch(
@@ -208,9 +207,10 @@ def policy_gradient_batch(
     start-state CFTP or a pair runs ``step_cap`` steps.
     """
     stoch = policy.as_policy()
-    induce_chain(mdp, stoch).require_coalescing()
+    chain = induce_chain(mdp, stoch)
+    chain.require_coalescing()
     gen = as_generator(rng)
-    s0, _ = _stationary_starts(mdp, stoch, n_samples, "cftp", gen, step_cap, ledger)
+    s0, _ = _stationary_starts(chain, n_samples, "cftp", gen, step_cap, ledger)
     cum_pi = cdf_table(policy.probs)
     a_main = inverse_cdf(cum_pi, s0, gen.random(n_samples))
     a_base = inverse_cdf(cum_pi, s0, gen.random(n_samples))

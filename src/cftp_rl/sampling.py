@@ -11,11 +11,14 @@ first. Each map is drawn once, for one past time, and used once: it is
 composed into the running composite and never read again. Drawing a second
 map for a past time already composed would break exactness.
 
-Scalar CFTP draws its maps a block ahead (``_map_blocks``): one
-``Generator.random`` call and one inverse-CDF call per block, not per map. Each map is still drawn for one past time from the
-uniforms a per-step loop would give it, and used at most once. When a run
-ends, the maps it did not use are discarded and the Generator is rewound,
-so outputs and generator state are those of the per-step loop.
+Both CFTP loops, scalar ``cftp`` and batched ``cftp_batch``, take their
+maps from one source that draws them a block ahead (``_map_blocks``): one
+``Generator.random`` call and one inverse-CDF call per block, not per map
+or per step. Each map is still drawn for one past time from the uniforms
+a per-step loop would give it, and used at most once. When a run ends,
+the maps it did not use are discarded and the Generator is rewound, so
+outputs and generator state are those of the per-step loop.
+``grand_coupling_sim`` draws one map per step.
 """
 
 from __future__ import annotations
@@ -40,10 +43,14 @@ class CoalescenceRecord:
 
 
 # _map_blocks draws blocks that double from one map up to this many entries
-# (maps x n_states). Measured per scalar cftp call on a random chain with
-# n = 200: 2.5 ms at 2**10, 1.9 at 2**11, 1.66 at 2**12, 1.63 at 2**13, 2.0 at
-# 2**14 and 2.5 at 2**15 (larger blocks waste more unused maps); at n <= 50,
-# 2**11 to 2**13 differ within noise.
+# (maps x n_states), or to the maps one request asks for if that is more.
+# Measured per scalar cftp call on a random chain with n = 200: 2.5 ms at
+# 2**10, 1.9 at 2**11, 1.66 at 2**12, 1.63 at 2**13, 2.0 at 2**14 and 2.5 at
+# 2**15 (larger blocks waste more unused maps); at n <= 50, 2**11 to 2**13
+# differ within noise. Per cftp_batch call (random chain, best of 5, 2-core
+# AMD EPYC): 64 runs at n = 6 take 218-223 us at every cap from 2**11 to
+# 2**14 (322 us drawing per step); 30 runs at n = 200 take 42.6, 40.3, 38.6
+# and 36.1 ms at 2**11, 2**12, 2**13 and 2**14 (55.5 ms per step).
 MAP_BLOCK_ENTRIES = 2**13
 
 
@@ -58,39 +65,56 @@ def draw_random_map(chain: MarkovChain, rng: np.random.Generator) -> np.ndarray:
 
 
 def _map_blocks(cum: np.ndarray, gen: np.random.Generator):
-    """Yield the random maps for past times t = 1, 2, ..., drawn a block ahead.
+    """Hand out the random maps for past times t = 1, 2, ..., drawn a block ahead.
 
-    Each block is one ``gen.random`` call inverted by one ``inverse_cdf``
-    call; blocks double from one map up to ``MAP_BLOCK_ENTRIES`` entries.
+    Start the generator with ``next``. After that, ``next`` returns the next
+    map and ``send(k)`` the next k maps as a (k, n_states) array. Each block
+    is one ``gen.random`` call inverted by one ``inverse_cdf`` call. A block
+    holds at least the maps requested; beyond that, blocks double from one
+    map up to ``MAP_BLOCK_ENTRIES`` entries. Maps left over when a request
+    outgrows the block are carried, in order, to the front of the next one.
     Map t gets the uniforms a per-step ``draw_random_map`` loop would give
     it: for float64 draws, ``random(a)`` then ``random(b)`` equals
     ``random(a + b)`` on every numpy BitGenerator. The state before a block
-    of more than one map is kept, and closing the iterator restores it and
-    redraws the part of the block handed out. The Generator then ends where
-    the per-step loop stopping at the last map handed out would leave it.
-    Callers must close the iterator however the run ends.
+    that may outlast its first request is kept, and closing the iterator
+    restores it and redraws the part of the block handed out. The
+    Generator then ends where the per-step loop stopping at the last map
+    handed out would leave it. Callers must close the iterator however the
+    run ends.
     """
     n = cum.shape[0]
     max_maps = max(1, MAP_BLOCK_ENTRIES // n)
-    rows = np.arange(n)  # CDF row of each entry of the largest block so far
-    size = used = 0
+    rows = np.arange(n)  # CDF row of each entry of the largest draw so far
+    block = None
+    size = pos = fresh = 0  # maps in the block, handed out, from its own draw
     saved = None
+    req = yield
     try:
         while True:
-            size = min(2 * size, max_maps) or 1
-            used = 0
-            if size > 1:
-                saved = gen.bit_generator.state
-                if rows.size < size * n:
+            k = 1 if req is None else req
+            if pos + k > size:
+                carried = size - pos
+                size = min(2 * size, max_maps)
+                if size < k:
+                    size = k
+                fresh = size - carried
+                saved = gen.bit_generator.state if size > k else None
+                while rows.size < fresh * n:
                     rows = np.concatenate((rows, rows))
-            u = gen.random(size * n)
-            block = inverse_cdf(cum, rows[: u.size], u).reshape(size, n)
-            for used in range(1, size + 1):
-                yield block[used - 1]
+                u = gen.random(fresh * n)
+                drawn = inverse_cdf(cum, rows[: u.size], u).reshape(fresh, n)
+                block = np.concatenate((block[pos:], drawn)) if carried else drawn
+                pos = 0
+            if req is None:
+                out = block[pos]
+            else:
+                out = block[pos : pos + k]
+            pos += k
+            req = yield out
     finally:
-        if saved is not None and used < size:
+        if saved is not None and pos < size:
             gen.bit_generator.state = saved
-            gen.random(used * n)
+            gen.random((fresh - size + pos) * n)
 
 
 def _cftp_core(map_at, n_states: int, step_cap: int) -> tuple[int, int]:
@@ -108,20 +132,22 @@ def _cftp_batch_core(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Shared loop of independent CFTP runs; returns (states, coalescence times).
 
-    ``draw_maps(active)`` returns the next step's (active.size, n_states)
-    maps for the unfinished runs ``active`` (ascending run indices); each
-    run composes its own maps as ``_cftp_core`` does and retires at its t_c.
+    ``draw_maps(k)`` returns the next step's (k, n_states) maps for the k
+    unfinished runs, in ascending run order; each run composes its own maps
+    as ``_cftp_core`` does, newest first, and retires at its t_c. All runs
+    compose in one gather from the flattened composites.
     """
     states = np.empty(n_samples, dtype=np.int64)
     times = np.empty(n_samples, dtype=np.int64)
     active = np.arange(n_samples)
     composite = np.tile(np.arange(n_states), (n_samples, 1))
+    row_start = active[:, None] * n_states  # where row i of composite starts in its ravel()
     t = 0
     while active.size:
         t += 1
         if t > step_cap:
             raise CapExceededError(f"no coalescence within {step_cap} steps")
-        composite = np.take_along_axis(composite, draw_maps(active), axis=1)
+        composite = composite.ravel()[row_start + draw_maps(active.size)]
         done = (composite == composite[:, :1]).all(axis=1)
         if done.any():
             states[active[done]] = composite[done, 0]
@@ -129,6 +155,7 @@ def _cftp_batch_core(
             keep = ~done
             active = active[keep]
             composite = composite[keep]
+            row_start = row_start[: active.size]
     return states, times
 
 
@@ -150,6 +177,7 @@ def cftp(
     """
     chain.require_coalescing()
     with closing(_map_blocks(chain.cumulative(), as_generator(rng))) as maps:
+        next(maps)
         state, t_c = _cftp_core(lambda t: next(maps), chain.n_states, step_cap)
     calls = t_c * chain.n_states
     if ledger is not None:
@@ -167,21 +195,17 @@ def cftp_batch(
 
     Each run extends its own past one step per iteration with its own maps,
     exactly as ``cftp`` does run by run, so the output distribution is the
-    same; only the loop is shared across runs. Raises NonErgodicError
-    before drawing, as ``cftp`` does, when the maps can never coalesce.
+    same; only the loop is shared across runs. Step t takes one map per
+    unfinished run, in run order, from the block-ahead source ``cftp`` uses
+    (``_map_blocks``), so states, times and the final generator state are
+    those of a loop that draws each step's maps with one ``gen.random``
+    call. Raises NonErgodicError before drawing, as ``cftp`` does, when the
+    maps can never coalesce.
     """
     chain.require_coalescing()
-    gen = as_generator(rng)
-    n = chain.n_states
-    cum = chain.cumulative()
-    # Entry r * n + s of the stacked maps draws from CDF row s.
-    map_rows = np.tile(np.arange(n), n_samples)
-
-    def draw_maps(active: np.ndarray) -> np.ndarray:
-        u = gen.random(active.size * n)
-        return inverse_cdf(cum, map_rows[: u.size], u).reshape(active.size, n)
-
-    return _cftp_batch_core(draw_maps, n_samples, n, step_cap)
+    with closing(_map_blocks(chain.cumulative(), as_generator(rng))) as maps:
+        next(maps)
+        return _cftp_batch_core(maps.send, n_samples, chain.n_states, step_cap)
 
 
 def _pair_walk(cum, x, y, ax, ay, draw_actions, gen, step_cap, on_step=None):

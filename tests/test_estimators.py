@@ -1,6 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from cftp_rl import chains, estimators
 from cftp_rl.chains import (
     DeterministicPolicy,
     MarkovChain,
@@ -250,6 +253,17 @@ class TestBoundedFailure:
             policy_gradient_batch(mdp, SoftmaxPolicy(np.zeros((2, 2))), 10, gen, ledger=ledger)
         assert ledger.generative_calls == 0
         assert gen.bit_generator.state == before
+
+    def test_policy_gradient_induces_and_checks_its_chain_once(self):
+        mdp = random_mdp(4, 2, rng=3)
+        policy = SoftmaxPolicy(np.zeros((4, 2)))
+        want = policy_gradient_batch(mdp, policy, 20, rng=5)
+        with (
+            mock.patch.object(estimators, "induce_chain", wraps=estimators.induce_chain) as induce,
+            mock.patch.object(chains, "is_ergodic", wraps=chains.is_ergodic) as check,
+        ):
+            assert np.array_equal(policy_gradient_batch(mdp, policy, 20, rng=5), want)
+        assert (induce.call_count, check.call_count) == (1, 1)
 
     def test_slow_ergodic_chain_still_hits_the_cap(self):
         # Action 0 is the lazy chain, action 1 jumps uniformly. Pairs that

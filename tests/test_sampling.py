@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from cftp_rl.chains import MarkovChain, RewardModel, SampleLedger
+from cftp_rl.chains import MarkovChain, RewardModel, SampleLedger, inverse_cdf
 from cftp_rl.errors import CapExceededError, NonErgodicError
 from cftp_rl import sampling
 from cftp_rl.instances import random_ergodic_chain
 from cftp_rl.sampling import (
     CoalescenceRecord,
     GrandCouplingRecord,
+    _cftp_batch_core,
     _cftp_core,
     cftp,
     cftp_batch,
@@ -80,6 +81,22 @@ class TestCftp:
         assert (state, t_c) == (1, 2)
         composed_wrong = f2[f1]
         assert not (composed_wrong == composed_wrong[0]).all()
+
+    def test_batched_composition_applies_each_runs_newest_map_first(self):
+        f1 = np.array([1, 1, 2])
+        f2 = np.array([0, 0, 1])
+        g = np.array([0, 1, 0])
+        # Even runs see f1 then f2 (f1 o f2 is constant at 1); odd runs see
+        # f2 then f1 (f2 o f1 is not constant) and coalesce at 0 under g.
+        steps = iter([[f1, f2, f1, f2], [f2, f1, f2, f1], [g, g]])
+
+        def draw_maps(k):
+            maps = np.array(next(steps))
+            assert maps.shape == (k, 3)
+            return maps
+
+        states, times = _cftp_batch_core(draw_maps, 4, 3, step_cap=10)
+        assert states.tolist() == [1, 0, 1, 0] and times.tolist() == [2, 3, 2, 3]
 
     def test_empirical_distribution_matches_stationary(self, example_chain):
         states, _ = cftp_batch(example_chain, 100_000, rng=7)
@@ -182,6 +199,29 @@ def per_step_grand_coupling(chain, gen, step_cap):
     raise CapExceededError(f"no full merge within {step_cap} steps")
 
 
+def per_step_cftp_batch(chain, n_samples, gen, step_cap):
+    """Reference batched CFTP: each step draws one fresh map per unfinished run, in run order."""
+    n = chain.n_states
+    cum = chain.cumulative()
+    states = np.zeros(n_samples, dtype=np.int64)
+    times = np.zeros(n_samples, dtype=np.int64)
+    active = np.arange(n_samples)
+    composite = np.tile(np.arange(n), (n_samples, 1))
+    for t in range(1, step_cap + 1):
+        if not active.size:
+            return states, times
+        u = gen.random(active.size * n)
+        maps = inverse_cdf(cum, np.tile(np.arange(n), active.size), u).reshape(active.size, n)
+        composite = np.take_along_axis(composite, maps, axis=1)
+        done = (composite == composite[:, :1]).all(axis=1)
+        states[active[done]] = composite[done, 0]
+        times[active[done]] = t
+        active, composite = active[~done], composite[~done]
+    if active.size:
+        raise CapExceededError(f"no coalescence within {step_cap} steps")
+    return states, times
+
+
 def outcome(call):
     try:
         return call()
@@ -190,14 +230,16 @@ def outcome(call):
 
 
 class TestBlockedMaps:
-    """cftp's maps, drawn a block ahead, and grand_coupling_sim's are the per-step loop's.
+    """The maps of cftp and cftp_batch, drawn a block ahead, are the per-step loop's.
 
-    Both must also leave the Generator in the per-step loop's state.
+    So are grand_coupling_sim's. Each must also leave the Generator in the
+    per-step loop's state, calls of all three interleaved on one Generator.
     """
 
     @settings(max_examples=40)
     @given(
         st.integers(1, 60),
+        st.integers(0, 40),
         st.sampled_from(BIT_GENERATORS),
         st.integers(0, 2**32 - 1),
         st.integers(0, 2**32 - 1),
@@ -205,7 +247,7 @@ class TestBlockedMaps:
         st.sampled_from((16, 100, sampling.MAP_BLOCK_ENTRIES)),
     )
     def test_same_draws_and_generator_state_as_the_per_step_loop(
-        self, n, bit_generator, chain_seed, seed, cap, block_entries
+        self, n, n_samples, bit_generator, chain_seed, seed, cap, block_entries
     ):
         chain = random_ergodic_chain(n, chain_seed)
         # Almost never coalesces within ``cap`` steps, so the cap (which may
@@ -217,6 +259,10 @@ class TestBlockedMaps:
         # A small block cap makes the largest block, of any number of maps, come early.
         with mock.patch.object(sampling, "MAP_BLOCK_ENTRIES", block_entries):
             for target, step_cap in runs:
+                got = outcome(lambda: cftp_batch(target, n_samples, blocked, step_cap=step_cap))
+                want = outcome(lambda: per_step_cftp_batch(target, n_samples, per_step, step_cap))
+                np.testing.assert_equal(got, want)
+                np.testing.assert_equal(blocked.bit_generator.state, per_step.bit_generator.state)
                 got = outcome(lambda: cftp(target, blocked, step_cap=step_cap))
                 want = outcome(lambda: per_step_cftp(target, per_step, step_cap))
                 if got != "cap exceeded":

@@ -15,9 +15,14 @@ the runs and every run's value, plus failed/attempted checks, the phase
 digests and the machine record from the report line. It also holds each
 run's iteration count and their median (``iterations``,
 ``median_iterations``): the harness keeps every iteration's instance, so
-``peak_rss_mb`` grows with the iterations that fit in ``--seconds``. Per
-metric it adds the pairs the change won (lower is better for every metric
-here) and the median of the per-pair gaps, parent minus change. ``digest_mismatches`` lists the phases whose
+``peak_rss_mb`` grows with the iterations that fit in ``--seconds``.
+``rss_fit`` fits ``peak_rss_mb = intercept + mb_per_iteration x
+iterations`` by least squares over the runs of both sides, with the
+largest absolute residual; it is also printed to stderr. When one line fits
+both sides closely, an RSS gap between them comes from the iteration count,
+not from the library. Per metric it adds the pairs the change won (lower
+is better for every metric here) and the median of the per-pair gaps,
+parent minus change. ``digest_mismatches`` lists the phases whose
 digests differ between the sides (a side whose runs disagree counts as
 differing); each is also printed to stderr. The exit code does not depend
 on them.
@@ -64,6 +69,19 @@ def side_summary(runs: list[tuple[dict, dict]]) -> dict:
     }
 
 
+def rss_fit(runs: list[tuple[dict, dict]]) -> dict | None:
+    """Least-squares line of peak_rss_mb against iterations; None when every run has one count."""
+    iterations = [len(report["iterations"]) for _, report in runs]
+    rss = [result["metrics"]["peak_rss_mb"]["value"] for result, _ in runs]
+    try:
+        slope, intercept = statistics.linear_regression(iterations, rss)
+    except statistics.StatisticsError:
+        return None
+    residuals = [r - (intercept + slope * i) for i, r in zip(iterations, rss)]
+    return {"intercept": intercept, "mb_per_iteration": slope,
+            "max_residual": max(abs(r) for r in residuals)}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True)
@@ -100,6 +118,9 @@ def main(argv=None) -> int:
     for phase in summary["digest_mismatches"]:
         print(f"digest mismatch in {phase}: parent {digests['parent'].get(phase)}, "
               f"change {digests['change'].get(phase)}", file=sys.stderr)
+
+    summary["rss_fit"] = rss_fit([run for side in runs.values() for run in side])
+    print(f"rss_fit: {summary['rss_fit']}", file=sys.stderr)
 
     bench = json.loads(args.out.read_text()) if args.out.exists() else {}
     bench[f"{args.workload}@{args.seed}"] = summary
