@@ -1,11 +1,22 @@
+import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import cftp_rl
+from cftp_rl.apprenticeship import game_value_oracle
+from cftp_rl.chains import DeterministicPolicy
 from cftp_rl.experiments.cli import main
 from cftp_rl.experiments.config import ConfigError, build_config, read_config_file
 from cftp_rl.experiments.runners import _example_bias_floor
 from cftp_rl.experiments.svg import line_chart
+from cftp_rl.instances import random_mdp
+from cftp_rl.solvers import bias_and_q
 
 
 def run_cli(*argv):
@@ -245,3 +256,54 @@ class TestSvg:
     def test_empty_series_rejected(self):
         with pytest.raises(ValueError):
             line_chart([("a", [], [])], "t", "x", "y")
+
+
+# Run in a fresh interpreter: reports scipy's presence after the import and
+# after each sampling subcommand, then the first LU solve and game LP.
+_SCIPY_PROBE = """
+import json, sys
+import numpy as np
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+import cftp_rl
+report = {"import": scipy_loaded(), "codes": {}}
+from cftp_rl.experiments.cli import main
+for sub, extra in json.loads(sys.argv[2]).items():
+    report["codes"][sub] = main([sub, "--out", sys.argv[1] + "/" + sub, "--seed", "3", *extra])
+    report[sub] = scipy_loaded()
+from cftp_rl.apprenticeship import game_value_oracle
+from cftp_rl.chains import DeterministicPolicy
+from cftp_rl.instances import random_mdp
+from cftp_rl.solvers import bias_and_q
+mdp = random_mdp(3, 2, np.random.default_rng(14), n_features=2)
+policy = DeterministicPolicy(np.array([1, 0, 1]))
+rho, h, q = bias_and_q(mdp, policy)
+report["solve"] = [rho, h.tolist(), q.tolist(), game_value_oracle(mdp, policy).value]
+print(json.dumps(report))
+"""
+
+
+def test_scipy_loads_only_for_lu_solve_and_game_lp(tmp_path):
+    commands = {
+        "coalescence": ["--runs", "40", "--sizes", "4", "--chains-per-size", "1",
+                        "--grand-sizes", "5", "--grand-runs", "10", "--lazy-eps", "0.4"],
+        "example": ["--runs", "200", "--replicates", "2"],
+        "pg": ["--samples", "200"],
+    }
+    src = str(Path(cftp_rl.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, str(tmp_path), json.dumps(commands)],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    report = json.loads(done.stdout.strip().splitlines()[-1])
+    assert report["import"] == []
+    assert report["codes"] == {sub: 0 for sub in commands}
+    for sub in commands:
+        assert report[sub] == [], f"{sub} loaded {report[sub][:3]}"
+    mdp = random_mdp(3, 2, np.random.default_rng(14), n_features=2)
+    policy = DeterministicPolicy(np.array([1, 0, 1]))
+    rho, h, q = bias_and_q(mdp, policy)
+    assert report["solve"] == [rho, h.tolist(), q.tolist(), game_value_oracle(mdp, policy).value]

@@ -16,6 +16,10 @@ digests and the machine record from the report line. It also holds each
 run's iteration count and their median (``iterations``,
 ``median_iterations``): the harness keeps every iteration's instance, so
 ``peak_rss_mb`` grows with the iterations that fit in ``--seconds``.
+``setup`` holds, per part of ``setup_s`` (``import_s``, the fresh-interpreter
+``import cftp_rl``, and ``build_s``, the instance-and-oracle build), each
+run's median uncalibrated seconds from the report's ``setup`` record, with
+their median and quartiles, so a ``setup_s`` gap shows which part moved.
 ``rss_fit`` fits ``peak_rss_mb = intercept + mb_per_iteration x
 iterations`` by least squares over the runs of both sides, with the
 largest absolute residual; it is also printed to stderr. When one line fits
@@ -65,6 +69,8 @@ def side_summary(runs: list[tuple[dict, dict]]) -> dict:
         "digests": {p: d[0] if len(d) == 1 else d for p, d in digests.items()},
         "iterations": iterations,
         "median_iterations": statistics.median(iterations),
+        "setup": {part: quartiles([statistics.median(report["setup"][part]) for _, report in runs])
+                  for part in ("import_s", "build_s")},
         "machine": runs[0][1]["machine"],
     }
 
