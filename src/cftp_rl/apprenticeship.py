@@ -126,8 +126,8 @@ def expert_stationary_samples(
     if m < 1:
         raise ValueError(f"need at least one expert sample, got m={m}")
     gen = as_generator(rng)
-    n = mdp.n_states
-    cum = cdf_table(mdp.transition).reshape(-1, n)
+    n, n_actions = mdp.n_states, mdp.n_actions
+    cum = mdp.cumulative()
     # Entry r * n + s of a step's stacked maps belongs to state s.
     map_states = np.tile(np.arange(n), m)
 
@@ -135,7 +135,7 @@ def expert_stationary_samples(
         u = gen.random(k * n)
         states = map_states[: u.size]
         actions = expert.act_batch(states)
-        return inverse_cdf(cum, actions * n + states, u).reshape(k, n)
+        return inverse_cdf(cum, states * n_actions + actions, u).reshape(k, n)
 
     samples, times = _cftp_batch_core(draw_maps, m, n, step_cap)
     return samples, times, int(times.sum()) * n

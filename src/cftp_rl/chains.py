@@ -56,14 +56,15 @@ def inverse_cdf(table: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarra
     """For each u[i], the number of entries <= u[i] in row rows[i] of a 2-D table.
 
     On ``cdf_table`` rows and uniforms from ``Generator.random`` this is an
-    exact categorical draw per row. An MDP's (n_actions, n_states, n_states)
-    table is flattened to rows a * n_states + s. Both strategies are exact:
-    small batches compare u with whole rows, large ones run a branchless
-    binary search gathered over all draws at once (O(log n) per draw).
+    exact categorical draw per row. An MDP's table is flattened state-major,
+    to rows s * n_actions + a (``TabularMDP.cumulative``). Both strategies
+    are exact: small batches compare u with whole rows, large ones run a
+    branchless binary search gathered over all draws at once (O(log n) per
+    draw).
     """
     n = table.shape[1]
     if u.size * n < SEARCH_MIN_ENTRIES:
-        return (u[:, None] >= table[rows]).sum(axis=1)
+        return (u[:, None] >= table.take(rows, axis=0)).sum(axis=1)
     flat = table.ravel()
     start = rows * n
     pos = start.copy()
@@ -158,12 +159,26 @@ class RewardModel:
         self.means = _frozen(means)
         self.mode = mode
 
+    @property
+    def uniforms_per_entry(self) -> int:
+        """Uniforms one reward draw reads: 1 in ``bernoulli`` mode, 0 in ``mean`` mode."""
+        return 1 if self.mode == "bernoulli" else 0
+
     def sample(self, means_selected: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Draw one reward per entry of ``means_selected``."""
         means_selected = np.asarray(means_selected, dtype=float)
+        u = rng.random(means_selected.shape) if self.uniforms_per_entry else None
+        return self.sample_from(means_selected, u)
+
+    def sample_from(self, means_selected: np.ndarray, u: np.ndarray | None) -> np.ndarray:
+        """One reward per entry of ``means_selected``, read from the uniforms ``u``.
+
+        ``u`` holds ``uniforms_per_entry`` uniforms per entry, in entry order
+        (None when that is 0); ``sample`` draws them from a Generator.
+        """
         if self.mode == "mean":
             return means_selected.copy()
-        return (rng.random(means_selected.shape) < means_selected).astype(float)
+        return (u.reshape(means_selected.shape) < means_selected).astype(float)
 
 
 class MarkovChain:
@@ -237,8 +252,19 @@ class TabularMDP:
         self.policy_evaluations: dict[tuple[int, ...], object] = {}
         # Deterministic policies whose induced chain passed
         # MarkovChain.require_coalescing, by key; filled by
-        # estimators.delta_rho_batch. A failure is never cached.
+        # require_coalescing_policy. A failure is never cached.
         self.coalescing_policies: set[tuple[int, ...]] = set()
+        self._cum: np.ndarray | None = None
+
+    def cumulative(self) -> np.ndarray:
+        """Read-only CDF table whose row s * n_actions + a is that of P^a(s, .).
+
+        Built on first use and shared by every sampler of this MDP.
+        """
+        if self._cum is None:
+            table = cdf_table(self.transition.transpose(1, 0, 2)).reshape(-1, self.n_states)
+            self._cum = _frozen(table)
+        return self._cum
 
     @property
     def n_features(self) -> int:
@@ -338,6 +364,23 @@ def induce_chain(mdp: TabularMDP, policy) -> MarkovChain:
         transition = transition / transition.sum(axis=1, keepdims=True)
         means = np.clip(np.einsum("xa,xa->x", probs, mdp.reward.means), 0.0, 1.0)
     return MarkovChain(transition, RewardModel(means, mdp.reward.mode))
+
+
+def require_coalescing_policy(mdp: TabularMDP, policy) -> None:
+    """Raise unless CFTP's maps coalesce on the chain ``policy`` induces.
+
+    ValueError for an action index outside the MDP (``induce_chain``),
+    NonErgodicError when the chain has no single aperiodic closed class
+    (``MarkovChain.require_coalescing``); transient states are accepted. A
+    deterministic policy that passes is recorded in ``mdp.coalescing_policies``
+    and not checked again; a failure is never recorded.
+    """
+    deterministic = isinstance(policy, DeterministicPolicy)
+    if deterministic and policy.key() in mdp.coalescing_policies:
+        return
+    induce_chain(mdp, policy).require_coalescing()
+    if deterministic:
+        mdp.coalescing_policies.add(policy.key())
 
 
 @dataclass

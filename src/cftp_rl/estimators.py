@@ -22,6 +22,7 @@ from .chains import (
     induce_chain,
     inverse_cdf,
     policy_matrix,
+    require_coalescing_policy,
 )
 from .errors import CapExceededError
 from .sampling import _pair_walk, cftp_batch
@@ -83,9 +84,9 @@ def coupled_difference_batch(
         reward = mdp.reward
         acc = np.zeros(s0.shape[0])
 
-        def on_step(active, x, ax, y, ay):
-            rx = reward.sample(reward.means[x, ax], gen)
-            acc[active] += rx - reward.sample(reward.means[y, ay], gen)
+        def on_step(active, xy, a):
+            r = reward.sample(reward.means[xy, a], gen)
+            acc[active] += r[0] - r[1]
 
     elif value == "features":
         feats = mdp.features
@@ -93,15 +94,16 @@ def coupled_difference_batch(
             raise ValueError("feature accumulation requires an MDP with features")
         acc = np.zeros((s0.shape[0], feats.shape[1]))
 
-        def on_step(active, x, ax, y, ay):
-            acc[active] += feats[x] - feats[y]
+        def on_step(active, xy, a):
+            f = feats[xy]
+            acc[active] += f[0] - f[1]
 
     else:
         raise ValueError(f"unknown value kind {value!r}")
-    cum = cdf_table(mdp.transition).reshape(-1, mdp.n_states)
     t_c, apart = _pair_walk(
-        cum, s0, s0, np.asarray(first_actions_a, dtype=np.int64),
-        np.asarray(first_actions_b, dtype=np.int64), draw_actions, gen, step_cap, on_step,
+        mdp.cumulative(), np.stack((s0, s0)),
+        np.stack((first_actions_a, first_actions_b)).astype(np.int64),
+        draw_actions, gen, step_cap, on_step,
     )
     if ledger is not None:
         ledger.add_generative(2 * int(t_c.sum()))
@@ -163,11 +165,7 @@ def delta_rho_batch(
     A deterministic ``pi`` that passed is not checked again on the same MDP
     (``mdp.coalescing_policies``); one that fails raises on every call.
     """
-    deterministic = isinstance(pi, DeterministicPolicy)
-    if not (deterministic and pi.key() in mdp.coalescing_policies):
-        induce_chain(mdp, pi).require_coalescing()
-        if deterministic:
-            mdp.coalescing_policies.add(pi.key())
+    require_coalescing_policy(mdp, pi)
     gen = as_generator(rng)
     s0, _ = _stationary_starts(induce_chain(mdp, pi_prime), n_samples, s0_source, gen, step_cap, ledger)
     draw_pi = policy_action_drawer(pi, mdp, gen)

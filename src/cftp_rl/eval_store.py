@@ -11,10 +11,14 @@ Every evaluation runs one CFTP loop over all (matrix, policy) pairs at once:
 step t reads row t of each matrix that still has an unfinished pair, and
 each pair retires at its own coalescence time. Row t is drawn from
 ``KeyedUniforms(seed).at(t)`` and so depends only on (seed, t): the order
-in which rows are drawn does not change any result.
+in which rows are drawn does not change any result. Growth is batched: one
+``_append_rows`` call appends row t to every matrix of the step that holds
+t - 1 rows, with one ``random`` call per matrix and then one inverse-CDF
+call and one reward step for all of them, from the MDP's one CDF table.
 Policies are checked up front: an action index outside the MDP raises
-ValueError and a non-ergodic induced chain raises NonErgodicError, before
-any row is drawn.
+ValueError and an induced chain on which CFTP cannot coalesce raises
+NonErgodicError, before any row is drawn. Chains with transient states are
+accepted, as ``cftp`` accepts them.
 
 Reusing rows across policies correlates their estimates within one matrix;
 averaging over independent copies (StoreEnsemble) restores concentration.
@@ -28,11 +32,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chains import (
-    DeterministicPolicy, SampleLedger, TabularMDP, cdf_table, inverse_cdf, parse_table,
+    DeterministicPolicy, SampleLedger, TabularMDP, inverse_cdf, parse_table,
+    require_coalescing_policy,
 )
 from .errors import CapExceededError
 from .seeding import KeyedUniforms, child_sequence, seed_sequence
-from .solvers import policy_evaluation
 
 
 @dataclass
@@ -47,9 +51,12 @@ class SampleMatrix:
     """Append-only matrix of per-(state, action) samples; rows double as CFTP maps.
 
     Row t reads ``KeyedUniforms(rng).at(t)``: first the n_states * n_actions
-    next-state uniforms, state-major, then the reward draws, so a matrix
-    grown after a checkpoint restore is bit-identical to one grown without
-    interruption.
+    next-state uniforms, state-major, then the reward uniforms
+    (``RewardModel.uniforms_per_entry`` per entry), so a matrix grown after
+    a checkpoint restore, or grown in a batch with other matrices
+    (``_append_rows``), is bit-identical to one grown alone without
+    interruption. Every matrix of one MDP inverts with the MDP's one CDF
+    table (``TabularMDP.cumulative``).
     Single-writer: do not evaluate one matrix concurrently, growth during
     evaluation is part of the contract.
     """
@@ -57,39 +64,55 @@ class SampleMatrix:
     def __init__(self, mdp: TabularMDP, rng, ledger: SampleLedger | None = None):
         self.mdp = mdp
         self._keyed = KeyedUniforms(rng)
-        # Row s * n_actions + a is the CDF of P^a(s, .).
-        n = mdp.n_states
-        self._cum = cdf_table(mdp.transition.transpose(1, 0, 2)).reshape(-1, n)
         self.rows: list[StoreRow] = []
         self.ledger = ledger if ledger is not None else SampleLedger()
 
     def __len__(self) -> int:
         return len(self.rows)
 
-    def _append_row(self) -> None:
-        gen = self._keyed.at(len(self.rows) + 1)
-        n, m = self.mdp.n_states, self.mdp.n_actions
-        u_next = gen.random(n * m)
-        nxt = inverse_cdf(self._cum, np.arange(n * m), u_next).reshape(n, m)
-        reward = self.mdp.reward.sample(self.mdp.reward.means, gen)
-        row = StoreRow(next_state=nxt, reward=np.asarray(reward, dtype=float))
-        row.next_state.setflags(write=False)
-        row.reward.setflags(write=False)
-        self.rows.append(row)
-        self.ledger.add_generative(n * m)
-
     def row_at(self, t: int) -> StoreRow:
         """Row for past time -t (1-indexed), growing the matrix on demand."""
         if t < 1:
             raise ValueError("row index starts at 1")
-        while len(self.rows) < t:
-            self._append_row()
+        for missing in range(len(self.rows) + 1, t + 1):
+            _append_rows([self], missing)
         return self.rows[t - 1]
 
     def restricted_map(self, t: int, policy: DeterministicPolicy) -> np.ndarray:
         """Row t restricted to columns (s, pi(s)): a random map of pi's chain."""
         row = self.row_at(t)
         return row.next_state[np.arange(self.mdp.n_states), policy.actions]
+
+
+def _append_rows(stores: list[SampleMatrix], t: int) -> None:
+    """Append row t to every store of one MDP that holds exactly t - 1 rows.
+
+    One ``KeyedUniforms.at(t)`` and one ``random`` call per store, covering
+    its next-state uniforms and then its reward uniforms; then one
+    ``inverse_cdf`` call and one ``RewardModel.sample_from`` call for all
+    of them. Each store's row equals the one it would draw alone.
+    """
+    short = [store for store in stores if len(store.rows) == t - 1]
+    if not short:
+        return
+    mdp = short[0].mdp
+    n, m = mdp.n_states, mdp.n_actions
+    entries = n * m
+    u = np.empty((len(short), entries * (1 + mdp.reward.uniforms_per_entry)))
+    for store, out in zip(short, u):
+        store._keyed.at(t).random(out=out)
+    table_rows = np.arange(entries)
+    if len(short) > 1:
+        table_rows = np.tile(table_rows, len(short))
+    shape = (len(short), n, m)
+    next_state = inverse_cdf(mdp.cumulative(), table_rows, u[:, :entries].ravel()).reshape(shape)
+    means = mdp.reward.means[None].repeat(len(short), axis=0)
+    reward = mdp.reward.sample_from(means, u[:, entries:])
+    next_state.setflags(write=False)
+    reward.setflags(write=False)
+    for store, nxt, r in zip(short, next_state, reward):
+        store.rows.append(StoreRow(next_state=nxt, reward=r))
+        store.ledger.add_generative(entries)
 
 
 @dataclass
@@ -102,9 +125,9 @@ class EvaluationRecord:
 
 
 def _check_policies(mdp: TabularMDP, policies: list[DeterministicPolicy]) -> None:
-    """Reject a bad action or a non-ergodic chain; a pass is cached on the MDP."""
+    """Reject a bad action or a chain that cannot coalesce; a pass is cached on the MDP."""
     for policy in policies:
-        policy_evaluation(mdp, policy)
+        require_coalescing_policy(mdp, policy)
 
 
 def _cftp_pairs(
@@ -129,12 +152,20 @@ def _cftp_pairs(
     pair_store, pair_policy = np.indices(shape).reshape(2, -1)
     cols = (np.arange(n) * m + actions)[pair_policy]
     composite = np.tile(np.arange(n), (pair_store.size, 1))
+    # Every live store holds at least ``grown`` rows. A step past it
+    # appends row t to the live stores that lack it, raising it to t.
+    grown = min(len(store) for store in stores)
     t = 0
     while pair_store.size:
         # The stores with an active pair (live), each pair's position among
         # them (slot), where its maps sit in the stacked rows (gather), and
         # where its composite starts in the flattened composites (offsets).
-        live, slot = np.unique(pair_store, return_inverse=True)
+        # pair_store stays sorted, so a live store's pairs form one run.
+        first = np.empty(pair_store.size, dtype=bool)
+        first[0] = True
+        np.not_equal(pair_store[1:], pair_store[:-1], out=first[1:])
+        slot = first.cumsum() - 1
+        live = [stores[i] for i in pair_store[first]]
         gather = slot[:, None] * (n * m) + cols
         offsets = np.arange(pair_store.size)[:, None] * n
         done = np.zeros(pair_store.size, dtype=bool)
@@ -142,7 +173,10 @@ def _cftp_pairs(
             t += 1
             if t > step_cap:
                 raise CapExceededError(f"no coalescence within {step_cap} steps")
-            rows = [stores[i].row_at(t) for i in live]
+            if t > grown:
+                _append_rows(live, t)
+                grown = t
+            rows = [store.rows[t - 1] for store in live]
             next_state = np.concatenate([row.next_state for row in rows]).ravel()
             composite = composite.ravel()[offsets + next_state[gather]]
             done = (composite == composite[:, :1]).all(axis=1)
@@ -172,7 +206,8 @@ def evaluate_policy(
     sample is an unbiased draw of R(state, pi(state)).
 
     Raises ValueError for an action index outside the MDP and
-    NonErgodicError for a non-ergodic induced chain, before drawing a row;
+    NonErgodicError for an induced chain on which CFTP cannot coalesce
+    (``MarkovChain.require_coalescing``), before drawing a row;
     CapExceededError once ``step_cap`` rows are read without coalescence.
     """
     _check_policies(store.mdp, [policy])
@@ -218,11 +253,12 @@ def estimate_all(
     ``evaluate_policy(copy, policy)`` and each copy grows to the largest
     coalescence time among its pairs. Samples are summed in copy order.
 
-    Every policy's induced chain is checked once per call before any row is
-    drawn: ValueError for an action index outside the MDP, NonErgodicError
-    for a reducible or periodic chain. An ergodic chain that has not
-    coalesced within ``step_cap`` rows raises CapExceededError; by then
-    every copy with an unfinished pair has drawn ``step_cap`` rows.
+    Every policy's induced chain is checked before any row is drawn:
+    ValueError for an action index outside the MDP, NonErgodicError for a
+    chain without a single aperiodic closed class (transient states are
+    accepted). A chain that can coalesce but has not coalesced within
+    ``step_cap`` rows raises CapExceededError; by then every copy with an
+    unfinished pair has drawn ``step_cap`` rows.
     """
     _check_policies(ensemble.copies[0].mdp, policies)
     _, _, rewards = _cftp_pairs(ensemble.copies, policies, step_cap)

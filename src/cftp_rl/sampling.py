@@ -208,34 +208,35 @@ def cftp_batch(
         return _cftp_batch_core(maps.send, n_samples, chain.n_states, step_cap)
 
 
-def _pair_walk(cum, x, y, ax, ay, draw_actions, gen, step_cap, on_step=None):
+def _pair_walk(cum, xy, a, draw_actions, gen, step_cap, on_step=None):
     """Walk coupled pairs forward until each pair meets; returns (times, apart).
 
-    Pair p starts at states (x[p], y[p]) with first actions (ax[p], ay[p]);
-    ``cum`` is a flattened CDF table whose row a * n + s is the next-state
-    law of action a in state s. Each step calls ``on_step(active, x, ax, y,
-    ay)`` if given, moves the x side with one uniform per unfinished pair
-    and then the y side with another, retires the pairs now in one state,
-    and draws the next actions with ``draw_actions(states)``. An action may
-    be a scalar shared by every pair. A pair's time is the step at which it
-    met. After ``step_cap`` steps the pairs still apart, ``apart``, get time
+    ``xy`` is a (2, k) array: pair p starts at states (xy[0, p], xy[1, p])
+    with first actions ``a`` of the same shape, or a scalar action shared by
+    every pair and step when ``draw_actions`` is None. ``cum`` is a
+    flattened CDF table whose row s * n_actions + a is the next-state law of
+    action a in state s. Each step calls ``on_step(active, xy, a)`` if
+    given, moves both sides with one ``gen.random(2 k)`` call (the x side's
+    uniforms first) and one inverse-CDF call, retires the pairs now in one
+    state, and draws the next actions with one ``draw_actions`` call on the
+    raveled states. A pair's time is the step at which it met. After
+    ``step_cap`` steps the pairs still apart, ``apart``, get time
     ``step_cap``; the caller raises or censors.
     """
-    n = cum.shape[1]
-    times = np.zeros(x.shape[0], dtype=np.int64)
-    active = np.arange(x.shape[0])
+    n_actions = cum.shape[0] // cum.shape[1]
+    times = np.zeros(xy.shape[1], dtype=np.int64)
+    active = np.arange(xy.shape[1])
     t = 0
     while active.size and t < step_cap:
         t += 1
         if on_step is not None:
-            on_step(active, x, ax, y, ay)
-        x = inverse_cdf(cum, ax * n + x, gen.random(active.size))
-        y = inverse_cdf(cum, ay * n + y, gen.random(active.size))
-        keep = x != y
+            on_step(active, xy, a)
+        xy = inverse_cdf(cum, (xy * n_actions + a).ravel(), gen.random(xy.size)).reshape(2, -1)
+        keep = xy[0] != xy[1]
         times[active[~keep]] = t
-        active, x, y = active[keep], x[keep], y[keep]
-        if active.size:
-            ax, ay = draw_actions(x), draw_actions(y)
+        active, xy = active[keep], xy[:, keep]
+        if active.size and draw_actions is not None:
+            a = draw_actions(xy.ravel()).reshape(xy.shape)
     times[active] = step_cap
     return times, active
 
@@ -266,10 +267,8 @@ def coalescence_times_batch(
     chain.require_coalescing()
     # The chain is a one-action table. Its action 0 stays a scalar, so the
     # loop builds no action arrays.
-    x, y = (np.full(n_runs, start, dtype=np.int64) for start in (i, j))
-    times, apart = _pair_walk(
-        chain.cumulative(), x, y, 0, 0, lambda states: 0, as_generator(rng), step_cap
-    )
+    xy = np.array([[i], [j]], dtype=np.int64).repeat(n_runs, axis=1)
+    times, apart = _pair_walk(chain.cumulative(), xy, 0, None, as_generator(rng), step_cap)
     if apart.size and not censor_at_cap:
         raise CapExceededError(f"no coalescence within {step_cap} steps")
     return times

@@ -23,6 +23,7 @@ from cftp_rl.eval_store import (
 )
 from cftp_rl.instances import random_mdp
 from cftp_rl.sampling import _cftp_core, lower_bound_chain
+from cftp_rl.seeding import child_sequence
 from cftp_rl.solvers import average_reward, mixing_time
 
 PROPERTY_SETTINGS = settings(max_examples=60)
@@ -83,11 +84,11 @@ def reference_estimate_all(ensemble, policies):
 
 
 @st.composite
-def store_instances(draw):
+def store_instances(draw, modes=RewardModel.MODES):
     """A random Dirichlet MDP and a list of its policies, with repeats allowed."""
     n = draw(st.integers(1, 5))
     n_actions = draw(st.integers(1, 3))
-    mode = draw(st.sampled_from(RewardModel.MODES))
+    mode = draw(st.sampled_from(modes))
     mdp = random_mdp(n, n_actions, draw(st.integers(0, 2**32 - 1)), reward_mode=mode)
     action_lists = st.lists(st.integers(0, n_actions - 1), min_size=n, max_size=n)
     policies = [
@@ -194,6 +195,38 @@ class TestBatchedEvaluation:
             )
             assert_same_rows(store, reference)
 
+    @pytest.mark.parametrize("mode", RewardModel.MODES)
+    @PROPERTY_SETTINGS
+    @given(data=st.data())
+    def test_copies_of_unequal_length_grow_as_fresh_ones(self, mode, data):
+        # Copies start at random, unequal lengths, one of them restored with
+        # loads_store, so each batched growth step appends to some copies
+        # and must leave the longer ones alone.
+        mdp, policies, seed = data.draw(store_instances(modes=(mode,)))
+        ensemble = StoreEnsemble(mdp, 0.6, 0.5, len(policies), seed)
+        lengths = data.draw(
+            st.lists(st.integers(0, 12), min_size=ensemble.n_copies, max_size=ensemble.n_copies)
+        )
+        restored = data.draw(st.integers(0, ensemble.n_copies - 1))
+        for i, length in enumerate(lengths):
+            copy = ensemble.copies[i] if i != restored else SampleMatrix(mdp, child_sequence(seed, i))
+            if length:
+                copy.row_at(length)
+            if i == restored:
+                ensemble.copies[i] = loads_store(dumps_store(copy), mdp, child_sequence(seed, i))
+        fresh = StoreEnsemble(mdp, 0.6, 0.5, len(policies), seed)
+        estimates = estimate_all(ensemble, policies)
+        assert estimates.tobytes() == estimate_all(fresh, policies).tobytes()
+        entries = mdp.n_states * mdp.n_actions
+        for i, copy in enumerate(ensemble.copies):
+            assert len(copy) == max(lengths[i], len(fresh.copies[i]))
+            drawn_here = len(copy) - (lengths[i] if i == restored else 0)
+            assert copy.ledger.generative_calls == drawn_here * entries
+            for t, row in enumerate(copy.rows, start=1):
+                next_state, reward = reference_row(mdp, seed, i, t)
+                assert np.array_equal(row.next_state, next_state)
+                assert np.array_equal(row.reward, reward)
+
 
 class TestPolicyChecks:
     @pytest.mark.parametrize("bad_action", [-1, 2])
@@ -220,6 +253,18 @@ class TestPolicyChecks:
             estimate_all(ensemble, [policy])
         assert len(store) == 0 and store.ledger.generative_calls == 0
         assert all(len(copy) == 0 for copy in ensemble.copies) and ensemble.ledger_total == 0
+
+    def test_transient_states_are_accepted(self):
+        # State 2 is transient; the closed class {0, 1} is aperiodic, so
+        # CFTP coalesces there, as ``cftp`` does on such a chain.
+        transition = np.array([[[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.3, 0.3, 0.4]]])
+        mdp = TabularMDP(transition, RewardModel(np.array([[0.2], [0.6], [1.0]]), "mean"))
+        policy = DeterministicPolicy(np.zeros(3, dtype=int))
+        states = [evaluate_policy(SampleMatrix(mdp, rng=i), policy).state for i in range(200)]
+        assert set(states) <= {0, 1}
+        assert 60 <= states.count(0) <= 140
+        estimate = estimate_all(StoreEnsemble(mdp, 0.3, 0.3, 1, rng=46), [policy])[0]
+        assert 0.2 <= estimate <= 0.6
 
     def test_cap_leaves_every_unfinished_copy_at_the_cap(self):
         # A lazy chain on 4 states almost never coalesces within 3 steps.

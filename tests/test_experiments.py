@@ -291,6 +291,7 @@ def test_scipy_loads_only_for_lu_solve_and_game_lp(tmp_path):
                         "--grand-sizes", "5", "--grand-runs", "10", "--lazy-eps", "0.4"],
         "example": ["--runs", "200", "--replicates", "2"],
         "pg": ["--samples", "200"],
+        "eval-store": ["--epsilon", "0.5", "--delta", "0.5", "--n-states", "3", "--replicates", "1"],
     }
     src = str(Path(cftp_rl.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
