@@ -38,7 +38,9 @@ from .estimators import coupled_difference_batch
 from .hedge import HedgeState, clamp_mask, hedge_step, rescale_loss
 from .sampling import _cftp_batch_core
 from .seeding import as_generator, seed_sequence, substream
-from .solvers import optimal_policy, policy_evaluation, stationary_distribution
+from .solvers import (
+    improved_actions, optimal_policy, policy_evaluation, state_reward_q, stationary_distribution,
+)
 
 # Most deterministic policies, |A| ** |S|, the exact game-value oracle enumerates.
 ENUMERATION_BUDGET = 256
@@ -229,19 +231,39 @@ def _mwal_rounds(mdp: TabularMDP, k: int, n_rounds: int, loss) -> MwalResult:
     Phi(pi_t) exactly and feeds Hedge the loss ``loss(t, pi_t, Phi(pi_t))``
     in [0, 1]^k. Returns the uniform mixture of the per-round policies and
     the trail; the ledger counts are left at 0 for the caller to fill in.
+
+    Q is linear in the reward, so each best response met is cached with its
+    feature Q-table Q_F (``solvers.state_reward_q``) and Phi. A round first
+    applies policy iteration's improvement rule to Q_F . w, which is, up to
+    rounding, the Q-table of pi_{t-1} for the reward phi . w: phi lies in
+    [0, 1] and w on the simplex, so the reward clip in ``optimal_policy``
+    does not bind. If the rule keeps pi_{t-1}, the warm-started iteration
+    would stop at once and return it, so the round keeps it; only when the
+    rule proposes a change does the round call ``optimal_policy``.
     """
     state = HedgeState.create(k, n_rounds)
     policies: list[DeterministicPolicy] = []
     weights = np.empty((n_rounds, k))
     losses = np.empty((n_rounds, k))
     round_values = np.empty(n_rounds)
+    features = mdp.features
+    shape = (mdp.n_states, mdp.n_actions)
+    cache: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
     pi_t = None
     for t in range(n_rounds):
         w = state.weights
         weights[t] = w
-        pi_t = optimal_policy(mdp, reward_override=mdp.features @ w, start=pi_t)
+        stays = pi_t is not None and (
+            improved_actions((q_features @ w).reshape(shape)) == pi_t.actions
+        ).all()
+        if not stays:
+            pi_t = optimal_policy(mdp, reward_override=features @ w, start=pi_t)
+            entry = cache.get(pi_t.key())
+            if entry is None:
+                entry = (state_reward_q(mdp, pi_t, features), feature_expectations_exact(mdp, pi_t))
+                cache[pi_t.key()] = entry
+            q_features, phi_t = entry
         policies.append(pi_t)
-        phi_t = feature_expectations_exact(mdp, pi_t)
         g_tilde = loss(t, pi_t, phi_t)
         losses[t] = g_tilde
         round_values[t] = float(w @ phi_t)

@@ -24,8 +24,13 @@ ROW_SUM_TOL = 1e-12
 SEARCH_MIN_ENTRIES = 2**12
 
 
+def _in_unit_interval(array: np.ndarray) -> bool:
+    """Whether every entry lies in [0, 1]; a NaN entry fails, as it fails every comparison."""
+    return bool(((array >= 0.0) & (array <= 1.0)).all())
+
+
 def _check_row_stochastic(matrix: np.ndarray, what: str) -> None:
-    if np.any(matrix < 0.0) or np.any(matrix > 1.0):
+    if not _in_unit_interval(matrix):
         raise ValueError(f"{what}: entries must lie in [0, 1]")
     row_sums = matrix.sum(axis=-1)
     if np.max(np.abs(row_sums - 1.0)) > ROW_SUM_TOL:
@@ -152,7 +157,7 @@ class RewardModel:
 
     def __init__(self, means: np.ndarray, mode: str = "bernoulli"):
         means = np.asarray(means, dtype=float)
-        if np.any(means < 0.0) or np.any(means > 1.0):
+        if not _in_unit_interval(means):
             raise ValueError("reward means must lie in [0, 1]")
         if mode not in self.MODES:
             raise ValueError(f"unknown reward mode {mode!r}")
@@ -239,7 +244,7 @@ class TabularMDP:
             features = np.asarray(features, dtype=float)
             if features.ndim != 2 or features.shape[0] != n_states:
                 raise ValueError("features must have shape (n_states, k)")
-            if np.any(features < 0.0) or np.any(features > 1.0):
+            if not _in_unit_interval(features):
                 raise ValueError("feature entries must lie in [0, 1]")
             features = _frozen(features)
         self.n_states = n_states
@@ -324,7 +329,7 @@ class MixedPolicy:
         weights = np.asarray(weights, dtype=float)
         if weights.ndim != 1 or len(members) != weights.shape[0]:
             raise ValueError("one weight per member policy required")
-        if np.any(weights < 0.0):
+        if not (weights >= 0.0).all():
             raise ValueError("mixture weights must be non-negative")
         if abs(weights.sum() - 1.0) > ROW_SUM_TOL:
             raise ValueError(f"mixture weights must sum to 1 within {ROW_SUM_TOL}")

@@ -85,33 +85,29 @@ class SampleMatrix:
 
 
 def _append_rows(stores: list[SampleMatrix], t: int) -> None:
-    """Append row t to every store of one MDP that holds exactly t - 1 rows.
+    """Append row t to every store of one MDP in ``stores``; each holds t - 1 rows.
 
     One ``KeyedUniforms.at(t)`` and one ``random`` call per store, covering
     its next-state uniforms and then its reward uniforms; then one
     ``inverse_cdf`` call and one ``RewardModel.sample_from`` call for all
     of them. Each store's row equals the one it would draw alone.
     """
-    short = [store for store in stores if len(store.rows) == t - 1]
-    if not short:
-        return
-    mdp = short[0].mdp
-    n, m = mdp.n_states, mdp.n_actions
-    entries = n * m
-    u = np.empty((len(short), entries * (1 + mdp.reward.uniforms_per_entry)))
-    for store, out in zip(short, u):
-        store._keyed.at(t).random(out=out)
-    table_rows = np.arange(entries)
-    if len(short) > 1:
-        table_rows = np.tile(table_rows, len(short))
-    shape = (len(short), n, m)
-    next_state = inverse_cdf(mdp.cumulative(), table_rows, u[:, :entries].ravel()).reshape(shape)
-    means = mdp.reward.means[None].repeat(len(short), axis=0)
+    mdp = stores[0].mdp
+    count = len(stores)
+    entries = mdp.n_states * mdp.n_actions
+    u = np.empty((count, entries * (1 + mdp.reward.uniforms_per_entry)))
+    for i, store in enumerate(stores):
+        store._keyed.at(t).random(out=u[i])
+    table_rows, means = np.arange(entries), mdp.reward.means[None]
+    if count > 1:
+        table_rows, means = np.tile(table_rows, count), means.repeat(count, axis=0)
+    next_state = inverse_cdf(mdp.cumulative(), table_rows, u[:, :entries].ravel())
+    next_state = next_state.reshape(count, mdp.n_states, mdp.n_actions)
     reward = mdp.reward.sample_from(means, u[:, entries:])
     next_state.setflags(write=False)
     reward.setflags(write=False)
-    for store, nxt, r in zip(short, next_state, reward):
-        store.rows.append(StoreRow(next_state=nxt, reward=r))
+    for i, store in enumerate(stores):
+        store.rows.append(StoreRow(next_state=next_state[i], reward=reward[i]))
         store.ledger.add_generative(entries)
 
 
@@ -174,7 +170,9 @@ def _cftp_pairs(
             if t > step_cap:
                 raise CapExceededError(f"no coalescence within {step_cap} steps")
             if t > grown:
-                _append_rows(live, t)
+                short = [store for store in live if len(store.rows) == t - 1]
+                if short:
+                    _append_rows(short, t)
                 grown = t
             rows = [store.rows[t - 1] for store in live]
             next_state = np.concatenate([row.next_state for row in rows]).ravel()

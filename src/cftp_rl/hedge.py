@@ -8,7 +8,7 @@ observable normalized weights are unchanged by the stabilization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,14 +42,21 @@ class HedgeState:
 
 
 def hedge_step(state: HedgeState, loss: np.ndarray) -> HedgeState:
-    """Multiplicative update W_i *= exp(-beta * loss_i); loss must lie in [0, 1]."""
+    """Multiplicative update W_i *= exp(-beta * loss_i); loss must lie in [0, 1].
+
+    Entries within ``LOSS_TOL`` outside [0, 1] are clipped to it; any other
+    entry, NaN included, raises ValueError. The input state is unchanged.
+    """
     loss = np.asarray(loss, dtype=float)
     if loss.shape != (state.k,):
         raise ValueError(f"loss must have shape ({state.k},)")
-    if np.any(loss < -LOSS_TOL) or np.any(loss > 1.0 + LOSS_TOL):
+    low, high = loss.min(), loss.max()
+    # Written so that a NaN, which fails every comparison, fails the check.
+    if not (low >= -LOSS_TOL and high <= 1.0 + LOSS_TOL):
         raise ValueError("loss entries must lie in [0, 1]")
-    loss = np.clip(loss, 0.0, 1.0)
-    return replace(state, log_weights=state.log_weights - state.beta * loss, t=state.t + 1)
+    if low < 0.0 or high > 1.0:
+        loss = np.clip(loss, 0.0, 1.0)
+    return HedgeState(state.log_weights - state.beta * loss, state.beta, state.t + 1)
 
 
 def rescale_loss(g: np.ndarray, bound: float) -> np.ndarray:

@@ -25,6 +25,9 @@ from .errors import CapExceededError, SolveError
 
 STATIONARY_TOL = 1e-10
 MIXING_THRESHOLD = 1.0 / 8.0
+# Policy improvement keeps any action whose Q-value is within this of the
+# state's best, and takes the lowest such index (``improved_actions``).
+IMPROVEMENT_TOL = 1e-10
 
 
 @functools.cache
@@ -68,7 +71,7 @@ def total_variation(p: np.ndarray, q: np.ndarray) -> float:
     if p.shape != q.shape:
         raise ValueError("distributions must have the same length")
     for name, vec in (("p", p), ("q", q)):
-        if np.any(vec < 0.0) or abs(vec.sum() - 1.0) > 1e-9:
+        if not ((vec >= 0.0).all() and abs(vec.sum() - 1.0) <= 1e-9):
             raise ValueError(f"{name} is not a normalized distribution")
     return 0.5 * float(np.abs(p - q).sum())
 
@@ -171,6 +174,34 @@ def bias_and_q(
     return rho, h, q
 
 
+def state_reward_q(mdp: TabularMDP, policy: DeterministicPolicy, rewards: np.ndarray) -> np.ndarray:
+    """Q-tables of ``policy`` for k per-state rewards at once, shape (n_states * n_actions, k).
+
+    Column j, at row s * n_actions + a, is the Q(s, a) that ``bias_and_q``
+    gives for the reward ``rewards[:, j]`` repeated across actions. One
+    ``dgetrs`` call solves all k bias systems on the policy's cached LU
+    factor. Q is linear in the reward, so the table times a weight vector w
+    is the Q-table of the per-state reward ``rewards @ w``.
+    """
+    evaluation = policy_evaluation(mdp, policy)
+    rewards = np.asarray(rewards, dtype=float)
+    if rewards.ndim != 2 or rewards.shape[0] != mdp.n_states:
+        raise ValueError("rewards must have shape (n_states, k)")
+    centred = rewards - evaluation.mu @ rewards
+    h, _ = _lapack().dgetrs(evaluation.lu, evaluation.piv, centred)
+    q = centred[:, None, :] + np.einsum("axy,yk->xak", mdp.transition, h)
+    return q.reshape(mdp.n_states * mdp.n_actions, -1)
+
+
+def improved_actions(q: np.ndarray) -> np.ndarray:
+    """Policy iteration's improvement rule on an (n_states, n_actions) Q-table.
+
+    Per state, the lowest action index whose Q-value is within
+    ``IMPROVEMENT_TOL`` of the state's best.
+    """
+    return np.argmax(q >= q.max(axis=1, keepdims=True) - IMPROVEMENT_TOL, axis=1)
+
+
 def optimal_policy(
     mdp: TabularMDP,
     reward_override: np.ndarray | None = None,
@@ -183,10 +214,10 @@ def optimal_policy(
     (the action only affects dynamics), clipped to [0, 1]. Iteration starts
     from ``start`` (default: action 0 everywhere); a warm start must induce
     an ergodic chain. Each iteration is one ``bias_and_q`` call on the MDP's
-    policy-evaluation cache. Ties in the improvement step break toward the
-    lowest action index. The returned policy is certified by a one-step
-    improvement test on its own Q-values; failure to certify raises
-    SolveError.
+    policy-evaluation cache and one ``improved_actions`` step, whose ties
+    break toward the lowest action index. The returned policy is certified
+    by a one-step improvement test on its own Q-values; failure to certify
+    raises SolveError.
     """
     reward = None
     if reward_override is not None:
@@ -195,13 +226,11 @@ def optimal_policy(
             raise ValueError("reward_override must have one entry per state")
         reward = np.repeat(np.clip(reward_override, 0.0, 1.0)[:, None], mdp.n_actions, axis=1)
 
-    tol = 1e-10
     policy = DeterministicPolicy(np.zeros(mdp.n_states, dtype=int)) if start is None else start
     seen = {policy.key()}
     for _ in range(max_iterations):
         _, _, q = bias_and_q(mdp, policy, reward)
-        best = q.max(axis=1, keepdims=True)
-        improved = DeterministicPolicy(np.argmax(q >= best - tol, axis=1))
+        improved = DeterministicPolicy(improved_actions(q))
         if improved == policy:
             break
         if improved.key() in seen:

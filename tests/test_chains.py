@@ -53,6 +53,57 @@ def test_feature_entries_bounded():
         TabularMDP(transition, RewardModel(np.zeros((2, 1))), features=np.array([[0.5], [1.5]]))
 
 
+NONFINITE = [np.nan, np.inf, -np.inf]
+
+
+@pytest.mark.parametrize("bad", NONFINITE, ids=["nan", "inf", "-inf"])
+class TestNonFiniteEntriesAreRejected:
+    """Every [0, 1] check raises its ValueError on a NaN or infinite entry."""
+
+    def test_chain_transition(self, bad):
+        transition = np.array([[0.5, 0.5], [bad, 0.5]])
+        with pytest.raises(ValueError, match=r"transition: entries must lie in \[0, 1\]"):
+            MarkovChain(transition, RewardModel(np.zeros(2)))
+
+    def test_mdp_transition(self, bad):
+        transition = np.full((2, 2, 2), 0.5)
+        transition[1, 0, 1] = bad
+        with pytest.raises(ValueError, match=r"transition: entries must lie in \[0, 1\]"):
+            TabularMDP(transition, RewardModel(np.zeros((2, 2))))
+
+    def test_stochastic_policy(self, bad):
+        with pytest.raises(ValueError, match=r"policy probabilities: entries must lie in \[0, 1\]"):
+            StochasticPolicy(np.array([[bad, 0.5], [0.5, 0.5]]))
+
+    def test_reward_mean(self, bad):
+        with pytest.raises(ValueError, match="reward means"):
+            RewardModel(np.array([0.5, bad]))
+
+    def test_feature(self, bad):
+        with pytest.raises(ValueError, match="feature entries"):
+            TabularMDP(
+                np.full((1, 2, 2), 0.5), RewardModel(np.zeros((2, 1))), features=np.array([[0.5], [bad]])
+            )
+
+    def test_mixture_weight(self, bad):
+        member = DeterministicPolicy(np.array([0, 1]))
+        with pytest.raises(ValueError, match="mixture weights"):
+            MixedPolicy(np.array([bad, 0.5]), [member, member])
+
+    @pytest.mark.parametrize("line", [1, 5, 7], ids=["transition", "reward", "feature"])
+    def test_load_mdp(self, bad, line, tmp_path):
+        # A 2-state, 2-action, 1-feature MDP: header, 4 transition rows,
+        # 2 reward rows, 2 feature rows.
+        lines = dumps_mdp(random_mdp(2, 2, rng=3, n_features=1)).splitlines()
+        tokens = lines[line].split()
+        tokens[0] = str(bad)
+        lines[line] = " ".join(tokens)
+        path = tmp_path / "mdp.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            load_mdp(path)
+
+
 @st.composite
 def cdf_cases(draw):
     """A cdf_table over random rows with zero entries, plus rows and u to look up.

@@ -46,6 +46,39 @@ class TestHedgeStep:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             hedge_step(state, np.array([-0.1, 0.0]))
 
+    @pytest.mark.parametrize(
+        "loss, clipped",
+        [([-1e-13, 0.5], [0.0, 0.5]), ([1.0 + 1e-13, 0.25], [1.0, 0.25]), ([-1e-13, 1.0 + 1e-13], [0.0, 1.0])],
+        ids=["below", "above", "both"],
+    )
+    def test_overshoot_within_tolerance_equals_clipped_loss(self, loss, clipped):
+        state = HedgeState(log_weights=np.array([0.3, -0.2]), beta=0.7, t=4)
+        after = hedge_step(state, np.array(loss))
+        expected = hedge_step(state, np.array(clipped))
+        assert after.log_weights.tobytes() == expected.log_weights.tobytes()
+        assert (after.beta, after.t) == (expected.beta, expected.t)
+
+    @pytest.mark.parametrize("loss", [np.zeros(3), np.zeros((2, 1)), np.zeros(1), 0.5])
+    def test_wrong_shape_raises(self, loss):
+        with pytest.raises(ValueError, match=r"shape \(2,\)"):
+            hedge_step(HedgeState.create(2, 10), loss)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_loss_raises(self, bad):
+        state = HedgeState.create(2, 10)
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            hedge_step(state, np.array([0.5, bad]))
+
+    def test_step_counts_rounds_and_leaves_input_state_unchanged(self):
+        state = HedgeState(log_weights=np.array([0.1, -0.4, 0.0]), beta=0.3, t=7)
+        before = state.log_weights.copy()
+        after = hedge_step(state, np.array([1.0, 0.0, 0.5]))
+        assert after.t == 8
+        assert after.beta == state.beta
+        assert state.t == 7
+        assert state.log_weights.tobytes() == before.tobytes()
+        assert after.log_weights.tobytes() == (before - 0.3 * np.array([1.0, 0.0, 0.5])).tobytes()
+
     def test_learning_rate_formula(self):
         state = HedgeState.create(16, 400)
         assert abs(state.beta - math.sqrt(math.log(16) / 400)) < 1e-15

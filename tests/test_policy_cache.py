@@ -1,14 +1,19 @@
-"""Property tests for the per-MDP policy-evaluation cache and warm-started policy iteration."""
+"""Property tests for the per-MDP policy-evaluation cache, warm-started policy iteration,
+and the per-policy feature Q-tables the MWAL rounds check their warm start against."""
+
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cftp_rl.apprenticeship import _mwal_rounds, feature_expectations_exact
 from cftp_rl.chains import DeterministicPolicy, RewardModel, TabularMDP
 from cftp_rl.errors import NonErgodicError
+from cftp_rl.hedge import HedgeState, hedge_step
 from cftp_rl.instances import random_mdp
-from cftp_rl.solvers import bias_and_q, optimal_policy, policy_evaluation
+from cftp_rl.solvers import bias_and_q, optimal_policy, policy_evaluation, state_reward_q
 
 PROPERTY_SETTINGS = settings(max_examples=60)
 
@@ -148,3 +153,85 @@ def test_reward_shape_is_checked():
         bias_and_q(mdp, policy, np.zeros((3, 3)))
     with pytest.raises(ValueError, match="one entry per state"):
         optimal_policy(mdp, reward_override=np.zeros(2))
+
+
+@st.composite
+def feature_instances(draw):
+    """A random ergodic MDP (Dirichlet rows) with k features, w on the simplex and a policy."""
+    n = draw(st.integers(2, 6))
+    n_actions = draw(st.integers(2, 3))
+    k = draw(st.sampled_from((2, 3, 4, 1)))
+    mdp = random_mdp(n, n_actions, draw(st.integers(0, 2**32 - 1)), n_features=k)
+    w = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).dirichlet(np.ones(k))
+    actions = draw(st.lists(st.integers(0, n_actions - 1), min_size=n, max_size=n))
+    return mdp, w, DeterministicPolicy(np.array(actions))
+
+
+@PROPERTY_SETTINGS
+@given(feature_instances())
+def test_feature_q_table_times_w_matches_dense_reference(instance):
+    mdp, w, policy = instance
+    table = state_reward_q(mdp, policy, mdp.features)
+    assert table.shape == (mdp.n_states * mdp.n_actions, mdp.n_features)
+    q = (table @ w).reshape(mdp.n_states, mdp.n_actions)
+    expected = dense_bias_and_q(mdp, policy, per_action(mdp, mdp.features @ w))[2]
+    assert np.max(np.abs(q - expected)) <= 1e-12
+
+
+def sweep_loss(k):
+    """Rounds and a loss that carry w from vertex to vertex of the simplex.
+
+    Block j charges every coordinate but j, for (j + 1) L rounds, so at its
+    end coordinate j leads every other by L rounds of losses, and w is
+    near e_j. L is set so that beta * L >= 3, with beta = sqrt(ln k / T).
+    """
+    if k == 1:
+        return 40, lambda t, pi_t, phi_t: np.ones(1)
+    blocks = k * (k + 1) // 2
+    n_rounds = math.ceil(9 * blocks**2 / math.log(k))
+    length = n_rounds // blocks
+    starts = np.cumsum([(j + 1) * length for j in range(k - 1)])
+    charges = 1.0 - np.eye(k)
+    return n_rounds, lambda t, pi_t, phi_t: charges[np.searchsorted(starts, t, side="right")]
+
+
+def reference_mwal_rounds(mdp, k, n_rounds, loss):
+    """The Hedge loop with a warm-started ``optimal_policy`` call every round."""
+    state = HedgeState.create(k, n_rounds)
+    policies, weights, losses, values = [], [], [], []
+    pi_t = None
+    for t in range(n_rounds):
+        w = state.weights
+        pi_t = optimal_policy(mdp, reward_override=mdp.features @ w, start=pi_t)
+        phi_t = feature_expectations_exact(mdp, pi_t)
+        g = loss(t, pi_t, phi_t)
+        policies.append(pi_t)
+        weights.append(w)
+        losses.append(g)
+        values.append(float(w @ phi_t))
+        state = hedge_step(state, g)
+    return policies, np.array(weights), np.array(losses), np.array(values)
+
+
+@settings(max_examples=30, deadline=None)
+@given(feature_instances())
+def test_mwal_rounds_match_a_full_solve_every_round(instance):
+    mdp, _, _ = instance
+    k = mdp.n_features
+    n_rounds, loss = sweep_loss(k)
+    policies, weights, losses, values = reference_mwal_rounds(mdp, k, n_rounds, loss)
+    changes = sum(a != b for a, b in zip(policies, policies[1:]))
+    if k > 1:
+        # Keep instances on which the best response changes, so the rounds
+        # that leave the cached Q-table for optimal_policy run.
+        assume(changes > 0)
+    result = _mwal_rounds(mdp, k, n_rounds, loss)
+    assert [p.key() for p in result.policies] == [p.key() for p in policies]
+    assert sum(a != b for a, b in zip(result.policies, result.policies[1:])) == changes
+    for got, expected in (
+        (result.weights, weights),
+        (result.losses, losses),
+        (result.round_values, values),
+    ):
+        assert got.tobytes() == expected.tobytes()
+

@@ -78,6 +78,11 @@ class TestTotalVariation:
         with pytest.raises(ValueError, match="normalized"):
             total_variation(np.array([0.7, 0.7]), np.array([0.5, 0.5]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input(self, bad):
+        with pytest.raises(ValueError, match="normalized"):
+            total_variation(np.array([bad, 0.5]), np.array([0.5, 0.5]))
+
 
 def brute_force_mixing_time(chain, cap=1000):
     """Independent oracle: per-start distribution iteration with plain loops."""

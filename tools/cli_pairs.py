@@ -8,6 +8,8 @@ DIR is the root of a checkout (e.g. ``git archive <commit> | tar -x -C DIR``).
 In each checkout it runs the six subcommands at the test_12 configs and at
 their defaults, writing into a temporary directory. It then compares the
 two output trees file by file: every CSV, SVG and ``config.txt``. It
+first prints each run's wall seconds on both sides, timed around its
+subprocess (interpreter start included), and each side's total. Then it
 prints one line per file that differs or exists on one side only, then a
 count, and exits 1 if any file differs, 0 if all match. A subcommand that
 exits non-zero stops the comparison with exit code 2.
@@ -20,6 +22,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 SUBCOMMANDS = ("example", "coalescence", "mwal", "mwal-gen", "pg", "eval-store")
@@ -40,12 +43,17 @@ RUNS = [(f"{sub}-t12", sub, T12_FLAGS[sub].split()) for sub in SUBCOMMANDS] + [
 ]
 
 
-def run_side(root: Path, out: Path) -> None:
+def run_side(root: Path, out: Path) -> dict[str, float]:
+    """Run every entry of RUNS in the checkout ``root``; return each run's wall seconds."""
     env = dict(os.environ, PYTHONPATH=str(root.resolve() / "src"))
+    seconds = {}
     for name, sub, flags in RUNS:
         cmd = [sys.executable, "-m", "cftp_rl.experiments.cli", sub, "--out", str(out / name), *flags]
+        start = time.perf_counter()
         subprocess.run(cmd, cwd=root, env=env, check=True)
+        seconds[name] = time.perf_counter() - start
         print(f"{root}: {name} done", file=sys.stderr)
+    return seconds
 
 
 def differing_files(left: Path, right: Path) -> tuple[list[str], int]:
@@ -72,12 +80,15 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         try:
-            for side in ("parent", "change"):
-                run_side(getattr(args, side), work / side)
+            seconds = {side: run_side(getattr(args, side), work / side) for side in ("parent", "change")}
         except subprocess.CalledProcessError as exc:
             print(f"{' '.join(exc.cmd[3:])} exited {exc.returncode}", file=sys.stderr)
             return 2
         differ, total = differing_files(work / "parent", work / "change")
+    print(f"{'run':20} {'parent_s':>9} {'change_s':>9}")
+    for name, _, _ in RUNS:
+        print(f"{name:20} {seconds['parent'][name]:9.2f} {seconds['change'][name]:9.2f}")
+    print(f"{'total':20} {sum(seconds['parent'].values()):9.2f} {sum(seconds['change'].values()):9.2f}")
     for name in differ:
         print(name)
     print(f"{len(differ)} of {total} files differ")
