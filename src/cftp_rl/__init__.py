@@ -1,8 +1,9 @@
-"""Exact stationary-distribution sampling for ergodic Markov chains with
-unknown mixing times, and the average-reward RL estimators built on it:
-unbiased policy evaluation, reward-difference and policy-gradient sampling,
-and multiplicative-weights apprenticeship learning, all validated against
-exact linear-algebra oracles.
+"""Exact stationary-distribution sampling for Markov chains with unknown
+mixing times, and the average-reward RL estimators built on it: unbiased
+policy evaluation, reward-difference and policy-gradient sampling, and
+multiplicative-weights apprenticeship learning, all validated against exact
+linear-algebra oracles. Both accept a chain with one closed class that is
+aperiodic; transient states are allowed and have stationary probability 0.
 """
 
 from .chains import (

@@ -11,7 +11,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 import numpy as np
 
@@ -81,55 +80,42 @@ def inverse_cdf(table: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarra
     return pos + (flat[pos] <= u) - start
 
 
+def closed_class(transition: np.ndarray) -> tuple[np.ndarray | None, bool]:
+    """The chain's one closed class, as a read-only boolean mask, and whether it is aperiodic.
+
+    (None, False) when there are several closed classes. States off the class
+    are transient. CFTP's maps coalesce, and the exact oracles solve, exactly
+    when the class exists and is aperiodic. From a state s: if every state
+    reaches s, the class is what s reaches; else move to a state s reaches
+    that cannot reach back (the reached set shrinks, so at most n moves), and
+    if there is none, two closed classes exist. The class is aperiodic when
+    it has a self-loop or the gcd of d[u] + 1 - d[v] over its edges u -> v is
+    1, d being BFS depth from s; for a strongly connected graph that gcd is
+    the period.
+    """
+    support = transition > 0.0
+    s = 0
+    while True:
+        depth = _bfs_depth(support, s)
+        reached = depth >= 0
+        reaches_s = _bfs_depth(support.T, s) >= 0
+        if reaches_s.all():
+            break
+        escape = np.flatnonzero(reached & ~reaches_s)
+        if escape.size == 0:
+            return None, False
+        s = escape[0]
+    reached.setflags(write=False)
+    if support.diagonal()[reached].any():
+        return reached, True
+    u, v = np.nonzero(support & reached[:, None])
+    return reached, bool(np.gcd.reduce(np.abs(depth[u] + 1 - depth[v])) == 1)
+
+
 def is_ergodic(transition: np.ndarray) -> bool:
-    """Irreducible (single strongly connected component) and aperiodic.
-
-    Irreducibility: every state reachable from state 0 and state 0 reachable
-    from every state in the support graph. Aperiodicity: the gcd of
-    (d[u] + 1 - d[v]) over support edges u -> v is 1, where d is BFS depth
-    from state 0; for a strongly connected graph this gcd is the period.
-    """
-    support = transition > 0.0
-    n = support.shape[0]
-    if not _reachable_from(support, 0).all():
-        return False
-    if not _reachable_from(support.T, 0).all():
-        return False
-    depth = _bfs_depth(support, 0)
-    period = 0
-    for u, v in zip(*np.nonzero(support)):
-        period = gcd(period, depth[u] + 1 - depth[v])
-        if period == 1:
-            return True
-    return period == 1
-
-
-def coalesces(transition: np.ndarray) -> bool:
-    """Whether CFTP's random maps coalesce: one closed class, and it is aperiodic.
-
-    Unlike ``is_ergodic`` this accepts transient states, which CFTP samples
-    exactly. The closed class is the set of states reachable from every state.
-    """
-    support = transition > 0.0
-    n = support.shape[0]
-    reach = (support | np.eye(n, dtype=bool)).astype(float)
-    span = 1  # reach holds every path of at most ``span`` steps
-    while span < n - 1:
-        reach = np.minimum(reach @ reach, 1.0)
-        span *= 2
-    core = reach.all(axis=0)
-    return bool(core.any()) and is_ergodic(transition[np.ix_(core, core)])
-
-
-def _reachable_from(support: np.ndarray, start: int) -> np.ndarray:
-    seen = np.zeros(support.shape[0], dtype=bool)
-    seen[start] = True
-    frontier = [start]
-    while frontier:
-        step = support[frontier].any(axis=0) & ~seen
-        seen |= step
-        frontier = list(np.nonzero(step)[0])
-    return seen
+    """Irreducible and aperiodic: the one closed class is every state, and it is aperiodic."""
+    mask, aperiodic = closed_class(transition)
+    return aperiodic and bool(mask.all())
 
 
 def _bfs_depth(support: np.ndarray, start: int) -> np.ndarray:
@@ -199,25 +185,30 @@ class MarkovChain:
         self.n_states = transition.shape[0]
         self.transition = _frozen(transition)
         self.reward = reward
-        self._ergodic: bool | None = None
-        self._coalesces: bool | None = None
+        self._closed_class: tuple[np.ndarray | None, bool] | None = None
+
+    def closed_class(self) -> tuple[np.ndarray | None, bool]:
+        """``closed_class`` of the transition matrix, computed on first use and cached."""
+        if self._closed_class is None:
+            self._closed_class = closed_class(self.transition)
+        return self._closed_class
 
     @property
     def ergodic(self) -> bool:
-        if self._ergodic is None:
-            self._ergodic = is_ergodic(self.transition)
-        return self._ergodic
+        """Irreducible and aperiodic, read from the cached class as ``is_ergodic`` reads it."""
+        mask, aperiodic = self.closed_class()
+        return aperiodic and bool(mask.all())
 
-    def require_ergodic(self) -> None:
-        if not self.ergodic:
-            raise NonErgodicError("chain is not ergodic (reducible or periodic)")
+    def require_coalescing(self) -> np.ndarray:
+        """The one closed class's mask; NonErgodicError unless it exists and is aperiodic.
 
-    def require_coalescing(self) -> None:
-        """Raise NonErgodicError unless CFTP's maps coalesce (see ``coalesces``)."""
-        if self._coalesces is None:
-            self._coalesces = self.ergodic or coalesces(self.transition)
-        if not self._coalesces:
-            raise NonErgodicError("CFTP cannot coalesce: no single aperiodic closed class")
+        The one check of every sampler and exact oracle. Transient states are
+        allowed; the stationary law is 0 on them.
+        """
+        mask, aperiodic = self.closed_class()
+        if not aperiodic:
+            raise NonErgodicError("the chain has no single closed class, or that class is periodic")
+        return mask
 
     def cumulative(self) -> np.ndarray:
         """Per-row cumulative probabilities, for inverse-CDF sampling."""

@@ -2,7 +2,7 @@
 
 
 class NonErgodicError(ValueError):
-    """The chain fails the irreducibility or aperiodicity check."""
+    """The chain has no single closed class, or that class is periodic (``MarkovChain.require_coalescing``)."""
 
 
 class SolveError(RuntimeError):

@@ -165,7 +165,7 @@ def cftp(
     step_cap: int = 1_000_000,
     ledger: SampleLedger | None = None,
 ) -> tuple[int, CoalescenceRecord]:
-    """Exact draw from the stationary distribution of an ergodic chain.
+    """Exact draw from the stationary distribution of a chain with one aperiodic closed class.
 
     Extends the past one step per iteration with a map drawn from
     ``as_generator(rng)`` (a block ahead, see ``_map_blocks``); the composite

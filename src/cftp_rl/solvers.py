@@ -1,10 +1,12 @@
-"""Exact linear-algebra solvers for ergodic chains and MDPs.
+"""Exact linear-algebra solvers for chains and MDP policies with one aperiodic closed class.
 
 These are the ground-truth oracles every stochastic estimator in the
 package is validated against: stationary distribution, average reward,
 bias and Q-values (Poisson equation), mixing time by exact distribution
-iteration, and average-reward policy iteration. The reward-independent
-part of each deterministic policy's evaluation is cached on its MDP.
+iteration, and average-reward policy iteration. They accept exactly what
+the samplers accept (``MarkovChain.require_coalescing``), transient states
+included. The reward-independent part of each deterministic policy's
+evaluation is cached on its MDP.
 
 scipy's LAPACK wrappers (``dgetrf``/``dgetrs``, for the bias solve) are
 imported on first use by ``_lapack``, not with this module: importing
@@ -43,23 +45,26 @@ def _lapack():
 
 
 def stationary_distribution(chain: MarkovChain) -> np.ndarray:
-    """Unique mu with mu^T P = mu^T, sum(mu) = 1, mu > 0.
+    """Unique mu with mu^T P = mu^T, sum(mu) = 1: > 0 on the closed class, exactly 0 off it.
 
-    Solves (P^T - I) mu = 0 with the last equation replaced by the
-    normalization constraint. Dense and exact; this layer is the oracle.
+    Solves (P_C^T - I) mu_C = 0 on the one closed class C (``require_coalescing``)
+    with the last equation replaced by the normalization constraint. Dense
+    and exact; this layer is the oracle.
     """
-    chain.require_ergodic()
-    n = chain.n_states
-    a = chain.transition.T - np.eye(n)
+    mask = chain.require_coalescing()
+    m = int(mask.sum())
+    a = chain.transition[np.ix_(mask, mask)].T - np.eye(m)
     a[-1, :] = 1.0
-    b = np.zeros(n)
+    b = np.zeros(m)
     b[-1] = 1.0
     try:
-        mu = np.linalg.solve(a, b)
+        mu_class = np.linalg.solve(a, b)
     except np.linalg.LinAlgError as exc:
         raise SolveError("stationary solve is singular") from exc
+    mu = np.zeros(chain.n_states)
+    mu[mask] = mu_class
     residual = np.max(np.abs(mu @ chain.transition - mu))
-    if residual > STATIONARY_TOL or np.any(mu <= 0.0):
+    if residual > STATIONARY_TOL or np.any(mu_class <= 0.0):
         raise SolveError(f"stationary solve residual {residual:.3g} beyond tolerance")
     return mu
 
@@ -82,7 +87,6 @@ def mixing_time(chain: MarkovChain, cap: int = 100_000) -> int:
     Computed by exact distribution iteration; raises CapExceededError when
     ``cap`` steps do not suffice (slow mixing or near-periodic structure).
     """
-    chain.require_ergodic()
     mu = stationary_distribution(chain)
     dist = np.eye(chain.n_states)
     for t in range(1, cap + 1):
@@ -120,8 +124,9 @@ def policy_evaluation(mdp: TabularMDP, policy: DeterministicPolicy) -> PolicyEva
 
     The cache lives on the MDP (``mdp.policy_evaluations``, keyed by
     ``policy.key()``), so its lifetime is the MDP's. The induced chain is
-    validated, its ergodicity checked and mu solved once per policy. A
-    failure is never cached: a non-ergodic or singular policy raises on
+    validated and checked, and mu solved, once per policy; I - P + 1 mu^T is
+    nonsingular with transient states too. A failure is never cached: a
+    policy without one aperiodic closed class, or a singular one, raises on
     every call.
     """
     key = policy.key()
@@ -212,10 +217,11 @@ def optimal_policy(
 
     ``reward_override`` replaces the MDP's reward with a per-state reward
     (the action only affects dynamics), clipped to [0, 1]. Iteration starts
-    from ``start`` (default: action 0 everywhere); a warm start must induce
-    an ergodic chain. Each iteration is one ``bias_and_q`` call on the MDP's
-    policy-evaluation cache and one ``improved_actions`` step, whose ties
-    break toward the lowest action index. The returned policy is certified
+    from ``start`` (default: action 0 everywhere); every policy visited
+    must induce one aperiodic closed class, with transient states allowed.
+    Each iteration is one ``bias_and_q`` call on the MDP's policy-evaluation
+    cache and one ``improved_actions`` step, whose ties break toward the
+    lowest action index. The returned policy is certified
     by a one-step improvement test on its own Q-values; failure to certify
     raises SolveError.
     """

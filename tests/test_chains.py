@@ -1,3 +1,4 @@
+import math
 import tempfile
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from cftp_rl.chains import (
     StochasticPolicy,
     TabularMDP,
     cdf_table,
-    coalesces,
+    closed_class,
     dumps_chain,
     dumps_mdp,
     induce_chain,
@@ -29,7 +30,10 @@ from cftp_rl.chains import (
     save_chain,
     save_mdp,
 )
+from cftp_rl.errors import NonErgodicError
 from cftp_rl.instances import random_ergodic_chain, random_mdp, two_state_chain
+from cftp_rl.sampling import cftp_batch
+from cftp_rl.solvers import stationary_distribution
 
 
 def test_transition_rows_must_sum_to_one():
@@ -201,7 +205,70 @@ class TestErgodicity:
         ],
     )
     def test_coalescence_needs_one_aperiodic_closed_class(self, rows, expected):
-        assert coalesces(np.array(rows)) is expected
+        assert closed_class(np.array(rows))[1] is expected
+
+
+@st.composite
+def sparse_chains(draw):
+    """A chain on 1 to 8 states with one to three positive entries per row, weights 1 to 9."""
+    n = draw(st.integers(1, 8))
+    transition = np.zeros((n, n))
+    for row in transition:
+        cols = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True))
+        row[cols] = draw(st.lists(st.integers(1, 9), min_size=len(cols), max_size=len(cols)))
+    return transition / transition.sum(axis=1, keepdims=True)
+
+
+def reference_class(transition):
+    """Closed class and aperiodicity by boolean matrix powers, with no graph search.
+
+    The closed class is the set of states reached from every state, if any.
+    Its period is the gcd of the lengths t <= |class| of its closed walks:
+    every simple cycle is one of them, and every closed walk's length is a
+    multiple of the period.
+    """
+    support = (transition > 0.0).astype(int)
+    n = support.shape[0]
+    walks = reach = np.eye(n, dtype=int)
+    for _ in range(n):
+        walks = np.minimum(walks @ support, 1)
+        reach = reach | walks
+    core = reach.all(axis=0)
+    if not core.any():
+        return None, False
+    inner = support[np.ix_(core, core)]
+    walks = np.eye(inner.shape[0], dtype=int)
+    period = 0
+    for t in range(1, inner.shape[0] + 1):
+        walks = np.minimum(walks @ inner, 1)
+        if walks.diagonal().any():
+            period = math.gcd(period, t)
+    return core, period == 1
+
+
+class TestOneChainContract:
+    @settings(max_examples=300)
+    @given(sparse_chains(), st.integers(0, 2**32 - 1))
+    def test_samplers_and_oracles_accept_the_same_chains(self, transition, seed):
+        mask, aperiodic = closed_class(transition)
+        core, expected = reference_class(transition)
+        assert aperiodic is expected
+        assert mask is None if core is None else np.array_equal(mask, core)
+        assert is_ergodic(transition) is (expected and bool(core.all()))
+        chain = MarkovChain(transition, RewardModel(np.zeros(transition.shape[0])))
+        raised = []
+        try:
+            stationary_distribution(chain)
+        except NonErgodicError:
+            raised.append("oracle")
+        gen = np.random.default_rng(seed)
+        before = gen.bit_generator.state
+        try:
+            cftp_batch(chain, 2, gen)
+        except NonErgodicError:
+            raised.append("sampler")
+            assert gen.bit_generator.state == before
+        assert raised == ([] if aperiodic else ["oracle", "sampler"])
 
 
 class TestPolicies:

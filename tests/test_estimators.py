@@ -21,7 +21,7 @@ from cftp_rl.estimators import (
 )
 from cftp_rl.instances import random_mdp
 from cftp_rl.sampling import lower_bound_chain
-from cftp_rl.solvers import average_reward, mixing_time
+from cftp_rl.solvers import average_reward, mixing_time, stationary_distribution
 
 
 def exact_rho(mdp, policy):
@@ -114,6 +114,18 @@ class TestDeltaRho:
         values, _ = delta_rho_batch(mdp, pi, pi_prime, 40_000, rng=seed, s0_source=s0_source)
         se = values.std() / np.sqrt(values.size)
         assert abs(values.mean() - truth) < 3 * se
+
+    @pytest.mark.parametrize("s0_source", ["exact_solve", "cftp"])
+    def test_unbiased_when_pi_prime_has_transient_states(self, unichain_mdp, s0_source):
+        mdp = unichain_mdp(4, 2, seed=7)
+        pi = DeterministicPolicy(np.array([1, 0, 0, 0]))
+        pi_prime = DeterministicPolicy(np.array([0, 1, 1, 1]))
+        mu_prime = stationary_distribution(induce_chain(mdp, pi_prime))
+        assert (mu_prime == 0.0).any()
+        truth = exact_rho(mdp, pi_prime) - exact_rho(mdp, pi)
+        values, _ = delta_rho_batch(mdp, pi, pi_prime, 40_000, rng=16, s0_source=s0_source)
+        se = values.std() / np.sqrt(values.size)
+        assert abs(values.mean() - truth) < 4 * se
 
     def test_stochastic_policies_supported(self):
         mdp = random_mdp(3, 2, rng=9)
@@ -238,9 +250,11 @@ class TestBoundedFailure:
         first = delta_rho_batch(mdp, pi, pi_prime, 20, rng=5)
         assert mdp.coalescing_policies == {pi.key()}
         checks = []
-        monkeypatch.setattr(MarkovChain, "require_coalescing", lambda chain: checks.append(chain))
+        gate = MarkovChain.require_coalescing
+        monkeypatch.setattr(MarkovChain, "require_coalescing", lambda chain: checks.append(chain) or gate(chain))
         second = delta_rho_batch(mdp, pi, pi_prime, 20, rng=5)
-        assert checks == []
+        # pi's verdict is cached; only the exact start-state oracle checks pi_prime's chain.
+        assert [chain.transition.tolist() for chain in checks] == [induce_chain(mdp, pi_prime).transition.tolist()]
         for a, b in zip(first, second):
             assert np.array_equal(a, b)
 
@@ -260,7 +274,7 @@ class TestBoundedFailure:
         want = policy_gradient_batch(mdp, policy, 20, rng=5)
         with (
             mock.patch.object(estimators, "induce_chain", wraps=estimators.induce_chain) as induce,
-            mock.patch.object(chains, "is_ergodic", wraps=chains.is_ergodic) as check,
+            mock.patch.object(chains, "closed_class", wraps=chains.closed_class) as check,
         ):
             assert np.array_equal(policy_gradient_batch(mdp, policy, 20, rng=5), want)
         assert (induce.call_count, check.call_count) == (1, 1)

@@ -24,7 +24,7 @@ from cftp_rl.eval_store import (
 from cftp_rl.instances import random_mdp
 from cftp_rl.sampling import _cftp_core, lower_bound_chain
 from cftp_rl.seeding import child_sequence
-from cftp_rl.solvers import average_reward, mixing_time
+from cftp_rl.solvers import average_reward, mixing_time, stationary_distribution
 
 PROPERTY_SETTINGS = settings(max_examples=60)
 
@@ -377,6 +377,18 @@ class TestStoreEnsemble:
         policies = all_policies(mdp)
         exact = np.array([average_reward(induce_chain(mdp, p)) for p in policies])
         ensemble = StoreEnsemble(mdp, epsilon=0.15, delta=0.1, n_policies=8, rng=26)
+        estimates = estimate_all(ensemble, policies)
+        assert np.max(np.abs(estimates - exact)) <= 0.15
+
+    def test_simultaneous_accuracy_with_transient_states(self, unichain_mdp):
+        # Every policy has one aperiodic closed class; most leave states
+        # transient, where the exact oracle's mu is 0.
+        mdp = unichain_mdp(4, 2, seed=7)
+        policies = all_policies(mdp)
+        mus = [stationary_distribution(induce_chain(mdp, p)) for p in policies]
+        assert all((mu == 0.0).any() for mu in mus)
+        exact = np.array([average_reward(induce_chain(mdp, p)) for p in policies])
+        ensemble = StoreEnsemble(mdp, epsilon=0.15, delta=0.1, n_policies=len(policies), rng=27)
         estimates = estimate_all(ensemble, policies)
         assert np.max(np.abs(estimates - exact)) <= 0.15
 

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from cftp_rl.chains import MarkovChain, RewardModel, SampleLedger, inverse_cdf
+from cftp_rl.chains import MarkovChain, RewardModel, SampleLedger, closed_class, inverse_cdf
 from cftp_rl.errors import CapExceededError, NonErgodicError
 from cftp_rl import sampling
 from cftp_rl.instances import random_ergodic_chain
+from cftp_rl.seeding import substream
 from cftp_rl.sampling import (
     CoalescenceRecord,
     GrandCouplingRecord,
@@ -35,6 +36,27 @@ def rank_one_chain(n, j):
     transition = np.zeros((n, n))
     transition[:, j] = 1.0
     return MarkovChain(transition, RewardModel(np.zeros(n)))
+
+
+def transient_chains(count):
+    """The first ``count`` chains, by seed, that coalesce but are not irreducible.
+
+    Each has 3 to 8 states and one or two positive entries per row.
+    """
+    chains, seed = [], 0
+    while len(chains) < count:
+        gen = np.random.default_rng(substream(3000, seed))
+        seed += 1
+        n = int(gen.integers(3, 9))
+        transition = np.zeros((n, n))
+        for row in transition:
+            cols = gen.choice(n, int(gen.integers(1, 3)), replace=False)
+            row[cols] = gen.uniform(0.1, 1.0, cols.size)
+        transition /= transition.sum(axis=1, keepdims=True)
+        mask, aperiodic = closed_class(transition)
+        if aperiodic and not mask.all():
+            chains.append(MarkovChain(transition, RewardModel(np.zeros(n))))
+    return chains
 
 
 class TestDrawRandomMap:
@@ -120,6 +142,31 @@ class TestCftp:
             counts = np.bincount(states, minlength=chain.n_states)
             _, p_value = stats.chisquare(counts, mu * states.size)
             assert p_value > 0.001
+
+    def test_exact_on_chains_with_transient_states(self):
+        """cftp_batch against the stationary law on 20 chains with transient states.
+
+        No draw may land on a transient state, where mu is exactly 0. A class
+        of one state is checked exactly: every draw lands on it. A larger
+        class takes a chi-square test over its states at level 0.001, so the
+        family-wise false-failure rate is at most 20 x 0.001 = 0.02; the
+        seeds are fixed, so the outcome is deterministic.
+        """
+        one_state = 0
+        for i, chain in enumerate(transient_chains(20)):
+            mask = chain.closed_class()[0]
+            mu = stationary_distribution(chain)
+            assert (mu[~mask] == 0.0).all() and (mu[mask] > 0.0).all()
+            states, _ = cftp_batch(chain, 50_000, substream(4000, i))
+            counts = np.bincount(states, minlength=chain.n_states)
+            assert counts[~mask].sum() == 0, f"chain {i}: a draw landed on a transient state"
+            if mask.sum() == 1:
+                one_state += 1
+                assert counts[mask].tolist() == [states.size]
+                continue
+            _, p_value = stats.chisquare(counts[mask], mu[mask] * states.size)
+            assert p_value > 0.001, f"chain {i}: p={p_value:.5f}"
+        assert 0 < one_state < 20
 
     def test_step_cap_exceeded(self):
         chain = lower_bound_chain(10, 0.001)

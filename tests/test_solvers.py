@@ -288,3 +288,29 @@ class TestOptimalPolicy:
             if mass > best_mass + 1e-12:
                 best_mass, best = mass, candidate.key()
         assert policy.key() == best
+
+
+class TestUnichainOracles:
+    """The exact oracles on MDPs whose policies have one aperiodic closed class and transient states."""
+
+    @pytest.mark.parametrize("n_states,n_actions,seed", [(3, 2, 1), (4, 2, 7), (5, 2, 3), (4, 3, 4), (6, 2, 5)])
+    def test_identities_hold_with_transient_states(self, unichain_mdp, n_states, n_actions, seed):
+        mdp = unichain_mdp(n_states, n_actions, seed)
+        idx = np.arange(n_states)
+        transient = 0
+        for actions in itertools.product(range(n_actions), repeat=n_states):
+            policy = DeterministicPolicy(np.array(actions))
+            chain = induce_chain(mdp, policy)
+            mu = stationary_distribution(chain)
+            mask = chain.closed_class()[0]
+            assert (mu[~mask] == 0.0).all() and (mu[mask] > 0.0).all()
+            transient += not mask.all()
+            rho, h, _ = bias_and_q(mdp, policy)
+            r = mdp.reward.means[idx, policy.actions]
+            assert np.max(np.abs(h - chain.transition @ h - (r - rho))) <= 1e-10
+            assert abs(mu @ h) <= 1e-12
+        assert transient > 0
+        best_value, best_keys = enumerate_best_policy(mdp)
+        found = optimal_policy(mdp)
+        assert found.key() in best_keys
+        assert abs(bias_and_q(mdp, found)[0] - best_value) <= 1e-10
