@@ -133,13 +133,12 @@ def _stationary_starts(chain, n, source, gen, step_cap, ledger):
     if source == "exact_solve":
         cum = cdf_table(stationary_distribution(chain))[None, :]
         starts = inverse_cdf(cum, np.zeros(n, dtype=np.int64), gen.random(n))
-        return starts, 0
+        return starts
     if source == "cftp":
         states, times = cftp_batch(chain, n, gen, step_cap=step_cap)
-        calls = int(times.sum()) * chain.n_states
         if ledger is not None:
-            ledger.add_generative(calls)
-        return states, calls
+            ledger.add_generative(int(times.sum()) * chain.n_states)
+        return states
     raise ValueError(f"unknown start-state source {source!r}")
 
 
@@ -167,7 +166,7 @@ def delta_rho_batch(
     """
     require_coalescing_policy(mdp, pi)
     gen = as_generator(rng)
-    s0, _ = _stationary_starts(induce_chain(mdp, pi_prime), n_samples, s0_source, gen, step_cap, ledger)
+    s0 = _stationary_starts(induce_chain(mdp, pi_prime), n_samples, s0_source, gen, step_cap, ledger)
     draw_pi = policy_action_drawer(pi, mdp, gen)
     draw_pi_prime = policy_action_drawer(pi_prime, mdp, gen)
     values, t_c = coupled_difference_batch(
@@ -208,7 +207,7 @@ def policy_gradient_batch(
     chain = induce_chain(mdp, stoch)
     chain.require_coalescing()
     gen = as_generator(rng)
-    s0, _ = _stationary_starts(chain, n_samples, "cftp", gen, step_cap, ledger)
+    s0 = _stationary_starts(chain, n_samples, "cftp", gen, step_cap, ledger)
     cum_pi = cdf_table(policy.probs)
     a_main = inverse_cdf(cum_pi, s0, gen.random(n_samples))
     a_base = inverse_cdf(cum_pi, s0, gen.random(n_samples))

@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from ..errors import CapExceededError
-from .config import PARALLEL_SUBCOMMANDS, PARAM_SPECS, ConfigError, build_config
+from .config import COMMON_SPECS, PARAM_SPECS, ConfigError, build_config
 from .runners import RUNNERS
 
 CSV_SCHEMAS = {
@@ -66,42 +66,24 @@ def build_parser() -> argparse.ArgumentParser:
             description=DESCRIPTIONS[name] + "\n\nEmitted CSVs:\n  " + CSV_SCHEMAS[name],
             formatter_class=argparse.RawDescriptionHelpFormatter,
         )
-        cmd.add_argument("--seed", type=int, default=None, help="master seed, >= 0 (default 0)")
-        cmd.add_argument("--out", type=str, default=None, help="output directory (default ./out)")
-        cmd.add_argument(
-            "--replicates", type=int, default=None, help="independent replicates (default 10)"
-        )
-        if name in PARALLEL_SUBCOMMANDS:
-            jobs_help = "parallel workers over replicates (default 1)"
-        else:
-            jobs_help = "must be 1: this subcommand runs in one process (default 1)"
-        cmd.add_argument("--jobs", type=int, default=None, help=jobs_help)
-        cmd.add_argument(
-            "--config", type=str, default=None, help="key=value config file; flags override it"
-        )
-        for spec in specs:
+        cmd.add_argument("--config", help="key=value config file; flags override it")
+        for spec in COMMON_SPECS + specs:
             flag = "--" + spec.name.replace("_", "-")
-            cmd.add_argument(flag, dest=spec.name, type=str, default=None, help=spec.help)
+            cmd.add_argument(flag, dest=spec.name, help=spec.help_line())
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    values = {
-        key: value
-        for key, value in vars(args).items()
-        if key not in ("subcommand", "config") and value is not None
-    }
+    args = vars(parser.parse_args(argv))
+    subcommand, config_file = args.pop("subcommand"), args.pop("config")
     try:
-        config = build_config(
-            args.subcommand, values, Path(args.config) if args.config else None
-        )
+        config = build_config(subcommand, args, Path(config_file) if config_file else None)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     try:
-        RUNNERS[args.subcommand](config)
+        RUNNERS[subcommand](config)
     except CapExceededError as exc:
         print(f"sampling cap exceeded: {exc}", file=sys.stderr)
         return 3

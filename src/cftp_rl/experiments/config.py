@@ -1,15 +1,19 @@
 """Experiment configuration: defaults, key=value file, flag overrides.
 
 Resolution order is defaults, then the optional config file, then explicit
-command-line flags. The fully resolved configuration is validated before
-any sampling happens, echoed into the output directory as config.txt, and
-hashed; every CSV the run emits carries the hash in a comment line.
+command-line flags. Each ParamSpec checks its range as its value is read,
+and validate() checks the rules that tie parameters together, all before
+any sampling happens. The resolved configuration is echoed into the output
+directory as config.txt and hashed; every CSV the run emits carries the
+hash in a comment line.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+import math
+from collections.abc import Callable
+from dataclasses import dataclass
 from pathlib import Path
 
 from ..apprenticeship import ENUMERATION_BUDGET
@@ -19,34 +23,66 @@ class ConfigError(ValueError):
     """Invalid experiment configuration (maps to exit code 2)."""
 
 
-# Subcommands whose runner spreads replicates over --jobs worker processes.
-PARALLEL_SUBCOMMANDS = ("example",)
+@dataclass(frozen=True)
+class Range:
+    """The values a parameter admits, and the text that states them in --help."""
+
+    text: str
+    admits: Callable[[object], bool]
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(part) for part in str(text).split(",") if part != ""]
+def at_least(low: int) -> Range:
+    return Range(f">= {low}", lambda value: value >= low)
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(part) for part in str(text).split(",") if part != ""]
+def one_of(*choices: str) -> Range:
+    return Range("one of " + ", ".join(choices), lambda value: value in choices)
 
 
-@dataclass
+# NaN fails every comparison, so neither range admits it.
+UNIT = Range("in (0, 1)", lambda value: 0.0 < value < 1.0)
+POSITIVE = Range("> 0 and finite", lambda value: 0.0 < value < math.inf)
+
+
+@dataclass(frozen=True)
 class ParamSpec:
+    """One parameter, declared once: its type, default, help and range.
+
+    A list parameter (``many``) is written comma-separated; it names at
+    least one entry, repeats none, and each entry lies in ``within``.
+    """
+
     name: str
-    kind: type | str  # int, float, str, "int_list", "float_list"
+    kind: type  # int, float or str; for a list, the type of each entry
     default: object
     help: str
+    within: Range | None = None
+    many: bool = False
 
     def parse(self, raw) -> object:
+        """Read a flag or config-file value; raise ConfigError unless it is in range."""
+        parts = [part for part in str(raw).split(",") if part != ""] if self.many else [str(raw)]
         try:
-            if self.kind == "int_list":
-                return _int_list(raw) if isinstance(raw, str) else list(raw)
-            if self.kind == "float_list":
-                return _float_list(raw) if isinstance(raw, str) else list(raw)
-            return self.kind(raw)
-        except (TypeError, ValueError) as exc:
+            values = [self.kind(part) for part in parts]
+        except ValueError as exc:
             raise ConfigError(f"bad value for {self.name}: {raw!r}") from exc
+        if not values:
+            raise ConfigError(f"{self.name} must name at least one entry")
+        if len(set(values)) < len(values):
+            raise ConfigError(f"{self.name} must not repeat an entry, got {values}")
+        for value in values:
+            if self.within is not None and not self.within.admits(value):
+                raise ConfigError(f"{self.name} must be {self.within.text}, got {value!r}")
+        return values if self.many else values[0]
+
+    def help_line(self) -> str:
+        if self.many:
+            within = f"; comma-separated, distinct, each {self.within.text}"
+            default = ",".join(map(str, self.default))
+        else:
+            within = f"; {self.within.text}" if self.within else ""
+            default = self.default
+        return f"{self.help}{within} (default {default})"
 
 
 ORACLE_SIZE_HELP = (
@@ -54,75 +90,92 @@ ORACLE_SIZE_HELP = (
     f"policies, at most {ENUMERATION_BUDGET}"
 )
 
+# Every subcommand takes these; all but out enter config.txt.
+COMMON_SPECS = [
+    ParamSpec("seed", int, 0, "master seed", at_least(0)),
+    ParamSpec("out", str, "out", "output directory"),
+    ParamSpec("replicates", int, 10, "independent replicates", at_least(1)),
+    ParamSpec(
+        "jobs", int, 1,
+        "worker processes over replicates, at most one per replicate; only example takes more "
+        "than 1", at_least(1),
+    ),
+]
+
 PARAM_SPECS: dict[str, list[ParamSpec]] = {
     "example": [
         ParamSpec(
             "runs", int, 30_000,
-            "samples per estimator per replicate (> 10, and runs * min(min(t_guess), 3) >= "
-            "max(t_guess), so every guess finishes a run by the first step checkpoint; "
-            ">= 15 at the default guesses)",
+            "samples per estimator per replicate (11 give the tail slope two checkpoints; "
+            "runs * min(min(t_guess), 3) >= max(t_guess) lets every guess finish a run by the "
+            "first step checkpoint: >= 15 at the default guesses)", at_least(11),
         ),
         ParamSpec(
-            "t_guess", "int_list", [2, 4, 30],
-            "distinct mixing-time guesses for the baselines (each 1 to 100: the step curve "
-            "starts at 100 steps)",
+            "t_guess", int, [2, 4, 30], "mixing-time guesses for the baselines (at most 100: "
+            "the step curve starts at 100 steps)", at_least(1), many=True,
         ),
-        ParamSpec("step_cap", int, 1_000_000, "per-run coalescence cap"),
+        ParamSpec("step_cap", int, 1_000_000, "per-run coalescence cap", at_least(1)),
     ],
     "coalescence": [
+        ParamSpec("sizes", int, [5, 10, 20], "random-chain state counts", at_least(1), many=True),
+        ParamSpec("chains_per_size", int, 3, "independent chains per size", at_least(1)),
+        ParamSpec("runs", int, 2000, "coalescence runs per chain", at_least(1)),
+        ParamSpec("lazy_size", int, 20, "lazy-family state count, for the pair (0, 1)", at_least(2)),
         ParamSpec(
-            "sizes", "int_list", [5, 10, 20], "distinct state counts for random ergodic chains"
+            "lazy_eps", float, [0.4, 0.2, 0.1],
+            "exit rates for the lazy family (each keys its random stream by int(1000 * eps), "
+            "so no two may share that key)", UNIT, many=True,
         ),
-        ParamSpec("chains_per_size", int, 3, "independent chains per size"),
-        ParamSpec("runs", int, 2000, "coalescence runs per chain"),
-        ParamSpec("lazy_size", int, 20, "state count for the lazy-chain family (>= 2)"),
-        ParamSpec(
-            "lazy_eps", "float_list", [0.4, 0.2, 0.1],
-            "distinct exit rates in (0, 1) for the lazy family (at least one; each keys its "
-            "random stream by int(1000 * eps), so no two may share that key)",
-        ),
-        ParamSpec("grand_sizes", "int_list", [8, 16], "distinct state counts for grand couplings"),
-        ParamSpec("grand_runs", int, 500, "grand-coupling runs per size"),
-        ParamSpec("delta", float, 0.05, "tail level for reference thresholds"),
-        ParamSpec("step_cap", int, 10_000_000, "per-run coalescence cap"),
+        ParamSpec("grand_sizes", int, [8, 16], "grand-coupling state counts", at_least(1), many=True),
+        ParamSpec("grand_runs", int, 500, "grand-coupling runs per size", at_least(1)),
+        ParamSpec("delta", float, 0.05, "tail level for reference thresholds", UNIT),
+        ParamSpec("step_cap", int, 10_000_000, "per-run coalescence cap", at_least(1)),
     ],
     "mwal": [
-        ParamSpec("epsilon", float, 0.1, "target optimality gap"),
-        ParamSpec("delta", float, 0.1, "failure probability"),
-        ParamSpec("k", int, 2, "feature dimension"),
-        ParamSpec("n_rounds", int, 0, "rounds T; 0 derives (144/eps^2) log k"),
-        ParamSpec("m", int, 0, "expert samples; 0 derives (18/eps^2) log(2k/delta)"),
-        ParamSpec("n_states", int, 4, ORACLE_SIZE_HELP.format("state")),
-        ParamSpec("n_actions", int, 2, ORACLE_SIZE_HELP.format("action")),
-        ParamSpec("instance_seed", int, 7, "seed of the built-in instance generator (>= 0)"),
-        ParamSpec("step_cap", int, 1_000_000, "per-run coalescence cap"),
+        ParamSpec("epsilon", float, 0.1, "target optimality gap", UNIT),
+        ParamSpec("delta", float, 0.1, "failure probability", UNIT),
+        ParamSpec("k", int, 2, "feature dimension", at_least(1)),
+        ParamSpec("n_rounds", int, 0, "rounds T; 0 derives (144/eps^2) log k", at_least(0)),
+        ParamSpec("m", int, 0, "expert samples; 0 derives (18/eps^2) log(2k/delta)", at_least(0)),
+        ParamSpec("n_states", int, 4, ORACLE_SIZE_HELP.format("state"), at_least(1)),
+        ParamSpec("n_actions", int, 2, ORACLE_SIZE_HELP.format("action"), at_least(1)),
+        ParamSpec("instance_seed", int, 7, "seed of the built-in instance generator", at_least(0)),
+        ParamSpec("step_cap", int, 1_000_000, "per-run coalescence cap", at_least(1)),
     ],
     "mwal-gen": [
-        ParamSpec("epsilon", float, 0.15, "target optimality gap for the summary check"),
-        ParamSpec("delta", float, 0.1, "failure probability"),
-        ParamSpec("k", int, 2, "feature dimension"),
-        ParamSpec("n_rounds", int, 1500, "rounds T >= 1 (desk-scale; no closed form)"),
-        ParamSpec("b", float, 2.0, "high-probability bound parameter for the columns"),
-        ParamSpec("n_states", int, 3, ORACLE_SIZE_HELP.format("state")),
-        ParamSpec("n_actions", int, 2, ORACLE_SIZE_HELP.format("action")),
-        ParamSpec("instance_seed", int, 11, "seed of the built-in instance generator (>= 0)"),
-        ParamSpec("step_cap", int, 1_000_000, "per-run coalescence cap"),
+        ParamSpec("epsilon", float, 0.15, "target optimality gap for the summary check", UNIT),
+        ParamSpec("delta", float, 0.1, "failure probability", UNIT),
+        ParamSpec("k", int, 2, "feature dimension", at_least(1)),
+        ParamSpec("n_rounds", int, 1500, "rounds T (desk-scale; no closed form)", at_least(1)),
+        ParamSpec(
+            "b", float, 2.0, "high-probability bound parameter for the columns; Hedge rescales "
+            "them by 2 b log(2 T k / delta), which must be finite", POSITIVE,
+        ),
+        ParamSpec("n_states", int, 3, ORACLE_SIZE_HELP.format("state"), at_least(1)),
+        ParamSpec("n_actions", int, 2, ORACLE_SIZE_HELP.format("action"), at_least(1)),
+        ParamSpec("instance_seed", int, 11, "seed of the built-in instance generator", at_least(0)),
+        ParamSpec("step_cap", int, 1_000_000, "per-run coalescence cap", at_least(1)),
     ],
     "pg": [
-        ParamSpec("samples", int, 50_000, "gradient samples per instance (>= 2)"),
-        ParamSpec("instance", str, "both", "single_state, random, or both"),
-        ParamSpec("n_states", int, 3, "random-instance state count"),
-        ParamSpec("n_actions", int, 2, "random-instance action count"),
-        ParamSpec("instance_seed", int, 5, "seed of the built-in instance generator (>= 0)"),
-        ParamSpec("step_cap", int, 1_000_000, "per-run coalescence cap"),
+        ParamSpec(
+            "samples", int, 50_000, "gradient samples per instance (two for a standard error)",
+            at_least(2),
+        ),
+        ParamSpec(
+            "instance", str, "both", "instances to run", one_of("single_state", "random", "both")
+        ),
+        ParamSpec("n_states", int, 3, "random-instance state count", at_least(1)),
+        ParamSpec("n_actions", int, 2, "random-instance action count", at_least(1)),
+        ParamSpec("instance_seed", int, 5, "seed of the built-in instance generator", at_least(0)),
+        ParamSpec("step_cap", int, 1_000_000, "per-run coalescence cap", at_least(1)),
     ],
     "eval-store": [
-        ParamSpec("epsilon", float, 0.1, "simultaneous accuracy target"),
-        ParamSpec("delta", float, 0.1, "failure probability"),
-        ParamSpec("n_states", int, 3, "instance state count"),
-        ParamSpec("n_actions", int, 2, "instance action count"),
-        ParamSpec("instance_seed", int, 3, "seed of the built-in instance generator (>= 0)"),
-        ParamSpec("step_cap", int, 1_000_000, "per-run coalescence cap"),
+        ParamSpec("epsilon", float, 0.1, "simultaneous accuracy target", UNIT),
+        ParamSpec("delta", float, 0.1, "failure probability", UNIT),
+        ParamSpec("n_states", int, 3, "instance state count", at_least(1)),
+        ParamSpec("n_actions", int, 2, "instance action count", at_least(1)),
+        ParamSpec("instance_seed", int, 3, "seed of the built-in instance generator", at_least(0)),
+        ParamSpec("step_cap", int, 1_000_000, "per-run coalescence cap", at_least(1)),
     ],
 }
 
@@ -130,11 +183,11 @@ PARAM_SPECS: dict[str, list[ParamSpec]] = {
 @dataclass
 class ExperimentConfig:
     subcommand: str
-    seed: int = 0
-    out_dir: Path = Path("out")
-    replicates: int = 10
-    jobs: int = 1
-    params: dict = field(default_factory=dict)
+    seed: int
+    out_dir: Path
+    replicates: int
+    jobs: int
+    params: dict
 
     def param(self, name: str):
         return self.params[name]
@@ -161,70 +214,29 @@ class ExperimentConfig:
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
     def validate(self) -> None:
-        if self.subcommand not in PARAM_SPECS:
-            raise ConfigError(f"unknown subcommand {self.subcommand!r}")
-        if self.replicates < 1:
-            raise ConfigError("replicates must be >= 1")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be >= 1")
-        if self.jobs > 1 and self.subcommand not in PARALLEL_SUBCOMMANDS:
-            raise ConfigError(f"{self.subcommand} runs in one process; jobs must be 1")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        """Check the rules that tie parameters together; each ParamSpec checks its own range."""
         p = self.params
-        if p.get("instance_seed", 0) < 0:
-            raise ConfigError(f"instance_seed must be >= 0, got {p['instance_seed']}")
-        positive = {
-            "runs", "chains_per_size", "lazy_size", "grand_runs", "step_cap",
-            "samples", "n_states", "n_actions", "k", "b",
-        }
-        for key, value in p.items():
-            if key in positive and not (isinstance(value, (int, float)) and value > 0):
-                raise ConfigError(f"{key} must be positive, got {value!r}")
-        for key in ("epsilon", "delta"):
-            if key in p and not 0.0 < p[key] < 1.0:
-                raise ConfigError(f"{key} must lie in (0, 1), got {p[key]!r}")
-        for key in ("sizes", "grand_sizes", "t_guess"):
-            if key in p and (not p[key] or any(v < 1 for v in p[key])):
-                raise ConfigError(f"{key} must be a non-empty list of positive integers")
-            if key in p and len(set(p[key])) < len(p[key]):
-                raise ConfigError(f"{key} must not repeat an entry, got {p[key]}")
+        if self.jobs > 1 and self.subcommand != "example":
+            raise ConfigError(f"{self.subcommand} runs in one process; jobs must be 1")
         if "lazy_eps" in p:
-            if not p["lazy_eps"] or any(not 0 < e < 1 for e in p["lazy_eps"]):
-                raise ConfigError("lazy_eps must be a non-empty list of values in (0, 1)")
             stream_keys = [int(1000 * e) for e in p["lazy_eps"]]
             if len(set(stream_keys)) < len(stream_keys):
                 raise ConfigError(
                     "lazy_eps values must differ in their stream key int(1000 * eps), "
                     f"got {p['lazy_eps']}"
                 )
-        if "instance" in p and p["instance"] not in ("single_state", "random", "both"):
-            raise ConfigError("instance must be single_state, random, or both")
-        if "n_rounds" in p and p["n_rounds"] < 0:
-            raise ConfigError("n_rounds must be >= 0")
-        if self.subcommand == "mwal-gen" and p.get("n_rounds") == 0:
-            raise ConfigError("n_rounds must be >= 1 for mwal-gen; only mwal derives it from 0")
-        if "lazy_size" in p and p["lazy_size"] < 2:
-            raise ConfigError("lazy_size must be >= 2: the lazy family measures the pair (0, 1)")
-        if "m" in p and p["m"] < 0:
-            raise ConfigError("m must be >= 0")
         if self.subcommand == "example":
-            runs, guesses = p["runs"], p["t_guess"]
-            # The run curve fits its tail slope to the checkpoints in the last
-            # decade of runs, two of them only when runs > 10. The step curve
-            # starts at min(100, fewest total steps), and a CFTP run costs at
-            # least 3 steps, so every guess ends a run by then under this rule.
-            if runs <= 10:
-                raise ConfigError(f"runs must be > 10 for the tail slope, got {runs}")
-            first_checkpoint = min(100, runs * min(min(guesses), 3))
+            guesses = p["t_guess"]
+            # The step curve starts at min(100, fewest total steps), and a
+            # CFTP run costs at least 3 steps, so every guess ends a run by
+            # then under this rule.
+            first_checkpoint = min(100, p["runs"] * min(min(guesses), 3))
             if first_checkpoint < max(guesses):
                 raise ConfigError(
                     "every guess must finish a run by the first step checkpoint: need "
                     f"min(100, runs * min(min(t_guess), 3)) >= max(t_guess) = {max(guesses)}, "
                     f"got {first_checkpoint}"
                 )
-        if self.subcommand == "pg" and p["samples"] < 2:
-            raise ConfigError("samples must be >= 2 for a standard error")
         if self.subcommand in ("mwal", "mwal-gen"):
             n, a = p["n_states"], p["n_actions"]
             # For a >= 2, a ** bit_length(budget) already exceeds the budget,
@@ -235,11 +247,23 @@ class ExperimentConfig:
                     f"the exact game value enumerates n_actions ** n_states = {a} ** {n} "
                     f"policies, more than the oracle's limit of {ENUMERATION_BUDGET}"
                 )
+        if self.subcommand == "mwal-gen":
+            # Hedge divides by 2B, B = b log(2 T k / delta); math.log takes any int.
+            bound = p["b"] * (math.log(2 * p["n_rounds"] * p["k"]) - math.log(p["delta"]))
+            if not 2.0 * bound < math.inf:
+                raise ConfigError(
+                    "Hedge rescales by 2 b log(2 n_rounds k / delta), which must be finite; "
+                    f"got b = {p['b']!r}"
+                )
 
 
 def read_config_file(path: Path) -> dict[str, str]:
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {str(path)!r}: {exc}") from exc
     values: dict[str, str] = {}
-    for raw_line in Path(path).read_text().splitlines():
+    for raw_line in text.splitlines():
         line = raw_line.strip()
         if not line or line.startswith("#"):
             continue
@@ -251,38 +275,28 @@ def read_config_file(path: Path) -> dict[str, str]:
 
 
 def build_config(subcommand: str, cli_values: dict, file_path: Path | None) -> ExperimentConfig:
-    """Merge defaults, config-file values, and explicit CLI flags."""
-    specs = {spec.name: spec for spec in PARAM_SPECS[subcommand]}
-    common = {"seed": 0, "out": "out", "replicates": 10, "jobs": 1}
+    """Merge defaults, config-file values, and explicit CLI flags (None means unset)."""
+    specs = {spec.name: spec for spec in COMMON_SPECS + PARAM_SPECS[subcommand]}
     file_values = read_config_file(file_path) if file_path else {}
+    file_subcommand = file_values.pop("subcommand", subcommand)
+    if file_subcommand != subcommand:
+        raise ConfigError(f"config file is for {file_subcommand!r}, not {subcommand!r}")
 
-    merged: dict[str, object] = {name: spec.default for name, spec in specs.items()}
-    merged.update(common)
-    for key, value in file_values.items():
-        if key in specs:
-            merged[key] = specs[key].parse(value)
-        elif key in common:
-            merged[key] = int(value) if key in ("seed", "replicates", "jobs") else value
-        elif key == "subcommand":
-            if value != subcommand:
-                raise ConfigError(f"config file is for {value!r}, not {subcommand!r}")
-        else:
-            raise ConfigError(f"unknown config key {key!r} for {subcommand}")
-    for key, value in cli_values.items():
-        if value is None:
-            continue
-        if key in specs:
-            merged[key] = specs[key].parse(value)
-        elif key in common:
-            merged[key] = value
+    merged = {name: spec.default for name, spec in specs.items()}
+    for values in (file_values, cli_values):
+        for key, value in values.items():
+            if key not in specs:
+                raise ConfigError(f"unknown config key {key!r} for {subcommand}")
+            if value is not None:
+                merged[key] = specs[key].parse(value)
 
     config = ExperimentConfig(
         subcommand=subcommand,
-        seed=int(merged["seed"]),
-        out_dir=Path(merged["out"]),
-        replicates=int(merged["replicates"]),
-        jobs=int(merged["jobs"]),
-        params={name: merged[name] for name in specs},
+        seed=merged.pop("seed"),
+        out_dir=Path(merged.pop("out")),
+        replicates=merged.pop("replicates"),
+        jobs=merged.pop("jobs"),
+        params=merged,
     )
     config.validate()
     return config

@@ -139,8 +139,10 @@ def run_example(config: ExperimentConfig) -> None:
         (config.seed, r, n_runs, tuple(t_guess_list), step_cap)
         for r in range(config.replicates)
     ]
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+    # A forked pool starts all its workers at the first submit: one per replicate at most.
+    workers = min(config.jobs, config.replicates)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             collected = dict(pool.map(_example_replicate, payloads))
     else:
         collected = dict(map(_example_replicate, payloads))

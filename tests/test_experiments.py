@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,12 +9,25 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cftp_rl
 from cftp_rl.apprenticeship import game_value_oracle
 from cftp_rl.chains import DeterministicPolicy
-from cftp_rl.experiments.cli import main
-from cftp_rl.experiments.config import ConfigError, build_config, read_config_file
+from cftp_rl.experiments import runners
+from cftp_rl.experiments.cli import build_parser, main
+from cftp_rl.experiments.config import (
+    COMMON_SPECS,
+    PARAM_SPECS,
+    POSITIVE,
+    UNIT,
+    ConfigError,
+    at_least,
+    build_config,
+    one_of,
+    read_config_file,
+)
 from cftp_rl.experiments.runners import _example_bias_floor
 from cftp_rl.experiments.svg import line_chart
 from cftp_rl.instances import random_mdp
@@ -69,6 +84,92 @@ class TestConfig:
         assert rebuilt.params == config.params
 
 
+SPEC_PAIRS = [
+    (sub, spec) for sub, specs in PARAM_SPECS.items() for spec in COMMON_SPECS + specs
+]
+
+# Numbers at and beyond every stated edge, and text that is no number at all.
+NUMBERS = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.sampled_from([0, -1, 1, 2, 11, 0.0, 0.5, 2.5, 1e-300, 1e308, -1e308]),
+    st.floats(allow_nan=True, allow_infinity=True),
+).map(str)
+VALUE_TEXT = st.one_of(
+    NUMBERS,
+    st.lists(NUMBERS, max_size=3).map(",".join),
+    st.text(alphabet="0123456789.,-+eEinfa x_", max_size=8),
+)
+CONFIG_FILE_IDS = itertools.count()
+
+
+def built_value(config, name):
+    common = {
+        "seed": config.seed, "out": str(config.out_dir),
+        "replicates": config.replicates, "jobs": config.jobs,
+    }
+    return common[name] if name in common else config.param(name)
+
+
+def satisfies_declaration(spec, value) -> bool:
+    entries = value if spec.many else [value]
+    if spec.many and not (entries and len(set(entries)) == len(entries)):
+        return False
+    return all(
+        isinstance(v, spec.kind) and (spec.within is None or spec.within.admits(v))
+        for v in entries
+    )
+
+
+class TestParamSpecs:
+    def test_ranges_at_their_edges(self):
+        assert [at_least(2).admits(v) for v in (1, 2, 3)] == [False, True, True]
+        for v in (0.0, 1.0, math.nan, math.inf, -0.5):
+            assert not UNIT.admits(v), v
+        assert UNIT.admits(0.5) and UNIT.admits(1e-300)
+        for v in (0.0, -1.0, math.nan, math.inf):
+            assert not POSITIVE.admits(v), v
+        assert POSITIVE.admits(1e308) and POSITIVE.admits(5e-324)
+        assert one_of("a", "b").admits("a") and not one_of("a", "b").admits("c")
+
+    @pytest.mark.parametrize("sub,spec", SPEC_PAIRS, ids=lambda x: getattr(x, "name", x))
+    def test_default_round_trips_through_its_own_range(self, sub, spec):
+        text = ",".join(map(str, spec.default)) if spec.many else str(spec.default)
+        assert spec.parse(text) == spec.default
+        assert satisfies_declaration(spec, spec.default)
+        config = build_config(sub, {}, None)
+        assert built_value(config, spec.name) == spec.default
+
+    def test_help_states_each_range(self):
+        parser = build_parser()
+        subparsers = next(a for a in parser._actions if a.dest == "subcommand").choices
+        for sub, specs in PARAM_SPECS.items():
+            flags = {action.dest: action.help for action in subparsers[sub]._actions}
+            for spec in COMMON_SPECS + specs:
+                assert flags[spec.name] == spec.help_line()
+                if spec.within is not None:
+                    assert spec.within.text in spec.help_line()
+            subparsers[sub].format_help()  # argparse %-formats every help line
+
+    @settings(max_examples=300)
+    @given(pair=st.sampled_from(SPEC_PAIRS), text=VALUE_TEXT, from_file=st.booleans())
+    def test_flag_or_file_value_is_in_range_or_a_config_error(
+        self, tmp_path_factory, pair, text, from_file
+    ):
+        sub, spec = pair
+        if from_file:
+            # A fresh file each time: truncating one in place is slow on some filesystems.
+            path = tmp_path_factory.getbasetemp() / f"property-{next(CONFIG_FILE_IDS)}.cfg"
+            path.write_text(f"{spec.name}={text}\n")
+            args = ({}, path)
+        else:
+            args = ({spec.name: text}, None)
+        try:
+            config = build_config(sub, *args)
+        except ConfigError:
+            return
+        assert satisfies_declaration(spec, built_value(config, spec.name)), text
+
+
 class TestExampleRunner:
     def test_emits_four_curves_and_summary(self, tmp_path):
         assert run_cli("example", "--out", str(tmp_path), "--runs", "500", "--replicates", "3") == 0
@@ -106,6 +207,30 @@ class TestExampleRunner:
             (tmp_path / "one" / "example_mse_vs_runs.csv").read_bytes()
             == (tmp_path / "two" / "example_mse_vs_runs.csv").read_bytes()
         )
+
+    def test_pool_has_at_most_one_worker_per_replicate(self, tmp_path, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(runners, "ProcessPoolExecutor", RecordingPool)
+        for replicates, jobs in (("3", "8"), ("1", "8"), ("3", "2")):
+            assert run_cli(
+                "example", "--out", str(tmp_path / f"{replicates}-{jobs}"), "--runs", "20",
+                "--replicates", replicates, "--jobs", jobs,
+            ) == 0
+        assert sizes == [3, 2]  # one replicate runs in this process
 
     def test_svg_is_a_pure_function_of_the_table(self, tmp_path):
         for sub in ("a", "b"):
@@ -228,6 +353,9 @@ class TestExitCodes:
             ("pg", "--samples", "1"),
             ("mwal", "--n-states", "9"),
             ("mwal-gen", "--n-states", "9"),
+            # A rescale bound that overflows makes Hedge losses nan.
+            ("mwal-gen", "--b", "inf"),
+            ("mwal-gen", "--b", "1e308"),
         ]
         for i, argv in enumerate(bad):
             out = tmp_path / f"bad{i}"
@@ -238,6 +366,15 @@ class TestExitCodes:
         bad = tmp_path / "bad.txt"
         bad.write_text("not a key value line\n")
         assert run_cli("example", "--out", str(tmp_path), "--config", str(bad)) == 2
+        assert run_cli("example", "--out", str(tmp_path), "--config", str(tmp_path / "none")) == 2
+
+    @pytest.mark.parametrize("line", ["seed=abc", "replicates=2.5", "jobs=x"])
+    def test_bad_common_value_in_config_file_is_two(self, line, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_text(line + "\n")
+        out = tmp_path / "out"
+        assert run_cli("example", "--out", str(out), "--config", str(path)) == 2
+        assert not out.exists()
 
     def test_cap_exceedance_is_three(self, tmp_path):
         assert run_cli("pg", "--out", str(tmp_path), "--samples", "50", "--step-cap", "1") == 3

@@ -7,18 +7,22 @@ Usage, from anywhere:
 DIR is the root of a checkout (e.g. ``git archive <commit> | tar -x -C DIR``).
 In each checkout it runs the six subcommands at the test_12 configs and at
 their defaults, writing into a temporary directory. It then compares the
-two output trees file by file: every CSV, SVG and ``config.txt``. It
-first prints each run's wall seconds on both sides, timed around its
-subprocess (interpreter start included), and each side's total. Then it
-prints one line per file that differs or exists on one side only, then a
-count, and exits 1 if any file differs, 0 if all match. A subcommand that
-exits non-zero stops the comparison with exit code 2.
+two output trees file by file: every CSV, SVG and ``config.txt``. It also
+reads the ``--flag`` tokens of each side's ``<subcommand> --help`` and
+compares the two flag sets. It first prints each run's wall seconds on
+both sides, timed around its subprocess (interpreter start included), and
+each side's total. Then it prints one line per file that differs or exists
+on one side only, then a count, then one line per flag that exists on one
+side only, then a count. It exits 1 if any file or flag differs, 0 if all
+match. A subcommand that exits non-zero stops the comparison with exit
+code 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -43,17 +47,30 @@ RUNS = [(f"{sub}-t12", sub, T12_FLAGS[sub].split()) for sub in SUBCOMMANDS] + [
 ]
 
 
+def _cli(root: Path, *args: str, **kwargs) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(root.resolve() / "src"))
+    cmd = [sys.executable, "-m", "cftp_rl.experiments.cli", *args]
+    return subprocess.run(cmd, cwd=root, env=env, check=True, **kwargs)
+
+
 def run_side(root: Path, out: Path) -> dict[str, float]:
     """Run every entry of RUNS in the checkout ``root``; return each run's wall seconds."""
-    env = dict(os.environ, PYTHONPATH=str(root.resolve() / "src"))
     seconds = {}
     for name, sub, flags in RUNS:
-        cmd = [sys.executable, "-m", "cftp_rl.experiments.cli", sub, "--out", str(out / name), *flags]
         start = time.perf_counter()
-        subprocess.run(cmd, cwd=root, env=env, check=True)
+        _cli(root, sub, "--out", str(out / name), *flags)
         seconds[name] = time.perf_counter() - start
         print(f"{root}: {name} done", file=sys.stderr)
     return seconds
+
+
+def flag_set(root: Path) -> set[str]:
+    """Every ``<subcommand> --flag`` pair named in the checkout's ``--help`` pages."""
+    flags = set()
+    for sub in SUBCOMMANDS:
+        text = _cli(root, sub, "--help", capture_output=True, text=True).stdout
+        flags |= {f"{sub} {flag}" for flag in re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", text)}
+    return flags
 
 
 def differing_files(left: Path, right: Path) -> tuple[list[str], int]:
@@ -81,6 +98,7 @@ def main(argv=None) -> int:
         work = Path(tmp)
         try:
             seconds = {side: run_side(getattr(args, side), work / side) for side in ("parent", "change")}
+            flags = {side: flag_set(getattr(args, side)) for side in ("parent", "change")}
         except subprocess.CalledProcessError as exc:
             print(f"{' '.join(exc.cmd[3:])} exited {exc.returncode}", file=sys.stderr)
             return 2
@@ -92,7 +110,11 @@ def main(argv=None) -> int:
     for name in differ:
         print(name)
     print(f"{len(differ)} of {total} files differ")
-    return 1 if differ else 0
+    one_side = sorted(flags["parent"] ^ flags["change"])
+    for flag in one_side:
+        print(f"{flag} (only in {'parent' if flag in flags['parent'] else 'change'})")
+    print(f"{len(one_side)} of {len(flags['parent'] | flags['change'])} flags differ")
+    return 1 if differ or one_side else 0
 
 
 if __name__ == "__main__":
