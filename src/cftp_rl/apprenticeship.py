@@ -179,15 +179,16 @@ def game_column_batch(
     """Batched game-column samples; each coordinate mean is Phi(pi_t)[i] - Phi(expert)[i].
 
     Start states come from the stationary distribution of ``pi_t`` by exact
-    linear solve (the dynamics and pi_t are known), read from the MDP's
-    policy-evaluation cache. Trajectory A takes pi_t's action first and
-    follows the expert afterwards; trajectory B follows the expert from the
+    linear solve (the dynamics and pi_t are known): their CDF table is read
+    from the MDP's policy-evaluation cache (``PolicyEvaluation.mu_cdf``),
+    built once per policy on first use, not once per call. Trajectory A takes pi_t's
+    action first and follows the expert afterwards; trajectory B follows the expert from the
     start; feature differences (A minus B) accumulate until the pair
     coalesces. The expert's chain is unknown, so only ``step_cap`` bounds
     pairs that can never meet (CapExceededError).
     """
     gen = as_generator(rng)
-    cum_mu = cdf_table(policy_evaluation(mdp, pi_t).mu)[None, :]
+    cum_mu = policy_evaluation(mdp, pi_t).mu_cdf
     s0 = inverse_cdf(cum_mu, np.zeros(n_samples, dtype=np.int64), gen.random(n_samples))
     first_a = pi_t.actions[s0]
     first_b = expert.act_batch(s0)

@@ -80,13 +80,16 @@ def coupled_difference_batch(
     """
     gen = as_generator(rng)
     s0 = np.asarray(s0, dtype=np.int64)
+    step_uniforms = 0
     if value == "reward":
         reward = mdp.reward
+        means = reward.means.ravel()  # entry s * n_actions + a, as the walk indexes
+        step_uniforms = reward.uniforms_per_entry
         acc = np.zeros(s0.shape[0])
 
-        def on_step(active, xy, a):
-            r = reward.sample(reward.means[xy, a], gen)
-            acc[active] += r[0] - r[1]
+        def on_step(active, xy, index, u):
+            r = reward.sample_from(means[index], u)
+            acc[active] += r[: active.size] - r[active.size :]
 
     elif value == "features":
         feats = mdp.features
@@ -94,7 +97,7 @@ def coupled_difference_batch(
             raise ValueError("feature accumulation requires an MDP with features")
         acc = np.zeros((s0.shape[0], feats.shape[1]))
 
-        def on_step(active, xy, a):
+        def on_step(active, xy, index, u):
             f = feats[xy]
             acc[active] += f[0] - f[1]
 
@@ -103,7 +106,7 @@ def coupled_difference_batch(
     t_c, apart = _pair_walk(
         mdp.cumulative(), np.stack((s0, s0)),
         np.stack((first_actions_a, first_actions_b)).astype(np.int64),
-        draw_actions, gen, step_cap, on_step,
+        draw_actions, gen, step_cap, on_step, step_uniforms,
     )
     if ledger is not None:
         ledger.add_generative(2 * int(t_c.sum()))

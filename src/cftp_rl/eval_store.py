@@ -36,6 +36,7 @@ from .chains import (
     require_coalescing_policy,
 )
 from .errors import CapExceededError
+from .sampling import _compose
 from .seeding import KeyedUniforms, child_sequence, seed_sequence
 
 
@@ -136,6 +137,10 @@ def _cftp_pairs(
     Returns (states, t_c, rewards), each of shape (len(stores), len(policies)).
     A pair composes its restricted maps exactly as scalar CFTP does and reads
     rows 1..t_c of its store; a store grows to the largest t_c of its pairs.
+    The composites are held state-major and composed as ``cftp_batch``'s
+    are (``sampling._compose``): pair p's image of state x sits at
+    x * width + p of the last step's raveled composites, and a pair that
+    coalesces retires by column, with no survivor copied.
     """
     n, m = stores[0].mdp.n_states, stores[0].mdp.n_actions
     shape = (len(stores), len(policies))
@@ -143,27 +148,27 @@ def _cftp_pairs(
     times = np.empty(shape, dtype=np.int64)
     rewards = np.empty(shape)
     actions = np.array([policy.actions for policy in policies], dtype=np.int64).reshape(-1, n)
-    # Active pairs, store-major; cols holds each pair's offsets of (s, pi(s))
-    # in a row flattened to n * m entries.
+    # Active pairs, store-major; entry[x, p] is pair p's offset of
+    # (x, pi(x)) in a row flattened to n * m entries.
     pair_store, pair_policy = np.indices(shape).reshape(2, -1)
-    cols = (np.arange(n) * m + actions)[pair_policy]
-    composite = np.tile(np.arange(n), (pair_store.size, 1))
+    entry = (np.arange(n)[:, None] * m + actions.T)[:, pair_policy]
+    columns = np.arange(pair_store.size)
+    # Before the first step every composite is the identity, one column.
+    flat, width, cols = np.arange(n), 1, 0
     # Every live store holds at least ``grown`` rows. A step past it
     # appends row t to the live stores that lack it, raising it to t.
     grown = min(len(store) for store in stores)
     t = 0
     while pair_store.size:
         # The stores with an active pair (live), each pair's position among
-        # them (slot), where its maps sit in the stacked rows (gather), and
-        # where its composite starts in the flattened composites (offsets).
+        # them (slot), and where its maps sit in the stacked rows (gather).
         # pair_store stays sorted, so a live store's pairs form one run.
         first = np.empty(pair_store.size, dtype=bool)
         first[0] = True
         np.not_equal(pair_store[1:], pair_store[:-1], out=first[1:])
         slot = first.cumsum() - 1
         live = [stores[i] for i in pair_store[first]]
-        gather = slot[:, None] * (n * m) + cols
-        offsets = np.arange(pair_store.size)[:, None] * n
+        gather = slot * (n * m) + entry
         done = np.zeros(pair_store.size, dtype=bool)
         while not done.any():
             t += 1
@@ -176,16 +181,15 @@ def _cftp_pairs(
                 grown = t
             rows = [store.rows[t - 1] for store in live]
             next_state = np.concatenate([row.next_state for row in rows]).ravel()
-            composite = composite.ravel()[offsets + next_state[gather]]
-            done = (composite == composite[:, :1]).all(axis=1)
-        i, j, state = pair_store[done], pair_policy[done], composite[done, 0]
+            composite, done = _compose(flat, width, cols, next_state.take(gather))
+            flat, width, cols = composite.ravel(), pair_store.size, columns[: pair_store.size]
+        i, j, state = pair_store[done], pair_policy[done], composite[0, done]
         reward = np.concatenate([row.reward for row in rows]).ravel()
         states[i, j] = state
         times[i, j] = t
         rewards[i, j] = reward[slot[done] * (n * m) + state * m + actions[j, state]]
-        keep = ~done
-        pair_store, pair_policy = pair_store[keep], pair_policy[keep]
-        cols, composite = cols[keep], composite[keep]
+        cols = np.flatnonzero(~done)
+        pair_store, pair_policy, entry = pair_store[cols], pair_policy[cols], entry[:, cols]
     return states, times, rewards
 
 

@@ -16,6 +16,8 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from ..apprenticeship import ENUMERATION_BUDGET
 
 
@@ -180,6 +182,18 @@ PARAM_SPECS: dict[str, list[ParamSpec]] = {
 }
 
 
+def thm8_budgets(epsilon: float, delta: float, k: int) -> tuple[int, int]:
+    """Theorem 8's budgets: rounds T and expert samples m for mwal.
+
+    T = (144 / eps^2) log max(k, 2) and m = (18 / eps^2) log(2 k / delta),
+    each rounded up and at least 1. Raises ZeroDivisionError when eps^2
+    underflows to 0 and OverflowError when a budget overflows to infinity.
+    """
+    n_rounds = max(1, math.ceil(144.0 / epsilon**2 * math.log(max(k, 2))))
+    m = max(1, math.ceil(18.0 / epsilon**2 * math.log(2 * k / delta)))
+    return n_rounds, m
+
+
 @dataclass
 class ExperimentConfig:
     subcommand: str
@@ -212,6 +226,14 @@ class ExperimentConfig:
             line for line in self.resolved_text().splitlines() if not line.startswith("jobs=")
         )
         return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+    def mwal_budgets(self) -> tuple[int, int]:
+        """mwal's rounds and expert samples: each value given, else ``thm8_budgets``'s."""
+        n_rounds, m = self.params["n_rounds"], self.params["m"]
+        if not (n_rounds and m):
+            derived = thm8_budgets(self.params["epsilon"], self.params["delta"], self.params["k"])
+            n_rounds, m = n_rounds or derived[0], m or derived[1]
+        return n_rounds, m
 
     def validate(self) -> None:
         """Check the rules that tie parameters together; each ParamSpec checks its own range."""
@@ -247,6 +269,18 @@ class ExperimentConfig:
                     f"the exact game value enumerates n_actions ** n_states = {a} ** {n} "
                     f"policies, more than the oracle's limit of {ENUMERATION_BUDGET}"
                 )
+            # The learners hold (n_rounds, k) arrays, and mwal's expert CFTP
+            # m * n_states map entries; numpy indexes at most intp's maximum.
+            n_rounds, m = p["n_rounds"], 0
+            if self.subcommand == "mwal":
+                try:
+                    n_rounds, m = self.mwal_budgets()
+                except (ZeroDivisionError, OverflowError):
+                    n_rounds = m = math.inf
+            limit = int(np.iinfo(np.intp).max)
+            for name, size in (("n_rounds * k", n_rounds * p["k"]), ("m * n_states", m * n)):
+                if size > limit:
+                    raise ConfigError(f"{name} = {size} exceeds numpy's largest index, {limit}")
         if self.subcommand == "mwal-gen":
             # Hedge divides by 2B, B = b log(2 T k / delta); math.log takes any int.
             bound = p["b"] * (math.log(2 * p["n_rounds"] * p["k"]) - math.log(p["delta"]))

@@ -322,12 +322,6 @@ def _mwal_instance(n_states: int, n_actions: int, k: int, instance_seed: int):
     return mdp, expert_policy
 
 
-def _thm8_budgets(epsilon: float, delta: float, k: int) -> tuple[int, int]:
-    n_rounds = max(1, math.ceil(144.0 / epsilon**2 * math.log(max(k, 2))))
-    m = max(1, math.ceil(18.0 / epsilon**2 * math.log(2 * k / delta)))
-    return n_rounds, m
-
-
 def _run_apprenticeship(config: ExperimentConfig, stem: str, n_rounds: int, learn) -> None:
     """Shared body of mwal and mwal-gen.
 
@@ -370,11 +364,7 @@ def _run_apprenticeship(config: ExperimentConfig, stem: str, n_rounds: int, lear
 
 
 def run_mwal(config: ExperimentConfig) -> None:
-    derived_rounds, derived_m = _thm8_budgets(
-        config.param("epsilon"), config.param("delta"), config.param("k")
-    )
-    n_rounds = config.param("n_rounds") or derived_rounds
-    m = config.param("m") or derived_m
+    n_rounds, m = config.mwal_budgets()
 
     def learn(mdp, expert, rng):
         result = mwal(

@@ -127,6 +127,22 @@ def _cftp_core(map_at, n_states: int, step_cap: int) -> tuple[int, int]:
     raise CapExceededError(f"no coalescence within {step_cap} steps")
 
 
+def _compose(flat: np.ndarray, width: int, cols, maps: np.ndarray):
+    """One CFTP step for runs held state-major; returns (composites, which runs coalesced).
+
+    ``flat`` is the last step's composites, raveled from an (n_states,
+    ``width``) array: run c's image of state x sits at x * width + c.
+    ``maps`` holds the new maps state-major, column j for the run at column
+    ``cols[j]`` of ``flat``. The new composite of that run is its old one
+    applied after its new map, as ``_cftp_core`` composes, and sits in
+    column j of the returned (n_states, len(cols)) array. A run has
+    coalesced when every state's image equals state 0's: n_states - 1
+    compares of whole rows, and no row at all for one state.
+    """
+    composite = flat.take(maps * width + cols)
+    return composite, np.logical_and.reduce(composite[1:] == composite[0], axis=0)
+
+
 def _cftp_batch_core(
     draw_maps, n_samples: int, n_states: int, step_cap: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -135,27 +151,29 @@ def _cftp_batch_core(
     ``draw_maps(k)`` returns the next step's (k, n_states) maps for the k
     unfinished runs, in ascending run order; each run composes its own maps
     as ``_cftp_core`` does, newest first, and retires at its t_c. All runs
-    compose in one gather from the flattened composites.
+    compose in one gather (``_compose``) from the last step's composites,
+    held state-major as an (n_states, k) array. A run retires by column:
+    the next gather reads the survivors' columns of the last composite in
+    place, so no survivor is copied. Before the first step every run's
+    composite is the identity, one column that all runs read.
     """
     states = np.empty(n_samples, dtype=np.int64)
     times = np.empty(n_samples, dtype=np.int64)
     active = np.arange(n_samples)
-    composite = np.tile(np.arange(n_states), (n_samples, 1))
-    row_start = active[:, None] * n_states  # where row i of composite starts in its ravel()
+    columns = np.arange(n_samples)
+    flat, width, cols = np.arange(n_states), 1, 0
     t = 0
     while active.size:
         t += 1
         if t > step_cap:
             raise CapExceededError(f"no coalescence within {step_cap} steps")
-        composite = composite.ravel()[row_start + draw_maps(active.size)]
-        done = (composite == composite[:, :1]).all(axis=1)
+        composite, done = _compose(flat, width, cols, draw_maps(active.size).T)
+        flat, width, cols = composite.ravel(), active.size, columns[: active.size]
         if done.any():
-            states[active[done]] = composite[done, 0]
+            states[active[done]] = composite[0, done]
             times[active[done]] = t
-            keep = ~done
-            active = active[keep]
-            composite = composite[keep]
-            row_start = row_start[: active.size]
+            cols = np.flatnonzero(~done)
+            active = active[cols]
     return states, times
 
 
@@ -208,20 +226,28 @@ def cftp_batch(
         return _cftp_batch_core(maps.send, n_samples, chain.n_states, step_cap)
 
 
-def _pair_walk(cum, xy, a, draw_actions, gen, step_cap, on_step=None):
+def _pair_walk(cum, xy, a, draw_actions, gen, step_cap, on_step=None, step_uniforms=0):
     """Walk coupled pairs forward until each pair meets; returns (times, apart).
 
     ``xy`` is a (2, k) array: pair p starts at states (xy[0, p], xy[1, p])
     with first actions ``a`` of the same shape, or a scalar action shared by
     every pair and step when ``draw_actions`` is None. ``cum`` is a
     flattened CDF table whose row s * n_actions + a is the next-state law of
-    action a in state s. Each step calls ``on_step(active, xy, a)`` if
-    given, moves both sides with one ``gen.random(2 k)`` call (the x side's
-    uniforms first) and one inverse-CDF call, retires the pairs now in one
-    state, and draws the next actions with one ``draw_actions`` call on the
-    raveled states. A pair's time is the step at which it met. After
-    ``step_cap`` steps the pairs still apart, ``apart``, get time
-    ``step_cap``; the caller raises or censors.
+    action a in state s. Each step flattens the pairs' rows s * n_actions +
+    a into one index, x sides first; moves both sides with one inverse-CDF
+    call on it; retires the pairs now in one state; and draws the next
+    actions with one ``draw_actions`` call on the raveled states. A pair's
+    time is the step at which it met. After ``step_cap`` steps the pairs
+    still apart, ``apart``, get time ``step_cap``; the caller raises or
+    censors.
+
+    If given, ``on_step(active, xy, index, u)`` runs before each move with
+    the flattened index. It reads ``step_uniforms`` uniforms per index entry
+    from ``u``, which is None when it reads none. A step takes its uniforms
+    from one ``gen.random`` call: on_step's first, then the move's, one per
+    entry. A step whose on_step reads none draws just the move's. Since
+    ``random(a)`` then ``random(b)`` equals ``random(a + b)``, the draws are
+    those of an on_step that draws its own uniforms before the move's.
     """
     n_actions = cum.shape[0] // cum.shape[1]
     times = np.zeros(xy.shape[1], dtype=np.int64)
@@ -229,9 +255,17 @@ def _pair_walk(cum, xy, a, draw_actions, gen, step_cap, on_step=None):
     t = 0
     while active.size and t < step_cap:
         t += 1
-        if on_step is not None:
-            on_step(active, xy, a)
-        xy = inverse_cdf(cum, (xy * n_actions + a).ravel(), gen.random(xy.size)).reshape(2, -1)
+        index = (xy * n_actions + a).ravel()
+        if step_uniforms:
+            u = gen.random(index.size * (step_uniforms + 1))
+            split = index.size * step_uniforms
+            on_step(active, xy, index, u[:split])
+            u = u[split:]
+        else:
+            if on_step is not None:
+                on_step(active, xy, index, None)
+            u = gen.random(index.size)
+        xy = inverse_cdf(cum, index, u).reshape(2, -1)
         keep = xy[0] != xy[1]
         times[active[~keep]] = t
         active, xy = active[keep], xy[:, keep]

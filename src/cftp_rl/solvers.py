@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import DeterministicPolicy, MarkovChain, TabularMDP, induce_chain
+from .chains import DeterministicPolicy, MarkovChain, TabularMDP, cdf_table, induce_chain
 from .errors import CapExceededError, SolveError
 
 STATIONARY_TOL = 1e-10
@@ -117,6 +117,18 @@ class PolicyEvaluation:
     mu: np.ndarray
     lu: np.ndarray
     piv: np.ndarray
+
+    @functools.cached_property
+    def mu_cdf(self) -> np.ndarray:
+        """mu's ``cdf_table`` as a read-only one-row table, built on first use.
+
+        ``inverse_cdf`` draws start states from it at row 0. It is built only
+        for the policies whose start states are drawn, not for every policy
+        evaluated.
+        """
+        table = cdf_table(self.mu[None, :])
+        table.setflags(write=False)
+        return table
 
 
 def policy_evaluation(mdp: TabularMDP, policy: DeterministicPolicy) -> PolicyEvaluation:

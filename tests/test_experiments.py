@@ -27,6 +27,7 @@ from cftp_rl.experiments.config import (
     build_config,
     one_of,
     read_config_file,
+    thm8_budgets,
 )
 from cftp_rl.experiments.runners import _example_bias_floor
 from cftp_rl.experiments.svg import line_chart
@@ -361,6 +362,30 @@ class TestExitCodes:
             out = tmp_path / f"bad{i}"
             assert run_cli(*argv, "--out", str(out)) == 2, argv
             assert not out.exists(), argv
+
+    def test_sizes_numpy_cannot_index_are_two(self, tmp_path):
+        # n_rounds * k or m * n_states past intp's maximum must fail before
+        # the output directory exists; at the defaults k = 2 and n_states = 4.
+        limit = int(np.iinfo(np.intp).max)
+        bad = [
+            ("mwal", "--epsilon", "1e-12"),  # derived n_rounds and m near 1e26
+            ("mwal", "--epsilon", "1e-200"),  # epsilon ** 2 underflows to 0
+            ("mwal", "--n-rounds", str(limit // 2 + 1)),
+            ("mwal", "--m", str(limit // 4 + 1)),
+            ("mwal-gen", "--n-rounds", str(limit // 2 + 1)),
+        ]
+        for i, argv in enumerate(bad):
+            out = tmp_path / f"bad{i}"
+            assert run_cli(*argv, "--out", str(out)) == 2, argv
+            assert not out.exists(), argv
+        # At the limit validation passes; these budgets are never run.
+        config = build_config("mwal", {"n_rounds": str(limit // 2), "m": str(limit // 4)}, None)
+        assert config.mwal_budgets() == (limit // 2, limit // 4)
+        build_config("mwal-gen", {"n_rounds": str(limit // 2)}, None)
+        # Given values need no derived budget, however small epsilon is.
+        config = build_config("mwal", {"epsilon": "1e-200", "n_rounds": "3", "m": "5"}, None)
+        assert config.mwal_budgets() == (3, 5)
+        assert build_config("mwal", {}, None).mwal_budgets() == thm8_budgets(0.1, 0.1, 2)
 
     def test_config_file_error_is_two(self, tmp_path):
         bad = tmp_path / "bad.txt"

@@ -103,7 +103,8 @@ def test_cached_arrays_are_read_only(instance):
     mdp, _, policy = instance
     evaluation = policy_evaluation(mdp, policy)
     assert policy_evaluation(mdp, policy) is evaluation
-    for array in (evaluation.mu, evaluation.lu, evaluation.piv):
+    assert evaluation.mu_cdf is evaluation.mu_cdf
+    for array in (evaluation.mu, evaluation.mu_cdf, evaluation.lu, evaluation.piv):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 0

@@ -324,6 +324,16 @@ class TestBlockedMaps:
                 np.testing.assert_equal(blocked.bit_generator.state, per_step.bit_generator.state)
         assert np.array_equal(blocked.random(5), per_step.random(5))
 
+    def test_wide_batch_at_the_default_block_cap(self):
+        # Two thousand runs at n = 6: a step's maps outgrow the block cap, and
+        # its inverse-CDF call searches rather than compares whole rows.
+        chain = random_ergodic_chain(6, 19)
+        blocked, per_step = np.random.default_rng(23), np.random.default_rng(23)
+        got = cftp_batch(chain, 2000, blocked)
+        want = per_step_cftp_batch(chain, 2000, per_step, 10**6)
+        np.testing.assert_equal(got, want)
+        np.testing.assert_equal(blocked.bit_generator.state, per_step.bit_generator.state)
+
 
 class TestBoundedFailure:
     """Couplings of a chain that can never coalesce fail at once, at the default cap."""

@@ -28,8 +28,13 @@ not from the library. Per metric it adds the pairs the change won (lower
 is better for every metric here) and the median of the per-pair gaps,
 parent minus change. ``digest_mismatches`` lists the phases whose
 digests differ between the sides (a side whose runs disagree counts as
-differing); each is also printed to stderr. The exit code does not depend
-on them.
+differing); each is also printed to stderr.
+
+The verdict goes to stderr, one line per end-to-end metric: the parent
+and change medians, the change in percent of the parent's median, and the
+pairs the change won. The JSON is written in every case. The exit code is
+1 when a phase digest differs or any run of either side failed a check,
+and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -131,7 +136,19 @@ def main(argv=None) -> int:
     bench = json.loads(args.out.read_text()) if args.out.exists() else {}
     bench[f"{args.workload}@{args.seed}"] = summary
     args.out.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")
-    return 0
+
+    for name in summary["parent"]["metrics"]:
+        before = summary["parent"]["metrics"][name]["median"]
+        after = summary["change"]["metrics"][name]["median"]
+        percent = 100.0 * (after - before) / before if before else float("nan")
+        print(f"{args.workload}@{args.seed} {name}: parent {before:.4g}, change {after:.4g} "
+              f"({percent:+.1f}%), change won {summary['change_wins'][name]}/{args.pairs}",
+              file=sys.stderr)
+    failed = {side: summary[side]["failed"] for side in sides}
+    if any(failed.values()):
+        print(f"failed checks: parent {failed['parent']}, change {failed['change']}",
+              file=sys.stderr)
+    return 1 if summary["digest_mismatches"] or any(failed.values()) else 0
 
 
 if __name__ == "__main__":
