@@ -69,6 +69,15 @@ class ExpertModel:
         return actions
 
 
+def _require_expert_fits(mdp: TabularMDP, expert: ExpertModel) -> None:
+    """Raise ValueError unless the expert acts on every state and action of ``mdp``."""
+    if expert.policy.probs.shape != (mdp.n_states, mdp.n_actions):
+        raise ValueError(
+            f"expert policy has shape {expert.policy.probs.shape}, "
+            f"the MDP has {mdp.n_states} states and {mdp.n_actions} actions"
+        )
+
+
 def feature_expectations_exact(mdp: TabularMDP, policy) -> np.ndarray:
     """Phi(pi) = sum_s mu_pi(s) phi(s); mixed policies average their members.
 
@@ -104,7 +113,8 @@ def expert_stationary_samples(
     m: int,
     rng,
     step_cap: int = 1_000_000,
-) -> tuple[np.ndarray, np.ndarray, int]:
+    ledger: SampleLedger | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
     """m exact samples from the stationary distribution the expert induces.
 
     Runs CFTP on the expert-induced chain without ever representing that
@@ -112,21 +122,24 @@ def expert_stationary_samples(
     the dynamics once for the resulting transition. All m runs share one
     loop: step t queries the expert once for every (unfinished sample,
     state) entry, and each sample retires at its own coalescence time.
-    Returns the sampled states, per-sample coalescence times, and total
-    dynamics calls (equal to the expert calls, sum of t_c times n_states).
+    Returns the sampled states and per-sample coalescence times. Each step
+    charges its entries to the expert's ledger and, as generative calls, to
+    ``ledger``: sum(t_c) * n_states of each.
 
     The dynamics uniforms come from ``as_generator(rng)``: step t draws
     n_states doubles for each unfinished sample, in sample order. Unlike
     ``cftp_batch``, which shares this loop, the maps are drawn step by
     step, not a block ahead: every map entry is a ledgered expert query, so
     maps drawn ahead and then discarded would charge expert calls that no
-    sample used. Raises ValueError for m < 1 before drawing,
+    sample used. Raises ValueError before drawing for m < 1 or an expert
+    whose policy table is not (n_states, n_actions) of ``mdp``;
     CapExceededError once a sample has run ``step_cap`` steps without
     coalescing: the expert's chain is unknown, so only ``step_cap`` bounds
     a chain that cannot coalesce.
     """
     if m < 1:
         raise ValueError(f"need at least one expert sample, got m={m}")
+    _require_expert_fits(mdp, expert)
     gen = as_generator(rng)
     n, n_actions = mdp.n_states, mdp.n_actions
     cum = mdp.cumulative()
@@ -137,10 +150,11 @@ def expert_stationary_samples(
         u = gen.random(k * n)
         states = map_states[: u.size]
         actions = expert.act_batch(states)
+        if ledger is not None:
+            ledger.add_generative(u.size)
         return inverse_cdf(cum, states * n_actions + actions, u).reshape(k, n)
 
-    samples, times = _cftp_batch_core(draw_maps, m, n, step_cap)
-    return samples, times, int(times.sum()) * n
+    return _cftp_batch_core(draw_maps, m, n, step_cap)
 
 
 def estimate_expert_features(
@@ -152,18 +166,19 @@ def estimate_expert_features(
 ) -> ExpertFeatureEstimate:
     """Average phi over m exact samples from the expert's stationary distribution.
 
-    Raises ValueError for m < 1 before drawing, as ``expert_stationary_samples`` does.
+    Raises ValueError before drawing where ``expert_stationary_samples`` does.
     """
     if mdp.features is None:
         raise ValueError("MDP has no feature map")
+    ledger = SampleLedger()
     expert_before = expert.ledger.expert_calls
-    samples, times, generative_calls = expert_stationary_samples(mdp, expert, m, rng, step_cap)
+    samples, times = expert_stationary_samples(mdp, expert, m, rng, step_cap, ledger)
     return ExpertFeatureEstimate(
         phi=mdp.features[samples].mean(axis=0),
         n_samples=m,
         total_steps=int(times.sum()),
         expert_calls=expert.ledger.expert_calls - expert_before,
-        generative_calls=generative_calls,
+        generative_calls=ledger.generative_calls,
     )
 
 
@@ -184,9 +199,13 @@ def game_column_batch(
     built once per policy on first use, not once per call. Trajectory A takes pi_t's
     action first and follows the expert afterwards; trajectory B follows the expert from the
     start; feature differences (A minus B) accumulate until the pair
-    coalesces. The expert's chain is unknown, so only ``step_cap`` bounds
-    pairs that can never meet (CapExceededError).
+    coalesces, charging ``ledger`` 2 * sum(t_c) calls and the expert
+    2 * sum(t_c) - n_samples. The expert's chain is unknown, so only
+    ``step_cap`` bounds pairs that can never meet (CapExceededError).
+    Raises ValueError before drawing for an expert whose policy table is
+    not (n_states, n_actions) of ``mdp``.
     """
+    _require_expert_fits(mdp, expert)
     gen = as_generator(rng)
     cum_mu = policy_evaluation(mdp, pi_t).mu_cdf
     s0 = inverse_cdf(cum_mu, np.zeros(n_samples, dtype=np.int64), gen.random(n_samples))
@@ -281,6 +300,14 @@ def _mwal_rounds(mdp: TabularMDP, k: int, n_rounds: int, loss) -> MwalResult:
     )
 
 
+def _require_game(mdp: TabularMDP, k: int, n_rounds: int) -> None:
+    """Raise ValueError, before any draw, unless k features and n_rounds >= 1 make a game."""
+    if mdp.features is None or mdp.features.shape[1] != k:
+        raise ValueError("MDP features must be present with width k")
+    if n_rounds < 1:
+        raise ValueError(f"need at least one round, got n_rounds={n_rounds}")
+
+
 def mwal(
     mdp: TabularMDP,
     expert: ExpertModel,
@@ -296,11 +323,10 @@ def mwal(
     then for T rounds plays Hedge over features against the exactly
     evaluated optimal policy for the current feature weighting; policy
     iteration warm-starts from the previous round's policy. Returns the
-    uniform mixture of the per-round policies. Raises ValueError for m < 1
-    before drawing.
+    uniform mixture of the per-round policies. Raises ValueError for
+    n_rounds < 1 or m < 1 before drawing.
     """
-    if mdp.features is None or mdp.features.shape[1] != k:
-        raise ValueError("MDP features must be present with width k")
+    _require_game(mdp, k, n_rounds)
     estimate = estimate_expert_features(
         mdp, expert, m, substream(seed_sequence(rng), 0), step_cap=step_cap
     )
@@ -330,10 +356,10 @@ def mwal_generative(
     Each round draws one unbiased game-column sample from two expert
     trajectories, rescales it into [0, 1] with B = b log(2 T k / delta)
     (clamping the low-probability overshoots), and feeds it to Hedge.
-    Policy iteration warm-starts from the previous round's policy.
+    Policy iteration warm-starts from the previous round's policy. Raises
+    ValueError for n_rounds < 1 before drawing.
     """
-    if mdp.features is None or mdp.features.shape[1] != k:
-        raise ValueError("MDP features must be present with width k")
+    _require_game(mdp, k, n_rounds)
     if b <= 0.0 or not 0.0 < delta < 1.0:
         raise ValueError("need b > 0 and delta in (0, 1)")
     bound = b * math.log(2.0 * n_rounds * k / delta)

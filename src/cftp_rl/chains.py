@@ -288,6 +288,8 @@ class DeterministicPolicy:
         self._key = tuple(self.actions.tolist())
 
     def action_probs(self, n_actions: int) -> np.ndarray:
+        if ((self.actions < 0) | (self.actions >= n_actions)).any():
+            raise ValueError("policy uses an action index outside the MDP")
         probs = np.zeros((self.actions.shape[0], n_actions))
         probs[np.arange(self.actions.shape[0]), self.actions] = 1.0
         return probs

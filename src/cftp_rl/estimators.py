@@ -75,8 +75,10 @@ def coupled_difference_batch(
     ``value="reward"`` accumulates reward samples, returning shape (n,);
     ``value="features"`` accumulates feature vectors, returning (n, k).
 
-    ``draw_actions`` hides the policy, so no chain is checked here: only
-    ``step_cap`` bounds pairs that can never meet (CapExceededError).
+    The pairs charge ``ledger`` 2 * sum(t_c) generative calls, one per
+    trajectory step, also when they then raise. ``draw_actions`` hides the
+    policy, so no chain is checked here: only ``step_cap`` bounds pairs
+    that can never meet (CapExceededError).
     """
     gen = as_generator(rng)
     s0 = np.asarray(s0, dtype=np.int64)
@@ -132,19 +134,6 @@ def policy_action_drawer(policy, mdp: TabularMDP, gen: np.random.Generator):
     return draw
 
 
-def _stationary_starts(chain, n, source, gen, step_cap, ledger):
-    if source == "exact_solve":
-        cum = cdf_table(stationary_distribution(chain))[None, :]
-        starts = inverse_cdf(cum, np.zeros(n, dtype=np.int64), gen.random(n))
-        return starts
-    if source == "cftp":
-        states, times = cftp_batch(chain, n, gen, step_cap=step_cap)
-        if ledger is not None:
-            ledger.add_generative(int(times.sum()) * chain.n_states)
-        return states
-    raise ValueError(f"unknown start-state source {source!r}")
-
-
 def delta_rho_batch(
     mdp: TabularMDP,
     pi,
@@ -160,6 +149,7 @@ def delta_rho_batch(
     Start states follow the stationary distribution of ``pi_prime`` (exact
     linear solve, or CFTP when only sampling access is wanted); trajectory A
     takes pi_prime's action first, B takes pi's, and both follow ``pi``.
+    The pairs charge ``ledger``, and so does a CFTP start.
 
     Raises NonErgodicError before drawing when ``pi``'s chain, which the
     pairs follow, cannot coalesce (``MarkovChain.require_coalescing``);
@@ -169,7 +159,14 @@ def delta_rho_batch(
     """
     require_coalescing_policy(mdp, pi)
     gen = as_generator(rng)
-    s0 = _stationary_starts(induce_chain(mdp, pi_prime), n_samples, s0_source, gen, step_cap, ledger)
+    chain = induce_chain(mdp, pi_prime)
+    if s0_source == "exact_solve":
+        cum = cdf_table(stationary_distribution(chain))[None, :]
+        s0 = inverse_cdf(cum, np.zeros(n_samples, dtype=np.int64), gen.random(n_samples))
+    elif s0_source == "cftp":
+        s0, _ = cftp_batch(chain, n_samples, gen, step_cap=step_cap, ledger=ledger)
+    else:
+        raise ValueError(f"unknown start-state source {s0_source!r}")
     draw_pi = policy_action_drawer(pi, mdp, gen)
     draw_pi_prime = policy_action_drawer(pi_prime, mdp, gen)
     values, t_c = coupled_difference_batch(
@@ -202,15 +199,14 @@ def policy_gradient_batch(
     The second trajectory acts as a mean-zero baseline, so only the first
     action's score enters.
 
-    Raises NonErgodicError before drawing when the policy's chain cannot
-    coalesce (``MarkovChain.require_coalescing``); CapExceededError when a
+    The start-state CFTP and the pairs charge ``ledger``. Raises
+    NonErgodicError before drawing when the policy's chain cannot coalesce
+    (``MarkovChain.require_coalescing``); CapExceededError when a
     start-state CFTP or a pair runs ``step_cap`` steps.
     """
     stoch = policy.as_policy()
-    chain = induce_chain(mdp, stoch)
-    chain.require_coalescing()
     gen = as_generator(rng)
-    s0 = _stationary_starts(chain, n_samples, "cftp", gen, step_cap, ledger)
+    s0, _ = cftp_batch(induce_chain(mdp, stoch), n_samples, gen, step_cap=step_cap, ledger=ledger)
     cum_pi = cdf_table(policy.probs)
     a_main = inverse_cdf(cum_pi, s0, gen.random(n_samples))
     a_base = inverse_cdf(cum_pi, s0, gen.random(n_samples))

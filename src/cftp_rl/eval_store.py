@@ -121,12 +121,6 @@ class EvaluationRecord:
     state: int
 
 
-def _check_policies(mdp: TabularMDP, policies: list[DeterministicPolicy]) -> None:
-    """Reject a bad action or a chain that cannot coalesce; a pass is cached on the MDP."""
-    for policy in policies:
-        require_coalescing_policy(mdp, policy)
-
-
 def _cftp_pairs(
     stores: list[SampleMatrix],
     policies: list[DeterministicPolicy],
@@ -212,7 +206,7 @@ def evaluate_policy(
     (``MarkovChain.require_coalescing``), before drawing a row;
     CapExceededError once ``step_cap`` rows are read without coalescence.
     """
-    _check_policies(store.mdp, [policy])
+    require_coalescing_policy(store.mdp, policy)
     states, times, rewards = _cftp_pairs([store], [policy], step_cap)
     return EvaluationRecord(
         reward=float(rewards[0, 0]), rows_consumed=int(times[0, 0]), state=int(states[0, 0])
@@ -262,7 +256,8 @@ def estimate_all(
     ``step_cap`` rows raises CapExceededError; by then every copy with an
     unfinished pair has drawn ``step_cap`` rows.
     """
-    _check_policies(ensemble.copies[0].mdp, policies)
+    for policy in policies:
+        require_coalescing_policy(ensemble.copies[0].mdp, policy)
     _, _, rewards = _cftp_pairs(ensemble.copies, policies, step_cap)
     estimates = np.zeros(len(policies))
     for per_copy in rewards:

@@ -23,7 +23,7 @@ from ..apprenticeship import (
     mwal_generative,
     mwal_rounds_csv,
 )
-from ..chains import induce_chain, inverse_cdf
+from ..chains import SampleLedger, induce_chain, inverse_cdf
 from ..errors import CapExceededError
 from ..estimators import SoftmaxPolicy, policy_gradient_batch
 from ..eval_store import StoreEnsemble, estimate_all
@@ -475,14 +475,13 @@ def run_eval_store(config: ExperimentConfig) -> None:
         )
         estimates = estimate_all(ensemble, policies, step_cap=config.param("step_cap"))
         shared_calls = ensemble.ledger_total
-        fresh_calls = 0
+        fresh = SampleLedger()
         for j, policy in enumerate(policies):
-            chain = induce_chain(mdp, policy)
-            _, times = cftp_batch(
-                chain, ensemble.n_copies, substream(config.seed, replicate, 100 + j),
-                step_cap=config.param("step_cap"),
+            cftp_batch(
+                induce_chain(mdp, policy), ensemble.n_copies,
+                substream(config.seed, replicate, 100 + j),
+                step_cap=config.param("step_cap"), ledger=fresh,
             )
-            fresh_calls += int(times.sum()) * chain.n_states
             rows.append(
                 [
                     replicate, "-".join(str(a) for a in policy.actions),
@@ -493,7 +492,7 @@ def run_eval_store(config: ExperimentConfig) -> None:
         summary_rows.append(
             [
                 replicate, ensemble.n_copies, max_err, max_err <= epsilon,
-                shared_calls, fresh_calls, shared_calls < fresh_calls,
+                shared_calls, fresh.generative_calls, shared_calls < fresh.generative_calls,
             ]
         )
     _write_csv(

@@ -35,11 +35,10 @@ from .seeding import as_generator
 
 @dataclass
 class CoalescenceRecord:
-    """Outcome of a coalescence run: first hit time, state, and sampling cost."""
+    """Outcome of a coalescence run: first hit time and state."""
 
     t_c: int
     state: int
-    calls: int
 
 
 # _map_blocks draws blocks that double from one map up to this many entries
@@ -190,17 +189,17 @@ def cftp(
     is maintained incrementally, so each step costs O(n_states) plus the map
     draw and no map is kept once composed.
 
-    Raises NonErgodicError before drawing when the maps can never coalesce
+    Charges ``ledger`` t_c * n_states generative calls. Raises
+    NonErgodicError before drawing when the maps can never coalesce
     (``MarkovChain.require_coalescing``), CapExceededError after ``step_cap`` steps.
     """
     chain.require_coalescing()
     with closing(_map_blocks(chain.cumulative(), as_generator(rng))) as maps:
         next(maps)
         state, t_c = _cftp_core(lambda t: next(maps), chain.n_states, step_cap)
-    calls = t_c * chain.n_states
     if ledger is not None:
-        ledger.add_generative(calls)
-    return state, CoalescenceRecord(t_c=t_c, state=state, calls=calls)
+        ledger.add_generative(t_c * chain.n_states)
+    return state, CoalescenceRecord(t_c=t_c, state=state)
 
 
 def cftp_batch(
@@ -208,6 +207,7 @@ def cftp_batch(
     n_samples: int,
     rng,
     step_cap: int = 1_000_000,
+    ledger: SampleLedger | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized independent CFTP runs; returns (states, coalescence times).
 
@@ -217,13 +217,17 @@ def cftp_batch(
     unfinished run, in run order, from the block-ahead source ``cftp`` uses
     (``_map_blocks``), so states, times and the final generator state are
     those of a loop that draws each step's maps with one ``gen.random``
-    call. Raises NonErgodicError before drawing, as ``cftp`` does, when the
-    maps can never coalesce.
+    call. The runs charge ``ledger`` sum(t_c) * n_states generative calls,
+    as ``cftp`` charges each. Raises NonErgodicError before drawing, as
+    ``cftp`` does, when the maps can never coalesce.
     """
     chain.require_coalescing()
     with closing(_map_blocks(chain.cumulative(), as_generator(rng))) as maps:
         next(maps)
-        return _cftp_batch_core(maps.send, n_samples, chain.n_states, step_cap)
+        states, times = _cftp_batch_core(maps.send, n_samples, chain.n_states, step_cap)
+    if ledger is not None:
+        ledger.add_generative(int(times.sum()) * chain.n_states)
+    return states, times
 
 
 def _pair_walk(cum, xy, a, draw_actions, gen, step_cap, on_step=None, step_uniforms=0):
@@ -331,7 +335,6 @@ class GrandCouplingRecord:
     merge_time: int
     class_counts: list[int]
     final_state: int
-    calls: int
 
 
 def grand_coupling_sim(
@@ -354,13 +357,12 @@ def grand_coupling_sim(
     position = np.arange(n)  # the distinct occupied states, sorted
     counts = [n]
     if n == 1:
-        return GrandCouplingRecord(merge_time=0, class_counts=counts, final_state=0, calls=0)
+        return GrandCouplingRecord(merge_time=0, class_counts=counts, final_state=0)
     for t in range(1, step_cap + 1):
         occupied = np.zeros(n, dtype=bool)
         occupied[_map_from_cum(cum, gen)[position]] = True
         position = np.flatnonzero(occupied)
         counts.append(position.size)
         if position.size == 1:
-            final = int(position[0])
-            return GrandCouplingRecord(merge_time=t, class_counts=counts, final_state=final, calls=t * n)
+            return GrandCouplingRecord(merge_time=t, class_counts=counts, final_state=int(position[0]))
     raise CapExceededError(f"no full merge within {step_cap} steps")

@@ -12,6 +12,7 @@ from cftp_rl.chains import (
     DeterministicPolicy,
     MixedPolicy,
     RewardModel,
+    SampleLedger,
     StochasticPolicy,
     TabularMDP,
     cdf_table,
@@ -218,10 +219,11 @@ class TestExpertStationarySamples:
             "generator": np.random.default_rng(seed),
         }[rng_kind]
         expert = ExpertModel(policy, mdp.n_actions, expert_seed)
-        samples, times, calls = expert_stationary_samples(mdp, expert, m, rng)
+        ledger = SampleLedger()
+        samples, times = expert_stationary_samples(mdp, expert, m, rng, ledger=ledger)
         assert np.array_equal(samples, expected[0])
         assert np.array_equal(times, expected[1])
-        assert calls == expected[2]
+        assert ledger.generative_calls == expected[2]
         assert expert.ledger == ref_expert.ledger
         assert expert.rng.bit_generator.state == ref_expert.rng.bit_generator.state
         if rng_kind == "generator":
@@ -244,7 +246,9 @@ class TestExpertStationarySamples:
         n = mdp.n_states
         expert = ExpertModel(policy, mdp.n_actions, expert_seed)
         rng = seed if as_int else np.random.default_rng(seed)
-        samples, times, calls = expert_stationary_samples(mdp, expert, m, rng)
+        ledger = SampleLedger()
+        samples, times = expert_stationary_samples(mdp, expert, m, rng, ledger=ledger)
+        calls = ledger.generative_calls
         assert samples.shape == times.shape == (m,)
         assert ((samples >= 0) & (samples < n)).all() and (times >= 1).all()
         assert expert.ledger.expert_calls == calls == int(times.sum()) * n
@@ -261,7 +265,7 @@ class TestExpertStationarySamples:
         mu = stationary_distribution(induce_chain(mdp, policy))
         expert = ExpertModel(policy, 2, rng=31)
         rng = 32 if as_int else np.random.default_rng(32)
-        samples, _, _ = expert_stationary_samples(mdp, expert, 4000, rng)
+        samples, _ = expert_stationary_samples(mdp, expert, 4000, rng)
         counts = np.bincount(samples, minlength=2)
         _, p_value = stats.chisquare(counts, mu * samples.size)
         assert p_value > 0.001
@@ -309,9 +313,39 @@ class TestExpertStationarySamples:
         expert = ExpertModel(policy, n_actions, seed)
         m = data.draw(st.integers(1, 20))
         rng = seed if as_int else np.random.default_rng(seed)
-        samples, times, calls = expert_stationary_samples(mdp, expert, m, rng)
+        ledger = SampleLedger()
+        samples, times = expert_stationary_samples(mdp, expert, m, rng, ledger=ledger)
         assert (samples == j).all() and (times == 1).all()
-        assert calls == expert.ledger.expert_calls == m * n
+        assert ledger.generative_calls == expert.ledger.expert_calls == m * n
+
+
+class TestExpertMustFitTheMdp:
+    """An expert whose policy table is not (n_states, n_actions) fails before any draw."""
+
+    @staticmethod
+    def assert_rejected_before_drawing(mdp, expert):
+        gen = np.random.default_rng(3)
+        gen_before, expert_before = gen.bit_generator.state, expert.rng.bit_generator.state
+        pi_t = DeterministicPolicy(np.zeros(mdp.n_states, dtype=int))
+        with pytest.raises(ValueError, match="expert policy"):
+            expert_stationary_samples(mdp, expert, 20, gen)
+        with pytest.raises(ValueError, match="expert policy"):
+            estimate_expert_features(mdp, expert, 20, gen)
+        with pytest.raises(ValueError, match="expert policy"):
+            game_column_batch(mdp, expert, pi_t, 20, gen)
+        assert gen.bit_generator.state == gen_before
+        assert expert.rng.bit_generator.state == expert_before
+        assert expert.ledger.expert_calls == 0
+
+    def test_expert_with_more_states_is_rejected(self):
+        mdp = random_mdp(4, 2, rng=60, n_features=2)
+        expert = ExpertModel(DeterministicPolicy(np.array([0, 1, 0, 1, 1, 0])), 2, rng=61)
+        self.assert_rejected_before_drawing(mdp, expert)
+
+    def test_expert_with_more_actions_is_rejected(self):
+        mdp = random_mdp(4, 2, rng=62, n_features=2)
+        expert = ExpertModel(StochasticPolicy(np.full((4, 3), 1.0 / 3.0)), 3, rng=63)
+        self.assert_rejected_before_drawing(mdp, expert)
 
 
 class TestEstimateExpertFeatures:
@@ -329,7 +363,7 @@ class TestEstimateExpertFeatures:
         mdp = random_mdp(4, 2, rng=7, n_features=2)
         expert_policy = DeterministicPolicy(np.array([1, 0, 1, 0]))
         expert = ExpertModel(expert_policy, 2, rng=8)
-        samples, _, _ = expert_stationary_samples(mdp, expert, 5000, rng=9)
+        samples, _ = expert_stationary_samples(mdp, expert, 5000, rng=9)
         mu = stationary_distribution(induce_chain(mdp, expert_policy))
         counts = np.bincount(samples, minlength=4)
         _, p_value = stats.chisquare(counts, mu * samples.size)
@@ -556,7 +590,24 @@ class TestMwal:
             assert w @ (phi_mix - phi_expert) >= v_star - 0.25
 
 
+    @pytest.mark.parametrize("n_rounds", [0, -1])
+    def test_nonpositive_rounds_rejected_before_drawing(self, n_rounds):
+        mdp, expert_policy = thm8_style_instance(seed=195)
+        expert = ExpertModel(expert_policy, 2, rng=196)
+        with pytest.raises(ValueError, match="round"):
+            mwal(mdp, expert, k=2, n_rounds=n_rounds, m=5000, rng=197)
+        assert expert.ledger.expert_calls == 0
+
+
 class TestMwalGenerative:
+    @pytest.mark.parametrize("n_rounds", [0, -1])
+    def test_nonpositive_rounds_rejected_before_drawing(self, n_rounds):
+        mdp, expert_policy = thm8_style_instance(seed=198)
+        expert = ExpertModel(expert_policy, 2, rng=199)
+        with pytest.raises(ValueError, match="round"):
+            mwal_generative(mdp, expert, 2, n_rounds, delta=0.1, b=2.0, rng=200)
+        assert expert.ledger.expert_calls == 0
+
     def test_single_feature_degenerates(self):
         mdp = random_mdp(3, 2, rng=150, n_features=1)
         expert = ExpertModel(DeterministicPolicy(np.array([1, 1, 1])), 2, rng=151)

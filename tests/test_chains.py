@@ -287,6 +287,13 @@ class TestPolicies:
         assert DeterministicPolicy(np.array([0, 1])) == DeterministicPolicy(np.array([0, 1]))
         assert DeterministicPolicy(np.array([0, 1])) != DeterministicPolicy(np.array([1, 1]))
 
+    @pytest.mark.parametrize("bad", [-1, 2])
+    def test_action_probs_rejects_an_action_outside_the_range(self, bad):
+        # -1 would otherwise index the last action and pass unnoticed.
+        policy = DeterministicPolicy(np.array([0, bad, 1]))
+        with pytest.raises(ValueError, match="outside"):
+            policy.action_probs(2)
+
 
 class TestInduceChain:
     def test_single_action_mdp_keeps_matrix(self):

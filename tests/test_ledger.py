@@ -1,0 +1,172 @@
+"""One ledger contract: the sampler that makes the queries charges them.
+
+Each row of the table runs one sampler at a fixed seed and returns its
+outputs (generator states included) and the count its docstring gives for
+the times it returned, as (generative, expert) calls. The row is run twice:
+with a ledger, whose delta must equal that count, and without one, which
+must return the same outputs and leave every Generator in the same state.
+A row whose sampler calls another sampler reads the inner sampler's times
+through a spy, so the count is checked against the times that paid for it.
+"""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+
+from cftp_rl import eval_store, estimators
+from cftp_rl.apprenticeship import (
+    ExpertModel,
+    estimate_expert_features,
+    expert_stationary_samples,
+    game_column_batch,
+)
+from cftp_rl.chains import DeterministicPolicy, SampleLedger, StochasticPolicy, induce_chain
+from cftp_rl.estimators import (
+    SoftmaxPolicy,
+    coupled_difference_batch,
+    delta_rho_batch,
+    policy_action_drawer,
+    policy_gradient_batch,
+)
+from cftp_rl.eval_store import StoreEnsemble, estimate_all
+from cftp_rl.instances import random_mdp
+from cftp_rl.sampling import cftp, cftp_batch
+
+MDP = random_mdp(4, 2, rng=5, n_features=2)
+N, M = MDP.n_states, MDP.n_actions
+PI = DeterministicPolicy(np.array([0, 1, 1, 0]))
+PI_PRIME = DeterministicPolicy(np.array([1, 1, 0, 0]))
+EXPERT = StochasticPolicy(np.array([[0.5, 0.5], [0.2, 0.8], [0.9, 0.1], [0.4, 0.6]]))
+
+
+def spy(module, name, seen):
+    """Patch ``module.name`` to record each return value in ``seen``."""
+    real = getattr(module, name)
+
+    def record(*args, **kwargs):
+        out = real(*args, **kwargs)
+        seen.append(out)
+        return out
+
+    return mock.patch.object(module, name, record)
+
+
+def run_cftp(ledger, seed):
+    gen = np.random.default_rng(seed)
+    state, record = cftp(induce_chain(MDP, PI), gen, ledger=ledger)
+    return (state, record.t_c, gen.bit_generator.state), (record.t_c * N, 0)
+
+
+def run_cftp_batch(ledger, seed):
+    gen = np.random.default_rng(seed)
+    states, times = cftp_batch(induce_chain(MDP, PI), 40, gen, ledger=ledger)
+    return (states, times, gen.bit_generator.state), (int(times.sum()) * N, 0)
+
+
+def run_expert_stationary_samples(ledger, seed):
+    gen = np.random.default_rng(seed)
+    expert = ExpertModel(EXPERT, M, seed + 1, ledger)
+    samples, times = expert_stationary_samples(MDP, expert, 30, gen, ledger=ledger)
+    calls = int(times.sum()) * N
+    return (samples, times, gen.bit_generator.state, expert.rng.bit_generator.state), (calls, calls)
+
+
+def run_estimate_expert_features(ledger, seed):
+    # The estimate's generative count comes from its own ledger; the expert's
+    # ledger is the one a caller passes in.
+    gen = np.random.default_rng(seed)
+    expert = ExpertModel(EXPERT, M, seed + 1, ledger)
+    est = estimate_expert_features(MDP, expert, 30, gen)
+    calls = est.total_steps * N
+    assert est.generative_calls == est.expert_calls == calls
+    outputs = (est.phi, est.total_steps, est.generative_calls, est.expert_calls)
+    return outputs + (gen.bit_generator.state, expert.rng.bit_generator.state), (0, calls)
+
+
+def run_coupled_difference_batch(ledger, seed):
+    gen = np.random.default_rng(seed)
+    s0 = np.arange(N).repeat(10)
+    draw = policy_action_drawer(PI, MDP, gen)
+    values, t_c = coupled_difference_batch(
+        MDP, s0, PI_PRIME.actions[s0], PI.actions[s0], draw, gen, ledger=ledger
+    )
+    return (values, t_c, gen.bit_generator.state), (2 * int(t_c.sum()), 0)
+
+
+def run_delta_rho_batch(source):
+    def run(ledger, seed):
+        gen = np.random.default_rng(seed)
+        starts = []
+        with spy(estimators, "cftp_batch", starts):
+            values, t_c = delta_rho_batch(
+                MDP, PI, PI_PRIME, 40, gen, s0_source=source, ledger=ledger
+            )
+        start_calls = sum(int(times.sum()) * N for _, times in starts)
+        assert len(starts) == (source == "cftp")
+        calls = start_calls + 2 * int(t_c.sum())
+        return (values, t_c, gen.bit_generator.state), (calls, 0)
+
+    return run
+
+
+def run_policy_gradient_batch(ledger, seed):
+    gen = np.random.default_rng(seed)
+    starts, pairs = [], []
+    with spy(estimators, "cftp_batch", starts), spy(estimators, "coupled_difference_batch", pairs):
+        policy = SoftmaxPolicy(np.array([[0.3, -0.2], [0.0, 1.0], [-0.5, 0.5], [0.1, 0.0]]))
+        grads = policy_gradient_batch(MDP, policy, 40, gen, ledger=ledger)
+    [(_, start_times)], [(_, pair_times)] = starts, pairs
+    calls = int(start_times.sum()) * N + 2 * int(pair_times.sum())
+    return (grads, gen.bit_generator.state), (calls, 0)
+
+
+def run_game_column_batch(ledger, seed):
+    # The expert acts once at each start, then once per side on every step
+    # but the one at which its pair meets: 2 sum(t_c) - n_samples queries.
+    gen = np.random.default_rng(seed)
+    expert = ExpertModel(EXPERT, M, seed + 1, ledger)
+    g, t_c = game_column_batch(MDP, expert, PI, 40, gen, ledger=ledger)
+    calls = 2 * int(t_c.sum())
+    outputs = (g, t_c, gen.bit_generator.state, expert.rng.bit_generator.state)
+    return outputs, (calls, calls - 40)
+
+
+def run_estimate_all(ledger, seed):
+    # Every copy of a fresh ensemble grows to the largest t_c of its pairs,
+    # and each row is one generative call per (state, action).
+    ensemble = StoreEnsemble(MDP, 0.5, 0.5, 4, seed)
+    if ledger is not None:
+        for copy in ensemble.copies:
+            copy.ledger = ledger
+    seen = []
+    with spy(eval_store, "_cftp_pairs", seen):
+        estimates = estimate_all(ensemble, [PI, PI_PRIME])
+    [(_, times, _)] = seen
+    return (estimates, times), (N * M * int(times.max(axis=1).sum()), 0)
+
+
+ROWS = {
+    "cftp": run_cftp,
+    "cftp_batch": run_cftp_batch,
+    "expert_stationary_samples": run_expert_stationary_samples,
+    "estimate_expert_features": run_estimate_expert_features,
+    "coupled_difference_batch": run_coupled_difference_batch,
+    "delta_rho_batch-exact_solve": run_delta_rho_batch("exact_solve"),
+    "delta_rho_batch-cftp": run_delta_rho_batch("cftp"),
+    "policy_gradient_batch": run_policy_gradient_batch,
+    "game_column_batch": run_game_column_batch,
+    "estimate_all": run_estimate_all,
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", list(ROWS))
+def test_ledger_charges_the_documented_count_and_changes_nothing(name, seed):
+    ledger = SampleLedger()
+    charged, documented = ROWS[name](ledger, seed)
+    assert (ledger.generative_calls, ledger.expert_calls) == documented
+    assert sum(documented) > 0  # a row that charges nothing would pass vacuously
+    free, free_documented = ROWS[name](None, seed)
+    np.testing.assert_equal(charged, free)
+    assert free_documented == documented
