@@ -154,7 +154,10 @@ def expert_stationary_samples(
             ledger.add_generative(u.size)
         return inverse_cdf(cum, states * n_actions + actions, u).reshape(k, n)
 
-    return _cftp_batch_core(draw_maps, m, n, step_cap)
+    samples, times, unfinished = _cftp_batch_core(draw_maps, m, n, step_cap)
+    if unfinished.size:
+        raise CapExceededError(f"no coalescence within {step_cap} steps")
+    return samples, times
 
 
 def estimate_expert_features(

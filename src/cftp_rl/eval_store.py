@@ -7,18 +7,27 @@ so the same rows drive CFTP for every policy. Rows are appended on demand
 and never modified, which is what lets exponentially many policies share
 polynomially many generative calls.
 
-Every evaluation runs one CFTP loop over all (matrix, policy) pairs at once:
-step t reads row t of each matrix that still has an unfinished pair, and
-each pair retires at its own coalescence time. Row t is drawn from
-``KeyedUniforms(seed).at(t)`` and so depends only on (seed, t): the order
-in which rows are drawn does not change any result. Growth is batched: one
-``_append_rows`` call appends row t to every matrix of the step that holds
-t - 1 rows, with one ``random`` call per matrix and then one inverse-CDF
-call and one reward step for all of them, from the MDP's one CDF table.
-Policies are checked up front: an action index outside the MDP raises
-ValueError and an induced chain on which CFTP cannot coalesce raises
-NonErgodicError, before any row is drawn. Chains with transient states are
-accepted, as ``cftp`` accepts them.
+The rows of every copy of a ``StoreEnsemble`` live in one row table
+(``_RowTable``): next states and rewards as (capacity, copies,
+n_states * n_actions) arrays whose capacity doubles on demand. A stand-alone
+``SampleMatrix`` is a one-copy table, and ``rows`` and ``row_at`` hand out
+read-only views of it.
+
+Every evaluation runs one CFTP loop over (matrix, policy) pairs: step t
+reads row t of each matrix that still has an unfinished pair, with one
+``take`` from the table's row-t slab, and each pair retires at its own
+coalescence time. The pairs are walked in chunks of at most
+``PAIR_BLOCK_ENTRIES`` pair entries (pairs x n_states), so the per-pair
+arrays stay bounded however many copies and policies there are. Row t is
+drawn from ``KeyedUniforms(seed).at(t)`` and so depends only on (seed, t):
+neither the order in which rows are drawn nor the chunking changes any
+result. Growth is batched: one ``_append_rows`` call appends row t to every
+matrix of the step that holds t - 1 rows, with one ``random`` call per
+matrix and then one inverse-CDF call and one reward step for all of them,
+from the MDP's one CDF table. Policies are checked up front: an action
+index outside the MDP raises ValueError and an induced chain on which CFTP
+cannot coalesce raises NonErgodicError, before any row is drawn. Chains
+with transient states are accepted, as ``cftp`` accepts them.
 
 Reusing rows across policies correlates their estimates within one matrix;
 averaging over independent copies (StoreEnsemble) restores concentration.
@@ -26,6 +35,7 @@ averaging over independent copies (StoreEnsemble) restores concentration.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -39,6 +49,18 @@ from .errors import CapExceededError
 from .sampling import _compose
 from .seeding import KeyedUniforms, child_sequence, seed_sequence
 
+# _cftp_pairs walks its (matrix, policy) pairs in chunks of at most this many
+# pair entries (pairs x n_states); a chunk's loop holds a few int64 arrays of
+# that size. Measured on every policy of random_mdp(n, 2, 0) at epsilon =
+# delta = 0.1 (StoreEnsemble plus estimate_all, wall s and process peak RSS,
+# 2-core AMD EPYC): at n = 10 (924 copies x 1024 policies), 2.31 s and 111 MB
+# at 2**12, 0.92 s / 116 MB at 2**16, 0.81 / 119 at 2**17, 0.74-0.77 / 126 at
+# 2**18, 0.73 / 144 at 2**19, 0.84 / 176 at 2**20 and 1.14 / 350 at 2**22; at
+# n = 12 (1063 x 4096), 4.00 s / 227 MB at 2**17, 3.73 / 232 at 2**18 and
+# 3.83 / 249 at 2**19. One pair set of the policy-eval benchmark (220 copies
+# x 8 policies x 6 states) fits in one chunk.
+PAIR_BLOCK_ENTRIES = 2**18
+
 
 @dataclass
 class StoreRow:
@@ -46,6 +68,38 @@ class StoreRow:
 
     next_state: np.ndarray  # (n_states, n_actions) int
     reward: np.ndarray  # (n_states, n_actions) float
+
+
+class _RowTable:
+    """The rows of one or more sample matrices of one MDP, in one pair of arrays.
+
+    Row t of the matrix in slot c is ``next_state[t - 1, c]`` and
+    ``reward[t - 1, c]``, n_states * n_actions entries each, state-major.
+    The arrays are time-major, so step t's rows of every slot form one
+    contiguous slab and an offset into it does not move when the capacity
+    grows. Capacity doubles on demand, from 8 rows, which cover most
+    one-copy evaluations; a written row is never rewritten, so views of it
+    stay valid after a regrowth.
+    """
+
+    def __init__(self, mdp: TabularMDP, slots: int):
+        self.entries = mdp.n_states * mdp.n_actions
+        self.lengths = np.zeros(slots, dtype=np.int64)
+        self.next_state = np.empty((0, slots, self.entries), dtype=np.int64)
+        self.reward = np.empty((0, slots, self.entries))
+
+    def write(self, t: int, slots, next_state: np.ndarray, reward: np.ndarray) -> None:
+        """Store row t of the matrices in ``slots``, each of which holds t - 1 rows."""
+        if t > len(self.next_state):
+            capacity = max(2 * len(self.next_state), t, 8)
+            for name in ("next_state", "reward"):
+                old = getattr(self, name)
+                new = np.empty((capacity,) + old.shape[1:], dtype=old.dtype)
+                new[: len(old)] = old
+                setattr(self, name, new)
+        self.next_state[t - 1, slots] = next_state
+        self.reward[t - 1, slots] = reward
+        self.lengths[slots] = t
 
 
 class SampleMatrix:
@@ -57,27 +111,44 @@ class SampleMatrix:
     a checkpoint restore, or grown in a batch with other matrices
     (``_append_rows``), is bit-identical to one grown alone without
     interruption. Every matrix of one MDP inverts with the MDP's one CDF
-    table (``TabularMDP.cumulative``).
+    table (``TabularMDP.cumulative``). The rows sit in one slot of a
+    ``_RowTable``: a table of their own, or their ensemble's.
     Single-writer: do not evaluate one matrix concurrently, growth during
     evaluation is part of the contract.
     """
 
-    def __init__(self, mdp: TabularMDP, rng, ledger: SampleLedger | None = None):
+    def __init__(
+        self, mdp: TabularMDP, rng, ledger: SampleLedger | None = None,
+        *, _row_slot: tuple[_RowTable, int] | None = None,
+    ):
         self.mdp = mdp
         self._keyed = KeyedUniforms(rng)
-        self.rows: list[StoreRow] = []
+        self._table, self._slot = _row_slot if _row_slot is not None else (_RowTable(mdp, 1), 0)
         self.ledger = ledger if ledger is not None else SampleLedger()
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return int(self._table.lengths[self._slot])
+
+    @property
+    def rows(self) -> list[StoreRow]:
+        """Read-only views of rows 1..len(self), in order, as the matrix holds them now."""
+        return [self._row(t) for t in range(1, len(self) + 1)]
+
+    def _row(self, t: int) -> StoreRow:
+        shape = (self.mdp.n_states, self.mdp.n_actions)
+        next_state = self._table.next_state[t - 1, self._slot].reshape(shape)
+        reward = self._table.reward[t - 1, self._slot].reshape(shape)
+        next_state.setflags(write=False)
+        reward.setflags(write=False)
+        return StoreRow(next_state=next_state, reward=reward)
 
     def row_at(self, t: int) -> StoreRow:
         """Row for past time -t (1-indexed), growing the matrix on demand."""
         if t < 1:
             raise ValueError("row index starts at 1")
-        for missing in range(len(self.rows) + 1, t + 1):
+        for missing in range(len(self) + 1, t + 1):
             _append_rows([self], missing)
-        return self.rows[t - 1]
+        return self._row(t)
 
     def restricted_map(self, t: int, policy: DeterministicPolicy) -> np.ndarray:
         """Row t restricted to columns (s, pi(s)): a random map of pi's chain."""
@@ -86,30 +157,27 @@ class SampleMatrix:
 
 
 def _append_rows(stores: list[SampleMatrix], t: int) -> None:
-    """Append row t to every store of one MDP in ``stores``; each holds t - 1 rows.
+    """Append row t to every matrix in ``stores``: one MDP, one row table, t - 1 rows each.
 
-    One ``KeyedUniforms.at(t)`` and one ``random`` call per store, covering
+    One ``KeyedUniforms.at(t)`` and one ``random`` call per matrix, covering
     its next-state uniforms and then its reward uniforms; then one
     ``inverse_cdf`` call and one ``RewardModel.sample_from`` call for all
-    of them. Each store's row equals the one it would draw alone.
+    of them, written into the table as one slab. Each matrix's row equals
+    the one it would draw alone.
     """
-    mdp = stores[0].mdp
-    count = len(stores)
-    entries = mdp.n_states * mdp.n_actions
+    mdp, table = stores[0].mdp, stores[0]._table
+    count, entries = len(stores), table.entries
     u = np.empty((count, entries * (1 + mdp.reward.uniforms_per_entry)))
     for i, store in enumerate(stores):
         store._keyed.at(t).random(out=u[i])
-    table_rows, means = np.arange(entries), mdp.reward.means[None]
+        store.ledger.add_generative(entries)
+    table_rows, means, slots = np.arange(entries), mdp.reward.means[None], stores[0]._slot
     if count > 1:
         table_rows, means = np.tile(table_rows, count), means.repeat(count, axis=0)
+        slots = np.array([store._slot for store in stores])
     next_state = inverse_cdf(mdp.cumulative(), table_rows, u[:, :entries].ravel())
-    next_state = next_state.reshape(count, mdp.n_states, mdp.n_actions)
     reward = mdp.reward.sample_from(means, u[:, entries:])
-    next_state.setflags(write=False)
-    reward.setflags(write=False)
-    for i, store in enumerate(stores):
-        store.rows.append(StoreRow(next_state=next_state[i], reward=reward[i]))
-        store.ledger.add_generative(entries)
+    table.write(t, slots, next_state.reshape(count, entries), reward.reshape(count, entries))
 
 
 @dataclass
@@ -126,15 +194,17 @@ def _cftp_pairs(
     policies: list[DeterministicPolicy],
     step_cap: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CFTP for every (store, policy) pair on the stored rows, in one loop.
+    """CFTP for every (store, policy) pair on the stored rows.
 
     Returns (states, t_c, rewards), each of shape (len(stores), len(policies)).
     A pair composes its restricted maps exactly as scalar CFTP does and reads
     rows 1..t_c of its store; a store grows to the largest t_c of its pairs.
-    The composites are held state-major and composed as ``cftp_batch``'s
-    are (``sampling._compose``): pair p's image of state x sits at
-    x * width + p of the last step's raveled composites, and a pair that
-    coalesces retires by column, with no survivor copied.
+    The pairs are taken store-major, in chunks of at most
+    ``PAIR_BLOCK_ENTRIES`` pair entries whose stores share one row table,
+    one ``_cftp_chunk`` loop each. A pair's result depends only on its
+    store's rows, so the chunking changes no result, row or ledger count.
+    A chunk that reaches ``step_cap`` raises CapExceededError, and the
+    chunks after it are not run.
     """
     n, m = stores[0].mdp.n_states, stores[0].mdp.n_actions
     shape = (len(stores), len(policies))
@@ -142,49 +212,85 @@ def _cftp_pairs(
     times = np.empty(shape, dtype=np.int64)
     rewards = np.empty(shape)
     actions = np.array([policy.actions for policy in policies], dtype=np.int64).reshape(-1, n)
-    # Active pairs, store-major; entry[x, p] is pair p's offset of
-    # (x, pi(x)) in a row flattened to n * m entries.
-    pair_store, pair_policy = np.indices(shape).reshape(2, -1)
-    entry = (np.arange(n)[:, None] * m + actions.T)[:, pair_policy]
-    columns = np.arange(pair_store.size)
+    # entry[x, j] is policy j's offset of (x, pi_j(x)) in a row of n * m entries.
+    entry = np.arange(n)[:, None] * m + actions.T
+    slot = np.array([store._slot for store in stores])
+    chunk = max(1, PAIR_BLOCK_ENTRIES // n)
+    for _, run in itertools.groupby(range(len(stores)), lambda i: stores[i]._table):
+        run = list(run)  # consecutive stores on one row table
+        end = (run[-1] + 1) * len(policies)
+        for first in range(run[0] * len(policies), end, chunk):
+            pair = np.arange(first, min(first + chunk, end))
+            pair_store, pair_policy = np.divmod(pair, len(policies))
+            read = slot[pair_store] * (n * m) + entry[:, pair_policy]
+            out = _cftp_chunk(stores, slot, pair_store, read, step_cap)
+            states.flat[pair], times.flat[pair], rewards.flat[pair] = out
+    return states, times, rewards
+
+
+def _cftp_chunk(
+    stores: list[SampleMatrix],
+    slot: np.ndarray,
+    pair_store: np.ndarray,
+    read: np.ndarray,
+    step_cap: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One CFTP loop over pairs whose stores share one row table; returns (states, t_c, rewards).
+
+    Pair p reads ``stores[pair_store[p]]``, whose rows sit in ``slot[pair_store[p]]``
+    of the table, and ``pair_store`` ascends. ``read[x, p]`` is the offset of
+    pair p's map entry for state x in one step's slab of the table (slot * n
+    * m + x * m + pi(x)), so step t's maps are one ``take`` from the row-t
+    slab. The composites are held state-major and composed as
+    ``cftp_batch``'s are (``sampling._compose``): pair p's image of state x
+    sits at x * width + p of the last step's raveled composites, and a pair
+    that coalesces retires by column, with no survivor copied. The stores
+    with an active pair are found again only when pairs retire.
+    """
+    table = stores[pair_store[0]]._table
+    n, k = read.shape
+    states = np.empty(k, dtype=np.int64)
+    times = np.empty(k, dtype=np.int64)
+    rewards = np.empty(k)
+    active = np.arange(k)
+    columns = np.arange(k)
     # Before the first step every composite is the identity, one column.
     flat, width, cols = np.arange(n), 1, 0
+    live = _distinct(pair_store)
     # Every live store holds at least ``grown`` rows. A step past it
     # appends row t to the live stores that lack it, raising it to t.
-    grown = min(len(store) for store in stores)
+    grown = int(table.lengths[slot[live]].min())
     t = 0
-    while pair_store.size:
-        # The stores with an active pair (live), each pair's position among
-        # them (slot), and where its maps sit in the stacked rows (gather).
-        # pair_store stays sorted, so a live store's pairs form one run.
-        first = np.empty(pair_store.size, dtype=bool)
-        first[0] = True
-        np.not_equal(pair_store[1:], pair_store[:-1], out=first[1:])
-        slot = first.cumsum() - 1
-        live = [stores[i] for i in pair_store[first]]
-        gather = slot * (n * m) + entry
-        done = np.zeros(pair_store.size, dtype=bool)
-        while not done.any():
-            t += 1
-            if t > step_cap:
-                raise CapExceededError(f"no coalescence within {step_cap} steps")
-            if t > grown:
-                short = [store for store in live if len(store.rows) == t - 1]
-                if short:
-                    _append_rows(short, t)
-                grown = t
-            rows = [store.rows[t - 1] for store in live]
-            next_state = np.concatenate([row.next_state for row in rows]).ravel()
-            composite, done = _compose(flat, width, cols, next_state.take(gather))
-            flat, width, cols = composite.ravel(), pair_store.size, columns[: pair_store.size]
-        i, j, state = pair_store[done], pair_policy[done], composite[0, done]
-        reward = np.concatenate([row.reward for row in rows]).ravel()
-        states[i, j] = state
-        times[i, j] = t
-        rewards[i, j] = reward[slot[done] * (n * m) + state * m + actions[j, state]]
-        cols = np.flatnonzero(~done)
-        pair_store, pair_policy, entry = pair_store[cols], pair_policy[cols], entry[:, cols]
+    while active.size:
+        t += 1
+        if t > step_cap:
+            raise CapExceededError(f"no coalescence within {step_cap} steps")
+        if t > grown:
+            short = live[table.lengths[slot[live]] < t]
+            if short.size:
+                _append_rows([stores[i] for i in short], t)
+            grown = t
+        composite, done = _compose(flat, width, cols, table.next_state[t - 1].take(read))
+        flat, width, cols = composite.ravel(), active.size, columns[: active.size]
+        if done.any():
+            state = composite[0, done]
+            retired = active[done]
+            states[retired] = state
+            times[retired] = t
+            rewards[retired] = table.reward[t - 1].take(read[state, np.flatnonzero(done)])
+            cols = np.flatnonzero(~done)
+            active, pair_store, read = active[cols], pair_store[cols], read[:, cols]
+            if active.size:
+                live = _distinct(pair_store)
     return states, times, rewards
+
+
+def _distinct(ascending: np.ndarray) -> np.ndarray:
+    """The distinct values of a non-empty ascending array."""
+    first = np.empty(ascending.size, dtype=bool)
+    first[0] = True
+    np.not_equal(ascending[1:], ascending[:-1], out=first[1:])
+    return ascending[first]
 
 
 def evaluate_policy(
@@ -220,7 +326,9 @@ class StoreEnsemble:
     ``n_policies`` estimates to be within epsilon simultaneously with
     probability at least 1 - delta. Copy i is keyed by
     ``child_sequence(rng, i)``, so each copy has its own Philox key and its
-    rows do not depend on the number of copies.
+    rows do not depend on the number of copies. Copy i's rows sit in slot i
+    of the ensemble's one row table, which allocates nothing before the
+    first row is drawn.
     """
 
     def __init__(self, mdp: TabularMDP, epsilon: float, delta: float, n_policies: int, rng):
@@ -231,7 +339,11 @@ class StoreEnsemble:
         self.n_policies = n_policies
         self.n_copies = math.ceil(math.log(n_policies / delta) / epsilon**2)
         base = seed_sequence(rng)
-        self.copies = [SampleMatrix(mdp, child_sequence(base, i)) for i in range(self.n_copies)]
+        table = _RowTable(mdp, self.n_copies)
+        self.copies = [
+            SampleMatrix(mdp, child_sequence(base, i), _row_slot=(table, i))
+            for i in range(self.n_copies)
+        ]
 
     @property
     def ledger_total(self) -> int:
@@ -245,7 +357,8 @@ def estimate_all(
 ) -> np.ndarray:
     """Per-policy average-reward estimates, averaging one sample per copy.
 
-    One CFTP loop runs over every (copy, policy) pair; each sample equals
+    One CFTP loop runs over the (copy, policy) pairs, a bounded chunk of
+    them at a time (``_cftp_pairs``); each sample equals
     ``evaluate_policy(copy, policy)`` and each copy grows to the largest
     coalescence time among its pairs. Samples are summed in copy order.
 
@@ -254,7 +367,8 @@ def estimate_all(
     chain without a single aperiodic closed class (transient states are
     accepted). A chain that can coalesce but has not coalesced within
     ``step_cap`` rows raises CapExceededError; by then every copy with an
-    unfinished pair has drawn ``step_cap`` rows.
+    unfinished pair in that chunk has drawn ``step_cap`` rows, and no pair
+    of a later chunk has run.
     """
     for policy in policies:
         require_coalescing_policy(ensemble.copies[0].mdp, policy)
@@ -301,10 +415,7 @@ def loads_store(text: str, mdp: TabularMDP, rng, ledger: SampleLedger | None = N
             raise ValueError(f"row {i + 1}: next-state index outside [0, {n})")
         if not ((reward >= 0.0) & (reward <= 1.0)).all():
             raise ValueError(f"row {i + 1}: reward outside [0, 1]")
-        nxt, reward = nxt.reshape(n, m), reward.reshape(n, m)
-        nxt.setflags(write=False)
-        reward.setflags(write=False)
-        store.rows.append(StoreRow(next_state=nxt, reward=reward))
+        store._table.write(i + 1, store._slot, nxt, reward)
     return store
 
 

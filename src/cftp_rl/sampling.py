@@ -144,8 +144,8 @@ def _compose(flat: np.ndarray, width: int, cols, maps: np.ndarray):
 
 def _cftp_batch_core(
     draw_maps, n_samples: int, n_states: int, step_cap: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Shared loop of independent CFTP runs; returns (states, coalescence times).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Shared loop of independent CFTP runs; returns (states, coalescence times, unfinished).
 
     ``draw_maps(k)`` returns the next step's (k, n_states) maps for the k
     unfinished runs, in ascending run order; each run composes its own maps
@@ -154,7 +154,9 @@ def _cftp_batch_core(
     held state-major as an (n_states, k) array. A run retires by column:
     the next gather reads the survivors' columns of the last composite in
     place, so no survivor is copied. Before the first step every run's
-    composite is the identity, one column that all runs read.
+    composite is the identity, one column that all runs read. After
+    ``step_cap`` steps the runs still apart, ``unfinished``, get time
+    ``step_cap`` and no state; the caller raises.
     """
     states = np.empty(n_samples, dtype=np.int64)
     times = np.empty(n_samples, dtype=np.int64)
@@ -162,10 +164,8 @@ def _cftp_batch_core(
     columns = np.arange(n_samples)
     flat, width, cols = np.arange(n_states), 1, 0
     t = 0
-    while active.size:
+    while active.size and t < step_cap:
         t += 1
-        if t > step_cap:
-            raise CapExceededError(f"no coalescence within {step_cap} steps")
         composite, done = _compose(flat, width, cols, draw_maps(active.size).T)
         flat, width, cols = composite.ravel(), active.size, columns[: active.size]
         if done.any():
@@ -173,7 +173,8 @@ def _cftp_batch_core(
             times[active[done]] = t
             cols = np.flatnonzero(~done)
             active = active[cols]
-    return states, times
+    times[active] = step_cap
+    return states, times, active
 
 
 def cftp(
@@ -189,14 +190,20 @@ def cftp(
     is maintained incrementally, so each step costs O(n_states) plus the map
     draw and no map is kept once composed.
 
-    Charges ``ledger`` t_c * n_states generative calls. Raises
-    NonErgodicError before drawing when the maps can never coalesce
-    (``MarkovChain.require_coalescing``), CapExceededError after ``step_cap`` steps.
+    Charges ``ledger`` t_c * n_states generative calls, the map entries
+    composed: step_cap * n_states when it raises CapExceededError after
+    ``step_cap`` steps. Raises NonErgodicError before drawing when the maps
+    can never coalesce (``MarkovChain.require_coalescing``).
     """
     chain.require_coalescing()
     with closing(_map_blocks(chain.cumulative(), as_generator(rng))) as maps:
         next(maps)
-        state, t_c = _cftp_core(lambda t: next(maps), chain.n_states, step_cap)
+        try:
+            state, t_c = _cftp_core(lambda t: next(maps), chain.n_states, step_cap)
+        except CapExceededError:
+            if ledger is not None:
+                ledger.add_generative(step_cap * chain.n_states)
+            raise
     if ledger is not None:
         ledger.add_generative(t_c * chain.n_states)
     return state, CoalescenceRecord(t_c=t_c, state=state)
@@ -219,14 +226,18 @@ def cftp_batch(
     those of a loop that draws each step's maps with one ``gen.random``
     call. The runs charge ``ledger`` sum(t_c) * n_states generative calls,
     as ``cftp`` charges each. Raises NonErgodicError before drawing, as
-    ``cftp`` does, when the maps can never coalesce.
+    ``cftp`` does, when the maps can never coalesce; CapExceededError once a
+    run has taken ``step_cap`` steps without coalescing, after charging the
+    map entries composed, with step_cap as the time of each unfinished run.
     """
     chain.require_coalescing()
     with closing(_map_blocks(chain.cumulative(), as_generator(rng))) as maps:
         next(maps)
-        states, times = _cftp_batch_core(maps.send, n_samples, chain.n_states, step_cap)
+        states, times, unfinished = _cftp_batch_core(maps.send, n_samples, chain.n_states, step_cap)
     if ledger is not None:
         ledger.add_generative(int(times.sum()) * chain.n_states)
+    if unfinished.size:
+        raise CapExceededError(f"no coalescence within {step_cap} steps")
     return states, times
 
 

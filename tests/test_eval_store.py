@@ -2,6 +2,7 @@ import itertools
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from cftp_rl import eval_store
 from cftp_rl.chains import DeterministicPolicy, RewardModel, SampleLedger, TabularMDP, induce_chain
 from cftp_rl.errors import CapExceededError, NonErgodicError
 from cftp_rl.eval_store import (
@@ -226,6 +228,44 @@ class TestBatchedEvaluation:
                 next_state, reward = reference_row(mdp, seed, i, t)
                 assert np.array_equal(row.next_state, next_state)
                 assert np.array_equal(row.reward, reward)
+
+
+class TestChunkedPairs:
+    @PROPERTY_SETTINGS
+    @given(store_instances(), st.data())
+    def test_any_chunk_size_gives_the_one_chunk_result(self, instance, data):
+        # Chunk sizes run from one pair entry to above all pairs; the
+        # reference walks every pair in one chunk.
+        mdp, policies, seed = instance
+        whole = StoreEnsemble(mdp, 0.6, 0.5, len(policies), seed)
+        n_pairs = whole.n_copies * len(policies)
+        with mock.patch.object(eval_store, "PAIR_BLOCK_ENTRIES", n_pairs * mdp.n_states):
+            expected = estimate_all(whole, policies)
+        block = data.draw(st.integers(1, (n_pairs + 1) * mdp.n_states))
+        chunked = StoreEnsemble(mdp, 0.6, 0.5, len(policies), seed)
+        cftp_pairs, seen = eval_store._cftp_pairs, []
+
+        def record(*args):
+            seen.append(cftp_pairs(*args))
+            return seen[-1]
+
+        with mock.patch.object(eval_store, "PAIR_BLOCK_ENTRIES", block), \
+                mock.patch.object(eval_store, "_cftp_pairs", record), \
+                mock.patch.object(eval_store, "_cftp_chunk", wraps=eval_store._cftp_chunk) as chunk:
+            estimates = estimate_all(chunked, policies)
+        assert chunk.call_count == math.ceil(n_pairs / max(1, block // mdp.n_states))
+        assert estimates.tobytes() == expected.tobytes()
+        for copy, ref_copy in zip(chunked.copies, whole.copies):
+            assert_same_rows(copy, ref_copy)
+            assert copy.ledger.generative_calls == ref_copy.ledger.generative_calls
+        [(states, times, rewards)] = seen
+        for i, copy in enumerate(chunked.copies):
+            for j, policy in enumerate(policies):
+                sample = evaluate_policy(copy, policy)
+                assert (sample.reward, sample.rows_consumed, sample.state) == (
+                    rewards[i, j], times[i, j], states[i, j]
+                )
+        assert chunked.ledger_total == whole.ledger_total
 
 
 class TestPolicyChecks:

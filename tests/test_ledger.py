@@ -7,6 +7,11 @@ with a ledger, whose delta must equal that count, and without one, which
 must return the same outputs and leave every Generator in the same state.
 A row whose sampler calls another sampler reads the inner sampler's times
 through a spy, so the count is checked against the times that paid for it.
+
+The ``-cap`` rows run a sampler into its step cap. It must raise
+CapExceededError after charging what it composed: each run or pair counts
+min(t_c, cap) steps, with t_c from the same call without a cap, which
+draws the same maps up to the cap.
 """
 
 from unittest import mock
@@ -29,15 +34,19 @@ from cftp_rl.estimators import (
     policy_action_drawer,
     policy_gradient_batch,
 )
+from cftp_rl.errors import CapExceededError
 from cftp_rl.eval_store import StoreEnsemble, estimate_all
 from cftp_rl.instances import random_mdp
-from cftp_rl.sampling import cftp, cftp_batch
+from cftp_rl.sampling import cftp, cftp_batch, lower_bound_chain
 
 MDP = random_mdp(4, 2, rng=5, n_features=2)
 N, M = MDP.n_states, MDP.n_actions
 PI = DeterministicPolicy(np.array([0, 1, 1, 0]))
 PI_PRIME = DeterministicPolicy(np.array([1, 1, 0, 0]))
 EXPERT = StochasticPolicy(np.array([[0.5, 0.5], [0.2, 0.8], [0.9, 0.1], [0.4, 0.6]]))
+# Some runs or pairs of each -cap row below coalesce by its cap, and some do
+# not. A store copy grows to the largest t_c of its pairs, so its cap is later.
+CAP, STORE_CAP = 2, 6
 
 
 def spy(module, name, seen):
@@ -146,6 +155,71 @@ def run_estimate_all(ledger, seed):
     return (estimates, times), (N * M * int(times.max(axis=1).sum()), 0)
 
 
+def run_cftp_cap(ledger, seed):
+    # A lazy 50-state chain cannot coalesce in 20 steps.
+    gen = np.random.default_rng(seed)
+    with pytest.raises(CapExceededError):
+        cftp(lower_bound_chain(50, 0.001), gen, step_cap=20, ledger=ledger)
+    return (gen.bit_generator.state,), (20 * 50, 0)
+
+
+def run_cftp_batch_cap(ledger, seed):
+    _, times = cftp_batch(induce_chain(MDP, PI), 40, np.random.default_rng(seed))
+    gen = np.random.default_rng(seed)
+    with pytest.raises(CapExceededError):
+        cftp_batch(induce_chain(MDP, PI), 40, gen, step_cap=CAP, ledger=ledger)
+    assert (times <= CAP).any()
+    return (gen.bit_generator.state,), (int(np.minimum(times, CAP).sum()) * N, 0)
+
+
+def run_expert_stationary_samples_cap(ledger, seed):
+    _, times = expert_stationary_samples(
+        MDP, ExpertModel(EXPERT, M, seed + 1), 30, np.random.default_rng(seed)
+    )
+    gen = np.random.default_rng(seed)
+    expert = ExpertModel(EXPERT, M, seed + 1, ledger)
+    with pytest.raises(CapExceededError):
+        expert_stationary_samples(MDP, expert, 30, gen, step_cap=CAP, ledger=ledger)
+    assert (times <= CAP).any()
+    calls = int(np.minimum(times, CAP).sum()) * N
+    return (gen.bit_generator.state, expert.rng.bit_generator.state), (calls, calls)
+
+
+def run_coupled_difference_batch_cap(ledger, seed):
+    s0 = np.arange(N).repeat(10)
+
+    def run(step_cap, ledger, gen):
+        draw = policy_action_drawer(PI, MDP, gen)
+        return coupled_difference_batch(
+            MDP, s0, PI_PRIME.actions[s0], PI.actions[s0], draw, gen, step_cap=step_cap, ledger=ledger
+        )
+
+    _, t_c = run(1_000_000, None, np.random.default_rng(seed))
+    gen = np.random.default_rng(seed)
+    with pytest.raises(CapExceededError):
+        run(CAP, ledger, gen)
+    assert (t_c <= CAP).any()
+    return (gen.bit_generator.state,), (2 * int(np.minimum(t_c, CAP).sum()), 0)
+
+
+def run_estimate_all_cap(ledger, seed):
+    # A copy grows to the largest t_c of its pairs, or to the cap if one of
+    # them has not coalesced by then.
+    seen = []
+    with spy(eval_store, "_cftp_pairs", seen):
+        estimate_all(StoreEnsemble(MDP, 0.5, 0.5, 4, seed), [PI, PI_PRIME])
+    [(_, times, _)] = seen
+    ensemble = StoreEnsemble(MDP, 0.5, 0.5, 4, seed)
+    if ledger is not None:
+        for copy in ensemble.copies:
+            copy.ledger = ledger
+    with pytest.raises(CapExceededError):
+        estimate_all(ensemble, [PI, PI_PRIME], step_cap=STORE_CAP)
+    rows = np.minimum(times.max(axis=1), STORE_CAP)
+    assert (rows < STORE_CAP).any()
+    return ([len(copy) for copy in ensemble.copies],), (N * M * int(rows.sum()), 0)
+
+
 ROWS = {
     "cftp": run_cftp,
     "cftp_batch": run_cftp_batch,
@@ -157,6 +231,11 @@ ROWS = {
     "policy_gradient_batch": run_policy_gradient_batch,
     "game_column_batch": run_game_column_batch,
     "estimate_all": run_estimate_all,
+    "cftp-cap": run_cftp_cap,
+    "cftp_batch-cap": run_cftp_batch_cap,
+    "expert_stationary_samples-cap": run_expert_stationary_samples_cap,
+    "coupled_difference_batch-cap": run_coupled_difference_batch_cap,
+    "estimate_all-cap": run_estimate_all_cap,
 }
 
 

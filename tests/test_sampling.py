@@ -119,8 +119,9 @@ class TestCftp:
             assert maps.shape == (k, 3)
             return maps
 
-        states, times = _cftp_batch_core(draw_maps, 4, 3, step_cap=10)
+        states, times, unfinished = _cftp_batch_core(draw_maps, 4, 3, step_cap=10)
         assert states.tolist() == [1, 0, 1, 0] and times.tolist() == [2, 3, 2, 3]
+        assert unfinished.size == 0
 
     def test_empirical_distribution_matches_stationary(self, example_chain):
         states, _ = cftp_batch(example_chain, 100_000, rng=7)

@@ -9,9 +9,11 @@ In each checkout it runs the six subcommands at the test_12 configs and at
 their defaults, writing into a temporary directory. It then compares the
 two output trees file by file: every CSV, SVG and ``config.txt``. It also
 reads the ``--flag`` tokens of each side's ``<subcommand> --help`` and
-compares the two flag sets. It first prints each run's wall seconds on
-both sides, timed around its subprocess (interpreter start included), and
-each side's total. Then it prints one line per file that differs or exists
+compares the two flag sets. It first prints each run's wall seconds and
+peak RSS on both sides: the seconds timed around its subprocess
+(interpreter start included), the RSS the child's ``ru_maxrss`` from
+``os.wait4``, in MB. Each side's total seconds and largest peak follow.
+Then it prints one line per file that differs or exists
 on one side only, then a count, then one line per flag that exists on one
 side only, then a count. It exits 1 if any file or flag differs, 0 if all
 match. A subcommand that exits non-zero stops the comparison with exit
@@ -47,21 +49,31 @@ RUNS = [(f"{sub}-t12", sub, T12_FLAGS[sub].split()) for sub in SUBCOMMANDS] + [
 ]
 
 
-def _cli(root: Path, *args: str, **kwargs) -> subprocess.CompletedProcess:
+def _command(root: Path, *args: str) -> tuple[list[str], dict[str, str]]:
     env = dict(os.environ, PYTHONPATH=str(root.resolve() / "src"))
-    cmd = [sys.executable, "-m", "cftp_rl.experiments.cli", *args]
+    return [sys.executable, "-m", "cftp_rl.experiments.cli", *args], env
+
+
+def _cli(root: Path, *args: str, **kwargs) -> subprocess.CompletedProcess:
+    cmd, env = _command(root, *args)
     return subprocess.run(cmd, cwd=root, env=env, check=True, **kwargs)
 
 
-def run_side(root: Path, out: Path) -> dict[str, float]:
-    """Run every entry of RUNS in the checkout ``root``; return each run's wall seconds."""
-    seconds = {}
+def run_side(root: Path, out: Path) -> dict[str, tuple[float, float]]:
+    """Run every entry of RUNS in the checkout ``root``; return each run's (wall s, peak RSS MB)."""
+    runs = {}
     for name, sub, flags in RUNS:
+        cmd, env = _command(root, sub, "--out", str(out / name), *flags)
         start = time.perf_counter()
-        _cli(root, sub, "--out", str(out / name), *flags)
-        seconds[name] = time.perf_counter() - start
+        proc = subprocess.Popen(cmd, cwd=root, env=env)
+        _, status, usage = os.wait4(proc.pid, 0)
+        seconds = time.perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        if proc.returncode:
+            raise subprocess.CalledProcessError(proc.returncode, cmd)
+        runs[name] = (seconds, usage.ru_maxrss / 1024)  # ru_maxrss is in KiB on Linux
         print(f"{root}: {name} done", file=sys.stderr)
-    return seconds
+    return runs
 
 
 def flag_set(root: Path) -> set[str]:
@@ -97,16 +109,21 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         try:
-            seconds = {side: run_side(getattr(args, side), work / side) for side in ("parent", "change")}
+            runs = {side: run_side(getattr(args, side), work / side) for side in ("parent", "change")}
             flags = {side: flag_set(getattr(args, side)) for side in ("parent", "change")}
         except subprocess.CalledProcessError as exc:
             print(f"{' '.join(exc.cmd[3:])} exited {exc.returncode}", file=sys.stderr)
             return 2
         differ, total = differing_files(work / "parent", work / "change")
-    print(f"{'run':20} {'parent_s':>9} {'change_s':>9}")
+    print(f"{'run':20} {'parent_s':>9} {'parent_MB':>9} {'change_s':>9} {'change_MB':>9}")
     for name, _, _ in RUNS:
-        print(f"{name:20} {seconds['parent'][name]:9.2f} {seconds['change'][name]:9.2f}")
-    print(f"{'total':20} {sum(seconds['parent'].values()):9.2f} {sum(seconds['change'].values()):9.2f}")
+        (ps, pm), (cs, cm) = runs["parent"][name], runs["change"][name]
+        print(f"{name:20} {ps:9.2f} {pm:9.1f} {cs:9.2f} {cm:9.1f}")
+    totals = [
+        (sum(s for s, _ in runs[side].values()), max(m for _, m in runs[side].values()))
+        for side in ("parent", "change")
+    ]
+    print(f"{'total':20} {totals[0][0]:9.2f} {totals[0][1]:9.1f} {totals[1][0]:9.2f} {totals[1][1]:9.1f}")
     for name in differ:
         print(name)
     print(f"{len(differ)} of {total} files differ")
