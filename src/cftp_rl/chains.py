@@ -17,13 +17,64 @@ import numpy as np
 from .errors import NonErgodicError
 
 ROW_SUM_TOL = 1e-12
-# inverse_cdf compares whole rows below this many entries (u.size * n) and
-# binary-searches them above. Measured crossovers of the search as it stands
-# (random chain, best of 7, 2-core AMD EPYC): about 2.4e3 entries at n = 6,
-# 1.7e4 at n = 50 and 2.3e4 at n = 200. A cut of 2**11 would save at most
-# 0.4 us a call at n = 6 and cost up to 12 us at n = 200 (3.0 against 14.6 us
-# at 2e3 entries), so the cut stays at 2**12.
+# The three constants below pick inverse_cdf's strategy. Their tables come
+# from tools/kernel_probe.py: best of 15, us per call on 1-D rows of a
+# table with n rows, 2-core Intel Xeon, numpy 2.4.
+#
+# Rows wider than COUNT_MAX_STATES compare whole rows below this many
+# entries (u.size * n) and binary-search above:
+#
+#       n  draws  entries  compare  search
+#      12    128     1536      7.6    18.2
+#      12    512     6144     26.3    40.7
+#      16    512     8192     27.7    27.4
+#      50    128     6400     16.7    28.3
+#      50    512    25600     52.8    35.2
+#     200     32     6400     15.9    53.0
+#     200    128    25600     45.7    51.4
+#     200    512   102400    149.6    44.8
+#
+# The crossover lies between 8e3 and 2.6e4 entries, so a higher cut would
+# speed up mid-size calls. It stays at 2**12 because it also sets the draws
+# of the benchmark's n = 50 and n = 200 chains, whose iteration count sets
+# that workload's peak RSS.
 SEARCH_MIN_ENTRIES = 2**12
+# Rows of at most this many entries count thresholds (the uint8 counts
+# hold up to 255). From n = 12 on, the search wins the large calls:
+#
+#       n  draws  compare  count  search
+#       8    512     21.8    9.9    20.2
+#       8   2640     92.8   30.4    39.3
+#       8  12000    441.8  110.2   122.6
+#      12    512     26.3   18.6    40.7
+#      12   2640    119.0   62.6    59.3
+#      12  12000    646.6  245.5   154.0
+#      16   2640    155.0   85.6    79.8
+#
+# The same cut picks sampling._map_blocks' layout. One batched CFTP step
+# of ``maps`` maps, drawn and composed, in us:
+#
+#       n  maps  state-major  map-major
+#       6     1          8.5        8.1
+#       6   256         22.8       28.0
+#       6  2000         89.2      132.2
+#       8  2000        135.6      201.7
+#      12   256         69.3       67.4
+#      12  2000        419.4      440.4
+#     200  2000      16291.1    15745.5
+COUNT_MAX_STATES = 8
+# Calls of fewer draws than this compare whole rows even at n <= 8, where a
+# count's fixed cost is not yet paid back (n = 6, table of 12 rows):
+#
+#     draws  compare  count
+#         2      3.0    3.6
+#        16      3.5    6.6
+#        32      6.8    7.0
+#        48      6.9    6.2
+#        64      7.9    4.3
+#       128      7.0    5.3
+#       512     19.5    9.5
+COUNT_MIN_DRAWS = 64
 
 
 def _in_unit_interval(array: np.ndarray) -> bool:
@@ -64,19 +115,35 @@ def inverse_cdf(table: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarra
 
     On ``cdf_table`` rows and uniforms from ``Generator.random`` this is an
     exact categorical draw per row. An MDP's table is flattened state-major,
-    to rows s * n_actions + a (``TabularMDP.cumulative``). Both strategies
-    are exact: small batches compare u with whole rows, large ones run a
-    branchless binary search gathered over all draws at once (O(log n) per
-    draw). Each search step is one ``take`` of the probes and one compare;
-    a step of width one adds the hit itself, not one times it, and the
-    result is finished in place.
+    to rows s * n_actions + a (``TabularMDP.cumulative``). ``rows`` may be
+    any integer array that broadcasts to ``u``'s shape, such as per-state
+    rows of shape (n, 1) against (n, k) uniforms; the result has ``u``'s
+    shape and equals the call on rows tiled to it.
+
+    Three exact strategies, chosen from the row width and the number of
+    draws alone. Rows of at most ``COUNT_MAX_STATES`` entries count
+    thresholds once a call has ``COUNT_MIN_DRAWS`` draws: each of the
+    table's threshold columns is compared with every u at once and the hits
+    are added up, with no data-dependent gather per draw (inversion by
+    sequential search, Devroye 1986, ch. III). Smaller calls on such rows,
+    and calls on wider rows below ``SEARCH_MIN_ENTRIES`` entries, compare u
+    with whole gathered rows. Larger calls on wider rows run a branchless
+    binary search gathered over all draws at once (O(log n) per draw).
+    Each search step is one ``take`` of the probes and one compare; a step
+    of width one adds the hit itself, not one times it, and the result is
+    finished in place. Every strategy counts the last entry, pinned to
+    1.0, so u = 1.0 gives the row's width.
     """
     n = table.shape[1]
-    if u.size * n < SEARCH_MIN_ENTRIES:
-        return (u[:, None] >= table.take(rows, axis=0)).sum(axis=1)
+    if n <= COUNT_MAX_STATES and u.size >= COUNT_MIN_DRAWS:
+        # The counts fit uint8; widened so callers' index arithmetic cannot overflow.
+        return np.add.reduce(table.T.take(rows, axis=1) <= u, axis=0, dtype=np.uint8).astype(np.intp)
+    if n <= COUNT_MAX_STATES or u.size * n < SEARCH_MIN_ENTRIES:
+        return (u[..., None] >= table.take(rows, axis=0)).sum(axis=-1)
     flat = table.ravel()
     start = rows * n
-    pos = start.copy()
+    pos = np.empty(u.shape, dtype=start.dtype)
+    pos[...] = start
     width = n
     while width > 1:
         half = width // 2

@@ -25,7 +25,7 @@ from .chains import (
     require_coalescing_policy,
 )
 from .errors import CapExceededError
-from .sampling import _pair_walk, cftp_batch
+from .sampling import _pair_walk, _require_count, cftp_batch
 from .seeding import as_generator
 from .solvers import stationary_distribution
 
@@ -151,12 +151,14 @@ def delta_rho_batch(
     takes pi_prime's action first, B takes pi's, and both follow ``pi``.
     The pairs charge ``ledger``, and so does a CFTP start.
 
-    Raises NonErgodicError before drawing when ``pi``'s chain, which the
-    pairs follow, cannot coalesce (``MarkovChain.require_coalescing``);
+    Raises ValueError before any check or draw for a negative
+    ``n_samples``; NonErgodicError before drawing when ``pi``'s chain, which
+    the pairs follow, cannot coalesce (``MarkovChain.require_coalescing``);
     CapExceededError when a pair has not met within ``step_cap`` steps.
     A deterministic ``pi`` that passed is not checked again on the same MDP
     (``mdp.coalescing_policies``); one that fails raises on every call.
     """
+    _require_count(n_samples, "n_samples")
     require_coalescing_policy(mdp, pi)
     gen = as_generator(rng)
     chain = induce_chain(mdp, pi_prime)
@@ -199,11 +201,13 @@ def policy_gradient_batch(
     The second trajectory acts as a mean-zero baseline, so only the first
     action's score enters.
 
-    The start-state CFTP and the pairs charge ``ledger``. Raises
-    NonErgodicError before drawing when the policy's chain cannot coalesce
+    The start-state CFTP and the pairs charge ``ledger``. Raises ValueError
+    before any check or draw for a negative ``n_samples``; NonErgodicError
+    before drawing when the policy's chain cannot coalesce
     (``MarkovChain.require_coalescing``); CapExceededError when a
     start-state CFTP or a pair runs ``step_cap`` steps.
     """
+    _require_count(n_samples, "n_samples")
     stoch = policy.as_policy()
     gen = as_generator(rng)
     s0, _ = cftp_batch(induce_chain(mdp, stoch), n_samples, gen, step_cap=step_cap, ledger=ledger)

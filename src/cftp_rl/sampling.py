@@ -17,8 +17,10 @@ maps from one source that draws them a block ahead (``_map_blocks``): one
 or per step. Each map is still drawn for one past time from the uniforms
 a per-step loop would give it, and used at most once. When a run ends,
 the maps it did not use are discarded and the Generator is rewound, so
-outputs and generator state are those of the per-step loop.
-``grand_coupling_sim`` draws one map per step.
+outputs and generator state are those of the per-step loop. Small chains
+count their blocks state-major, so a batched step's maps reach
+``_compose`` as contiguous per-state rows; wider ones search them
+map-major. ``grand_coupling_sim`` draws one map per step.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import MarkovChain, RewardModel, SampleLedger, inverse_cdf
+from .chains import COUNT_MAX_STATES, MarkovChain, RewardModel, SampleLedger, inverse_cdf
 from .errors import CapExceededError
 from .seeding import as_generator
 
@@ -51,6 +53,12 @@ class CoalescenceRecord:
 # 2**14 (322 us drawing per step); 30 runs at n = 200 take 42.6, 40.3, 38.6
 # and 36.1 ms at 2**11, 2**12, 2**13 and 2**14 (55.5 ms per step).
 MAP_BLOCK_ENTRIES = 2**13
+
+
+def _require_count(value: int, name: str) -> None:
+    """ValueError naming ``name`` when the sample count ``value`` is negative; 0 is allowed."""
+    if value < 0:
+        raise ValueError(f"{name} must be non-negative, got {value}")
 
 
 def _map_from_cum(cum: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -80,10 +88,22 @@ def _map_blocks(cum: np.ndarray, gen: np.random.Generator):
     Generator then ends where the per-step loop stopping at the last map
     handed out would leave it. Callers must close the iterator however the
     run ends.
+
+    A block is indexed map-major, as (maps, n_states), so ``next`` and
+    ``send`` hand out rows. Rows of at most ``COUNT_MAX_STATES`` entries are
+    counted state-major, from a state-major copy of the uniforms against
+    per-state rows of shape (n_states, 1), and the block is the transposed
+    view of that (n_states, maps) count: the (n_states, k) transpose of
+    ``send(k)``, which ``_compose`` reads, has contiguous per-state rows.
+    Wider rows are searched map-major, as one flat call on tiled rows, and
+    keep that memory order. Carrying maps over keeps either order, since
+    ``np.concatenate`` follows its inputs' layout.
     """
     n = cum.shape[0]
     max_maps = max(1, MAP_BLOCK_ENTRIES // n)
-    rows = np.arange(n)  # CDF row of each entry of the largest draw so far
+    counted = n <= COUNT_MAX_STATES
+    # Per-state rows; for wider rows, the CDF row of each entry of the largest draw so far.
+    rows = np.arange(n)[:, None] if counted else np.arange(n)
     block = None
     size = pos = fresh = 0  # maps in the block, handed out, from its own draw
     saved = None
@@ -98,10 +118,13 @@ def _map_blocks(cum: np.ndarray, gen: np.random.Generator):
                     size = k
                 fresh = size - carried
                 saved = gen.bit_generator.state if size > k else None
-                while rows.size < fresh * n:
-                    rows = np.concatenate((rows, rows))
                 u = gen.random(fresh * n)
-                drawn = inverse_cdf(cum, rows[: u.size], u).reshape(fresh, n)
+                if counted:
+                    drawn = inverse_cdf(cum, rows, u.reshape(fresh, n).T.copy()).T
+                else:
+                    while rows.size < u.size:
+                        rows = np.concatenate((rows, rows))
+                    drawn = inverse_cdf(cum, rows[: u.size], u).reshape(fresh, n)
                 block = np.concatenate((block[pos:], drawn)) if carried else drawn
                 pos = 0
             if req is None:
@@ -229,7 +252,9 @@ def cftp_batch(
     ``cftp`` does, when the maps can never coalesce; CapExceededError once a
     run has taken ``step_cap`` steps without coalescing, after charging the
     map entries composed, with step_cap as the time of each unfinished run.
+    A negative ``n_samples`` raises ValueError before any check or draw.
     """
+    _require_count(n_samples, "n_samples")
     chain.require_coalescing()
     with closing(_map_blocks(chain.cumulative(), as_generator(rng))) as maps:
         next(maps)
@@ -303,12 +328,14 @@ def coalescence_times_batch(
 
     With ``censor_at_cap`` runs still apart at the cap report ``step_cap``
     as a censored time instead of raising, so sweeps can record the
-    exceedance and continue. Raises ValueError before drawing when i or j
-    is not a state. Returns zeros when i == j; otherwise raises
-    NonErgodicError before drawing unless the whole chain can coalesce
-    (``MarkovChain.require_coalescing``), even where the pair itself could
-    meet (a periodic chain with i and j in one phase, say).
+    exceedance and continue. Raises ValueError before drawing when
+    ``n_runs`` is negative or i or j is not a state. Returns zeros when
+    i == j; otherwise raises NonErgodicError before drawing unless the
+    whole chain can coalesce (``MarkovChain.require_coalescing``), even
+    where the pair itself could meet (a periodic chain with i and j in one
+    phase, say).
     """
+    _require_count(n_runs, "n_runs")
     if not (0 <= i < chain.n_states and 0 <= j < chain.n_states):
         raise ValueError(f"start states must lie in [0, {chain.n_states})")
     if i == j:

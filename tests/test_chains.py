@@ -1,6 +1,7 @@
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -108,13 +109,21 @@ class TestNonFiniteEntriesAreRejected:
             load_mdp(path)
 
 
-@st.composite
-def cdf_cases(draw):
-    """A cdf_table over random rows with zero entries, plus rows and u to look up.
+# Module constants that force each inverse_cdf strategy; the counts are
+# exact for rows of up to 255 entries, and the cases here have at most 40.
+STRATEGIES = {
+    "compare": {"COUNT_MIN_DRAWS": 2**62, "SEARCH_MIN_ENTRIES": 2**62},
+    "count": {"COUNT_MIN_DRAWS": 0, "COUNT_MAX_STATES": 255},
+    "search": {"COUNT_MAX_STATES": 0, "SEARCH_MIN_ENTRIES": 0},
+}
+by_strategy = pytest.mark.parametrize("strategy", list(STRATEGIES))
 
-    u mixes uniforms with exact table entries (1.0 included) and the largest
-    double below 1; the batch is either well below or above the size at
-    which inverse_cdf switches strategy.
+
+def cdf_rows_and_uniforms(draw, shape):
+    """A cdf_table over random rows with zero entries, plus rows and u of ``shape(n)`` to look up.
+
+    u mixes uniforms with exact table entries (1.0, the pinned last entry,
+    included) and the largest double below 1.
     """
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(1, 40))
@@ -123,10 +132,7 @@ def cdf_cases(draw):
     probs[np.arange(n_rows), gen.integers(0, n, n_rows)] += 0.5
     probs /= probs.sum(axis=1, keepdims=True)
     table = cdf_table(probs)
-    if draw(st.booleans()):
-        size = chains.SEARCH_MIN_ENTRIES // n + draw(st.integers(1, 50))
-    else:
-        size = draw(st.integers(1, 40))
+    size = shape(n)
     rows = gen.integers(0, n_rows, size)
     u = gen.random(size)
     exact = gen.random(size) < 0.5
@@ -135,29 +141,66 @@ def cdf_cases(draw):
     return probs, table, rows, u
 
 
+@st.composite
+def cdf_cases(draw):
+    """A 1-D lookup, its batch well below or above the size at which the default constants search."""
+    if draw(st.booleans()):
+        extra = draw(st.integers(1, 50))
+        return cdf_rows_and_uniforms(draw, lambda n: chains.SEARCH_MIN_ENTRIES // n + extra)
+    size = draw(st.integers(1, 40))
+    return cdf_rows_and_uniforms(draw, lambda n: size)
+
+
+@st.composite
+def broadcast_cases(draw):
+    """A lookup of (m, k) uniforms whose rows, of shape (m, 1), give one table row per line."""
+    m, k = draw(st.integers(1, 8)), draw(st.integers(1, 90))
+    probs, table, rows, u = cdf_rows_and_uniforms(draw, lambda n: (m, k))
+    return probs, table, rows[:, :1], u
+
+
+def searched(table, rows, u):
+    return np.array([np.searchsorted(table[r], x, side="right") for r, x in zip(rows, u)])
+
+
 class TestInverseCdf:
+    @by_strategy
     @settings(max_examples=150)
-    @given(cdf_cases())
-    def test_counts_entries_at_or_below_u(self, case):
+    @given(case=cdf_cases())
+    def test_counts_entries_at_or_below_u(self, strategy, case):
         probs, table, rows, u = case
-        expected = np.array(
-            [np.searchsorted(table[r], x, side="right") for r, x in zip(rows, u)]
-        )
-        got = inverse_cdf(table, rows, u)
-        assert np.array_equal(got, expected)
+        with mock.patch.multiple(chains, **STRATEGIES[strategy]):
+            got = inverse_cdf(table, rows, u)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, searched(table, rows, u))
         below_one = u < 1.0
         assert (probs[rows[below_one], got[below_one]] > 0.0).all()
 
-    @pytest.mark.parametrize("search_min", [0, 2**62], ids=["search", "compare"])
-    def test_zero_probability_tail_is_never_drawn(self, monkeypatch, search_min):
+    @by_strategy
+    @settings(max_examples=60)
+    @given(case=broadcast_cases())
+    def test_broadcast_rows_give_the_call_on_tiled_rows(self, strategy, case):
+        # Per-line rows of shape (m, 1) against (m, k) uniforms, as
+        # sampling._map_blocks passes per-state rows and state-major uniforms.
+        _, table, rows, u = case
+        tiled = np.broadcast_to(rows, u.shape).ravel()
+        with mock.patch.multiple(chains, **STRATEGIES[strategy]):
+            got = inverse_cdf(table, rows, u)
+            flat = inverse_cdf(table, tiled, u.ravel())
+        assert got.shape == u.shape
+        assert np.array_equal(got.ravel(), flat)
+        assert np.array_equal(flat, searched(table, tiled, u.ravel()))
+
+    @by_strategy
+    def test_zero_probability_tail_is_never_drawn(self, strategy):
         # Both rows sum to just below 1, so a clamp to the last index or a
         # forced last entry alone returns the zero-probability tail.
-        monkeypatch.setattr(chains, "SEARCH_MIN_ENTRIES", search_min)
         short = cdf_table(np.array([[0.5, 0.4999999999999, 0.0]]))
-        assert inverse_cdf(short, np.array([0]), np.array([0.99999999999995])).tolist() == [1]
         tenths = cdf_table(np.array([[0.1] * 10 + [0.0]]))
         top = np.nextafter(1.0, 0.0)
-        assert inverse_cdf(tenths, np.array([0]), np.array([top])).tolist() == [9]
+        with mock.patch.multiple(chains, **STRATEGIES[strategy]):
+            assert inverse_cdf(short, np.array([0]), np.array([0.99999999999995])).tolist() == [1]
+            assert inverse_cdf(tenths, np.array([0]), np.array([top])).tolist() == [9]
 
 
 class TestErgodicity:

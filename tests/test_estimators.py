@@ -20,7 +20,7 @@ from cftp_rl.estimators import (
     policy_gradient_batch,
 )
 from cftp_rl.instances import random_mdp
-from cftp_rl.sampling import lower_bound_chain
+from cftp_rl.sampling import cftp_batch, coalescence_times_batch, lower_bound_chain
 from cftp_rl.solvers import average_reward, mixing_time, stationary_distribution
 
 
@@ -291,3 +291,50 @@ class TestBoundedFailure:
         mdp = TabularMDP(np.stack([lazy, lazy]), RewardModel(np.full((10, 2), 0.5)))
         with pytest.raises(CapExceededError):
             policy_gradient_batch(mdp, SoftmaxPolicy(np.zeros((10, 2))), 4, rng=0, step_cap=5)
+
+
+def constant_policy(mdp, action):
+    return DeterministicPolicy(np.full(mdp.n_states, action))
+
+
+def action_zero_chain(mdp):
+    return induce_chain(mdp, constant_policy(mdp, 0))
+
+
+def delta_rho(source):
+    return lambda mdp, k, gen: delta_rho_batch(
+        mdp, constant_policy(mdp, 0), constant_policy(mdp, 1), k, gen, s0_source=source
+    )
+
+
+def uniform_softmax_gradient(mdp, k, gen):
+    return (policy_gradient_batch(mdp, SoftmaxPolicy(np.zeros((mdp.n_states, mdp.n_actions))), k, gen),)
+
+
+# Each sampler that takes a sample count: the argument's name, and a call
+# on an MDP (or the chain of its action-0 policy) returning its arrays.
+COUNTED_SAMPLERS = {
+    "cftp_batch": ("n_samples", lambda mdp, k, gen: cftp_batch(action_zero_chain(mdp), k, gen)),
+    "coalescence_times_batch": (
+        "n_runs", lambda mdp, k, gen: (coalescence_times_batch(action_zero_chain(mdp), 0, 1, k, gen),)
+    ),
+    "delta_rho_batch-exact_solve": ("n_samples", delta_rho("exact_solve")),
+    "delta_rho_batch-cftp": ("n_samples", delta_rho("cftp")),
+    "policy_gradient_batch": ("n_samples", uniform_softmax_gradient),
+}
+
+
+class TestSampleCounts:
+    @pytest.mark.parametrize("sampler", list(COUNTED_SAMPLERS))
+    def test_a_negative_count_is_named_before_any_check_or_draw(self, sampler):
+        name, call = COUNTED_SAMPLERS[sampler]
+        # Every policy of this MDP swaps the states, so a valid count would
+        # raise NonErgodicError: the count is checked first.
+        periodic = TabularMDP(np.stack([SWAP, SWAP]), RewardModel(np.full((2, 2), 0.5)))
+        gen = np.random.default_rng(0)
+        before = gen.bit_generator.state
+        with pytest.raises(ValueError, match=f"{name} must be non-negative, got -2"):
+            call(periodic, -2, gen)
+        assert gen.bit_generator.state == before
+        for array in call(random_mdp(4, 2, rng=3), 0, gen):
+            assert array.shape[0] == 0

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from cftp_rl.chains import MarkovChain, RewardModel, SampleLedger, closed_class, inverse_cdf
+from cftp_rl.chains import MarkovChain, RewardModel, SampleLedger, closed_class
 from cftp_rl.errors import CapExceededError, NonErgodicError
 from cftp_rl import sampling
 from cftp_rl.instances import random_ergodic_chain
@@ -228,9 +228,23 @@ def half_used_generator(bit_generator, seed):
     return gen
 
 
+def searched_maps(cum, u):
+    """Random maps from (k, n_states) uniforms by np.searchsorted per state, without inverse_cdf.
+
+    The references below draw their maps here, so a fault in inverse_cdf
+    cannot show on both sides of a comparison.
+    """
+    return np.stack([np.searchsorted(row, col, side="right") for row, col in zip(cum, u.T)], axis=1)
+
+
+def reference_map(chain, gen):
+    """One random map, drawn from the uniforms draw_random_map reads."""
+    return searched_maps(chain.cumulative(), gen.random((1, chain.n_states)))[0]
+
+
 def per_step_cftp(chain, gen, step_cap):
     """Reference scalar CFTP: one freshly drawn map per step."""
-    state, t_c = _cftp_core(lambda t: draw_random_map(chain, gen), chain.n_states, step_cap)
+    state, t_c = _cftp_core(lambda t: reference_map(chain, gen), chain.n_states, step_cap)
     return state, t_c, t_c * chain.n_states
 
 
@@ -242,7 +256,7 @@ def per_step_grand_coupling(chain, gen, step_cap):
     if n == 1:
         return GrandCouplingRecord(merge_time=0, class_counts=counts, final_state=0)
     for t in range(1, step_cap + 1):
-        position = np.unique(draw_random_map(chain, gen)[position])
+        position = np.unique(reference_map(chain, gen)[position])
         counts.append(position.size)
         if position.size == 1:
             return GrandCouplingRecord(t, counts, int(position[0]))
@@ -260,8 +274,7 @@ def per_step_cftp_batch(chain, n_samples, gen, step_cap):
     for t in range(1, step_cap + 1):
         if not active.size:
             return states, times
-        u = gen.random(active.size * n)
-        maps = inverse_cdf(cum, np.tile(np.arange(n), active.size), u).reshape(active.size, n)
+        maps = searched_maps(cum, gen.random((active.size, n)))
         composite = np.take_along_axis(composite, maps, axis=1)
         done = (composite == composite[:, :1]).all(axis=1)
         states[active[done]] = composite[done, 0]
@@ -328,10 +341,12 @@ class TestBlockedMaps:
                 np.testing.assert_equal(blocked.bit_generator.state, per_step.bit_generator.state)
         assert np.array_equal(blocked.random(5), per_step.random(5))
 
-    def test_wide_batch_at_the_default_block_cap(self):
-        # Two thousand runs at n = 6: a step's maps outgrow the block cap, and
-        # its inverse-CDF call searches rather than compares whole rows.
-        chain = random_ergodic_chain(6, 19)
+    @pytest.mark.parametrize("n", [6, 12])
+    def test_wide_batch_at_the_default_block_cap(self, n):
+        # Two thousand runs: a step's maps outgrow the block cap. At n = 6
+        # they are counted into state-major blocks; at n = 12, above
+        # COUNT_MAX_STATES, they are searched map-major.
+        chain = random_ergodic_chain(n, 19)
         blocked, per_step = np.random.default_rng(23), np.random.default_rng(23)
         got = cftp_batch(chain, 2000, blocked)
         want = per_step_cftp_batch(chain, 2000, per_step, 10**6)
