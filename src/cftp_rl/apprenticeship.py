@@ -146,13 +146,13 @@ def expert_stationary_samples(
     # Entry r * n + s of a step's stacked maps belongs to state s.
     map_states = np.tile(np.arange(n), m)
 
-    def draw_maps(k: int) -> np.ndarray:
-        u = gen.random(k * n)
+    def draw_maps(active: np.ndarray) -> np.ndarray:
+        u = gen.random(active.size * n)
         states = map_states[: u.size]
         actions = expert.act_batch(states)
         if ledger is not None:
             ledger.add_generative(u.size)
-        return inverse_cdf(cum, states * n_actions + actions, u).reshape(k, n)
+        return inverse_cdf(cum, states * n_actions + actions, u).reshape(active.size, n).T
 
     samples, times, unfinished = _cftp_batch_core(draw_maps, m, n, step_cap)
     if unfinished.size:

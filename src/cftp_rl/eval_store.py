@@ -13,8 +13,10 @@ n_states * n_actions) arrays whose capacity doubles on demand. A stand-alone
 ``SampleMatrix`` is a one-copy table, and ``rows`` and ``row_at`` hand out
 read-only views of it.
 
-Every evaluation runs one CFTP loop over (matrix, policy) pairs: step t
-reads row t of each matrix that still has an unfinished pair, with one
+Every evaluation runs CFTP over (matrix, policy) pairs on
+``sampling._cftp_batch_core``, the one batched CFTP loop: each pair is one
+run, whose step-t map is row t of its matrix restricted to the columns
+(s, pi(s)). A step reads the maps of every unfinished pair with one
 ``take`` from the table's row-t slab, and each pair retires at its own
 coalescence time. The pairs are walked in chunks of at most
 ``PAIR_BLOCK_ENTRIES`` pair entries (pairs x n_states), so the per-pair
@@ -46,7 +48,7 @@ from .chains import (
     require_coalescing_policy,
 )
 from .errors import CapExceededError
-from .sampling import _compose
+from .sampling import _cftp_batch_core
 from .seeding import KeyedUniforms, child_sequence, seed_sequence
 
 # _cftp_pairs walks its (matrix, policy) pairs in chunks of at most this many
@@ -201,7 +203,7 @@ def _cftp_pairs(
     rows 1..t_c of its store; a store grows to the largest t_c of its pairs.
     The pairs are taken store-major, in chunks of at most
     ``PAIR_BLOCK_ENTRIES`` pair entries whose stores share one row table,
-    one ``_cftp_chunk`` loop each. A pair's result depends only on its
+    one ``_cftp_chunk`` call each. A pair's result depends only on its
     store's rows, so the chunking changes no result, row or ledger count.
     A chunk that reaches ``step_cap`` raises CapExceededError, and the
     chunks after it are not run.
@@ -235,53 +237,43 @@ def _cftp_chunk(
     read: np.ndarray,
     step_cap: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One CFTP loop over pairs whose stores share one row table; returns (states, t_c, rewards).
+    """CFTP over pairs whose stores share one row table; returns (states, t_c, rewards).
 
     Pair p reads ``stores[pair_store[p]]``, whose rows sit in ``slot[pair_store[p]]``
     of the table, and ``pair_store`` ascends. ``read[x, p]`` is the offset of
     pair p's map entry for state x in one step's slab of the table (slot * n
-    * m + x * m + pi(x)), so step t's maps are one ``take`` from the row-t
-    slab. The composites are held state-major and composed as
-    ``cftp_batch``'s are (``sampling._compose``): pair p's image of state x
-    sits at x * width + p of the last step's raveled composites, and a pair
-    that coalesces retires by column, with no survivor copied. The stores
-    with an active pair are found again only when pairs retire.
+    * m + x * m + pi(x)). The pairs are runs of ``sampling._cftp_batch_core``,
+    the one batched CFTP loop: its step t map source grows row t of every
+    store with an unfinished pair that lacks it and hands out the active
+    pairs' maps as one ``take`` from the row-t slab. The active pairs' offsets
+    and their stores are sliced again only when pairs retire. Each pair's
+    reward is read after the loop, in one gather, at its coalescence state
+    in row t_c.
     """
     table = stores[pair_store[0]]._table
     n, k = read.shape
-    states = np.empty(k, dtype=np.int64)
-    times = np.empty(k, dtype=np.int64)
-    rewards = np.empty(k)
-    active = np.arange(k)
-    columns = np.arange(k)
-    # Before the first step every composite is the identity, one column.
-    flat, width, cols = np.arange(n), 1, 0
-    live = _distinct(pair_store)
+    step_read, live = read, _distinct(pair_store)
     # Every live store holds at least ``grown`` rows. A step past it
     # appends row t to the live stores that lack it, raising it to t.
     grown = int(table.lengths[slot[live]].min())
     t = 0
-    while active.size:
+
+    def draw_maps(active: np.ndarray) -> np.ndarray:
+        nonlocal t, grown, step_read, live
         t += 1
-        if t > step_cap:
-            raise CapExceededError(f"no coalescence within {step_cap} steps")
+        if active.size < step_read.shape[1]:
+            step_read, live = read[:, active], _distinct(pair_store[active])
         if t > grown:
             short = live[table.lengths[slot[live]] < t]
             if short.size:
                 _append_rows([stores[i] for i in short], t)
             grown = t
-        composite, done = _compose(flat, width, cols, table.next_state[t - 1].take(read))
-        flat, width, cols = composite.ravel(), active.size, columns[: active.size]
-        if done.any():
-            state = composite[0, done]
-            retired = active[done]
-            states[retired] = state
-            times[retired] = t
-            rewards[retired] = table.reward[t - 1].take(read[state, np.flatnonzero(done)])
-            cols = np.flatnonzero(~done)
-            active, pair_store, read = active[cols], pair_store[cols], read[:, cols]
-            if active.size:
-                live = _distinct(pair_store)
+        return table.next_state[t - 1].take(step_read)
+
+    states, times, unfinished = _cftp_batch_core(draw_maps, k, n, step_cap)
+    if unfinished.size:
+        raise CapExceededError(f"no coalescence within {step_cap} steps")
+    rewards = table.reward.reshape(len(table.reward), -1)[times - 1, read[states, np.arange(k)]]
     return states, times, rewards
 
 

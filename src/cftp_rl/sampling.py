@@ -11,16 +11,23 @@ first. Each map is drawn once, for one past time, and used once: it is
 composed into the running composite and never read again. Drawing a second
 map for a past time already composed would break exactness.
 
-Both CFTP loops, scalar ``cftp`` and batched ``cftp_batch``, take their
-maps from one source that draws them a block ahead (``_map_blocks``): one
-``Generator.random`` call and one inverse-CDF call per block, not per map
-or per step. Each map is still drawn for one past time from the uniforms
-a per-step loop would give it, and used at most once. When a run ends,
-the maps it did not use are discarded and the Generator is rewound, so
-outputs and generator state are those of the per-step loop. Small chains
-count their blocks state-major, so a batched step's maps reach
-``_compose`` as contiguous per-state rows; wider ones search them
-map-major. ``grand_coupling_sim`` draws one map per step.
+Scalar ``cftp`` runs ``_cftp_core``. Every batched CFTP runs the one
+batched loop, ``_cftp_batch_core``, and its three callers differ only in
+where a step's maps come from: ``cftp_batch`` from a block-ahead source,
+``apprenticeship.expert_stationary_samples`` from expert queries drawn
+step by step, and ``eval_store._cftp_chunk`` from a sample matrix's
+stored rows.
+
+``cftp`` and ``cftp_batch`` take their maps from one source that draws
+them a block ahead (``_map_blocks``): one ``Generator.random`` call and
+one inverse-CDF call per block, not per map or per step. Each map is
+still drawn for one past time from the uniforms a per-step loop would
+give it, and used at most once. When a run ends, the maps it did not use
+are discarded and the Generator is rewound, so outputs and generator
+state are those of the per-step loop. Small chains count their blocks
+state-major, so a batched step's maps reach ``_compose`` as contiguous
+per-state rows; wider ones search them map-major. ``grand_coupling_sim``
+draws one map per step.
 """
 
 from __future__ import annotations
@@ -150,7 +157,7 @@ def _cftp_core(map_at, n_states: int, step_cap: int) -> tuple[int, int]:
 
 
 def _compose(flat: np.ndarray, width: int, cols, maps: np.ndarray):
-    """One CFTP step for runs held state-major; returns (composites, which runs coalesced).
+    """One ``_cftp_batch_core`` step, runs held state-major; returns (composites, which coalesced).
 
     ``flat`` is the last step's composites, raveled from an (n_states,
     ``width``) array: run c's image of state x sits at x * width + c.
@@ -168,18 +175,21 @@ def _compose(flat: np.ndarray, width: int, cols, maps: np.ndarray):
 def _cftp_batch_core(
     draw_maps, n_samples: int, n_states: int, step_cap: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Shared loop of independent CFTP runs; returns (states, coalescence times, unfinished).
+    """The one batched CFTP loop; returns (states, coalescence times, unfinished).
 
-    ``draw_maps(k)`` returns the next step's (k, n_states) maps for the k
-    unfinished runs, in ascending run order; each run composes its own maps
-    as ``_cftp_core`` does, newest first, and retires at its t_c. All runs
-    compose in one gather (``_compose``) from the last step's composites,
-    held state-major as an (n_states, k) array. A run retires by column:
-    the next gather reads the survivors' columns of the last composite in
-    place, so no survivor is copied. Before the first step every run's
-    composite is the identity, one column that all runs read. After
-    ``step_cap`` steps the runs still apart, ``unfinished``, get time
-    ``step_cap`` and no state; the caller raises.
+    ``draw_maps(active)`` gets the ascending indices of the unfinished runs
+    and returns their next step's maps state-major, shape (n_states,
+    active.size), column j for run ``active[j]``; each run composes its own
+    maps as ``_cftp_core`` does, newest first, and retires at its t_c. All
+    runs compose in one gather (``_compose``) from the last step's
+    composites, held state-major as an (n_states, k) array. A run retires
+    by column: the next gather reads the survivors' columns of the last
+    composite in place, so no survivor is copied. Before the first step
+    every run's composite is the identity, one column that all runs read.
+    After ``step_cap`` steps the runs still apart, ``unfinished``, get time
+    ``step_cap`` and no state; the caller raises. Three samplers run on it:
+    ``cftp_batch``, ``apprenticeship.expert_stationary_samples`` and the
+    store's ``eval_store._cftp_chunk``.
     """
     states = np.empty(n_samples, dtype=np.int64)
     times = np.empty(n_samples, dtype=np.int64)
@@ -189,7 +199,7 @@ def _cftp_batch_core(
     t = 0
     while active.size and t < step_cap:
         t += 1
-        composite, done = _compose(flat, width, cols, draw_maps(active.size).T)
+        composite, done = _compose(flat, width, cols, draw_maps(active))
         flat, width, cols = composite.ravel(), active.size, columns[: active.size]
         if done.any():
             states[active[done]] = composite[0, done]
@@ -258,7 +268,9 @@ def cftp_batch(
     chain.require_coalescing()
     with closing(_map_blocks(chain.cumulative(), as_generator(rng))) as maps:
         next(maps)
-        states, times, unfinished = _cftp_batch_core(maps.send, n_samples, chain.n_states, step_cap)
+        states, times, unfinished = _cftp_batch_core(
+            lambda active: maps.send(active.size).T, n_samples, chain.n_states, step_cap
+        )
     if ledger is not None:
         ledger.add_generative(int(times.sum()) * chain.n_states)
     if unfinished.size:

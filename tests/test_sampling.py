@@ -112,16 +112,39 @@ class TestCftp:
         g = np.array([0, 1, 0])
         # Even runs see f1 then f2 (f1 o f2 is constant at 1); odd runs see
         # f2 then f1 (f2 o f1 is not constant) and coalesce at 0 under g.
-        steps = iter([[f1, f2, f1, f2], [f2, f1, f2, f1], [g, g]])
+        steps = iter([
+            ([0, 1, 2, 3], [f1, f2, f1, f2]), ([0, 1, 2, 3], [f2, f1, f2, f1]), ([1, 3], [g, g]),
+        ])
 
-        def draw_maps(k):
-            maps = np.array(next(steps))
-            assert maps.shape == (k, 3)
-            return maps
+        def draw_maps(active):
+            runs, maps = next(steps)
+            assert active.tolist() == runs
+            return np.array(maps).T  # state-major: column j is run active[j]'s map
 
         states, times, unfinished = _cftp_batch_core(draw_maps, 4, 3, step_cap=10)
         assert states.tolist() == [1, 0, 1, 0] and times.tolist() == [2, 3, 2, 3]
         assert unfinished.size == 0
+
+    @pytest.mark.parametrize("step_cap", [15, 10**6])
+    def test_each_step_draws_for_exactly_the_ascending_unfinished_runs(self, step_cap):
+        # eval_store's map source slices its pairs by the runs it is handed,
+        # so step t must hand it run r exactly when r has not coalesced before t.
+        chain = lower_bound_chain(6, 0.3)
+        gen = np.random.default_rng(12)
+        seen = []
+
+        def draw_maps(active):
+            seen.append(active.copy())
+            return np.stack([draw_random_map(chain, gen) for _ in active], axis=1)
+
+        _, times, unfinished = _cftp_batch_core(draw_maps, 40, 6, step_cap)
+        assert len(seen) == times.max() <= step_cap
+        assert len({int(t) for t in times}) > 3  # the runs retire at many different steps
+        for t, active in enumerate(seen, 1):
+            np.testing.assert_array_equal(active, np.flatnonzero(times >= t))
+        # The cap leaves some runs unfinished, all of them drawn for at its last step.
+        assert (unfinished.size > 0) == (step_cap == 15)
+        assert np.isin(unfinished, seen[-1]).all()
 
     def test_empirical_distribution_matches_stationary(self, example_chain):
         states, _ = cftp_batch(example_chain, 100_000, rng=7)
