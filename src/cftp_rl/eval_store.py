@@ -195,6 +195,7 @@ def _cftp_pairs(
     stores: list[SampleMatrix],
     policies: list[DeterministicPolicy],
     step_cap: int,
+    unshared: SampleLedger | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """CFTP for every (store, policy) pair on the stored rows.
 
@@ -206,7 +207,8 @@ def _cftp_pairs(
     one ``_cftp_chunk`` call each. A pair's result depends only on its
     store's rows, so the chunking changes no result, row or ledger count.
     A chunk that reaches ``step_cap`` raises CapExceededError, and the
-    chunks after it are not run.
+    chunks after it are not run. Each chunk charges ``unshared`` what
+    ``cftp_batch`` would charge its pairs as runs that drew their own maps.
     """
     n, m = stores[0].mdp.n_states, stores[0].mdp.n_actions
     shape = (len(stores), len(policies))
@@ -225,7 +227,7 @@ def _cftp_pairs(
             pair = np.arange(first, min(first + chunk, end))
             pair_store, pair_policy = np.divmod(pair, len(policies))
             read = slot[pair_store] * (n * m) + entry[:, pair_policy]
-            out = _cftp_chunk(stores, slot, pair_store, read, step_cap)
+            out = _cftp_chunk(stores, slot, pair_store, read, step_cap, unshared)
             states.flat[pair], times.flat[pair], rewards.flat[pair] = out
     return states, times, rewards
 
@@ -236,6 +238,7 @@ def _cftp_chunk(
     pair_store: np.ndarray,
     read: np.ndarray,
     step_cap: int,
+    unshared: SampleLedger | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """CFTP over pairs whose stores share one row table; returns (states, t_c, rewards).
 
@@ -249,6 +252,11 @@ def _cftp_chunk(
     and their stores are sliced again only when pairs retire. Each pair's
     reward is read after the loop, in one gather, at its coalescence state
     in row t_c.
+
+    ``unshared`` is charged n_states * sum(t_c) generative calls, with
+    step_cap as the time of each unfinished pair: what ``cftp_batch`` would
+    charge if each pair drew its own maps. Row t restricted to (s, pi(s))
+    is such a map, so those runs would coalesce at the same t_c.
     """
     table = stores[pair_store[0]]._table
     n, k = read.shape
@@ -271,6 +279,8 @@ def _cftp_chunk(
         return table.next_state[t - 1].take(step_read)
 
     states, times, unfinished = _cftp_batch_core(draw_maps, k, n, step_cap)
+    if unshared is not None:
+        unshared.add_generative(int(times.sum()) * n)
     if unfinished.size:
         raise CapExceededError(f"no coalescence within {step_cap} steps")
     rewards = table.reward.reshape(len(table.reward), -1)[times - 1, read[states, np.arange(k)]]
@@ -321,6 +331,11 @@ class StoreEnsemble:
     rows do not depend on the number of copies. Copy i's rows sit in slot i
     of the ensemble's one row table, which allocates nothing before the
     first row is drawn.
+
+    ``ledger_total`` sums the copies' ledgers: the rows drawn.
+    ``unshared`` is charged, by ``estimate_all``, the calls the same CFTP
+    runs would draw with no row shared: n_states per pair per step, as
+    ``cftp_batch`` charges. Set it to None to charge nothing.
     """
 
     def __init__(self, mdp: TabularMDP, epsilon: float, delta: float, n_policies: int, rng):
@@ -336,6 +351,7 @@ class StoreEnsemble:
             SampleMatrix(mdp, child_sequence(base, i), _row_slot=(table, i))
             for i in range(self.n_copies)
         ]
+        self.unshared: SampleLedger | None = SampleLedger()
 
     @property
     def ledger_total(self) -> int:
@@ -353,6 +369,7 @@ def estimate_all(
     them at a time (``_cftp_pairs``); each sample equals
     ``evaluate_policy(copy, policy)`` and each copy grows to the largest
     coalescence time among its pairs. Samples are summed in copy order.
+    The pairs charge ``ensemble.unshared`` what they would draw unshared.
 
     Every policy's induced chain is checked before any row is drawn:
     ValueError for an action index outside the MDP, NonErgodicError for a
@@ -364,7 +381,7 @@ def estimate_all(
     """
     for policy in policies:
         require_coalescing_policy(ensemble.copies[0].mdp, policy)
-    _, _, rewards = _cftp_pairs(ensemble.copies, policies, step_cap)
+    _, _, rewards = _cftp_pairs(ensemble.copies, policies, step_cap, ensemble.unshared)
     estimates = np.zeros(len(policies))
     for per_copy in rewards:
         estimates += per_copy

@@ -38,7 +38,9 @@ CSV_SCHEMAS = {
     "eval-store": (
         "eval_store_policies.csv: replicate,policy,estimate,exact,abs_err; "
         "eval_store_summary.csv: replicate,n_copies,max_err,within_eps,"
-        "shared_calls,fresh_calls,shared_below_fresh"
+        "shared_calls,unshared_calls,shared_below_unshared (unshared_calls: what CFTP per "
+        "policy would draw at the shared run's coalescence times, paired with it, not drawn "
+        "independently)"
     ),
 }
 
@@ -48,7 +50,7 @@ DESCRIPTIONS = {
     "mwal": "Apprenticeship via up-front expert feature estimation (CFTP sampling).",
     "mwal-gen": "Apprenticeship via per-round unbiased game-column samples.",
     "pg": "Unbiased policy-gradient estimator vs exact finite-difference gradients.",
-    "eval-store": "Shared sample matrix vs fresh CFTP per policy: accuracy and call counts.",
+    "eval-store": "Shared sample matrix vs unshared CFTP per policy: accuracy and call counts.",
 }
 
 

@@ -23,7 +23,7 @@ from ..apprenticeship import (
     mwal_generative,
     mwal_rounds_csv,
 )
-from ..chains import SampleLedger, induce_chain, inverse_cdf
+from ..chains import induce_chain, inverse_cdf
 from ..errors import CapExceededError
 from ..estimators import SoftmaxPolicy, policy_gradient_batch
 from ..eval_store import StoreEnsemble, estimate_all
@@ -474,14 +474,8 @@ def run_eval_store(config: ExperimentConfig) -> None:
             mdp, epsilon, delta, len(policies), child_sequence(config.seed, replicate)
         )
         estimates = estimate_all(ensemble, policies, step_cap=config.param("step_cap"))
-        shared_calls = ensemble.ledger_total
-        fresh = SampleLedger()
+        shared_calls, unshared_calls = ensemble.ledger_total, ensemble.unshared.generative_calls
         for j, policy in enumerate(policies):
-            cftp_batch(
-                induce_chain(mdp, policy), ensemble.n_copies,
-                substream(config.seed, replicate, 100 + j),
-                step_cap=config.param("step_cap"), ledger=fresh,
-            )
             rows.append(
                 [
                     replicate, "-".join(str(a) for a in policy.actions),
@@ -492,7 +486,7 @@ def run_eval_store(config: ExperimentConfig) -> None:
         summary_rows.append(
             [
                 replicate, ensemble.n_copies, max_err, max_err <= epsilon,
-                shared_calls, fresh.generative_calls, shared_calls < fresh.generative_calls,
+                shared_calls, unshared_calls, shared_calls < unshared_calls,
             ]
         )
     _write_csv(
@@ -505,7 +499,7 @@ def run_eval_store(config: ExperimentConfig) -> None:
         out / "eval_store_summary.csv",
         [
             "replicate", "n_copies", "max_err", "within_eps",
-            "shared_calls", "fresh_calls", "shared_below_fresh",
+            "shared_calls", "unshared_calls", "shared_below_unshared",
         ],
         summary_rows,
         config,

@@ -308,8 +308,8 @@ class TestOtherRunners:
         assert code == 0
         lines = (tmp_path / "eval_store_summary.csv").read_text().splitlines()
         row = dict(zip(lines[1].split(","), lines[2].split(",")))
-        assert row["shared_below_fresh"] == "1"
-        assert int(row["shared_calls"]) < int(row["fresh_calls"])
+        assert row["shared_below_unshared"] == "1"
+        assert int(row["shared_calls"]) < int(row["unshared_calls"])
 
 
 class TestExitCodes:

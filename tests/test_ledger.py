@@ -155,6 +155,28 @@ def run_estimate_all(ledger, seed):
     return (estimates, times), (N * M * int(times.max(axis=1).sum()), 0)
 
 
+def store_state(ensemble):
+    """Per copy: the rows it holds, next states and rewards, and its row Generator's state."""
+    return [
+        ([row.next_state for row in copy.rows], [row.reward for row in copy.rows],
+         copy._keyed._generator.bit_generator.state)
+        for copy in ensemble.copies
+    ]
+
+
+def run_estimate_all_unshared(ledger, seed):
+    # Each (copy, policy) pair charges n_states calls per step it composed,
+    # as cftp_batch charges each run; no row is drawn for the charge.
+    ensemble = StoreEnsemble(MDP, 0.5, 0.5, 4, seed)
+    ensemble.unshared = ledger
+    seen = []
+    with spy(eval_store, "_cftp_pairs", seen):
+        estimates = estimate_all(ensemble, [PI, PI_PRIME])
+    [(_, times, _)] = seen
+    outputs = (estimates, times, store_state(ensemble), ensemble.ledger_total)
+    return outputs, (N * int(times.sum()), 0)
+
+
 def run_cftp_cap(ledger, seed):
     # A lazy 50-state chain cannot coalesce in 20 steps.
     gen = np.random.default_rng(seed)
@@ -220,6 +242,22 @@ def run_estimate_all_cap(ledger, seed):
     return ([len(copy) for copy in ensemble.copies],), (N * M * int(rows.sum()), 0)
 
 
+def run_estimate_all_unshared_cap(ledger, seed):
+    # Each unfinished pair counts step_cap steps, as an unfinished
+    # cftp_batch run does.
+    seen = []
+    with spy(eval_store, "_cftp_pairs", seen):
+        estimate_all(StoreEnsemble(MDP, 0.5, 0.5, 4, seed), [PI, PI_PRIME])
+    [(_, times, _)] = seen
+    ensemble = StoreEnsemble(MDP, 0.5, 0.5, 4, seed)
+    ensemble.unshared = ledger
+    with pytest.raises(CapExceededError):
+        estimate_all(ensemble, [PI, PI_PRIME], step_cap=STORE_CAP)
+    assert (times < STORE_CAP).any()
+    outputs = (store_state(ensemble), ensemble.ledger_total)
+    return outputs, (N * int(np.minimum(times, STORE_CAP).sum()), 0)
+
+
 ROWS = {
     "cftp": run_cftp,
     "cftp_batch": run_cftp_batch,
@@ -231,11 +269,13 @@ ROWS = {
     "policy_gradient_batch": run_policy_gradient_batch,
     "game_column_batch": run_game_column_batch,
     "estimate_all": run_estimate_all,
+    "estimate_all-unshared": run_estimate_all_unshared,
     "cftp-cap": run_cftp_cap,
     "cftp_batch-cap": run_cftp_batch_cap,
     "expert_stationary_samples-cap": run_expert_stationary_samples_cap,
     "coupled_difference_batch-cap": run_coupled_difference_batch_cap,
     "estimate_all-cap": run_estimate_all_cap,
+    "estimate_all-unshared-cap": run_estimate_all_unshared_cap,
 }
 
 
