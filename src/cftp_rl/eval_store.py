@@ -13,20 +13,18 @@ n_states * n_actions) arrays whose capacity doubles on demand. A stand-alone
 ``SampleMatrix`` is a one-copy table, and ``rows`` and ``row_at`` hand out
 read-only views of it.
 
-Every evaluation runs CFTP over (matrix, policy) pairs on
-``sampling._cftp_batch_core``, the one batched CFTP loop: each pair is one
-run, whose step-t map is row t of its matrix restricted to the columns
-(s, pi(s)). A step reads the maps of every unfinished pair with one
-``take`` from the table's row-t slab, and each pair retires at its own
-coalescence time. The pairs are walked in chunks of at most
-``PAIR_BLOCK_ENTRIES`` pair entries (pairs x n_states), so the per-pair
-arrays stay bounded however many copies and policies there are. Row t is
-drawn from ``KeyedUniforms(seed).at(t)`` and so depends only on (seed, t):
-neither the order in which rows are drawn nor the chunking changes any
-result. Growth is batched: one ``_append_rows`` call appends row t to every
-matrix of the step that holds t - 1 rows, with one ``random`` call per
-matrix and then one inverse-CDF call and one reward step for all of them,
-from the MDP's one CDF table. Policies are checked up front: an action
+Each (matrix, policy) pair is one run of the one batched CFTP loop,
+``sampling._cftp_batch_core``: step t reads row t of every unfinished
+pair's matrix, with one ``take`` from the table's row-t slab, and each
+pair retires at its own coalescence time. The pairs are walked in chunks
+of at most ``PAIR_BLOCK_ENTRIES`` pair entries (pairs x n_states), so the
+per-pair arrays stay bounded however many copies and policies there are.
+Row t is drawn from ``KeyedUniforms(seed).at(t)`` and so depends only on
+(seed, t): neither the order in which rows are drawn nor the chunking
+changes any result. Growth is batched: one ``_append_rows`` call appends
+row t to every matrix of the step that holds t - 1 rows, with one
+``random`` call per matrix and then one inverse-CDF call and one reward
+step for all of them, from the MDP's one CDF table. Policies are checked up front: an action
 index outside the MDP raises ValueError and an induced chain on which CFTP
 cannot coalesce raises NonErgodicError, before any row is drawn. Chains
 with transient states are accepted, as ``cftp`` accepts them.
@@ -207,8 +205,7 @@ def _cftp_pairs(
     one ``_cftp_chunk`` call each. A pair's result depends only on its
     store's rows, so the chunking changes no result, row or ledger count.
     A chunk that reaches ``step_cap`` raises CapExceededError, and the
-    chunks after it are not run. Each chunk charges ``unshared`` what
-    ``cftp_batch`` would charge its pairs as runs that drew their own maps.
+    chunks after it are not run. Each chunk charges ``unshared``.
     """
     n, m = stores[0].mdp.n_states, stores[0].mdp.n_actions
     shape = (len(stores), len(policies))
@@ -245,18 +242,13 @@ def _cftp_chunk(
     Pair p reads ``stores[pair_store[p]]``, whose rows sit in ``slot[pair_store[p]]``
     of the table, and ``pair_store`` ascends. ``read[x, p]`` is the offset of
     pair p's map entry for state x in one step's slab of the table (slot * n
-    * m + x * m + pi(x)). The pairs are runs of ``sampling._cftp_batch_core``,
-    the one batched CFTP loop: its step t map source grows row t of every
-    store with an unfinished pair that lacks it and hands out the active
-    pairs' maps as one ``take`` from the row-t slab. The active pairs' offsets
-    and their stores are sliced again only when pairs retire. Each pair's
-    reward is read after the loop, in one gather, at its coalescence state
-    in row t_c.
-
-    ``unshared`` is charged n_states * sum(t_c) generative calls, with
-    step_cap as the time of each unfinished pair: what ``cftp_batch`` would
-    charge if each pair drew its own maps. Row t restricted to (s, pi(s))
-    is such a map, so those runs would coalesce at the same t_c.
+    * m + x * m + pi(x)). The pairs are runs of ``sampling._cftp_batch_core``
+    whose step-t maps are one ``take`` from the row-t slab, after row t is
+    appended to the stores with an unfinished pair that lack it. The rewards
+    are one gather after the loop. ``unshared`` is charged n * sum(t_c),
+    with step_cap for an unfinished pair, as ``cftp_batch`` charges: row t
+    restricted to (s, pi(s)) is a map of pi's chain, so runs that drew maps
+    of their own would coalesce at the same t_c.
     """
     table = stores[pair_store[0]]._table
     n, k = read.shape
@@ -330,12 +322,8 @@ class StoreEnsemble:
     ``child_sequence(rng, i)``, so each copy has its own Philox key and its
     rows do not depend on the number of copies. Copy i's rows sit in slot i
     of the ensemble's one row table, which allocates nothing before the
-    first row is drawn.
-
-    ``ledger_total`` sums the copies' ledgers: the rows drawn.
-    ``unshared`` is charged, by ``estimate_all``, the calls the same CFTP
-    runs would draw with no row shared: n_states per pair per step, as
-    ``cftp_batch`` charges. Set it to None to charge nothing.
+    first row is drawn. ``estimate_all`` charges ``unshared`` the calls its
+    CFTP runs would draw with no row shared.
     """
 
     def __init__(self, mdp: TabularMDP, epsilon: float, delta: float, n_policies: int, rng):
@@ -351,7 +339,7 @@ class StoreEnsemble:
             SampleMatrix(mdp, child_sequence(base, i), _row_slot=(table, i))
             for i in range(self.n_copies)
         ]
-        self.unshared: SampleLedger | None = SampleLedger()
+        self.unshared = SampleLedger()
 
     @property
     def ledger_total(self) -> int:
@@ -369,7 +357,6 @@ def estimate_all(
     them at a time (``_cftp_pairs``); each sample equals
     ``evaluate_policy(copy, policy)`` and each copy grows to the largest
     coalescence time among its pairs. Samples are summed in copy order.
-    The pairs charge ``ensemble.unshared`` what they would draw unshared.
 
     Every policy's induced chain is checked before any row is drawn:
     ValueError for an action index outside the MDP, NonErgodicError for a

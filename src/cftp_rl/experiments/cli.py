@@ -38,9 +38,8 @@ CSV_SCHEMAS = {
     "eval-store": (
         "eval_store_policies.csv: replicate,policy,estimate,exact,abs_err; "
         "eval_store_summary.csv: replicate,n_copies,max_err,within_eps,"
-        "shared_calls,unshared_calls,shared_below_unshared (unshared_calls: what CFTP per "
-        "policy would draw at the shared run's coalescence times, paired with it, not drawn "
-        "independently)"
+        "shared_calls,unshared_calls,shared_below_unshared (unshared_calls: CFTP per policy "
+        "on maps of its own at the shared run's t_c; paired, not drawn independently)"
     ),
 }
 

@@ -11,23 +11,17 @@ first. Each map is drawn once, for one past time, and used once: it is
 composed into the running composite and never read again. Drawing a second
 map for a past time already composed would break exactness.
 
-Scalar ``cftp`` runs ``_cftp_core``. Every batched CFTP runs the one
-batched loop, ``_cftp_batch_core``, and its three callers differ only in
-where a step's maps come from: ``cftp_batch`` from a block-ahead source,
-``apprenticeship.expert_stationary_samples`` from expert queries drawn
-step by step, and ``eval_store._cftp_chunk`` from a sample matrix's
-stored rows.
-
-``cftp`` and ``cftp_batch`` take their maps from one source that draws
-them a block ahead (``_map_blocks``): one ``Generator.random`` call and
-one inverse-CDF call per block, not per map or per step. Each map is
-still drawn for one past time from the uniforms a per-step loop would
-give it, and used at most once. When a run ends, the maps it did not use
-are discarded and the Generator is rewound, so outputs and generator
-state are those of the per-step loop. Small chains count their blocks
-state-major, so a batched step's maps reach ``_compose`` as contiguous
-per-state rows; wider ones search them map-major. ``grand_coupling_sim``
-draws one map per step.
+Scalar ``cftp`` runs ``_cftp_core``; every batched CFTP runs the one
+batched loop, ``_cftp_batch_core``. Both ``cftp`` and ``cftp_batch`` take
+their maps from one source that draws them a block ahead
+(``_map_blocks``): one ``Generator.random`` call and one inverse-CDF call
+per block, not per map or per step. Each map is still drawn for one past
+time from the uniforms a per-step loop would give it, and used at most
+once. When a run ends, the maps it did not use are discarded and the
+Generator is rewound, so outputs and generator state are those of the
+per-step loop. Small chains count their blocks state-major, so a batched
+step's maps reach ``_compose`` as contiguous per-state rows; wider ones
+search them map-major. ``grand_coupling_sim`` draws one map per step.
 """
 
 from __future__ import annotations
@@ -157,7 +151,7 @@ def _cftp_core(map_at, n_states: int, step_cap: int) -> tuple[int, int]:
 
 
 def _compose(flat: np.ndarray, width: int, cols, maps: np.ndarray):
-    """One ``_cftp_batch_core`` step, runs held state-major; returns (composites, which coalesced).
+    """One ``_cftp_batch_core`` step; returns (composites, which runs coalesced).
 
     ``flat`` is the last step's composites, raveled from an (n_states,
     ``width``) array: run c's image of state x sits at x * width + c.
@@ -177,19 +171,17 @@ def _cftp_batch_core(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The one batched CFTP loop; returns (states, coalescence times, unfinished).
 
-    ``draw_maps(active)`` gets the ascending indices of the unfinished runs
-    and returns their next step's maps state-major, shape (n_states,
-    active.size), column j for run ``active[j]``; each run composes its own
-    maps as ``_cftp_core`` does, newest first, and retires at its t_c. All
-    runs compose in one gather (``_compose``) from the last step's
-    composites, held state-major as an (n_states, k) array. A run retires
-    by column: the next gather reads the survivors' columns of the last
-    composite in place, so no survivor is copied. Before the first step
-    every run's composite is the identity, one column that all runs read.
+    Its callers, ``cftp_batch``, ``apprenticeship.expert_stationary_samples``
+    and ``eval_store._cftp_chunk``, differ only in ``draw_maps(active)``: it
+    gets the ascending indices of the k unfinished runs and returns their
+    next step's maps state-major, (n_states, k), column j for run
+    ``active[j]``. Each run composes its own maps as ``_cftp_core`` does,
+    newest first, and retires at its t_c, in one gather (``_compose``) for
+    all runs from the last step's composites, held state-major. A run retires by column: the next gather reads the
+    survivors' columns of the last composite in place. Before the first
+    step every composite is the identity, one column that all runs read.
     After ``step_cap`` steps the runs still apart, ``unfinished``, get time
-    ``step_cap`` and no state; the caller raises. Three samplers run on it:
-    ``cftp_batch``, ``apprenticeship.expert_stationary_samples`` and the
-    store's ``eval_store._cftp_chunk``.
+    ``step_cap`` and no state; the caller raises.
     """
     states = np.empty(n_samples, dtype=np.int64)
     times = np.empty(n_samples, dtype=np.int64)

@@ -168,7 +168,8 @@ def run_estimate_all_unshared(ledger, seed):
     # Each (copy, policy) pair charges n_states calls per step it composed,
     # as cftp_batch charges each run; no row is drawn for the charge.
     ensemble = StoreEnsemble(MDP, 0.5, 0.5, 4, seed)
-    ensemble.unshared = ledger
+    if ledger is not None:
+        ensemble.unshared = ledger
     seen = []
     with spy(eval_store, "_cftp_pairs", seen):
         estimates = estimate_all(ensemble, [PI, PI_PRIME])
@@ -250,7 +251,8 @@ def run_estimate_all_unshared_cap(ledger, seed):
         estimate_all(StoreEnsemble(MDP, 0.5, 0.5, 4, seed), [PI, PI_PRIME])
     [(_, times, _)] = seen
     ensemble = StoreEnsemble(MDP, 0.5, 0.5, 4, seed)
-    ensemble.unshared = ledger
+    if ledger is not None:
+        ensemble.unshared = ledger
     with pytest.raises(CapExceededError):
         estimate_all(ensemble, [PI, PI_PRIME], step_cap=STORE_CAP)
     assert (times < STORE_CAP).any()
