@@ -123,8 +123,9 @@ def expert_stationary_samples(
     loop: step t queries the expert once for every (unfinished sample,
     state) entry, and each sample retires at its own coalescence time.
     Returns the sampled states and per-sample coalescence times. Each step
-    charges its entries to the expert's ledger and, as generative calls, to
-    ``ledger``: sum(t_c) * n_states of each.
+    charges its entries to the expert's ledger (``ExpertModel.act_batch``),
+    and the loop charges ``ledger`` as ``sampling._cftp_batch_core``
+    charges: sum(t_c) * n_states of each.
 
     The dynamics uniforms come from ``as_generator(rng)``: step t draws
     n_states doubles for each unfinished sample, in sample order. Unlike
@@ -150,14 +151,9 @@ def expert_stationary_samples(
         u = gen.random(active.size * n)
         states = map_states[: u.size]
         actions = expert.act_batch(states)
-        if ledger is not None:
-            ledger.add_generative(u.size)
         return inverse_cdf(cum, states * n_actions + actions, u).reshape(active.size, n).T
 
-    samples, times, unfinished = _cftp_batch_core(draw_maps, m, n, step_cap)
-    if unfinished.size:
-        raise CapExceededError(f"no coalescence within {step_cap} steps")
-    return samples, times
+    return _cftp_batch_core(draw_maps, m, n, step_cap, ledger)
 
 
 def estimate_expert_features(

@@ -75,10 +75,10 @@ def coupled_difference_batch(
     ``value="reward"`` accumulates reward samples, returning shape (n,);
     ``value="features"`` accumulates feature vectors, returning (n, k).
 
-    The pairs charge ``ledger`` 2 * sum(t_c) generative calls, one per
-    trajectory step, also when they then raise. ``draw_actions`` hides the
-    policy, so no chain is checked here: only ``step_cap`` bounds pairs
-    that can never meet (CapExceededError).
+    The pairs charge ``ledger`` as ``sampling._pair_walk`` charges, also
+    when they then raise. ``draw_actions`` hides the policy, so no chain is
+    checked here: only ``step_cap`` bounds pairs that can never meet
+    (CapExceededError).
     """
     gen = as_generator(rng)
     s0 = np.asarray(s0, dtype=np.int64)
@@ -108,10 +108,8 @@ def coupled_difference_batch(
     t_c, apart = _pair_walk(
         mdp.cumulative(), np.stack((s0, s0)),
         np.stack((first_actions_a, first_actions_b)).astype(np.int64),
-        draw_actions, gen, step_cap, on_step, step_uniforms,
+        draw_actions, gen, step_cap, on_step, step_uniforms, ledger,
     )
-    if ledger is not None:
-        ledger.add_generative(2 * int(t_c.sum()))
     if apart.size:
         raise CapExceededError(f"trajectories did not coalesce within {step_cap} steps")
     return acc, t_c

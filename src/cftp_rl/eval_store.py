@@ -17,8 +17,10 @@ Each (matrix, policy) pair is one run of the one batched CFTP loop,
 ``sampling._cftp_batch_core``: step t reads row t of every unfinished
 pair's matrix, with one ``take`` from the table's row-t slab, and each
 pair retires at its own coalescence time. The pairs are walked in chunks
-of at most ``PAIR_BLOCK_ENTRIES`` pair entries (pairs x n_states), so the
-per-pair arrays stay bounded however many copies and policies there are.
+of at most ``PAIR_BLOCK_ENTRIES`` pair entries (pairs x n_states), and
+each chunk's states, times and rewards are handed to the caller as the
+chunk ends, so the per-pair arrays stay bounded however many copies and
+policies there are.
 Row t is drawn from ``KeyedUniforms(seed).at(t)`` and so depends only on
 (seed, t): neither the order in which rows are drawn nor the chunking
 changes any result. Growth is batched: one ``_append_rows`` call appends
@@ -45,7 +47,6 @@ from .chains import (
     DeterministicPolicy, SampleLedger, TabularMDP, inverse_cdf, parse_table,
     require_coalescing_policy,
 )
-from .errors import CapExceededError
 from .sampling import _cftp_batch_core
 from .seeding import KeyedUniforms, child_sequence, seed_sequence
 
@@ -194,24 +195,21 @@ def _cftp_pairs(
     policies: list[DeterministicPolicy],
     step_cap: int,
     unshared: SampleLedger | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CFTP for every (store, policy) pair on the stored rows.
+):
+    """CFTP for every (store, policy) pair on the stored rows, handed out a chunk at a time.
 
-    Returns (states, t_c, rewards), each of shape (len(stores), len(policies)).
-    A pair composes its restricted maps exactly as scalar CFTP does and reads
-    rows 1..t_c of its store; a store grows to the largest t_c of its pairs.
-    The pairs are taken store-major, in chunks of at most
-    ``PAIR_BLOCK_ENTRIES`` pair entries whose stores share one row table,
-    one ``_cftp_chunk`` call each. A pair's result depends only on its
-    store's rows, so the chunking changes no result, row or ledger count.
-    A chunk that reaches ``step_cap`` raises CapExceededError, and the
-    chunks after it are not run. Each chunk charges ``unshared``.
+    Pair i * len(policies) + j is store i with policy j. The pairs are taken
+    store-major, in chunks of at most ``PAIR_BLOCK_ENTRIES`` pair entries
+    whose stores share one row table, one ``_cftp_chunk`` call each. Yields,
+    per chunk, the index of its first pair and its (states, t_c, rewards),
+    one entry per pair in pair order. A pair composes its restricted maps
+    exactly as scalar CFTP does and reads rows 1..t_c of its store; a store
+    grows to the largest t_c of its pairs. A pair's result depends only on
+    its store's rows, so the chunking changes no result, row or ledger
+    count. A chunk that reaches ``step_cap`` raises CapExceededError, and
+    the chunks after it are not run. Each chunk charges ``unshared``.
     """
     n, m = stores[0].mdp.n_states, stores[0].mdp.n_actions
-    shape = (len(stores), len(policies))
-    states = np.empty(shape, dtype=np.int64)
-    times = np.empty(shape, dtype=np.int64)
-    rewards = np.empty(shape)
     actions = np.array([policy.actions for policy in policies], dtype=np.int64).reshape(-1, n)
     # entry[x, j] is policy j's offset of (x, pi_j(x)) in a row of n * m entries.
     entry = np.arange(n)[:, None] * m + actions.T
@@ -224,9 +222,7 @@ def _cftp_pairs(
             pair = np.arange(first, min(first + chunk, end))
             pair_store, pair_policy = np.divmod(pair, len(policies))
             read = slot[pair_store] * (n * m) + entry[:, pair_policy]
-            out = _cftp_chunk(stores, slot, pair_store, read, step_cap, unshared)
-            states.flat[pair], times.flat[pair], rewards.flat[pair] = out
-    return states, times, rewards
+            yield (first,) + _cftp_chunk(stores, slot, pair_store, read, step_cap, unshared)
 
 
 def _cftp_chunk(
@@ -245,10 +241,10 @@ def _cftp_chunk(
     * m + x * m + pi(x)). The pairs are runs of ``sampling._cftp_batch_core``
     whose step-t maps are one ``take`` from the row-t slab, after row t is
     appended to the stores with an unfinished pair that lack it. The rewards
-    are one gather after the loop. ``unshared`` is charged n * sum(t_c),
-    with step_cap for an unfinished pair, as ``cftp_batch`` charges: row t
-    restricted to (s, pi(s)) is a map of pi's chain, so runs that drew maps
-    of their own would coalesce at the same t_c.
+    are one gather after the loop. The loop charges ``unshared`` and raises
+    at ``step_cap`` as it does for ``cftp_batch``: row t restricted to
+    (s, pi(s)) is a map of pi's chain, so runs that drew maps of their own
+    would coalesce at the same t_c.
     """
     table = stores[pair_store[0]]._table
     n, k = read.shape
@@ -270,11 +266,7 @@ def _cftp_chunk(
             grown = t
         return table.next_state[t - 1].take(step_read)
 
-    states, times, unfinished = _cftp_batch_core(draw_maps, k, n, step_cap)
-    if unshared is not None:
-        unshared.add_generative(int(times.sum()) * n)
-    if unfinished.size:
-        raise CapExceededError(f"no coalescence within {step_cap} steps")
+    states, times = _cftp_batch_core(draw_maps, k, n, step_cap, unshared)
     rewards = table.reward.reshape(len(table.reward), -1)[times - 1, read[states, np.arange(k)]]
     return states, times, rewards
 
@@ -307,9 +299,9 @@ def evaluate_policy(
     CapExceededError once ``step_cap`` rows are read without coalescence.
     """
     require_coalescing_policy(store.mdp, policy)
-    states, times, rewards = _cftp_pairs([store], [policy], step_cap)
+    [(_, states, times, rewards)] = _cftp_pairs([store], [policy], step_cap)
     return EvaluationRecord(
-        reward=float(rewards[0, 0]), rows_consumed=int(times[0, 0]), state=int(states[0, 0])
+        reward=float(rewards[0]), rows_consumed=int(times[0]), state=int(states[0])
     )
 
 
@@ -356,7 +348,9 @@ def estimate_all(
     One CFTP loop runs over the (copy, policy) pairs, a bounded chunk of
     them at a time (``_cftp_pairs``); each sample equals
     ``evaluate_policy(copy, policy)`` and each copy grows to the largest
-    coalescence time among its pairs. Samples are summed in copy order.
+    coalescence time among its pairs. Each chunk's samples are added as the
+    chunk ends, each policy's in copy order, so the estimates do not depend
+    on the chunk size; no per-pair array outlives its chunk.
 
     Every policy's induced chain is checked before any row is drawn:
     ValueError for an action index outside the MDP, NonErgodicError for a
@@ -368,10 +362,19 @@ def estimate_all(
     """
     for policy in policies:
         require_coalescing_policy(ensemble.copies[0].mdp, policy)
-    _, _, rewards = _cftp_pairs(ensemble.copies, policies, step_cap, ensemble.unshared)
-    estimates = np.zeros(len(policies))
-    for per_copy in rewards:
-        estimates += per_copy
+    k = len(policies)
+    estimates = np.zeros(k)
+    for first, _, _, rewards in _cftp_pairs(ensemble.copies, policies, step_cap, ensemble.unshared):
+        # A chunk is a run of pairs in copy order: the end of one copy, whole
+        # copies, the start of another. Adding it piece by piece keeps each
+        # policy's sum in copy order, whatever the chunk size.
+        head = min(-first % k, rewards.size)
+        estimates[first % k : first % k + head] += rewards[:head]
+        whole = (rewards.size - head) // k
+        for per_copy in rewards[head : head + whole * k].reshape(whole, k):
+            estimates += per_copy
+        tail = rewards[head + whole * k :]
+        estimates[: tail.size] += tail
     return estimates / ensemble.n_copies
 
 

@@ -140,14 +140,26 @@ def _map_blocks(cum: np.ndarray, gen: np.random.Generator):
             gen.random((fresh - size + pos) * n)
 
 
-def _cftp_core(map_at, n_states: int, step_cap: int) -> tuple[int, int]:
-    """CFTP loop over the maps ``map_at(t)`` for past times t = 1, 2, ...; returns (state, t_c)."""
+def _cftp_core(
+    map_at, n_states: int, step_cap: int, ledger: SampleLedger | None = None
+) -> tuple[int, int]:
+    """CFTP loop over the maps ``map_at(t)`` for past times t = 1, 2, ...; returns (state, t_c).
+
+    Charges ``ledger`` the map entries composed, t_c * n_states, or
+    step_cap * n_states before it raises CapExceededError at the cap.
+    """
     composite = np.arange(n_states)
+    t_c = 0
     for t in range(1, step_cap + 1):
         composite = composite[map_at(t)]
         if (composite == composite[0]).all():
-            return int(composite[0]), t
-    raise CapExceededError(f"no coalescence within {step_cap} steps")
+            t_c = t
+            break
+    if ledger is not None:
+        ledger.add_generative((t_c or step_cap) * n_states)
+    if not t_c:
+        raise CapExceededError(f"no coalescence within {step_cap} steps")
+    return int(composite[0]), t_c
 
 
 def _compose(flat: np.ndarray, width: int, cols, maps: np.ndarray):
@@ -167,9 +179,9 @@ def _compose(flat: np.ndarray, width: int, cols, maps: np.ndarray):
 
 
 def _cftp_batch_core(
-    draw_maps, n_samples: int, n_states: int, step_cap: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The one batched CFTP loop; returns (states, coalescence times, unfinished).
+    draw_maps, n_samples: int, n_states: int, step_cap: int, ledger: SampleLedger | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The one batched CFTP loop; returns (states, coalescence times).
 
     Its callers, ``cftp_batch``, ``apprenticeship.expert_stationary_samples``
     and ``eval_store._cftp_chunk``, differ only in ``draw_maps(active)``: it
@@ -177,11 +189,15 @@ def _cftp_batch_core(
     next step's maps state-major, (n_states, k), column j for run
     ``active[j]``. Each run composes its own maps as ``_cftp_core`` does,
     newest first, and retires at its t_c, in one gather (``_compose``) for
-    all runs from the last step's composites, held state-major. A run retires by column: the next gather reads the
-    survivors' columns of the last composite in place. Before the first
-    step every composite is the identity, one column that all runs read.
-    After ``step_cap`` steps the runs still apart, ``unfinished``, get time
-    ``step_cap`` and no state; the caller raises.
+    all runs from the last step's composites, held state-major. A run
+    retires by column: the next gather reads the survivors' columns of the
+    last composite in place. Before the first step every composite is the
+    identity, one column that all runs read.
+
+    Charges ``ledger`` n_states calls per run per step composed,
+    sum(t_c) * n_states, as ``_cftp_core`` charges each run. A run still
+    apart after ``step_cap`` steps counts ``step_cap`` steps, and the loop
+    then raises CapExceededError.
     """
     states = np.empty(n_samples, dtype=np.int64)
     times = np.empty(n_samples, dtype=np.int64)
@@ -199,7 +215,11 @@ def _cftp_batch_core(
             cols = np.flatnonzero(~done)
             active = active[cols]
     times[active] = step_cap
-    return states, times, active
+    if ledger is not None:
+        ledger.add_generative(int(times.sum()) * n_states)
+    if active.size:
+        raise CapExceededError(f"no coalescence within {step_cap} steps")
+    return states, times
 
 
 def cftp(
@@ -215,22 +235,14 @@ def cftp(
     is maintained incrementally, so each step costs O(n_states) plus the map
     draw and no map is kept once composed.
 
-    Charges ``ledger`` t_c * n_states generative calls, the map entries
-    composed: step_cap * n_states when it raises CapExceededError after
-    ``step_cap`` steps. Raises NonErgodicError before drawing when the maps
+    Charges ``ledger`` and raises CapExceededError at ``step_cap`` as
+    ``_cftp_core`` does. Raises NonErgodicError before drawing when the maps
     can never coalesce (``MarkovChain.require_coalescing``).
     """
     chain.require_coalescing()
     with closing(_map_blocks(chain.cumulative(), as_generator(rng))) as maps:
         next(maps)
-        try:
-            state, t_c = _cftp_core(lambda t: next(maps), chain.n_states, step_cap)
-        except CapExceededError:
-            if ledger is not None:
-                ledger.add_generative(step_cap * chain.n_states)
-            raise
-    if ledger is not None:
-        ledger.add_generative(t_c * chain.n_states)
+        state, t_c = _cftp_core(lambda t: next(maps), chain.n_states, step_cap, ledger)
     return state, CoalescenceRecord(t_c=t_c, state=state)
 
 
@@ -249,28 +261,23 @@ def cftp_batch(
     unfinished run, in run order, from the block-ahead source ``cftp`` uses
     (``_map_blocks``), so states, times and the final generator state are
     those of a loop that draws each step's maps with one ``gen.random``
-    call. The runs charge ``ledger`` sum(t_c) * n_states generative calls,
-    as ``cftp`` charges each. Raises NonErgodicError before drawing, as
-    ``cftp`` does, when the maps can never coalesce; CapExceededError once a
-    run has taken ``step_cap`` steps without coalescing, after charging the
-    map entries composed, with step_cap as the time of each unfinished run.
-    A negative ``n_samples`` raises ValueError before any check or draw.
+    call. Charges ``ledger`` and raises CapExceededError at ``step_cap`` as
+    ``_cftp_batch_core`` does. Raises NonErgodicError before drawing, as
+    ``cftp`` does, when the maps can never coalesce. A negative
+    ``n_samples`` raises ValueError before any check or draw.
     """
     _require_count(n_samples, "n_samples")
     chain.require_coalescing()
     with closing(_map_blocks(chain.cumulative(), as_generator(rng))) as maps:
         next(maps)
-        states, times, unfinished = _cftp_batch_core(
-            lambda active: maps.send(active.size).T, n_samples, chain.n_states, step_cap
+        return _cftp_batch_core(
+            lambda active: maps.send(active.size).T, n_samples, chain.n_states, step_cap, ledger
         )
-    if ledger is not None:
-        ledger.add_generative(int(times.sum()) * chain.n_states)
-    if unfinished.size:
-        raise CapExceededError(f"no coalescence within {step_cap} steps")
-    return states, times
 
 
-def _pair_walk(cum, xy, a, draw_actions, gen, step_cap, on_step=None, step_uniforms=0):
+def _pair_walk(
+    cum, xy, a, draw_actions, gen, step_cap, on_step=None, step_uniforms=0, ledger=None
+):
     """Walk coupled pairs forward until each pair meets; returns (times, apart).
 
     ``xy`` is a (2, k) array: pair p starts at states (xy[0, p], xy[1, p])
@@ -283,7 +290,8 @@ def _pair_walk(cum, xy, a, draw_actions, gen, step_cap, on_step=None, step_unifo
     actions with one ``draw_actions`` call on the raveled states. A pair's
     time is the step at which it met. After ``step_cap`` steps the pairs
     still apart, ``apart``, get time ``step_cap``; the caller raises or
-    censors.
+    censors. Charges ``ledger`` 2 calls per pair per step, one per side:
+    2 * sum(times).
 
     If given, ``on_step(active, xy, index, u)`` runs before each move with
     the flattened index. It reads ``step_uniforms`` uniforms per index entry
@@ -316,6 +324,8 @@ def _pair_walk(cum, xy, a, draw_actions, gen, step_cap, on_step=None, step_unifo
         if active.size and draw_actions is not None:
             a = draw_actions(xy.ravel()).reshape(xy.shape)
     times[active] = step_cap
+    if ledger is not None:
+        ledger.add_generative(2 * int(times.sum()))
     return times, active
 
 

@@ -243,22 +243,23 @@ class TestChunkedPairs:
             expected = estimate_all(whole, policies)
         block = data.draw(st.integers(1, (n_pairs + 1) * mdp.n_states))
         chunked = StoreEnsemble(mdp, 0.6, 0.5, len(policies), seed)
-        cftp_pairs, seen = eval_store._cftp_pairs, []
+        cftp_chunk, seen = eval_store._cftp_chunk, []
 
         def record(*args):
-            seen.append(cftp_pairs(*args))
+            seen.append(cftp_chunk(*args))
             return seen[-1]
 
         with mock.patch.object(eval_store, "PAIR_BLOCK_ENTRIES", block), \
-                mock.patch.object(eval_store, "_cftp_pairs", record), \
-                mock.patch.object(eval_store, "_cftp_chunk", wraps=eval_store._cftp_chunk) as chunk:
+                mock.patch.object(eval_store, "_cftp_chunk", record):
             estimates = estimate_all(chunked, policies)
-        assert chunk.call_count == math.ceil(n_pairs / max(1, block // mdp.n_states))
+        assert len(seen) == math.ceil(n_pairs / max(1, block // mdp.n_states))
         assert estimates.tobytes() == expected.tobytes()
         for copy, ref_copy in zip(chunked.copies, whole.copies):
             assert_same_rows(copy, ref_copy)
             assert copy.ledger.generative_calls == ref_copy.ledger.generative_calls
-        [(states, times, rewards)] = seen
+        states, times, rewards = (
+            np.concatenate(out).reshape(chunked.n_copies, -1) for out in zip(*seen)
+        )
         for i, copy in enumerate(chunked.copies):
             for j, policy in enumerate(policies):
                 sample = evaluate_policy(copy, policy)

@@ -61,6 +61,15 @@ def spy(module, name, seen):
     return mock.patch.object(module, name, record)
 
 
+def pair_times(ensemble, policies):
+    """Run ``estimate_all``; return its estimates and (copies, policies) t_c, read per chunk."""
+    seen = []
+    with spy(eval_store, "_cftp_chunk", seen):
+        estimates = estimate_all(ensemble, policies)
+    times = np.concatenate([times for _, times, _ in seen]).reshape(ensemble.n_copies, -1)
+    return estimates, times
+
+
 def run_cftp(ledger, seed):
     gen = np.random.default_rng(seed)
     state, record = cftp(induce_chain(MDP, PI), gen, ledger=ledger)
@@ -148,10 +157,7 @@ def run_estimate_all(ledger, seed):
     if ledger is not None:
         for copy in ensemble.copies:
             copy.ledger = ledger
-    seen = []
-    with spy(eval_store, "_cftp_pairs", seen):
-        estimates = estimate_all(ensemble, [PI, PI_PRIME])
-    [(_, times, _)] = seen
+    estimates, times = pair_times(ensemble, [PI, PI_PRIME])
     return (estimates, times), (N * M * int(times.max(axis=1).sum()), 0)
 
 
@@ -170,10 +176,7 @@ def run_estimate_all_unshared(ledger, seed):
     ensemble = StoreEnsemble(MDP, 0.5, 0.5, 4, seed)
     if ledger is not None:
         ensemble.unshared = ledger
-    seen = []
-    with spy(eval_store, "_cftp_pairs", seen):
-        estimates = estimate_all(ensemble, [PI, PI_PRIME])
-    [(_, times, _)] = seen
+    estimates, times = pair_times(ensemble, [PI, PI_PRIME])
     outputs = (estimates, times, store_state(ensemble), ensemble.ledger_total)
     return outputs, (N * int(times.sum()), 0)
 
@@ -228,10 +231,7 @@ def run_coupled_difference_batch_cap(ledger, seed):
 def run_estimate_all_cap(ledger, seed):
     # A copy grows to the largest t_c of its pairs, or to the cap if one of
     # them has not coalesced by then.
-    seen = []
-    with spy(eval_store, "_cftp_pairs", seen):
-        estimate_all(StoreEnsemble(MDP, 0.5, 0.5, 4, seed), [PI, PI_PRIME])
-    [(_, times, _)] = seen
+    _, times = pair_times(StoreEnsemble(MDP, 0.5, 0.5, 4, seed), [PI, PI_PRIME])
     ensemble = StoreEnsemble(MDP, 0.5, 0.5, 4, seed)
     if ledger is not None:
         for copy in ensemble.copies:
@@ -246,10 +246,7 @@ def run_estimate_all_cap(ledger, seed):
 def run_estimate_all_unshared_cap(ledger, seed):
     # Each unfinished pair counts step_cap steps, as an unfinished
     # cftp_batch run does.
-    seen = []
-    with spy(eval_store, "_cftp_pairs", seen):
-        estimate_all(StoreEnsemble(MDP, 0.5, 0.5, 4, seed), [PI, PI_PRIME])
-    [(_, times, _)] = seen
+    _, times = pair_times(StoreEnsemble(MDP, 0.5, 0.5, 4, seed), [PI, PI_PRIME])
     ensemble = StoreEnsemble(MDP, 0.5, 0.5, 4, seed)
     if ledger is not None:
         ensemble.unshared = ledger

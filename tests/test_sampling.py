@@ -121,30 +121,40 @@ class TestCftp:
             assert active.tolist() == runs
             return np.array(maps).T  # state-major: column j is run active[j]'s map
 
-        states, times, unfinished = _cftp_batch_core(draw_maps, 4, 3, step_cap=10)
+        states, times = _cftp_batch_core(draw_maps, 4, 3, step_cap=10)
         assert states.tolist() == [1, 0, 1, 0] and times.tolist() == [2, 3, 2, 3]
-        assert unfinished.size == 0
 
     @pytest.mark.parametrize("step_cap", [15, 10**6])
     def test_each_step_draws_for_exactly_the_ascending_unfinished_runs(self, step_cap):
         # eval_store's map source slices its pairs by the runs it is handed,
         # so step t must hand it run r exactly when r has not coalesced before t.
         chain = lower_bound_chain(6, 0.3)
-        gen = np.random.default_rng(12)
-        seen = []
 
-        def draw_maps(active):
-            seen.append(active.copy())
-            return np.stack([draw_random_map(chain, gen) for _ in active], axis=1)
+        def run(step_cap, ledger=None):
+            gen = np.random.default_rng(12)
+            seen = []
 
-        _, times, unfinished = _cftp_batch_core(draw_maps, 40, 6, step_cap)
-        assert len(seen) == times.max() <= step_cap
+            def draw_maps(active):
+                seen.append(active.copy())
+                return np.stack([draw_random_map(chain, gen) for _ in active], axis=1)
+
+            try:
+                return seen, _cftp_batch_core(draw_maps, 40, 6, step_cap, ledger)[1]
+            except CapExceededError:
+                return seen, None
+
+        seen, times = run(10**6)
+        assert len(seen) == times.max()
         assert len({int(t) for t in times}) > 3  # the runs retire at many different steps
         for t, active in enumerate(seen, 1):
             np.testing.assert_array_equal(active, np.flatnonzero(times >= t))
-        # The cap leaves some runs unfinished, all of them drawn for at its last step.
-        assert (unfinished.size > 0) == (step_cap == 15)
-        assert np.isin(unfinished, seen[-1]).all()
+        # The cap leaves some runs unfinished: the loop draws what the uncapped
+        # one draws up to the cap, charges each run min(t_c, cap) steps and raises.
+        ledger = SampleLedger()
+        capped, capped_times = run(step_cap, ledger)
+        assert (capped_times is None) == (step_cap == 15) == (times.max() > step_cap)
+        np.testing.assert_equal(capped, seen[:step_cap])
+        assert ledger.generative_calls == 6 * int(np.minimum(times, step_cap).sum())
 
     def test_empirical_distribution_matches_stationary(self, example_chain):
         states, _ = cftp_batch(example_chain, 100_000, rng=7)
