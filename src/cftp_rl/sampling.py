@@ -286,12 +286,12 @@ def _pair_walk(
     flattened CDF table whose row s * n_actions + a is the next-state law of
     action a in state s. Each step flattens the pairs' rows s * n_actions +
     a into one index, x sides first; moves both sides with one inverse-CDF
-    call on it; retires the pairs now in one state; and draws the next
-    actions with one ``draw_actions`` call on the raveled states. A pair's
-    time is the step at which it met. After ``step_cap`` steps the pairs
-    still apart, ``apart``, get time ``step_cap``; the caller raises or
-    censors. Charges ``ledger`` 2 calls per pair per step, one per side:
-    2 * sum(times).
+    call on it; retires the pairs now in one state; and, if another step
+    follows, draws the next actions with one ``draw_actions`` call on the
+    raveled states. A pair's time is the step at which it met. After
+    ``step_cap`` steps the pairs still apart, ``apart``, get time
+    ``step_cap``; the caller raises or censors. Charges ``ledger`` 2 calls
+    per pair per step, one per side: 2 * sum(times).
 
     If given, ``on_step(active, xy, index, u)`` runs before each move with
     the flattened index. It reads ``step_uniforms`` uniforms per index entry
@@ -321,7 +321,7 @@ def _pair_walk(
         keep = xy[0] != xy[1]
         times[active[~keep]] = t
         active, xy = active[keep], xy[:, keep]
-        if active.size and draw_actions is not None:
+        if active.size and draw_actions is not None and t < step_cap:
             a = draw_actions(xy.ravel()).reshape(xy.shape)
     times[active] = step_cap
     if ledger is not None:

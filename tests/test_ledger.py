@@ -228,6 +228,50 @@ def run_coupled_difference_batch_cap(ledger, seed):
     return (gen.bit_generator.state,), (2 * int(np.minimum(t_c, CAP).sum()), 0)
 
 
+def run_delta_rho_batch_cap(ledger, seed):
+    # A stochastic pi draws each side's actions from the Generator: one at
+    # its start and one after each step that another step follows, so
+    # 2 * sum(min(t_c, cap)) in all, as many as the generative calls.
+    def run(step_cap, ledger, gen, drawn):
+        drawer = estimators.policy_action_drawer
+
+        def counting_drawer(policy, mdp, gen):
+            draw = drawer(policy, mdp, gen)
+
+            def counted(states):
+                drawn.append(states.size)
+                return draw(states)
+
+            return counted
+
+        with mock.patch.object(estimators, "policy_action_drawer", counting_drawer):
+            return delta_rho_batch(MDP, EXPERT, PI_PRIME, 40, gen, step_cap=step_cap, ledger=ledger)
+
+    _, t_c = run(1_000_000, None, np.random.default_rng(seed), [])
+    gen, drawn = np.random.default_rng(seed), []
+    with pytest.raises(CapExceededError):
+        run(CAP, ledger, gen, drawn)
+    assert (t_c <= CAP).any()
+    calls = 2 * int(np.minimum(t_c, CAP).sum())
+    assert sum(drawn) == calls
+    return (gen.bit_generator.state,), (calls, 0)
+
+
+def run_game_column_batch_cap(ledger, seed):
+    # The expert acts once at each start and once per side after each step
+    # that another step follows: 2 * sum(min(t_c, cap)) - n_samples queries.
+    _, t_c = game_column_batch(
+        MDP, ExpertModel(EXPERT, M, seed + 1), PI, 40, np.random.default_rng(seed)
+    )
+    gen = np.random.default_rng(seed)
+    expert = ExpertModel(EXPERT, M, seed + 1, ledger)
+    with pytest.raises(CapExceededError):
+        game_column_batch(MDP, expert, PI, 40, gen, step_cap=CAP, ledger=ledger)
+    assert (t_c <= CAP).any()
+    calls = 2 * int(np.minimum(t_c, CAP).sum())
+    return (gen.bit_generator.state, expert.rng.bit_generator.state), (calls, calls - 40)
+
+
 def run_estimate_all_cap(ledger, seed):
     # A copy grows to the largest t_c of its pairs, or to the cap if one of
     # them has not coalesced by then.
@@ -273,6 +317,8 @@ ROWS = {
     "cftp_batch-cap": run_cftp_batch_cap,
     "expert_stationary_samples-cap": run_expert_stationary_samples_cap,
     "coupled_difference_batch-cap": run_coupled_difference_batch_cap,
+    "delta_rho_batch-cap": run_delta_rho_batch_cap,
+    "game_column_batch-cap": run_game_column_batch_cap,
     "estimate_all-cap": run_estimate_all_cap,
     "estimate_all-unshared-cap": run_estimate_all_unshared_cap,
 }

@@ -39,7 +39,7 @@ def per_step_pair_walk(cum, xy, a, draw_actions, gen, step_cap, on_step=None):
         met = xy[0] == xy[1]
         times[active[met]] = t
         active, xy = active[~met], xy[:, ~met]
-        if active.size and draw_actions is not None:
+        if active.size and draw_actions is not None and t < step_cap:
             a = draw_actions(xy.ravel()).reshape(xy.shape)
     times[active] = step_cap
     return times, active
