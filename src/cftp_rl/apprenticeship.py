@@ -122,10 +122,9 @@ def expert_stationary_samples(
     the dynamics once for the resulting transition. All m runs share one
     loop: step t queries the expert once for every (unfinished sample,
     state) entry, and each sample retires at its own coalescence time.
-    Returns the sampled states and per-sample coalescence times. Each step
-    charges its entries to the expert's ledger (``ExpertModel.act_batch``),
-    and the loop charges ``ledger`` as ``sampling._cftp_batch_core``
-    charges: sum(t_c) * n_states of each.
+    Returns the sampled states and per-sample coalescence times. The expert
+    (``ExpertModel.act_batch``) and the loop (``sampling._cftp_batch_core``)
+    charge sum(t_c) * n_states calls, to its ledger and to ``ledger``.
 
     The dynamics uniforms come from ``as_generator(rng)``: step t draws
     n_states doubles for each unfinished sample, in sample order. Unlike

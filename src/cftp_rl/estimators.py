@@ -209,10 +209,9 @@ def policy_gradient_batch(
     stoch = policy.as_policy()
     gen = as_generator(rng)
     s0, _ = cftp_batch(induce_chain(mdp, stoch), n_samples, gen, step_cap=step_cap, ledger=ledger)
-    cum_pi = cdf_table(policy.probs)
-    a_main = inverse_cdf(cum_pi, s0, gen.random(n_samples))
-    a_base = inverse_cdf(cum_pi, s0, gen.random(n_samples))
     draw = policy_action_drawer(stoch, mdp, gen)
+    a_main = draw(s0)
+    a_base = draw(s0)
     q_hat, _ = coupled_difference_batch(
         mdp, s0, a_main, a_base, draw, gen, value="reward", step_cap=step_cap, ledger=ledger
     )

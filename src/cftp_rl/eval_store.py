@@ -17,10 +17,9 @@ Each (matrix, policy) pair is one run of the one batched CFTP loop,
 ``sampling._cftp_batch_core``: step t reads row t of every unfinished
 pair's matrix, with one ``take`` from the table's row-t slab, and each
 pair retires at its own coalescence time. The pairs are walked in chunks
-of at most ``PAIR_BLOCK_ENTRIES`` pair entries (pairs x n_states), and
-each chunk's states, times and rewards are handed to the caller as the
-chunk ends, so the per-pair arrays stay bounded however many copies and
-policies there are.
+of at most ``PAIR_BLOCK_ENTRIES`` pair entries (pairs x n_states), each
+handed to the caller as it ends, so the per-pair arrays stay bounded
+however many copies and policies there are.
 Row t is drawn from ``KeyedUniforms(seed).at(t)`` and so depends only on
 (seed, t): neither the order in which rows are drawn nor the chunking
 changes any result. Growth is batched: one ``_append_rows`` call appends
@@ -348,9 +347,8 @@ def estimate_all(
     One CFTP loop runs over the (copy, policy) pairs, a bounded chunk of
     them at a time (``_cftp_pairs``); each sample equals
     ``evaluate_policy(copy, policy)`` and each copy grows to the largest
-    coalescence time among its pairs. Each chunk's samples are added as the
-    chunk ends, each policy's in copy order, so the estimates do not depend
-    on the chunk size; no per-pair array outlives its chunk.
+    coalescence time among its pairs. Samples are summed in copy order as
+    each chunk ends.
 
     Every policy's induced chain is checked before any row is drawn:
     ValueError for an action index outside the MDP, NonErgodicError for a
@@ -365,16 +363,15 @@ def estimate_all(
     k = len(policies)
     estimates = np.zeros(k)
     for first, _, _, rewards in _cftp_pairs(ensemble.copies, policies, step_cap, ensemble.unshared):
-        # A chunk is a run of pairs in copy order: the end of one copy, whole
-        # copies, the start of another. Adding it piece by piece keeps each
-        # policy's sum in copy order, whatever the chunk size.
-        head = min(-first % k, rewards.size)
-        estimates[first % k : first % k + head] += rewards[:head]
-        whole = (rewards.size - head) // k
-        for per_copy in rewards[head : head + whole * k].reshape(whole, k):
+        # A chunk may start or end inside a copy. Padded with zeros to whole
+        # copies, it adds one copy's row at a time, so each policy's sum runs
+        # in copy order whatever the chunk size. A sum that starts at +0.0 is
+        # never -0.0, so the padding's zeros leave it bit for bit.
+        head = first % k
+        padded = np.zeros((head + rewards.size + k - 1) // k * k)
+        padded[head : head + rewards.size] = rewards
+        for per_copy in padded.reshape(-1, k):
             estimates += per_copy
-        tail = rewards[head + whole * k :]
-        estimates[: tail.size] += tail
     return estimates / ensemble.n_copies
 
 

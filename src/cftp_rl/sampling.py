@@ -140,9 +140,7 @@ def _map_blocks(cum: np.ndarray, gen: np.random.Generator):
             gen.random((fresh - size + pos) * n)
 
 
-def _cftp_core(
-    map_at, n_states: int, step_cap: int, ledger: SampleLedger | None = None
-) -> tuple[int, int]:
+def _cftp_core(map_at, n_states: int, step_cap: int, ledger=None) -> tuple[int, int]:
     """CFTP loop over the maps ``map_at(t)`` for past times t = 1, 2, ...; returns (state, t_c).
 
     Charges ``ledger`` the map entries composed, t_c * n_states, or
