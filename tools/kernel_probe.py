@@ -22,8 +22,9 @@ the strategy the constants pick. ``chosen`` names the layout
 
 Every number is the best of ``--repeat`` timings, each the mean over
 enough calls to fill about 2 ms. The probe checks that every strategy and
-layout gives the same integers before it times them. It is not part of
-the test suite.
+layout gives the same integers before it times them, and raises if one
+does not. The test suite runs it once with ``--repeat 1 --states 2,12``
+(``tests/test_tools.py``) for those checks.
 """
 
 from __future__ import annotations
