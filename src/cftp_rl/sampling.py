@@ -12,16 +12,16 @@ composed into the running composite and never read again. Drawing a second
 map for a past time already composed would break exactness.
 
 Scalar ``cftp`` runs ``_cftp_core``; every batched CFTP runs the one
-batched loop, ``_cftp_batch_core``. Both ``cftp`` and ``cftp_batch`` take
-their maps from one source that draws them a block ahead
-(``_map_blocks``): one ``Generator.random`` call and one inverse-CDF call
-per block, not per map or per step. Each map is still drawn for one past
-time from the uniforms a per-step loop would give it, and used at most
-once. When a run ends, the maps it did not use are discarded and the
-Generator is rewound, so outputs and generator state are those of the
-per-step loop. Small chains count their blocks state-major, so a batched
-step's maps reach ``_compose`` as contiguous per-state rows; wider ones
-search them map-major. ``grand_coupling_sim`` draws one map per step.
+batched loop, ``_cftp_batch_core``. ``cftp``, ``cftp_batch`` and
+``grand_coupling_sim`` take their maps from one source that draws them a
+block ahead (``_map_blocks``): one ``Generator.random`` call and one
+inverse-CDF call per block, not per map or per step. Each map is still
+drawn for its step from the uniforms a per-step loop would give it, and
+used at most once. When a run ends, the maps it did not use are discarded
+and the Generator is rewound, so outputs and generator state are those of
+the per-step loop. Small chains count their blocks state-major, so a
+batched step's maps reach ``_compose`` as contiguous per-state rows; wider
+ones search them map-major.
 """
 
 from __future__ import annotations
@@ -62,18 +62,14 @@ def _require_count(value: int, name: str) -> None:
         raise ValueError(f"{name} must be non-negative, got {value}")
 
 
-def _map_from_cum(cum: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    n = cum.shape[0]
-    return inverse_cdf(cum, np.arange(n), rng.random(n))
-
-
 def draw_random_map(chain: MarkovChain, rng: np.random.Generator) -> np.ndarray:
     """One realized next state per state, drawn independently across states."""
-    return _map_from_cum(chain.cumulative(), rng)
+    n = chain.n_states
+    return inverse_cdf(chain.cumulative(), np.arange(n), rng.random(n))
 
 
 def _map_blocks(cum: np.ndarray, gen: np.random.Generator):
-    """Hand out the random maps for past times t = 1, 2, ..., drawn a block ahead.
+    """Hand out the random maps for steps t = 1, 2, ..., drawn a block ahead.
 
     Start the generator with ``next``. After that, ``next`` returns the next
     map and ``send(k)`` the next k maps as a (k, n_states) array. Each block
@@ -144,8 +140,10 @@ def _cftp_core(map_at, n_states: int, step_cap: int, ledger=None) -> tuple[int, 
     """CFTP loop over the maps ``map_at(t)`` for past times t = 1, 2, ...; returns (state, t_c).
 
     Charges ``ledger`` the map entries composed, t_c * n_states, or
-    step_cap * n_states before it raises CapExceededError at the cap.
+    step_cap * n_states before it raises CapExceededError at the cap. A
+    negative ``step_cap`` raises ValueError before the first step.
     """
+    _require_count(step_cap, "step_cap")
     composite = np.arange(n_states)
     t_c = 0
     for t in range(1, step_cap + 1):
@@ -195,8 +193,10 @@ def _cftp_batch_core(
     Charges ``ledger`` n_states calls per run per step composed,
     sum(t_c) * n_states, as ``_cftp_core`` charges each run. A run still
     apart after ``step_cap`` steps counts ``step_cap`` steps, and the loop
-    then raises CapExceededError.
+    then raises CapExceededError. A negative ``step_cap`` raises ValueError
+    before the first step.
     """
+    _require_count(step_cap, "step_cap")
     states = np.empty(n_samples, dtype=np.int64)
     times = np.empty(n_samples, dtype=np.int64)
     active = np.arange(n_samples)
@@ -288,8 +288,9 @@ def _pair_walk(
     follows, draws the next actions with one ``draw_actions`` call on the
     raveled states. A pair's time is the step at which it met. After
     ``step_cap`` steps the pairs still apart, ``apart``, get time
-    ``step_cap``; the caller raises or censors. Charges ``ledger`` 2 calls
-    per pair per step, one per side: 2 * sum(times).
+    ``step_cap``; the caller raises or censors. A negative ``step_cap``
+    raises ValueError before the first step. Charges ``ledger`` 2 calls per
+    pair per step, one per side: 2 * sum(times).
 
     If given, ``on_step(active, xy, index, u)`` runs before each move with
     the flattened index. It reads ``step_uniforms`` uniforms per index entry
@@ -299,6 +300,7 @@ def _pair_walk(
     ``random(a)`` then ``random(b)`` equals ``random(a + b)``, the draws are
     those of an on_step that draws its own uniforms before the move's.
     """
+    _require_count(step_cap, "step_cap")
     n_actions = cum.shape[0] // cum.shape[1]
     times = np.zeros(xy.shape[1], dtype=np.int64)
     active = np.arange(xy.shape[1])
@@ -345,7 +347,7 @@ def coalescence_times_batch(
     i == j; otherwise raises NonErgodicError before drawing unless the
     whole chain can coalesce (``MarkovChain.require_coalescing``), even
     where the pair itself could meet (a periodic chain with i and j in one
-    phase, say).
+    phase, say), and then ValueError for a negative ``step_cap``.
     """
     _require_count(n_runs, "n_runs")
     if not (0 <= i < chain.n_states and 0 <= j < chain.n_states):
@@ -397,22 +399,26 @@ def grand_coupling_sim(
     Chains occupying the same state move together from then on, so the
     surviving classes are the distinct occupied states; the returned
     trajectory records their count after each step, starting at n_states
-    before any step. Raises NonErgodicError before drawing when the shared
-    maps can never merge every chain (``MarkovChain.require_coalescing``).
+    before any step. Step t's shared map comes from the block-ahead source
+    ``cftp`` uses (``_map_blocks``). Raises NonErgodicError before drawing
+    when the shared maps can never merge every chain
+    (``MarkovChain.require_coalescing``), and ValueError for a negative
+    ``step_cap``.
     """
     chain.require_coalescing()
-    gen = as_generator(rng)
+    _require_count(step_cap, "step_cap")
     n = chain.n_states
-    cum = chain.cumulative()
     position = np.arange(n)  # the distinct occupied states, sorted
     counts = [n]
     if n == 1:
         return GrandCouplingRecord(merge_time=0, class_counts=counts, final_state=0)
-    for t in range(1, step_cap + 1):
-        occupied = np.zeros(n, dtype=bool)
-        occupied[_map_from_cum(cum, gen)[position]] = True
-        position = np.flatnonzero(occupied)
-        counts.append(position.size)
-        if position.size == 1:
-            return GrandCouplingRecord(merge_time=t, class_counts=counts, final_state=int(position[0]))
+    with closing(_map_blocks(chain.cumulative(), as_generator(rng))) as maps:
+        next(maps)
+        for t in range(1, step_cap + 1):
+            occupied = np.zeros(n, dtype=bool)
+            occupied[next(maps)[position]] = True
+            position = np.flatnonzero(occupied)
+            counts.append(position.size)
+            if position.size == 1:
+                return GrandCouplingRecord(merge_time=t, class_counts=counts, final_state=int(position[0]))
     raise CapExceededError(f"no full merge within {step_cap} steps")

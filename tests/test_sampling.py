@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from cftp_rl.chains import MarkovChain, RewardModel, SampleLedger, closed_class
+from cftp_rl.chains import DeterministicPolicy, MarkovChain, RewardModel, SampleLedger, closed_class
 from cftp_rl.errors import CapExceededError, NonErgodicError
 from cftp_rl import sampling
-from cftp_rl.instances import random_ergodic_chain
+from cftp_rl.estimators import delta_rho_batch
+from cftp_rl.eval_store import SampleMatrix, StoreEnsemble, estimate_all, evaluate_policy
+from cftp_rl.instances import random_ergodic_chain, random_mdp
 from cftp_rl.seeding import substream
 from cftp_rl.sampling import (
     CoalescenceRecord,
@@ -387,8 +389,45 @@ class TestBlockedMaps:
         np.testing.assert_equal(blocked.bit_generator.state, per_step.bit_generator.state)
 
 
+def negative_cap_runs():
+    """(id, run(gen, ledger), takes a ledger) for every sampler that takes a ``step_cap`` of -1."""
+    chain, mdp = lower_bound_chain(4, 0.5), random_mdp(3, 2, rng=7)
+    pi, pi_prime = DeterministicPolicy(np.zeros(3, dtype=int)), DeterministicPolicy(np.ones(3, dtype=int))
+    return [
+        ("cftp", lambda gen, ledger: cftp(chain, gen, step_cap=-1, ledger=ledger), True),
+        ("cftp_batch", lambda gen, ledger: cftp_batch(chain, 3, gen, step_cap=-1, ledger=ledger), True),
+        ("coalescence_times_batch", lambda gen, _: coalescence_times_batch(chain, 0, 1, 3, gen, step_cap=-1), False),
+        ("coalescence_times_batch-censored", lambda gen, _: coalescence_times_batch(
+            chain, 0, 1, 3, gen, step_cap=-1, censor_at_cap=True), False),
+        ("grand_coupling_sim", lambda gen, _: grand_coupling_sim(chain, gen, step_cap=-1), False),
+        ("delta_rho_batch", lambda gen, ledger: delta_rho_batch(
+            mdp, pi, pi_prime, 3, gen, step_cap=-1, ledger=ledger), True),
+        # Stores are keyed by a seed, not a Generator. estimate_all always
+        # charges its ensemble's ledger; evaluate_policy charges none.
+        ("estimate_all", lambda gen, _: estimate_all(
+            StoreEnsemble(mdp, 0.5, 0.5, 2, 0), [pi, pi_prime], step_cap=-1), False),
+        ("evaluate_policy", lambda gen, _: evaluate_policy(SampleMatrix(mdp, 0), pi, step_cap=-1), False),
+    ]
+
+
 class TestBoundedFailure:
     """Couplings of a chain that can never coalesce fail at once, at the default cap."""
+
+    @pytest.mark.parametrize(
+        "run, ledger",
+        [
+            pytest.param(run, ledger, id=f"{name}-{'ledger' if ledger else 'no-ledger'}")
+            for name, run, takes_ledger in negative_cap_runs()
+            for ledger in ((None, SampleLedger()) if takes_ledger else (None,))
+        ],
+    )
+    def test_a_negative_cap_raises_value_error(self, run, ledger):
+        # Whatever the sampler and whether or not it charges a ledger, a cap
+        # of -1 is a bad argument: not a cap reached, a censored time or a
+        # negative ledger charge. The ledger is charged nothing.
+        with pytest.raises(ValueError, match="step_cap must be non-negative"):
+            run(np.random.default_rng(0), ledger)
+        assert ledger is None or ledger.generative_calls == 0
 
     def test_coalescence_times_batch(self):
         gen = np.random.default_rng(0)
