@@ -17,9 +17,10 @@ Each (matrix, policy) pair is one run of the one batched CFTP loop,
 ``sampling._cftp_batch_core``: step t reads row t of every unfinished
 pair's matrix, with one ``take`` from the table's row-t slab, and each
 pair retires at its own coalescence time. The pairs are walked in chunks
-of at most ``PAIR_BLOCK_ENTRIES`` pair entries (pairs x n_states), each
-handed to the caller as it ends, so the per-pair arrays stay bounded
-however many copies and policies there are.
+of whole matrices, with all their policies, of at most
+``PAIR_BLOCK_ENTRIES`` pair entries (pairs x n_states) or else one matrix.
+Each chunk is handed to the caller as it ends, so the per-pair arrays stay
+bounded however many copies there are.
 Row t is drawn from ``KeyedUniforms(seed).at(t)`` and so depends only on
 (seed, t): neither the order in which rows are drawn nor the chunking
 changes any result. Growth is batched: one ``_append_rows`` call appends
@@ -49,9 +50,11 @@ from .chains import (
 from .sampling import _cftp_batch_core
 from .seeding import KeyedUniforms, child_sequence, seed_sequence
 
-# _cftp_pairs walks its (matrix, policy) pairs in chunks of at most this many
-# pair entries (pairs x n_states); a chunk's loop holds a few int64 arrays of
-# that size. Measured on every policy of random_mdp(n, 2, 0) at epsilon =
+# _cftp_pairs walks its (matrix, policy) pairs in chunks of whole matrices, of
+# at most this many pair entries (pairs x n_states) or else one matrix; a
+# chunk's loop holds a few int64 arrays of that size. One matrix's pairs hold
+# n_states x policies entries, the size of the ``entry`` offsets _cftp_pairs
+# builds anyway. Measured on every policy of random_mdp(n, 2, 0) at epsilon =
 # delta = 0.1 (StoreEnsemble plus estimate_all, wall s and process peak RSS,
 # 2-core AMD EPYC): at n = 10 (924 copies x 1024 policies), 2.31 s and 111 MB
 # at 2**12, 0.92 s / 116 MB at 2**16, 0.81 / 119 at 2**17, 0.74-0.77 / 126 at
@@ -195,33 +198,37 @@ def _cftp_pairs(
     step_cap: int,
     unshared: SampleLedger | None = None,
 ):
-    """CFTP for every (store, policy) pair on the stored rows, handed out a chunk at a time.
+    """CFTP for every (store, policy) pair on the stored rows, handed out a chunk of stores at a time.
 
-    Pair i * len(policies) + j is store i with policy j. The pairs are taken
-    store-major, in chunks of at most ``PAIR_BLOCK_ENTRIES`` pair entries
-    whose stores share one row table, one ``_cftp_chunk`` call each. Yields,
-    per chunk, the index of its first pair and its (states, t_c, rewards),
-    one entry per pair in pair order. A pair composes its restricted maps
-    exactly as scalar CFTP does and reads rows 1..t_c of its store; a store
-    grows to the largest t_c of its pairs. A pair's result depends only on
-    its store's rows, so the chunking changes no result, row or ledger
-    count. A chunk that reaches ``step_cap`` raises CapExceededError, and
-    the chunks after it are not run. Each chunk charges ``unshared``.
+    The stores are taken in order, in chunks of consecutive stores that
+    share one row table: at most ``PAIR_BLOCK_ENTRIES // (n_states *
+    len(policies))`` stores, and at least one. Each chunk is one
+    ``_cftp_chunk`` call over its stores' pairs, store-major. Yields, per
+    chunk, its (states, t_c, rewards), each shaped (stores in the chunk,
+    policies); no policies yield nothing. A pair composes its restricted
+    maps exactly as scalar CFTP does and reads rows 1..t_c of its store; a
+    store grows to the largest t_c of its pairs. A pair's result depends
+    only on its store's rows, so the chunking changes no result, row or
+    ledger count. A chunk that reaches ``step_cap`` raises
+    CapExceededError, and the chunks after it are not run. Each chunk
+    charges ``unshared``.
     """
-    n, m = stores[0].mdp.n_states, stores[0].mdp.n_actions
-    actions = np.array([policy.actions for policy in policies], dtype=np.int64).reshape(-1, n)
+    if not policies:
+        return
+    n, m, k = stores[0].mdp.n_states, stores[0].mdp.n_actions, len(policies)
+    actions = np.array([policy.actions for policy in policies], dtype=np.int64)
     # entry[x, j] is policy j's offset of (x, pi_j(x)) in a row of n * m entries.
     entry = np.arange(n)[:, None] * m + actions.T
     slot = np.array([store._slot for store in stores])
-    chunk = max(1, PAIR_BLOCK_ENTRIES // n)
+    chunk = max(1, PAIR_BLOCK_ENTRIES // (n * k))
     for _, run in itertools.groupby(range(len(stores)), lambda i: stores[i]._table):
         run = list(run)  # consecutive stores on one row table
-        end = (run[-1] + 1) * len(policies)
-        for first in range(run[0] * len(policies), end, chunk):
-            pair = np.arange(first, min(first + chunk, end))
-            pair_store, pair_policy = np.divmod(pair, len(policies))
-            read = slot[pair_store] * (n * m) + entry[:, pair_policy]
-            yield (first,) + _cftp_chunk(stores, slot, pair_store, read, step_cap, unshared)
+        for first in range(run[0], run[-1] + 1, chunk):
+            chunk_stores = np.arange(first, min(first + chunk, run[-1] + 1))
+            # Column i * k + j of read is the chunk's store i with policy j.
+            read = (slot[chunk_stores, None] * (n * m) + entry[:, None]).reshape(n, -1)
+            out = _cftp_chunk(stores, slot, chunk_stores.repeat(k), read, step_cap, unshared)
+            yield tuple(a.reshape(-1, k) for a in out)
 
 
 def _cftp_chunk(
@@ -298,9 +305,9 @@ def evaluate_policy(
     CapExceededError once ``step_cap`` rows are read without coalescence.
     """
     require_coalescing_policy(store.mdp, policy)
-    [(_, states, times, rewards)] = _cftp_pairs([store], [policy], step_cap)
+    [(states, times, rewards)] = _cftp_pairs([store], [policy], step_cap)
     return EvaluationRecord(
-        reward=float(rewards[0]), rows_consumed=int(times[0]), state=int(states[0])
+        reward=float(rewards[0, 0]), rows_consumed=int(times[0, 0]), state=int(states[0, 0])
     )
 
 
@@ -345,10 +352,11 @@ def estimate_all(
     """Per-policy average-reward estimates, averaging one sample per copy.
 
     One CFTP loop runs over the (copy, policy) pairs, a bounded chunk of
-    them at a time (``_cftp_pairs``); each sample equals
+    whole copies at a time (``_cftp_pairs``); each sample equals
     ``evaluate_policy(copy, policy)`` and each copy grows to the largest
-    coalescence time among its pairs. Samples are summed in copy order as
-    each chunk ends.
+    coalescence time among its pairs. Samples are summed one copy at a
+    time, in copy order, as each chunk ends. No policies give an empty
+    array.
 
     Every policy's induced chain is checked before any row is drawn:
     ValueError for an action index outside the MDP, NonErgodicError for a
@@ -360,17 +368,9 @@ def estimate_all(
     """
     for policy in policies:
         require_coalescing_policy(ensemble.copies[0].mdp, policy)
-    k = len(policies)
-    estimates = np.zeros(k)
-    for first, _, _, rewards in _cftp_pairs(ensemble.copies, policies, step_cap, ensemble.unshared):
-        # A chunk may start or end inside a copy. Padded with zeros to whole
-        # copies, it adds one copy's row at a time, so each policy's sum runs
-        # in copy order whatever the chunk size. A sum that starts at +0.0 is
-        # never -0.0, so the padding's zeros leave it bit for bit.
-        head = first % k
-        padded = np.zeros((head + rewards.size + k - 1) // k * k)
-        padded[head : head + rewards.size] = rewards
-        for per_copy in padded.reshape(-1, k):
+    estimates = np.zeros(len(policies))
+    for _, _, rewards in _cftp_pairs(ensemble.copies, policies, step_cap, ensemble.unshared):
+        for per_copy in rewards:
             estimates += per_copy
     return estimates / ensemble.n_copies
 

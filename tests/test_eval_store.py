@@ -252,7 +252,9 @@ class TestChunkedPairs:
         with mock.patch.object(eval_store, "PAIR_BLOCK_ENTRIES", block), \
                 mock.patch.object(eval_store, "_cftp_chunk", record):
             estimates = estimate_all(chunked, policies)
-        assert len(seen) == math.ceil(n_pairs / max(1, block // mdp.n_states))
+        # A chunk holds whole copies, at least one.
+        copies_per_chunk = max(1, block // (mdp.n_states * len(policies)))
+        assert len(seen) == math.ceil(chunked.n_copies / copies_per_chunk)
         assert estimates.tobytes() == expected.tobytes()
         for copy, ref_copy in zip(chunked.copies, whole.copies):
             assert_same_rows(copy, ref_copy)
@@ -267,6 +269,15 @@ class TestChunkedPairs:
                     rewards[i, j], times[i, j], states[i, j]
                 )
         assert chunked.ledger_total == whole.ledger_total
+
+
+    def test_no_policies_give_an_empty_array(self):
+        # A chunk of whole copies holds n_states x policies entries per copy;
+        # with no policies there is no chunk to walk and no row to draw.
+        ensemble = StoreEnsemble(random_mdp(3, 2, rng=8), 0.5, 0.5, 1, rng=9)
+        estimates = estimate_all(ensemble, [])
+        assert estimates.shape == (0,)
+        assert ensemble.ledger_total == 0 and ensemble.unshared.generative_calls == 0
 
 
 class TestPolicyChecks:
