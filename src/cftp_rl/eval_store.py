@@ -17,10 +17,9 @@ Each (matrix, policy) pair is one run of the one batched CFTP loop,
 ``sampling._cftp_batch_core``: step t reads row t of every unfinished
 pair's matrix, with one ``take`` from the table's row-t slab, and each
 pair retires at its own coalescence time. The pairs are walked in chunks
-of whole matrices, with all their policies, of at most
-``PAIR_BLOCK_ENTRIES`` pair entries (pairs x n_states) or else one matrix.
-Each chunk is handed to the caller as it ends, so the per-pair arrays stay
-bounded however many copies there are.
+of whole matrices, at most ``PAIR_BLOCK_ENTRIES`` pair entries (pairs x
+n_states) or one matrix, each handed to the caller as it ends, so the
+per-pair arrays stay bounded however many copies there are.
 Row t is drawn from ``KeyedUniforms(seed).at(t)`` and so depends only on
 (seed, t): neither the order in which rows are drawn nor the chunking
 changes any result. Growth is batched: one ``_append_rows`` call appends
@@ -198,20 +197,18 @@ def _cftp_pairs(
     step_cap: int,
     unshared: SampleLedger | None = None,
 ):
-    """CFTP for every (store, policy) pair on the stored rows, handed out a chunk of stores at a time.
+    """CFTP for every (store, policy) pair on the stored rows, handed out a chunk at a time.
 
-    The stores are taken in order, in chunks of consecutive stores that
-    share one row table: at most ``PAIR_BLOCK_ENTRIES // (n_states *
-    len(policies))`` stores, and at least one. Each chunk is one
-    ``_cftp_chunk`` call over its stores' pairs, store-major. Yields, per
-    chunk, its (states, t_c, rewards), each shaped (stores in the chunk,
-    policies); no policies yield nothing. A pair composes its restricted
-    maps exactly as scalar CFTP does and reads rows 1..t_c of its store; a
-    store grows to the largest t_c of its pairs. A pair's result depends
-    only on its store's rows, so the chunking changes no result, row or
-    ledger count. A chunk that reaches ``step_cap`` raises
-    CapExceededError, and the chunks after it are not run. Each chunk
-    charges ``unshared``.
+    A chunk is consecutive stores on one row table, at most
+    ``PAIR_BLOCK_ENTRIES // (n_states * len(policies))`` and at least one,
+    with all their pairs, store-major, in one ``_cftp_chunk`` call. Yields
+    its (states, t_c, rewards), each shaped (stores, policies); no policies
+    yield nothing. A pair composes its restricted maps exactly as scalar
+    CFTP does and reads rows 1..t_c of its store; a store grows to the
+    largest t_c of its pairs. A pair's result depends only on its store's
+    rows, so the chunking changes no result, row or ledger count. A chunk
+    that reaches ``step_cap`` raises CapExceededError, and the chunks after
+    it are not run. Each chunk charges ``unshared``.
     """
     if not policies:
         return
@@ -223,8 +220,8 @@ def _cftp_pairs(
     chunk = max(1, PAIR_BLOCK_ENTRIES // (n * k))
     for _, run in itertools.groupby(range(len(stores)), lambda i: stores[i]._table):
         run = list(run)  # consecutive stores on one row table
-        for first in range(run[0], run[-1] + 1, chunk):
-            chunk_stores = np.arange(first, min(first + chunk, run[-1] + 1))
+        for first in range(0, len(run), chunk):
+            chunk_stores = np.array(run[first : first + chunk])
             # Column i * k + j of read is the chunk's store i with policy j.
             read = (slot[chunk_stores, None] * (n * m) + entry[:, None]).reshape(n, -1)
             out = _cftp_chunk(stores, slot, chunk_stores.repeat(k), read, step_cap, unshared)
@@ -354,9 +351,8 @@ def estimate_all(
     One CFTP loop runs over the (copy, policy) pairs, a bounded chunk of
     whole copies at a time (``_cftp_pairs``); each sample equals
     ``evaluate_policy(copy, policy)`` and each copy grows to the largest
-    coalescence time among its pairs. Samples are summed one copy at a
-    time, in copy order, as each chunk ends. No policies give an empty
-    array.
+    coalescence time among its pairs. Samples are summed a copy at a time,
+    in copy order, as each chunk ends; no policies give an empty array.
 
     Every policy's induced chain is checked before any row is drawn:
     ValueError for an action index outside the MDP, NonErgodicError for a

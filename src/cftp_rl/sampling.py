@@ -21,7 +21,8 @@ used at most once. When a run ends, the maps it did not use are discarded
 and the Generator is rewound, so outputs and generator state are those of
 the per-step loop. Small chains count their blocks state-major, so a
 batched step's maps reach ``_compose`` as contiguous per-state rows; wider
-ones search them map-major.
+ones search them map-major. Every loop that takes a ``step_cap`` raises
+ValueError for a negative one before its first step; 0 is legal.
 """
 
 from __future__ import annotations
@@ -140,8 +141,7 @@ def _cftp_core(map_at, n_states: int, step_cap: int, ledger=None) -> tuple[int, 
     """CFTP loop over the maps ``map_at(t)`` for past times t = 1, 2, ...; returns (state, t_c).
 
     Charges ``ledger`` the map entries composed, t_c * n_states, or
-    step_cap * n_states before it raises CapExceededError at the cap. A
-    negative ``step_cap`` raises ValueError before the first step.
+    step_cap * n_states before it raises CapExceededError at the cap.
     """
     _require_count(step_cap, "step_cap")
     composite = np.arange(n_states)
@@ -193,8 +193,7 @@ def _cftp_batch_core(
     Charges ``ledger`` n_states calls per run per step composed,
     sum(t_c) * n_states, as ``_cftp_core`` charges each run. A run still
     apart after ``step_cap`` steps counts ``step_cap`` steps, and the loop
-    then raises CapExceededError. A negative ``step_cap`` raises ValueError
-    before the first step.
+    then raises CapExceededError.
     """
     _require_count(step_cap, "step_cap")
     states = np.empty(n_samples, dtype=np.int64)
@@ -288,9 +287,8 @@ def _pair_walk(
     follows, draws the next actions with one ``draw_actions`` call on the
     raveled states. A pair's time is the step at which it met. After
     ``step_cap`` steps the pairs still apart, ``apart``, get time
-    ``step_cap``; the caller raises or censors. A negative ``step_cap``
-    raises ValueError before the first step. Charges ``ledger`` 2 calls per
-    pair per step, one per side: 2 * sum(times).
+    ``step_cap``; the caller raises or censors. Charges ``ledger`` 2 calls
+    per pair per step, one per side: 2 * sum(times).
 
     If given, ``on_step(active, xy, index, u)`` runs before each move with
     the flattened index. It reads ``step_uniforms`` uniforms per index entry
@@ -399,11 +397,9 @@ def grand_coupling_sim(
     Chains occupying the same state move together from then on, so the
     surviving classes are the distinct occupied states; the returned
     trajectory records their count after each step, starting at n_states
-    before any step. Step t's shared map comes from the block-ahead source
-    ``cftp`` uses (``_map_blocks``). Raises NonErgodicError before drawing
-    when the shared maps can never merge every chain
-    (``MarkovChain.require_coalescing``), and ValueError for a negative
-    ``step_cap``.
+    before any step. Its maps come from ``_map_blocks``, as ``cftp``'s do.
+    Raises NonErgodicError before drawing when the shared maps can never
+    merge every chain (``MarkovChain.require_coalescing``).
     """
     chain.require_coalescing()
     _require_count(step_cap, "step_cap")
