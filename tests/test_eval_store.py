@@ -270,7 +270,6 @@ class TestChunkedPairs:
                 )
         assert chunked.ledger_total == whole.ledger_total
 
-
     def test_no_policies_give_an_empty_array(self):
         # A chunk of whole copies holds n_states x policies entries per copy;
         # with no policies there is no chunk to walk and no row to draw.
