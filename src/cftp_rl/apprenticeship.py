@@ -36,7 +36,7 @@ from .chains import (
 from .errors import CapExceededError
 from .estimators import coupled_difference_batch
 from .hedge import HedgeState, clamp_mask, hedge_step, rescale_loss
-from .sampling import _cftp_batch_core
+from .sampling import _cftp_batch_core, _require_count
 from .seeding import as_generator, seed_sequence, substream
 from .solvers import (
     improved_actions, optimal_policy, policy_evaluation, state_reward_q, stationary_distribution,
@@ -201,9 +201,10 @@ def game_column_batch(
     2 * sum(t_c) - n_samples. The expert's chain is unknown, so only
     ``step_cap`` bounds pairs that can never meet (CapExceededError).
     Raises ValueError before drawing for an expert whose policy table is
-    not (n_states, n_actions) of ``mdp``.
+    not (n_states, n_actions) of ``mdp``, or for a negative ``step_cap``.
     """
     _require_expert_fits(mdp, expert)
+    _require_count(step_cap, "step_cap")
     gen = as_generator(rng)
     cum_mu = policy_evaluation(mdp, pi_t).mu_cdf
     s0 = inverse_cdf(cum_mu, np.zeros(n_samples, dtype=np.int64), gen.random(n_samples))

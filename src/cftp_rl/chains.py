@@ -187,12 +187,6 @@ def closed_class(transition: np.ndarray) -> tuple[np.ndarray | None, bool]:
     return reached, bool(np.gcd.reduce(np.abs(depth[u] + 1 - depth[v])) == 1)
 
 
-def is_ergodic(transition: np.ndarray) -> bool:
-    """Irreducible and aperiodic: the one closed class is every state, and it is aperiodic."""
-    mask, aperiodic = closed_class(transition)
-    return aperiodic and bool(mask.all())
-
-
 def _bfs_depth(support: np.ndarray, start: int) -> np.ndarray:
     n = support.shape[0]
     depth = np.full(n, -1, dtype=int)
@@ -270,7 +264,7 @@ class MarkovChain:
 
     @property
     def ergodic(self) -> bool:
-        """Irreducible and aperiodic, read from the cached class as ``is_ergodic`` reads it."""
+        """Irreducible and aperiodic: the one closed class is every state, and it is aperiodic."""
         mask, aperiodic = self.closed_class()
         return aperiodic and bool(mask.all())
 
@@ -501,46 +495,32 @@ def dumps_mdp(mdp: TabularMDP) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_table(
-    text: str, keys: tuple[str, str, str], layout
-) -> tuple[tuple[int, int, int], list[list[str]]]:
-    """Split a plain-text table into its header values and its checked body lines.
+def loads_mdp(text: str, reward_mode: str = "bernoulli") -> TabularMDP:
+    """Parse ``dumps_mdp`` text.
 
-    The first non-blank line must read ``key0 v0 key1 v1 key2 v2`` with the
-    given keys and integer values, v0 and v1 at least 1 and v2 at least 0.
-    ``layout(v0, v1, v2)`` lists the body as (line count, entries per line)
-    blocks. Returns the three values and each body line's tokens. Raises
-    ValueError for empty text, a bad header, a line count other than the
-    layout's, or a line of the wrong width.
+    Raises ValueError for empty text, a bad header, a line count other than
+    the header's, or a line of the wrong width.
     """
     lines = [ln.split() for ln in text.splitlines() if ln.strip()]
     header = lines[0] if lines else []
     if (
         len(header) != 6
-        or header[0::2] != list(keys)
+        or header[0::2] != ["states", "actions", "features"]
         or not all(v.isdigit() for v in header[1::2])
         or min(int(header[1]), int(header[3])) < 1
     ):
-        expected = " ".join(f"{key} {key[0].upper()}" for key in keys)
-        raise ValueError(f"bad header; expected '{expected}' with integers, the first two >= 1")
-    values = (int(header[1]), int(header[3]), int(header[5]))
-    blocks = layout(*values)
-    n_lines = 1 + sum(count for count, _ in blocks)
+        raise ValueError(
+            "bad header; expected 'states S actions A features F' with integers, the first two >= 1"
+        )
+    n, m, k = (int(v) for v in header[1::2])
+    widths = [n] * (m * n) + [m] * n + [k] * (n if k else 0)
+    n_lines = 1 + len(widths)
     if len(lines) != n_lines:
         raise ValueError(f"header '{' '.join(header)}' calls for {n_lines} lines, got {len(lines)}")
-    widths = [width for count, width in blocks for _ in range(count)]
     for number, (tokens, width) in enumerate(zip(lines[1:], widths), start=2):
         if len(tokens) != width:
             raise ValueError(f"line {number}: expected {width} entries, got {len(tokens)}")
-    return values, lines[1:]
-
-
-def loads_mdp(text: str, reward_mode: str = "bernoulli") -> TabularMDP:
-    (n, m, k), body = parse_table(
-        text, ("states", "actions", "features"),
-        lambda n, m, k: [(m * n, n), (n, m), (n if k else 0, k)],
-    )
-    rows = [[float(v) for v in tokens] for tokens in body]
+    rows = [[float(v) for v in tokens] for tokens in lines[1:]]
     transition = np.array(rows[: m * n]).reshape(m, n, n)
     rewards = np.array(rows[m * n : m * n + n])
     features = np.array(rows[m * n + n :]) if k else None

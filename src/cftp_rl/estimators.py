@@ -150,13 +150,15 @@ def delta_rho_batch(
     The pairs charge ``ledger``, and so does a CFTP start.
 
     Raises ValueError before any check or draw for a negative
-    ``n_samples``; NonErgodicError before drawing when ``pi``'s chain, which
-    the pairs follow, cannot coalesce (``MarkovChain.require_coalescing``);
-    CapExceededError when a pair has not met within ``step_cap`` steps.
+    ``n_samples`` or ``step_cap``; NonErgodicError before drawing when
+    ``pi``'s chain, which the pairs follow, cannot coalesce
+    (``MarkovChain.require_coalescing``); CapExceededError when a pair has
+    not met within ``step_cap`` steps.
     A deterministic ``pi`` that passed is not checked again on the same MDP
     (``mdp.coalescing_policies``); one that fails raises on every call.
     """
     _require_count(n_samples, "n_samples")
+    _require_count(step_cap, "step_cap")
     require_coalescing_policy(mdp, pi)
     gen = as_generator(rng)
     chain = induce_chain(mdp, pi_prime)

@@ -36,15 +36,14 @@ averaging over independent copies (StoreEnsemble) restores concentration.
 
 from __future__ import annotations
 
-import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .chains import (
-    DeterministicPolicy, SampleLedger, TabularMDP, inverse_cdf, parse_table,
-    require_coalescing_policy,
+    DeterministicPolicy, SampleLedger, TabularMDP, inverse_cdf, require_coalescing_policy,
 )
 from .sampling import _cftp_batch_core
 from .seeding import KeyedUniforms, child_sequence, seed_sequence
@@ -109,10 +108,9 @@ class SampleMatrix:
 
     Row t reads ``KeyedUniforms(rng).at(t)``: first the n_states * n_actions
     next-state uniforms, state-major, then the reward uniforms
-    (``RewardModel.uniforms_per_entry`` per entry), so a matrix grown after
-    a checkpoint restore, or grown in a batch with other matrices
-    (``_append_rows``), is bit-identical to one grown alone without
-    interruption. Every matrix of one MDP inverts with the MDP's one CDF
+    (``RewardModel.uniforms_per_entry`` per entry), so a matrix grown in a
+    batch with other matrices (``_append_rows``) is bit-identical to one
+    grown alone. Every matrix of one MDP inverts with the MDP's one CDF
     table (``TabularMDP.cumulative``). The rows sit in one slot of a
     ``_RowTable``: a table of their own, or their ensemble's.
     Single-writer: do not evaluate one matrix concurrently, growth during
@@ -192,14 +190,15 @@ class EvaluationRecord:
 
 
 def _cftp_pairs(
-    stores: list[SampleMatrix],
+    stores: Sequence[SampleMatrix],
     policies: list[DeterministicPolicy],
     step_cap: int,
     unshared: SampleLedger | None = None,
 ):
     """CFTP for every (store, policy) pair on the stored rows, handed out a chunk at a time.
 
-    A chunk is consecutive stores on one row table, at most
+    The stores share one row table: one stand-alone matrix, or the copies
+    of one ensemble. A chunk is consecutive stores, at most
     ``PAIR_BLOCK_ENTRIES // (n_states * len(policies))`` and at least one,
     with all their pairs, store-major, in one ``_cftp_chunk`` call. Yields
     its (states, t_c, rewards), each shaped (stores, policies); no policies
@@ -218,18 +217,16 @@ def _cftp_pairs(
     entry = np.arange(n)[:, None] * m + actions.T
     slot = np.array([store._slot for store in stores])
     chunk = max(1, PAIR_BLOCK_ENTRIES // (n * k))
-    for _, run in itertools.groupby(range(len(stores)), lambda i: stores[i]._table):
-        run = list(run)  # consecutive stores on one row table
-        for first in range(0, len(run), chunk):
-            chunk_stores = np.array(run[first : first + chunk])
-            # Column i * k + j of read is the chunk's store i with policy j.
-            read = (slot[chunk_stores, None] * (n * m) + entry[:, None]).reshape(n, -1)
-            out = _cftp_chunk(stores, slot, chunk_stores.repeat(k), read, step_cap, unshared)
-            yield tuple(a.reshape(-1, k) for a in out)
+    for first in range(0, len(stores), chunk):
+        chunk_stores = np.arange(first, min(first + chunk, len(stores)))
+        # Column i * k + j of read is the chunk's store i with policy j.
+        read = (slot[chunk_stores, None] * (n * m) + entry[:, None]).reshape(n, -1)
+        out = _cftp_chunk(stores, slot, chunk_stores.repeat(k), read, step_cap, unshared)
+        yield tuple(a.reshape(-1, k) for a in out)
 
 
 def _cftp_chunk(
-    stores: list[SampleMatrix],
+    stores: Sequence[SampleMatrix],
     slot: np.ndarray,
     pair_store: np.ndarray,
     read: np.ndarray,
@@ -317,7 +314,8 @@ class StoreEnsemble:
     ``child_sequence(rng, i)``, so each copy has its own Philox key and its
     rows do not depend on the number of copies. Copy i's rows sit in slot i
     of the ensemble's one row table, which allocates nothing before the
-    first row is drawn. ``estimate_all`` charges ``unshared`` the calls its
+    first row is drawn; ``copies`` is a tuple, so every copy stays in that
+    table. ``estimate_all`` charges ``unshared`` the calls its
     CFTP runs would draw with no row shared.
     """
 
@@ -330,10 +328,10 @@ class StoreEnsemble:
         self.n_copies = math.ceil(math.log(n_policies / delta) / epsilon**2)
         base = seed_sequence(rng)
         table = _RowTable(mdp, self.n_copies)
-        self.copies = [
+        self.copies = tuple(
             SampleMatrix(mdp, child_sequence(base, i), _row_slot=(table, i))
             for i in range(self.n_copies)
-        ]
+        )
         self.unshared = SampleLedger()
 
     @property
@@ -369,53 +367,3 @@ def estimate_all(
         for per_copy in rewards:
             estimates += per_copy
     return estimates / ensemble.n_copies
-
-
-# ---------------------------------------------------------------------------
-# Persistence: header "states n actions m rows t", then two lines per row
-# (next-state indices, then 17-significant-digit reward decimals). Growing a
-# restored matrix reproduces the uninterrupted run bit for bit because row
-# t's draws depend only on (seed, t).
-# ---------------------------------------------------------------------------
-
-def dumps_store(store: SampleMatrix) -> str:
-    n, m = store.mdp.n_states, store.mdp.n_actions
-    lines = [f"states {n} actions {m} rows {len(store.rows)}"]
-    for row in store.rows:
-        lines.append(" ".join(str(int(v)) for v in row.next_state.ravel()))
-        lines.append(" ".join(f"{float(v):.17g}" for v in row.reward.ravel()))
-    return "\n".join(lines) + "\n"
-
-
-def loads_store(text: str, mdp: TabularMDP, rng, ledger: SampleLedger | None = None) -> SampleMatrix:
-    """Parse ``dumps_store`` text into a matrix that grows on from its last row.
-
-    Raises ValueError for empty text, a bad header, a shape other than the
-    MDP's, a row count or row width other than the header's, a next-state
-    index outside [0, n_states) or a reward outside [0, 1].
-    """
-    (n, m, t), body = parse_table(
-        text, ("states", "actions", "rows"), lambda n, m, t: [(2 * t, n * m)]
-    )
-    if (n, m) != (mdp.n_states, mdp.n_actions):
-        raise ValueError("stored shape does not match the MDP")
-    store = SampleMatrix(mdp, rng, ledger=ledger)
-    for i in range(t):
-        nxt = np.array([int(v) for v in body[2 * i]], dtype=np.int64)
-        reward = np.array([float(v) for v in body[2 * i + 1]])
-        if not ((nxt >= 0) & (nxt < n)).all():
-            raise ValueError(f"row {i + 1}: next-state index outside [0, {n})")
-        if not ((reward >= 0.0) & (reward <= 1.0)).all():
-            raise ValueError(f"row {i + 1}: reward outside [0, 1]")
-        store._table.write(i + 1, store._slot, nxt, reward)
-    return store
-
-
-def save_store(store: SampleMatrix, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(dumps_store(store))
-
-
-def load_store(path, mdp: TabularMDP, rng, ledger: SampleLedger | None = None) -> SampleMatrix:
-    with open(path) as fh:
-        return loads_store(fh.read(), mdp, rng, ledger=ledger)

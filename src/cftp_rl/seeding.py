@@ -14,8 +14,8 @@ in one of two forms.
   counter-based Philox stream instead (Salmon, Moraes, Dror & Shaw,
   "Parallel random numbers: as easy as 1, 2, 3", SC 2011).
   ``KeyedUniforms(seed)`` derives one 128-bit key per seed; ``at(t)``
-  starts the stream at counter words (0, t), so row t is a pure function
-  of (seed, t).
+  starts the stream at the one counter word t, counter (0, t, 0, 0), so
+  row t is a pure function of (seed, t).
 """
 
 from __future__ import annotations
@@ -59,13 +59,13 @@ def as_generator(rng) -> np.random.Generator:
 class KeyedUniforms:
     """One Philox stream per seed, repositioned to a counter per keyed draw.
 
-    ``at(*words)`` sets the counter to (0, *words) with an empty buffer and
+    ``at(t)`` sets the counter to (0, t, 0, 0) with an empty buffer and
     returns the shared Generator, so what it draws next equals the draws of
-    a fresh ``Generator(Philox(key=key, counter=(0, *words)))`` whatever the
-    Generator was used for before. Up to three non-negative words; numpy
-    steps the first word before each block of four doubles, so draws at
-    distinct words never overlap. The returned Generator is only valid
-    until the next ``at`` call.
+    a fresh ``Generator(Philox(key=key, counter=(0, t, 0, 0)))`` whatever
+    the Generator was used for before. ``t`` is a non-negative 64-bit word;
+    numpy steps the first word before each block of four doubles, so draws
+    at distinct t never overlap. The returned Generator is only valid until
+    the next ``at`` call.
     """
 
     def __init__(self, seed):
@@ -86,12 +86,10 @@ class KeyedUniforms:
         }
         self._key_and_counter = self._state["state"]
 
-    def at(self, *words: int) -> np.random.Generator:
-        """The Generator, positioned at counter (0, *words)."""
-        if len(words) > 3:
-            raise ValueError(f"at most three counter words, got {len(words)}")
-        # The setter reads the first four words, copies them, and resets
-        # the buffer (and any half-used 32-bit word) from the template.
-        self._key_and_counter["counter"] = (0, *words, 0, 0, 0)
+    def at(self, t: int) -> np.random.Generator:
+        """The Generator, positioned at counter (0, t, 0, 0)."""
+        # The setter copies the counter words, and resets the buffer (and
+        # any half-used 32-bit word) from the template.
+        self._key_and_counter["counter"] = (0, t, 0, 0)
         self._bit_generator.state = self._state
         return self._generator

@@ -1,7 +1,5 @@
 import itertools
 import math
-import tempfile
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -13,19 +11,9 @@ from scipy import stats
 from cftp_rl import eval_store
 from cftp_rl.chains import DeterministicPolicy, RewardModel, SampleLedger, TabularMDP, induce_chain
 from cftp_rl.errors import CapExceededError, NonErgodicError
-from cftp_rl.eval_store import (
-    SampleMatrix,
-    StoreEnsemble,
-    dumps_store,
-    estimate_all,
-    evaluate_policy,
-    load_store,
-    loads_store,
-    save_store,
-)
+from cftp_rl.eval_store import SampleMatrix, StoreEnsemble, estimate_all, evaluate_policy
 from cftp_rl.instances import random_mdp
 from cftp_rl.sampling import _cftp_core, lower_bound_chain
-from cftp_rl.seeding import child_sequence
 from cftp_rl.solvers import average_reward, mixing_time, stationary_distribution
 
 PROPERTY_SETTINGS = settings(max_examples=60)
@@ -201,29 +189,24 @@ class TestBatchedEvaluation:
     @PROPERTY_SETTINGS
     @given(data=st.data())
     def test_copies_of_unequal_length_grow_as_fresh_ones(self, mode, data):
-        # Copies start at random, unequal lengths, one of them restored with
-        # loads_store, so each batched growth step appends to some copies
-        # and must leave the longer ones alone.
+        # Copies start at random, unequal lengths, each grown alone with
+        # row_at, so each batched growth step appends to some copies and
+        # must leave the longer ones alone.
         mdp, policies, seed = data.draw(store_instances(modes=(mode,)))
         ensemble = StoreEnsemble(mdp, 0.6, 0.5, len(policies), seed)
         lengths = data.draw(
             st.lists(st.integers(0, 12), min_size=ensemble.n_copies, max_size=ensemble.n_copies)
         )
-        restored = data.draw(st.integers(0, ensemble.n_copies - 1))
-        for i, length in enumerate(lengths):
-            copy = ensemble.copies[i] if i != restored else SampleMatrix(mdp, child_sequence(seed, i))
+        for copy, length in zip(ensemble.copies, lengths):
             if length:
                 copy.row_at(length)
-            if i == restored:
-                ensemble.copies[i] = loads_store(dumps_store(copy), mdp, child_sequence(seed, i))
         fresh = StoreEnsemble(mdp, 0.6, 0.5, len(policies), seed)
         estimates = estimate_all(ensemble, policies)
         assert estimates.tobytes() == estimate_all(fresh, policies).tobytes()
         entries = mdp.n_states * mdp.n_actions
         for i, copy in enumerate(ensemble.copies):
             assert len(copy) == max(lengths[i], len(fresh.copies[i]))
-            drawn_here = len(copy) - (lengths[i] if i == restored else 0)
-            assert copy.ledger.generative_calls == drawn_here * entries
+            assert copy.ledger.generative_calls == len(copy) * entries
             for t, row in enumerate(copy.rows, start=1):
                 next_state, reward = reference_row(mdp, seed, i, t)
                 assert np.array_equal(row.next_state, next_state)
@@ -442,102 +425,3 @@ class TestStoreEnsemble:
         ensemble = StoreEnsemble(mdp, epsilon=0.15, delta=0.1, n_policies=len(policies), rng=27)
         estimates = estimate_all(ensemble, policies)
         assert np.max(np.abs(estimates - exact)) <= 0.15
-
-
-def _with_entry(line, value):
-    """``line`` with its first entry replaced by ``value``."""
-    return " ".join([value] + line.split()[1:])
-
-
-class TestPersistence:
-    def test_round_trip_is_exact(self, tmp_path):
-        mdp = random_mdp(3, 2, rng=30)
-        store = SampleMatrix(mdp, rng=31)
-        store.row_at(7)
-        path = tmp_path / "store.txt"
-        save_store(store, path)
-        loaded = load_store(path, mdp, rng=31)
-        assert len(loaded) == 7
-        for a, b in zip(store.rows, loaded.rows):
-            assert np.array_equal(a.next_state, b.next_state)
-            assert np.array_equal(a.reward, b.reward)
-
-    def test_resume_reproduces_the_uninterrupted_run(self, tmp_path):
-        mdp = random_mdp(3, 2, rng=32)
-        full = SampleMatrix(mdp, rng=33)
-        full.row_at(12)
-        partial = SampleMatrix(mdp, rng=33)
-        partial.row_at(5)
-        path = tmp_path / "checkpoint.txt"
-        save_store(partial, path)
-        resumed = load_store(path, mdp, rng=33)
-        resumed.row_at(12)
-        for a, b in zip(full.rows, resumed.rows):
-            assert np.array_equal(a.next_state, b.next_state)
-            assert np.array_equal(a.reward, b.reward)
-
-    @PROPERTY_SETTINGS
-    @given(
-        st.integers(1, 5),
-        st.integers(1, 3),
-        st.sampled_from(RewardModel.MODES),
-        st.integers(0, 2**32 - 1),
-        st.integers(0, 2**32 - 1),
-        st.data(),
-    )
-    def test_restore_anywhere_then_grow_is_bit_identical(self, n, n_actions, mode, mdp_seed, seed, data):
-        mdp = random_mdp(n, n_actions, mdp_seed, reward_mode=mode)
-        total = data.draw(st.integers(1, 30))
-        restore_at = data.draw(st.integers(0, total))
-        full = SampleMatrix(mdp, rng=seed)
-        full.row_at(total)
-        partial = SampleMatrix(mdp, rng=seed)
-        if restore_at:
-            partial.row_at(restore_at)
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "store.txt"
-            save_store(partial, path)
-            resumed = load_store(path, mdp, rng=seed)
-        assert len(resumed) == restore_at
-        resumed.row_at(total)
-        assert len(resumed) == total
-        for a, b in zip(full.rows, resumed.rows):
-            assert a.next_state.tobytes() == b.next_state.tobytes()
-            assert a.reward.tobytes() == b.reward.tobytes()
-
-    def test_shape_validation(self):
-        mdp = random_mdp(3, 2, rng=34)
-        other = random_mdp(4, 2, rng=35)
-        store = SampleMatrix(mdp, rng=36)
-        store.row_at(2)
-        with pytest.raises(ValueError, match="shape"):
-            loads_store(dumps_store(store), other, rng=36)
-
-    @pytest.mark.parametrize(
-        "corrupt, match",
-        [
-            (lambda ls: [ls[0], _with_entry(ls[1], "-1")] + ls[2:], "next-state index"),
-            (lambda ls: [ls[0], _with_entry(ls[1], "3")] + ls[2:], "next-state index"),
-            (lambda ls: [ls[0], _with_entry(ls[1], "7")] + ls[2:], "next-state index"),
-            (lambda ls: ls[:2] + [_with_entry(ls[2], "5.0")] + ls[3:], "reward"),
-            (lambda ls: ls[:2] + [_with_entry(ls[2], "nan")] + ls[3:], "reward"),
-            (lambda ls: [ls[0].replace("rows 2", "rows 3")] + ls[1:], "rows"),
-            (lambda ls: [ls[0].replace("rows 2", "rows 1")] + ls[1:], "rows"),
-            (lambda ls: [ls[0], " ".join(ls[1].split()[1:])] + ls[2:], "entries"),
-            (lambda ls: ls[:2] + [ls[2] + " 0.5"] + ls[3:], "entries"),
-            (lambda ls: [], "header"),
-        ],
-        ids=[
-            "index_negative", "index_n", "index_7", "reward_5", "reward_nan",
-            "rows_missing", "rows_extra", "next_state_short", "reward_long", "empty",
-        ],
-    )
-    def test_corrupt_file_is_rejected(self, corrupt, match):
-        # A 3 x 2 store of two rows: header, then (next states, rewards) per row.
-        mdp = random_mdp(3, 2, rng=34)
-        store = SampleMatrix(mdp, rng=36)
-        store.row_at(2)
-        lines = dumps_store(store).splitlines()
-        text = "\n".join(corrupt(lines)) + "\n"
-        with pytest.raises(ValueError, match=match):
-            loads_store(text, mdp, rng=36)

@@ -9,6 +9,7 @@ from scipy import stats
 from cftp_rl.chains import DeterministicPolicy, MarkovChain, RewardModel, SampleLedger, closed_class
 from cftp_rl.errors import CapExceededError, NonErgodicError
 from cftp_rl import sampling
+from cftp_rl.apprenticeship import ExpertModel, game_column_batch, mwal_generative
 from cftp_rl.estimators import delta_rho_batch
 from cftp_rl.eval_store import SampleMatrix, StoreEnsemble, estimate_all, evaluate_policy
 from cftp_rl.instances import random_ergodic_chain, random_mdp
@@ -390,8 +391,11 @@ class TestBlockedMaps:
 
 
 def negative_cap_runs():
-    """(id, run(gen, ledger), takes a ledger) for every sampler that takes a ``step_cap`` of -1."""
-    chain, mdp = lower_bound_chain(4, 0.5), random_mdp(3, 2, rng=7)
+    """(id, run(gen, ledger), takes a ledger) for every sampler that takes a ``step_cap`` of -1.
+
+    An expert acts with ``gen`` and charges ``ledger``, so both show its queries.
+    """
+    chain, mdp = lower_bound_chain(4, 0.5), random_mdp(3, 2, rng=7, n_features=2)
     pi, pi_prime = DeterministicPolicy(np.zeros(3, dtype=int)), DeterministicPolicy(np.ones(3, dtype=int))
     return [
         ("cftp", lambda gen, ledger: cftp(chain, gen, step_cap=-1, ledger=ledger), True),
@@ -407,6 +411,11 @@ def negative_cap_runs():
         ("estimate_all", lambda gen, _: estimate_all(
             StoreEnsemble(mdp, 0.5, 0.5, 2, 0), [pi, pi_prime], step_cap=-1), False),
         ("evaluate_policy", lambda gen, _: evaluate_policy(SampleMatrix(mdp, 0), pi, step_cap=-1), False),
+        ("game_column_batch", lambda gen, ledger: game_column_batch(
+            mdp, ExpertModel(pi, 2, gen, ledger), pi_prime, 4, gen, step_cap=-1, ledger=ledger), True),
+        # mwal_generative keys its rounds by a seed; only its expert acts with gen.
+        ("mwal_generative", lambda gen, ledger: mwal_generative(
+            mdp, ExpertModel(pi, 2, gen, ledger), 2, 4, 0.1, 1.0, 0, step_cap=-1), True),
     ]
 
 
@@ -424,10 +433,14 @@ class TestBoundedFailure:
     def test_a_negative_cap_raises_value_error(self, run, ledger):
         # Whatever the sampler and whether or not it charges a ledger, a cap
         # of -1 is a bad argument: not a cap reached, a censored time or a
-        # negative ledger charge. The ledger is charged nothing.
+        # negative ledger charge. It is rejected before any draw: the
+        # Generator does not move and no generative or expert call is charged.
+        gen = np.random.default_rng(0)
+        before = gen.bit_generator.state
         with pytest.raises(ValueError, match="step_cap must be non-negative"):
-            run(np.random.default_rng(0), ledger)
-        assert ledger is None or ledger.generative_calls == 0
+            run(gen, ledger)
+        assert gen.bit_generator.state == before
+        assert ledger is None or (ledger.generative_calls, ledger.expert_calls) == (0, 0)
 
     def test_coalescence_times_batch(self):
         gen = np.random.default_rng(0)
