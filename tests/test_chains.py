@@ -460,10 +460,14 @@ class TestSerialization:
             (lambda ls: [ls[0], ls[1] + " 0.5"] + ls[2:], "entries"),
             (lambda ls: ls[:5] + [ls[5].split()[0]] + ls[6:], "entries"),
             (lambda ls: ls[:-1] + [ls[-1] + " 0.1"], "entries"),
+            (lambda ls: ["states 2 actions 2 features 1 extra"] + ls[1:], "header"),
+            (lambda ls: ["states 2 actions 0 features 1"] + ls[1:], "header"),
+            (lambda ls: ["states 2 actions 2 features 0"] + ls[1:], "lines"),
         ],
         ids=[
             "empty", "header_short", "header_key", "header_float", "no_states",
             "line_missing", "line_extra", "transition_long", "reward_short", "feature_long",
+            "header_long", "no_actions", "features_0_with_feature_lines",
         ],
     )
     def test_corrupt_file_is_rejected(self, corrupt, match):

@@ -136,6 +136,51 @@ class TestSampleMatrix:
             _, p_value = stats.chisquare(counts, mdp.transition[a, s] * draws.shape[1])
             assert p_value > 0.001
 
+    def test_row_index_starts_at_1(self):
+        store = SampleMatrix(random_mdp(3, 2, rng=8), rng=9)
+        for t in (0, -1):
+            with pytest.raises(ValueError, match="starts at 1"):
+                store.row_at(t)
+        assert len(store) == 0
+        assert store.ledger.generative_calls == 0
+
+    def test_staged_growth_reproduces_the_uninterrupted_run(self):
+        mdp = random_mdp(3, 2, rng=32)
+        full = SampleMatrix(mdp, rng=33)
+        full.row_at(12)
+        staged = SampleMatrix(mdp, rng=33)
+        staged.row_at(5)
+        staged.row_at(12)
+        assert_same_rows(full, staged)
+        assert staged.ledger.generative_calls == full.ledger.generative_calls == 12 * 3 * 2
+
+    @PROPERTY_SETTINGS
+    @given(
+        st.integers(1, 5),
+        st.integers(1, 3),
+        st.sampled_from(RewardModel.MODES),
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 2**32 - 1),
+        st.data(),
+    )
+    def test_stopping_anywhere_then_growing_is_bit_identical(self, n, n_actions, mode, mdp_seed, seed, data):
+        # Row t depends only on (seed, t), so a matrix grown in two stages,
+        # split anywhere, holds the bytes of one grown in one go.
+        mdp = random_mdp(n, n_actions, mdp_seed, reward_mode=mode)
+        total = data.draw(st.integers(1, 30))
+        stop_at = data.draw(st.integers(0, total))
+        full = SampleMatrix(mdp, rng=seed)
+        full.row_at(total)
+        staged = SampleMatrix(mdp, rng=seed)
+        if stop_at:
+            staged.row_at(stop_at)
+        assert len(staged) == stop_at
+        staged.row_at(total)
+        assert len(staged) == total
+        for a, b in zip(full.rows, staged.rows):
+            assert a.next_state.tobytes() == b.next_state.tobytes()
+            assert a.reward.tobytes() == b.reward.tobytes()
+
 
 class TestBatchedEvaluation:
     """The batched loop against the per-pair reference kept in this file."""
@@ -390,6 +435,27 @@ class TestStoreEnsemble:
         mdp = random_mdp(3, 2, rng=20)
         ensemble = StoreEnsemble(mdp, epsilon=0.1, delta=0.1, n_policies=8, rng=21)
         assert ensemble.n_copies == math.ceil(math.log(8 / 0.1) / 0.1**2) == 439
+
+    @pytest.mark.parametrize(
+        "epsilon, delta, n_policies",
+        [(0.0, 0.5, 2), (1.0, 0.5, 2), (0.5, 0.0, 2), (0.5, 1.0, 2), (0.5, 0.5, 0)],
+        ids=["epsilon_0", "epsilon_1", "delta_0", "delta_1", "no_policies"],
+    )
+    def test_bad_arguments_are_rejected(self, epsilon, delta, n_policies):
+        with pytest.raises(ValueError, match="epsilon, delta"):
+            StoreEnsemble(random_mdp(3, 2, rng=20), epsilon, delta, n_policies, rng=21)
+
+    def test_copies_are_a_tuple_of_slots_in_one_row_table(self):
+        # Every copy's rows sit in slot i of the ensemble's one row table,
+        # and no copy can be swapped for a matrix with a table of its own.
+        mdp = random_mdp(3, 2, rng=22)
+        ensemble = StoreEnsemble(mdp, epsilon=0.5, delta=0.5, n_policies=2, rng=23)
+        assert isinstance(ensemble.copies, tuple)
+        with pytest.raises(TypeError):
+            ensemble.copies[0] = SampleMatrix(mdp, rng=23)
+        table = ensemble.copies[0]._table
+        assert all(copy._table is table for copy in ensemble.copies)
+        assert [copy._slot for copy in ensemble.copies] == list(range(ensemble.n_copies))
 
     def test_copies_use_disjoint_streams(self):
         mdp = random_mdp(3, 2, rng=22)
