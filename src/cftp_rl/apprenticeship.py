@@ -35,7 +35,9 @@ from .chains import (
 )
 from .errors import CapExceededError
 from .estimators import coupled_difference_batch
-from .hedge import HedgeState, clamp_mask, hedge_step, rescale_loss
+from .hedge import (
+    HedgeState, checked_loss, clamp_mask, hedge_step, normalized_weights, rescale_loss,
+)
 from .sampling import _cftp_batch_core, _require_count
 from .seeding import as_generator, seed_sequence, substream
 from .solvers import (
@@ -44,6 +46,9 @@ from .solvers import (
 
 # Most deterministic policies, |A| ** |S|, the exact game-value oracle enumerates.
 ENUMERATION_BUDGET = 256
+# Most rounds one block of ``_mwal_rounds`` computes at once; it bounds the
+# rows a block that meets a policy switch computes and then throws away.
+_MAX_BLOCK = 256
 
 
 class ExpertModel:
@@ -83,11 +88,23 @@ def feature_expectations_exact(mdp: TabularMDP, policy) -> np.ndarray:
 
     A deterministic policy's mu comes from the MDP's policy-evaluation cache
     (``solvers.policy_evaluation``); a stochastic policy's is solved afresh.
+    A mixture evaluates each distinct deterministic member (by ``key()``)
+    once and every other member on its own, then sums the values in member
+    order, so repeated members change nothing but the work.
     """
     if mdp.features is None:
         raise ValueError("MDP has no feature map")
     if isinstance(policy, MixedPolicy):
-        member_values = [feature_expectations_exact(mdp, m) for m in policy.members]
+        by_key: dict[tuple[int, ...], np.ndarray] = {}
+        member_values = []
+        for member in policy.members:
+            if isinstance(member, DeterministicPolicy):
+                value = by_key.get(member.key())
+                if value is None:
+                    value = by_key[member.key()] = feature_expectations_exact(mdp, member)
+            else:
+                value = feature_expectations_exact(mdp, member)
+            member_values.append(value)
         return np.einsum("m,mk->k", policy.weights, np.array(member_values))
     if isinstance(policy, DeterministicPolicy):
         mu = policy_evaluation(mdp, policy).mu
@@ -242,7 +259,19 @@ class MwalResult:
     rescale_bound: float | None = None
 
 
-def _mwal_rounds(mdp: TabularMDP, k: int, n_rounds: int, loss) -> MwalResult:
+def _row_dots(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """``table @ w`` for every row w of ``rows``, each with the bits of that product alone.
+
+    The stacked matmul runs one vector product per row, as a single round
+    does; ``rows @ table.T`` runs one matrix product, whose rounding differs
+    from the per-row products in the last bit.
+    """
+    return np.matmul(rows[:, None, :], table.T)[:, 0]
+
+
+def _mwal_rounds(
+    mdp: TabularMDP, k: int, n_rounds: int, loss, *, policy_only: bool = False,
+) -> MwalResult:
     """The Hedge loop both learners share: T rounds of w^(t) against a best response.
 
     Round t takes the policy pi_t that is optimal for the reward
@@ -259,6 +288,19 @@ def _mwal_rounds(mdp: TabularMDP, k: int, n_rounds: int, loss) -> MwalResult:
     does not bind. If the rule keeps pi_{t-1}, the warm-started iteration
     would stop at once and return it, so the round keeps it; only when the
     rule proposes a change does the round call ``optimal_policy``.
+
+    ``policy_only=True`` says the loss depends on pi_t alone, not on t.
+    Then, while pi_t stays, every round subtracts the same beta * loss from
+    the log-weights, so after each single round the loop computes a block
+    of the next rounds at once: their log-weights by one
+    ``np.add.accumulate`` (the sequential sums, bit for bit), their weights
+    by ``hedge.normalized_weights`` and their rules and values by
+    ``_row_dots``, which give each row the bits of the single round. The
+    block is kept up to the first round whose rule proposes a change; that
+    round runs singly and calls ``optimal_policy``. Blocks double from 1 to
+    ``_MAX_BLOCK`` rounds and restart at 1 after each ``optimal_policy``
+    call. Every decision, weight, loss and value equals the round-by-round
+    loop's, and ``optimal_policy`` runs in the same rounds.
     """
     state = HedgeState.create(k, n_rounds)
     policies: list[DeterministicPolicy] = []
@@ -269,7 +311,9 @@ def _mwal_rounds(mdp: TabularMDP, k: int, n_rounds: int, loss) -> MwalResult:
     shape = (mdp.n_states, mdp.n_actions)
     cache: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
     pi_t = None
-    for t in range(n_rounds):
+    block = 1
+    t = 0
+    while t < n_rounds:
         w = state.weights
         weights[t] = w
         stays = pi_t is not None and (
@@ -282,11 +326,33 @@ def _mwal_rounds(mdp: TabularMDP, k: int, n_rounds: int, loss) -> MwalResult:
                 entry = (state_reward_q(mdp, pi_t, features), feature_expectations_exact(mdp, pi_t))
                 cache[pi_t.key()] = entry
             q_features, phi_t = entry
+            block = 1
         policies.append(pi_t)
         g_tilde = loss(t, pi_t, phi_t)
         losses[t] = g_tilde
         round_values[t] = float(w @ phi_t)
         state = hedge_step(state, g_tilde)
+        t += 1
+        if not policy_only or t == n_rounds:
+            continue
+        b = min(block, n_rounds - t)
+        log_w = np.empty((b + 1, k))
+        log_w[0] = state.log_weights
+        log_w[1:] = -(state.beta * checked_loss(np.asarray(g_tilde, dtype=float)))
+        np.add.accumulate(log_w, axis=0, out=log_w)
+        w_rows = normalized_weights(log_w[:b])
+        changes = (
+            improved_actions(_row_dots(w_rows, q_features).reshape(b, *shape)) != pi_t.actions
+        ).any(axis=1)
+        kept = int(changes.argmax()) if changes.any() else b
+        weights[t : t + kept] = w_rows[:kept]
+        losses[t : t + kept] = g_tilde
+        round_values[t : t + kept] = _row_dots(w_rows[:kept], phi_t)
+        policies.extend([pi_t] * kept)
+        state = HedgeState(log_w[kept], state.beta, t + kept)
+        t += kept
+        if kept == b:
+            block = min(2 * block, _MAX_BLOCK)
     return MwalResult(
         mixture=MixedPolicy(np.full(n_rounds, 1.0 / n_rounds), policies),
         policies=policies,
@@ -330,7 +396,8 @@ def mwal(
         mdp, expert, m, substream(seed_sequence(rng), 0), step_cap=step_cap
     )
     result = _mwal_rounds(
-        mdp, k, n_rounds, lambda t, pi_t, phi_t: (phi_t - estimate.phi + 1.0) / 2.0
+        mdp, k, n_rounds, lambda t, pi_t, phi_t: (phi_t - estimate.phi + 1.0) / 2.0,
+        policy_only=True,
     )
     return replace(
         result,

@@ -35,28 +35,46 @@ class HedgeState:
 
     @property
     def weights(self) -> np.ndarray:
-        """Normalized weight vector; max log-weight is subtracted before
-        exponentiation, which leaves the normalized result unchanged."""
-        shifted = np.exp(self.log_weights - self.log_weights.max())
-        return shifted / shifted.sum()
+        """Normalized weight vector (``normalized_weights`` of the log-weights)."""
+        return normalized_weights(self.log_weights)
+
+
+def normalized_weights(log_weights: np.ndarray) -> np.ndarray:
+    """Normalized weights along the last axis of (..., k) log-weights.
+
+    The max log-weight is subtracted before exponentiation, which leaves the
+    normalized result unchanged. Each row of a stacked array gets the same
+    bits as that row on its own.
+    """
+    # The ufunc reductions skip the Python wrappers of ndarray.max and .sum,
+    # whose overhead counts on the one-row call every Hedge round makes.
+    shifted = np.exp(log_weights - np.maximum.reduce(log_weights, axis=-1, keepdims=True))
+    shifted /= np.add.reduce(shifted, axis=-1, keepdims=True)
+    return shifted
+
+
+def checked_loss(loss: np.ndarray) -> np.ndarray:
+    """The loss Hedge applies: entries within ``LOSS_TOL`` outside [0, 1] are
+    clipped to it; any other entry, NaN included, raises ValueError."""
+    low, high = np.minimum.reduce(loss), np.maximum.reduce(loss)
+    # Written so that a NaN, which fails every comparison, fails the check.
+    if not (low >= -LOSS_TOL and high <= 1.0 + LOSS_TOL):
+        raise ValueError("loss entries must lie in [0, 1]")
+    if low < 0.0 or high > 1.0:
+        return np.clip(loss, 0.0, 1.0)
+    return loss
 
 
 def hedge_step(state: HedgeState, loss: np.ndarray) -> HedgeState:
     """Multiplicative update W_i *= exp(-beta * loss_i); loss must lie in [0, 1].
 
-    Entries within ``LOSS_TOL`` outside [0, 1] are clipped to it; any other
-    entry, NaN included, raises ValueError. The input state is unchanged.
+    The loss goes through ``checked_loss``; a wrong shape raises ValueError.
+    The input state is unchanged.
     """
     loss = np.asarray(loss, dtype=float)
     if loss.shape != (state.k,):
         raise ValueError(f"loss must have shape ({state.k},)")
-    low, high = loss.min(), loss.max()
-    # Written so that a NaN, which fails every comparison, fails the check.
-    if not (low >= -LOSS_TOL and high <= 1.0 + LOSS_TOL):
-        raise ValueError("loss entries must lie in [0, 1]")
-    if low < 0.0 or high > 1.0:
-        loss = np.clip(loss, 0.0, 1.0)
-    return HedgeState(state.log_weights - state.beta * loss, state.beta, state.t + 1)
+    return HedgeState(state.log_weights - state.beta * checked_loss(loss), state.beta, state.t + 1)
 
 
 def rescale_loss(g: np.ndarray, bound: float) -> np.ndarray:

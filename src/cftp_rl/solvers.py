@@ -211,12 +211,12 @@ def state_reward_q(mdp: TabularMDP, policy: DeterministicPolicy, rewards: np.nda
 
 
 def improved_actions(q: np.ndarray) -> np.ndarray:
-    """Policy iteration's improvement rule on an (n_states, n_actions) Q-table.
+    """Policy iteration's improvement rule on (..., n_states, n_actions) Q-tables.
 
     Per state, the lowest action index whose Q-value is within
     ``IMPROVEMENT_TOL`` of the state's best.
     """
-    return np.argmax(q >= q.max(axis=1, keepdims=True) - IMPROVEMENT_TOL, axis=1)
+    return np.argmax(q >= q.max(axis=-1, keepdims=True) - IMPROVEMENT_TOL, axis=-1)
 
 
 def optimal_policy(

@@ -1,5 +1,6 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -40,7 +41,9 @@ from cftp_rl.instances import (
     sparse_cycle_mdp,
     two_state_chain,
 )
-from cftp_rl.solvers import average_reward, optimal_policy, stationary_distribution
+from cftp_rl.solvers import (
+    average_reward, optimal_policy, policy_evaluation, stationary_distribution,
+)
 
 
 def two_state_feature_mdp():
@@ -138,6 +141,23 @@ class TestFeatureExpectationsExact:
         assert np.array_equal(phi_mix, weights @ phi_members)
         rho_members = np.array([average_reward(induce_chain(mdp, m)) for m in members])
         assert abs(weights @ rho_members - sum(w * r for w, r in zip(weights, rho_members))) == 0.0
+
+    def test_repeated_members_are_evaluated_once_with_the_per_member_sum(self):
+        mdp = random_mdp(3, 2, rng=7, n_features=3)
+        a, b = DeterministicPolicy(np.array([0, 1, 0])), DeterministicPolicy(np.array([1, 1, 0]))
+        stochastic = random_stochastic_policy(3, 2, rng=8)
+        members = [a, b, DeterministicPolicy(np.array([0, 1, 0])), stochastic, a, stochastic, b, a]
+        weights = np.random.default_rng(9).dirichlet(np.ones(len(members)))
+        per_member = np.array([feature_expectations_exact(mdp, m) for m in members])
+        with mock.patch(
+            "cftp_rl.apprenticeship.stationary_distribution", wraps=stationary_distribution
+        ) as solves, mock.patch(
+            "cftp_rl.apprenticeship.policy_evaluation", wraps=policy_evaluation
+        ) as evaluations:
+            phi_mix = feature_expectations_exact(mdp, MixedPolicy(weights, members))
+        assert phi_mix.tobytes() == np.einsum("m,mk->k", weights, per_member).tobytes()
+        assert evaluations.call_count == 2  # a and b, by key
+        assert solves.call_count == 2  # each stochastic member on its own
 
     def test_missing_features_rejected(self):
         mdp = random_mdp(3, 2, rng=6)

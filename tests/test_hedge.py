@@ -2,8 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cftp_rl.hedge import HedgeState, clamp_mask, hedge_regret, hedge_step, rescale_loss
+from cftp_rl.hedge import (
+    LOSS_TOL,
+    HedgeState,
+    checked_loss,
+    clamp_mask,
+    hedge_regret,
+    hedge_step,
+    normalized_weights,
+    rescale_loss,
+)
 
 
 def adversarial_worst_coordinate(k, n_rounds, rng):
@@ -95,6 +106,35 @@ class TestHedgeStep:
             state = hedge_step(state, np.array([1.0, 0.0]))
         assert np.isfinite(state.weights).all()
         assert abs(state.weights.sum() - 1.0) < 1e-12
+
+
+class TestSharedHelpers:
+    @settings(max_examples=60)
+    @given(st.integers(1, 17), st.integers(1, 300), st.integers(0, 2**32 - 1))
+    def test_stacked_rows_get_the_bits_of_single_rows(self, k, n_rows, seed):
+        log_weights = np.random.default_rng(seed).normal(scale=5.0, size=(n_rows, k))
+        stacked = normalized_weights(log_weights)
+        for row, weights in zip(log_weights, stacked):
+            assert weights.tobytes() == HedgeState(row, 0.1).weights.tobytes()
+
+    def test_single_row_is_the_max_shifted_formula(self):
+        log_weights = np.array([0.3, -1.2, 2.5, 0.0])
+        shifted = np.exp(log_weights - log_weights.max())
+        assert normalized_weights(log_weights).tobytes() == (shifted / shifted.sum()).tobytes()
+
+    @pytest.mark.parametrize("bad", [-2 * LOSS_TOL, 1.0 + 2 * LOSS_TOL, np.nan])
+    def test_checked_loss_rejects_what_hedge_step_rejects(self, bad):
+        loss = np.array([0.5, bad])
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            checked_loss(loss)
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            hedge_step(HedgeState.create(2, 10), loss)
+
+    def test_checked_loss_clips_within_tolerance_and_passes_the_rest(self):
+        inside = np.array([0.0, 0.25, 1.0])
+        assert checked_loss(inside) is inside
+        clipped = checked_loss(np.array([-LOSS_TOL, 0.25, 1.0 + LOSS_TOL]))
+        assert clipped.tobytes() == inside.tobytes()
 
 
 class TestRescaleLoss:

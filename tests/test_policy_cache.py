@@ -1,19 +1,23 @@
 """Property tests for the per-MDP policy-evaluation cache, warm-started policy iteration,
-and the per-policy feature Q-tables the MWAL rounds check their warm start against."""
+the per-policy feature Q-tables the MWAL rounds check their warm start against, and
+the blocked MWAL rounds against the round-by-round reference."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cftp_rl.apprenticeship import _mwal_rounds, feature_expectations_exact
+from cftp_rl.apprenticeship import _mwal_rounds, _row_dots, feature_expectations_exact
 from cftp_rl.chains import DeterministicPolicy, RewardModel, TabularMDP
 from cftp_rl.errors import NonErgodicError
-from cftp_rl.hedge import HedgeState, hedge_step
+from cftp_rl.hedge import LOSS_TOL, HedgeState, hedge_step
 from cftp_rl.instances import random_mdp
-from cftp_rl.solvers import bias_and_q, optimal_policy, policy_evaluation, state_reward_q
+from cftp_rl.solvers import (
+    bias_and_q, improved_actions, optimal_policy, policy_evaluation, state_reward_q,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=60)
 
@@ -244,3 +248,105 @@ def test_mwal_rounds_match_a_full_solve_every_round(instance):
     ):
         assert got.tobytes() == expected.tobytes()
 
+
+def mwal_loss(phi_expert):
+    """``mwal``'s loss: it depends on the round's policy alone."""
+    return lambda t, pi_t, phi_t: (phi_t - phi_expert + 1.0) / 2.0
+
+
+@st.composite
+def hull_instances(draw):
+    """A random Dirichlet MDP with k = 1..4 features, an expert feature vector
+    inside the hull of a few policies' Phi, and an odd T (T = 1 included).
+
+    The hull's corners are the best responses to each single feature, plus
+    up to two random policies, so no one policy tends to beat the expert on
+    every feature and the best responses alternate. An odd T above 1 is not
+    a multiple of any block size above 1.
+    """
+    n = draw(st.integers(2, 5))
+    n_actions = draw(st.integers(2, 3))
+    k = draw(st.sampled_from((2, 3, 4, 1)))
+    mdp = random_mdp(n, n_actions, draw(st.integers(0, 2**32 - 1)), n_features=k)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    corners = [optimal_policy(mdp, reward_override=mdp.features[:, j]) for j in range(k)]
+    corners += [
+        DeterministicPolicy(rng.integers(0, n_actions, size=n))
+        for _ in range(draw(st.integers(0, 2)))
+    ]
+    phis = np.array([feature_expectations_exact(mdp, p) for p in corners])
+    phi_expert = rng.dirichlet(np.ones(len(corners))) @ phis
+    n_rounds = 2 * draw(st.integers(0, 700)) + 1
+    return mdp, phi_expert, n_rounds
+
+
+def rule_proposes_a_change(mdp, policy, w):
+    q = (state_reward_q(mdp, policy, mdp.features) @ w).reshape(mdp.n_states, mdp.n_actions)
+    return bool((improved_actions(q) != policy.actions).any())
+
+
+@settings(max_examples=60, deadline=None)
+@given(hull_instances())
+def test_blocked_rounds_match_the_per_round_reference(instance):
+    mdp, phi_expert, n_rounds = instance
+    k = mdp.n_features
+    loss = mwal_loss(phi_expert)
+    policies, weights, losses, values = reference_mwal_rounds(mdp, k, n_rounds, loss)
+    with mock.patch("cftp_rl.apprenticeship.optimal_policy", wraps=optimal_policy) as spy:
+        result = _mwal_rounds(mdp, k, n_rounds, loss, policy_only=True)
+    assert [p.key() for p in result.policies] == [p.key() for p in policies]
+    for got, expected in (
+        (result.weights, weights),
+        (result.losses, losses),
+        (result.round_values, values),
+    ):
+        assert got.tobytes() == expected.tobytes()
+    assert result.beta == HedgeState.create(k, n_rounds).beta
+    proposals = sum(
+        rule_proposes_a_change(mdp, policies[t - 1], weights[t]) for t in range(1, n_rounds)
+    )
+    assert spy.call_count == 1 + proposals
+
+
+@pytest.mark.parametrize("policy_only", [False, True])
+@pytest.mark.parametrize("bad", [-2 * LOSS_TOL, 1.0 + 2 * LOSS_TOL, np.nan])
+def test_an_out_of_range_loss_raises_in_both_paths(policy_only, bad):
+    mdp = random_mdp(3, 2, 27, n_features=2)
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        _mwal_rounds(mdp, 2, 50, lambda t, pi_t, phi_t: np.array([0.5, bad]), policy_only=policy_only)
+
+
+def test_a_loss_within_tolerance_is_clipped_in_every_blocked_round():
+    mdp = random_mdp(3, 2, 27, n_features=2)
+    n_rounds = 301
+    over = _mwal_rounds(
+        mdp, 2, n_rounds, lambda t, pi_t, phi_t: np.array([1.0 + LOSS_TOL, 0.25]), policy_only=True
+    )
+    clipped = _mwal_rounds(
+        mdp, 2, n_rounds, lambda t, pi_t, phi_t: np.array([1.0, 0.25]), policy_only=True
+    )
+    per_round = _mwal_rounds(mdp, 2, n_rounds, lambda t, pi_t, phi_t: np.array([1.0 + LOSS_TOL, 0.25]))
+    for result in (over, per_round):
+        assert result.weights.tobytes() == clipped.weights.tobytes()
+        assert result.round_values.tobytes() == clipped.round_values.tobytes()
+    assert over.losses.tobytes() == per_round.losses.tobytes()
+    assert (over.losses[:, 0] == 1.0 + LOSS_TOL).all()
+
+
+def test_row_dots_give_each_row_the_bits_of_its_own_product():
+    """The block's rule Q-rows and round values equal the single round's
+    ``q_features @ w`` and ``w @ phi``; one matrix product does not."""
+    rng = np.random.default_rng(27)
+    product_differs = 0
+    for _ in range(300):
+        k = int(rng.integers(1, 5))
+        n_rows = int(rng.integers(1, 257))
+        table = rng.normal(size=(int(rng.integers(2, 19)), k))
+        phi = rng.uniform(size=k)
+        w = rng.dirichlet(np.ones(k), size=n_rows)
+        expected = np.array([table @ row for row in w])
+        assert _row_dots(w, table).tobytes() == expected.tobytes()
+        values = np.array([float(row @ phi) for row in w])
+        assert _row_dots(w, phi).tobytes() == values.tobytes()
+        product_differs += (w @ table.T).tobytes() != expected.tobytes()
+    assert product_differs > 0
