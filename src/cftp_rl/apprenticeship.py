@@ -12,7 +12,9 @@ learners are provided:
   unbiased sample of the game-matrix column of the current candidate.
 
 Both run the same Hedge loop and differ only in the loss they feed it; both
-return a mixed policy mixing the per-round optimal policies uniformly.
+return a mixed policy mixing the per-round optimal policies uniformly. Phi and
+the feature Q-table of a deterministic policy come from the MDP's one
+policy cache (``solvers.policy_evaluation``), so every run shares them.
 """
 
 from __future__ import annotations
@@ -40,9 +42,7 @@ from .hedge import (
 )
 from .sampling import _cftp_batch_core, _require_count
 from .seeding import as_generator, seed_sequence, substream
-from .solvers import (
-    improved_actions, optimal_policy, policy_evaluation, state_reward_q, stationary_distribution,
-)
+from .solvers import improved_actions, optimal_policy, policy_evaluation, stationary_distribution
 
 # Most deterministic policies, |A| ** |S|, the exact game-value oracle enumerates.
 ENUMERATION_BUDGET = 256
@@ -86,31 +86,20 @@ def _require_expert_fits(mdp: TabularMDP, expert: ExpertModel) -> None:
 def feature_expectations_exact(mdp: TabularMDP, policy) -> np.ndarray:
     """Phi(pi) = sum_s mu_pi(s) phi(s); mixed policies average their members.
 
-    A deterministic policy's mu comes from the MDP's policy-evaluation cache
-    (``solvers.policy_evaluation``); a stochastic policy's is solved afresh.
-    A mixture evaluates each distinct deterministic member (by ``key()``)
-    once and every other member on its own, then sums the values in member
-    order, so repeated members change nothing but the work.
+    A deterministic policy's Phi is the read-only ``phi`` of its entry in
+    the MDP's policy cache (``solvers.policy_evaluation``), computed once
+    per policy; a stochastic policy's mu is solved afresh. A mixture sums
+    its members' values in member order, so a repeated deterministic member
+    costs one cache lookup.
     """
     if mdp.features is None:
         raise ValueError("MDP has no feature map")
     if isinstance(policy, MixedPolicy):
-        by_key: dict[tuple[int, ...], np.ndarray] = {}
-        member_values = []
-        for member in policy.members:
-            if isinstance(member, DeterministicPolicy):
-                value = by_key.get(member.key())
-                if value is None:
-                    value = by_key[member.key()] = feature_expectations_exact(mdp, member)
-            else:
-                value = feature_expectations_exact(mdp, member)
-            member_values.append(value)
+        member_values = [feature_expectations_exact(mdp, member) for member in policy.members]
         return np.einsum("m,mk->k", policy.weights, np.array(member_values))
     if isinstance(policy, DeterministicPolicy):
-        mu = policy_evaluation(mdp, policy).mu
-    else:
-        mu = stationary_distribution(induce_chain(mdp, policy))
-    return mu @ mdp.features
+        return policy_evaluation(mdp, policy).phi
+    return stationary_distribution(induce_chain(mdp, policy)) @ mdp.features
 
 
 @dataclass
@@ -217,9 +206,11 @@ def game_column_batch(
     coalesces, charging ``ledger`` 2 * sum(t_c) calls and the expert
     2 * sum(t_c) - n_samples. The expert's chain is unknown, so only
     ``step_cap`` bounds pairs that can never meet (CapExceededError).
-    Raises ValueError before drawing for an expert whose policy table is
-    not (n_states, n_actions) of ``mdp``, or for a negative ``step_cap``.
+    Raises ValueError before any check or draw for a negative
+    ``n_samples``, and before drawing for an expert whose policy table is
+    not (n_states, n_actions) of ``mdp`` or for a negative ``step_cap``.
     """
+    _require_count(n_samples, "n_samples")
     _require_expert_fits(mdp, expert)
     _require_count(step_cap, "step_cap")
     gen = as_generator(rng)
@@ -280,8 +271,8 @@ def _mwal_rounds(
     in [0, 1]^k. Returns the uniform mixture of the per-round policies and
     the trail; the ledger counts are left at 0 for the caller to fill in.
 
-    Q is linear in the reward, so each best response met is cached with its
-    feature Q-table Q_F (``solvers.state_reward_q``) and Phi. A round first
+    Q is linear in the reward, so a best response's feature Q-table Q_F and
+    Phi are read from its policy cache entry (``q_features``, ``phi``). A round first
     applies policy iteration's improvement rule to Q_F . w, which is, up to
     rounding, the Q-table of pi_{t-1} for the reward phi . w: phi lies in
     [0, 1] and w on the simplex, so the reward clip in ``optimal_policy``
@@ -309,7 +300,6 @@ def _mwal_rounds(
     round_values = np.empty(n_rounds)
     features = mdp.features
     shape = (mdp.n_states, mdp.n_actions)
-    cache: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
     pi_t = None
     block = 1
     t = 0
@@ -321,11 +311,8 @@ def _mwal_rounds(
         ).all()
         if not stays:
             pi_t = optimal_policy(mdp, reward_override=features @ w, start=pi_t)
-            entry = cache.get(pi_t.key())
-            if entry is None:
-                entry = (state_reward_q(mdp, pi_t, features), feature_expectations_exact(mdp, pi_t))
-                cache[pi_t.key()] = entry
-            q_features, phi_t = entry
+            evaluation = policy_evaluation(mdp, pi_t)
+            q_features, phi_t = evaluation.q_features, evaluation.phi
             block = 1
         policies.append(pi_t)
         g_tilde = loss(t, pi_t, phi_t)

@@ -312,13 +312,11 @@ class TabularMDP:
         self.transition = _frozen(transition)
         self.reward = reward
         self.features = features
-        # Reward-independent evaluations of deterministic policies, keyed by
-        # DeterministicPolicy.key(); filled by solvers.policy_evaluation.
+        # The one per-policy cache: a solvers.PolicyEvaluation for each
+        # deterministic policy whose induced chain passed the coalescing
+        # check, keyed by DeterministicPolicy.key(); filled by
+        # solvers.policy_evaluation. A failure is never cached.
         self.policy_evaluations: dict[tuple[int, ...], object] = {}
-        # Deterministic policies whose induced chain passed
-        # MarkovChain.require_coalescing, by key; filled by
-        # require_coalescing_policy. A failure is never cached.
-        self.coalescing_policies: set[tuple[int, ...]] = set()
         self._cum: np.ndarray | None = None
 
     def cumulative(self) -> np.ndarray:
@@ -431,23 +429,6 @@ def induce_chain(mdp: TabularMDP, policy) -> MarkovChain:
         transition = transition / transition.sum(axis=1, keepdims=True)
         means = np.clip(np.einsum("xa,xa->x", probs, mdp.reward.means), 0.0, 1.0)
     return MarkovChain(transition, RewardModel(means, mdp.reward.mode))
-
-
-def require_coalescing_policy(mdp: TabularMDP, policy) -> None:
-    """Raise unless CFTP's maps coalesce on the chain ``policy`` induces.
-
-    ValueError for an action index outside the MDP (``induce_chain``),
-    NonErgodicError when the chain has no single aperiodic closed class
-    (``MarkovChain.require_coalescing``); transient states are accepted. A
-    deterministic policy that passes is recorded in ``mdp.coalescing_policies``
-    and not checked again; a failure is never recorded.
-    """
-    deterministic = isinstance(policy, DeterministicPolicy)
-    if deterministic and policy.key() in mdp.coalescing_policies:
-        return
-    induce_chain(mdp, policy).require_coalescing()
-    if deterministic:
-        mdp.coalescing_policies.add(policy.key())
 
 
 @dataclass

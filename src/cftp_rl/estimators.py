@@ -22,12 +22,11 @@ from .chains import (
     induce_chain,
     inverse_cdf,
     policy_matrix,
-    require_coalescing_policy,
 )
 from .errors import CapExceededError
 from .sampling import _pair_walk, _require_count, cftp_batch
 from .seeding import as_generator
-from .solvers import stationary_distribution
+from .solvers import require_coalescing_policy, stationary_distribution
 
 
 class SoftmaxPolicy:
@@ -154,8 +153,8 @@ def delta_rho_batch(
     ``pi``'s chain, which the pairs follow, cannot coalesce
     (``MarkovChain.require_coalescing``); CapExceededError when a pair has
     not met within ``step_cap`` steps.
-    A deterministic ``pi`` that passed is not checked again on the same MDP
-    (``mdp.coalescing_policies``); one that fails raises on every call.
+    A deterministic ``pi`` that passes gets a ``solvers.policy_evaluation``
+    entry, which solves nothing, and is not checked again on that MDP.
     """
     _require_count(n_samples, "n_samples")
     _require_count(step_cap, "step_cap")

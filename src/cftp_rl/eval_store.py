@@ -27,8 +27,9 @@ row t to every matrix of the step that holds t - 1 rows, with one
 ``random`` call per matrix and then one inverse-CDF call and one reward
 step for all of them, from the MDP's one CDF table. Policies are checked up front: an action
 index outside the MDP raises ValueError and an induced chain on which CFTP
-cannot coalesce raises NonErgodicError, before any row is drawn. Chains
-with transient states are accepted, as ``cftp`` accepts them.
+cannot coalesce raises NonErgodicError, before any row is drawn; a policy
+that passes is not checked again (its ``solvers.policy_evaluation`` entry
+solves nothing). Chains with transient states are accepted, as ``cftp`` does.
 
 Reusing rows across policies correlates their estimates within one matrix;
 averaging over independent copies (StoreEnsemble) restores concentration.
@@ -42,11 +43,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import (
-    DeterministicPolicy, SampleLedger, TabularMDP, inverse_cdf, require_coalescing_policy,
-)
+from .chains import DeterministicPolicy, SampleLedger, TabularMDP, inverse_cdf
 from .sampling import _cftp_batch_core
 from .seeding import KeyedUniforms, child_sequence, seed_sequence
+from .solvers import require_coalescing_policy
 
 # _cftp_pairs walks its (matrix, policy) pairs in chunks of whole matrices, of
 # at most this many pair entries (pairs x n_states) or else one matrix; a

@@ -5,8 +5,9 @@ package is validated against: stationary distribution, average reward,
 bias and Q-values (Poisson equation), mixing time by exact distribution
 iteration, and average-reward policy iteration. They accept exactly what
 the samplers accept (``MarkovChain.require_coalescing``), transient states
-included. The reward-independent part of each deterministic policy's
-evaluation is cached on its MDP.
+included. Each MDP has one per-policy cache: a lazily filled
+``PolicyEvaluation`` per deterministic policy that passed the coalescing
+check, reached only through ``policy_evaluation``.
 
 scipy's LAPACK wrappers (``dgetrf``/``dgetrs``, for the bias solve) are
 imported on first use by ``_lapack``, not with this module: importing
@@ -103,59 +104,86 @@ def average_reward(chain: MarkovChain) -> float:
     return float(mu @ chain.reward.means)
 
 
-@dataclass(frozen=True)
-class PolicyEvaluation:
-    """Reward-independent part of one deterministic policy's evaluation.
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
-    ``mu`` is the stationary distribution of the induced chain P, and
-    ``lu``/``piv`` the LAPACK LU factor of I - P + 1 mu^T. Every array is
-    read-only. The factor comes from scipy's ``dgetrf``, and ``bias_and_q``
-    solves with ``dgetrs``; both are reached through ``_lapack``, so scipy
-    loads at the first policy evaluation rather than at ``import cftp_rl``.
+
+@dataclass(frozen=True, eq=False)
+class PolicyEvaluation:
+    """What is known about one deterministic policy of an MDP, each field built on first read.
+
+    An entry holds no array until a field is read. Each field is a
+    ``functools.cached_property``: computed at most once, a plain attribute
+    read afterwards, read-only; a computation that raises (SolveError for a
+    singular solve) stores nothing. ``lu``/``piv`` is scipy's ``dgetrf``
+    factor of I - P + 1 mu^T for the induced chain P, reached through
+    ``_lapack``, so scipy loads at the first factor, not at import.
     """
 
-    mu: np.ndarray
-    lu: np.ndarray
-    piv: np.ndarray
+    mdp: TabularMDP
+    policy: DeterministicPolicy
+
+    @functools.cached_property
+    def mu(self) -> np.ndarray:
+        """Stationary distribution of P (``stationary_distribution``)."""
+        return _read_only(stationary_distribution(induce_chain(self.mdp, self.policy)))
+
+    @functools.cached_property
+    def _factor(self) -> tuple[np.ndarray, np.ndarray]:
+        n = self.mdp.n_states
+        p = self.mdp.transition[self.policy.actions, np.arange(n)]
+        lu, piv, info = _lapack().dgetrf(np.eye(n) - p + np.outer(np.ones(n), self.mu))
+        if info != 0:
+            raise SolveError("bias solve is singular")
+        return _read_only(lu), _read_only(piv)
+
+    lu = functools.cached_property(lambda self: self._factor[0])
+    piv = functools.cached_property(lambda self: self._factor[1])
 
     @functools.cached_property
     def mu_cdf(self) -> np.ndarray:
-        """mu's ``cdf_table`` as a read-only one-row table, built on first use.
+        """mu's ``cdf_table`` as a one-row table; ``inverse_cdf`` draws start states from row 0."""
+        return _read_only(cdf_table(self.mu[None, :]))
 
-        ``inverse_cdf`` draws start states from it at row 0. It is built only
-        for the policies whose start states are drawn, not for every policy
-        evaluated.
-        """
-        table = cdf_table(self.mu[None, :])
-        table.setflags(write=False)
-        return table
+    @functools.cached_property
+    def phi(self) -> np.ndarray:
+        """Feature expectations Phi = mu @ features of an MDP with features."""
+        return _read_only(self.mu @ self.mdp.features)
+
+    @functools.cached_property
+    def q_features(self) -> np.ndarray:
+        """``state_reward_q`` for the MDP's features: times w, the Q-table of the reward phi . w."""
+        return _read_only(state_reward_q(self.mdp, self.policy, self.mdp.features))
 
 
 def policy_evaluation(mdp: TabularMDP, policy: DeterministicPolicy) -> PolicyEvaluation:
-    """The cached evaluation of ``policy`` on ``mdp``, built on first use.
+    """The entry of ``policy`` in the MDP's one per-policy cache, ``mdp.policy_evaluations``.
 
-    The cache lives on the MDP (``mdp.policy_evaluations``, keyed by
-    ``policy.key()``), so its lifetime is the MDP's. The induced chain is
-    validated and checked, and mu solved, once per policy; I - P + 1 mu^T is
-    nonsingular with transient states too. A failure is never cached: a
-    policy without one aperiodic closed class, or a singular one, raises on
-    every call.
+    A missing entry is made, holding no array, once the induced chain passes
+    ``MarkovChain.require_coalescing``; a failed check inserts nothing and
+    raises on every call. Keyed by ``policy.key()``; lives as long as the MDP.
     """
-    key = policy.key()
-    cached = mdp.policy_evaluations.get(key)
-    if cached is not None:
-        return cached
-    chain = induce_chain(mdp, policy)
-    mu = stationary_distribution(chain)
-    n = mdp.n_states
-    lu, piv, info = _lapack().dgetrf(np.eye(n) - chain.transition + np.outer(np.ones(n), mu))
-    if info != 0:
-        raise SolveError("bias solve is singular")
-    for array in (mu, lu, piv):
-        array.setflags(write=False)
-    evaluation = PolicyEvaluation(mu, lu, piv)
-    mdp.policy_evaluations[key] = evaluation
+    evaluation = mdp.policy_evaluations.get(policy.key())
+    if evaluation is None:
+        induce_chain(mdp, policy).require_coalescing()
+        evaluation = mdp.policy_evaluations[policy.key()] = PolicyEvaluation(mdp, policy)
     return evaluation
+
+
+def require_coalescing_policy(mdp: TabularMDP, policy) -> None:
+    """Raise unless CFTP's maps coalesce on the chain ``policy`` induces.
+
+    ValueError for an action index outside the MDP (``induce_chain``),
+    NonErgodicError when the chain has no single aperiodic closed class
+    (``MarkovChain.require_coalescing``); transient states are accepted. A
+    deterministic policy that passes gets its ``policy_evaluation`` entry,
+    which solves nothing, and is not checked again.
+    """
+    if isinstance(policy, DeterministicPolicy):
+        policy_evaluation(mdp, policy)
+    else:
+        induce_chain(mdp, policy).require_coalescing()
 
 
 def bias_and_q(

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.optimize import linprog
 
+from cftp_rl import solvers
 from cftp_rl.chains import (
     DeterministicPolicy,
     MixedPolicy,
@@ -41,9 +42,7 @@ from cftp_rl.instances import (
     sparse_cycle_mdp,
     two_state_chain,
 )
-from cftp_rl.solvers import (
-    average_reward, optimal_policy, policy_evaluation, stationary_distribution,
-)
+from cftp_rl.solvers import average_reward, optimal_policy, stationary_distribution
 
 
 def two_state_feature_mdp():
@@ -143,20 +142,21 @@ class TestFeatureExpectationsExact:
         assert abs(weights @ rho_members - sum(w * r for w, r in zip(weights, rho_members))) == 0.0
 
     def test_repeated_members_are_evaluated_once_with_the_per_member_sum(self):
-        mdp = random_mdp(3, 2, rng=7, n_features=3)
         a, b = DeterministicPolicy(np.array([0, 1, 0])), DeterministicPolicy(np.array([1, 1, 0]))
         stochastic = random_stochastic_policy(3, 2, rng=8)
         members = [a, b, DeterministicPolicy(np.array([0, 1, 0])), stochastic, a, stochastic, b, a]
         weights = np.random.default_rng(9).dirichlet(np.ones(len(members)))
-        per_member = np.array([feature_expectations_exact(mdp, m) for m in members])
+        warm = random_mdp(3, 2, rng=7, n_features=3)
+        per_member = np.array([feature_expectations_exact(warm, m) for m in members])
+        mdp = random_mdp(3, 2, rng=7, n_features=3)  # cold: no policy evaluated on it yet
         with mock.patch(
             "cftp_rl.apprenticeship.stationary_distribution", wraps=stationary_distribution
         ) as solves, mock.patch(
-            "cftp_rl.apprenticeship.policy_evaluation", wraps=policy_evaluation
-        ) as evaluations:
+            "cftp_rl.solvers.stationary_distribution", wraps=stationary_distribution
+        ) as cached_solves:
             phi_mix = feature_expectations_exact(mdp, MixedPolicy(weights, members))
         assert phi_mix.tobytes() == np.einsum("m,mk->k", weights, per_member).tobytes()
-        assert evaluations.call_count == 2  # a and b, by key
+        assert cached_solves.call_count == 2  # a and b, by key
         assert solves.call_count == 2  # each stochastic member on its own
 
     def test_missing_features_rejected(self):
@@ -580,6 +580,36 @@ class TestMwal:
         expert = ExpertModel(expert_policy, 2, rng=111)
         result = mwal(mdp, expert, k=2, n_rounds=50, m=300, rng=112)
         assert np.all(result.losses >= 0.0) and np.all(result.losses <= 1.0)
+
+    def test_the_policy_cache_outlives_a_run(self, monkeypatch):
+        mdp, expert_policy = thm8_style_instance(seed=150)
+
+        def run(model, seed):
+            return mwal(model, ExpertModel(expert_policy, 2, rng=seed), 2, 200, 100, rng=seed)
+
+        run(mdp, 151)
+        q_tables = {
+            key: entry.q_features for key, entry in mdp.policy_evaluations.items()
+            if "q_features" in vars(entry)
+        }
+        computed = []
+        state_reward_q = solvers.state_reward_q
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                solvers, "state_reward_q",
+                lambda model, policy, rewards: computed.append(policy.key())
+                or state_reward_q(model, policy, rewards),
+            )
+            second = run(mdp, 152)
+        reused = {p.key() for p in second.policies} & set(q_tables)
+        assert reused  # the second run meets a best response the first one cached
+        assert not reused & set(computed)
+        for key, table in q_tables.items():
+            assert mdp.policy_evaluations[key].q_features is table
+        fresh = run(TabularMDP(mdp.transition, mdp.reward, mdp.features), 152)
+        assert [p.key() for p in second.policies] == [p.key() for p in fresh.policies]
+        assert mwal_rounds_csv(second) == mwal_rounds_csv(fresh)
+        assert second.phi_expert_estimate.tobytes() == fresh.phi_expert_estimate.tobytes()
 
     def test_mixture_weights_are_uniform(self):
         mdp, expert_policy = thm8_style_instance(seed=120)

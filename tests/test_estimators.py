@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cftp_rl import chains, estimators
+from cftp_rl.apprenticeship import ExpertModel, game_column_batch
 from cftp_rl.chains import (
     DeterministicPolicy,
     MarkovChain,
@@ -242,13 +243,13 @@ class TestBoundedFailure:
             assert ledger.generative_calls == 0
             assert gen.bit_generator.state == before
         # A failure is never cached, so every call above raised.
-        assert mdp.coalescing_policies == set()
+        assert mdp.policy_evaluations == {}
 
     def test_delta_rho_caches_a_passing_verdict_per_policy(self, monkeypatch):
         mdp = random_mdp(4, 2, rng=3)
         pi, pi_prime = DeterministicPolicy(np.array([0, 1, 0, 1])), DeterministicPolicy(np.ones(4, dtype=int))
         first = delta_rho_batch(mdp, pi, pi_prime, 20, rng=5)
-        assert mdp.coalescing_policies == {pi.key()}
+        assert list(mdp.policy_evaluations) == [pi.key()]
         checks = []
         gate = MarkovChain.require_coalescing
         monkeypatch.setattr(MarkovChain, "require_coalescing", lambda chain: checks.append(chain) or gate(chain))
@@ -311,6 +312,12 @@ def uniform_softmax_gradient(mdp, k, gen):
     return (policy_gradient_batch(mdp, SoftmaxPolicy(np.zeros((mdp.n_states, mdp.n_actions))), k, gen),)
 
 
+def game_column(mdp, k, gen):
+    featured = TabularMDP(mdp.transition, mdp.reward, np.full((mdp.n_states, 1), 0.5))
+    expert = ExpertModel(constant_policy(mdp, 1), mdp.n_actions, rng=0)
+    return game_column_batch(featured, expert, constant_policy(mdp, 0), k, gen)
+
+
 # Each sampler that takes a sample count: the argument's name, and a call
 # on an MDP (or the chain of its action-0 policy) returning its arrays.
 COUNTED_SAMPLERS = {
@@ -321,6 +328,7 @@ COUNTED_SAMPLERS = {
     "delta_rho_batch-exact_solve": ("n_samples", delta_rho("exact_solve")),
     "delta_rho_batch-cftp": ("n_samples", delta_rho("cftp")),
     "policy_gradient_batch": ("n_samples", uniform_softmax_gradient),
+    "game_column_batch": ("n_samples", game_column),
 }
 
 

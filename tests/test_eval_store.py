@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from cftp_rl import eval_store
+from cftp_rl import eval_store, solvers
 from cftp_rl.chains import DeterministicPolicy, RewardModel, SampleLedger, TabularMDP, induce_chain
 from cftp_rl.errors import CapExceededError, NonErgodicError
 from cftp_rl.eval_store import SampleMatrix, StoreEnsemble, estimate_all, evaluate_policy
@@ -491,3 +491,21 @@ class TestStoreEnsemble:
         ensemble = StoreEnsemble(mdp, epsilon=0.15, delta=0.1, n_policies=len(policies), rng=27)
         estimates = estimate_all(ensemble, policies)
         assert np.max(np.abs(estimates - exact)) <= 0.15
+
+
+def test_the_coalescing_check_solves_nothing(monkeypatch):
+    policies = all_policies(random_mdp(6, 2, 21))
+    expected = estimate_all(StoreEnsemble(random_mdp(6, 2, 21), 0.5, 0.5, 64, 22), policies)
+
+    def refuse(*args):
+        raise AssertionError("the coalescing check solved a system")
+
+    monkeypatch.setattr(solvers, "stationary_distribution", refuse)
+    monkeypatch.setattr(solvers, "_lapack", refuse)
+    mdp = random_mdp(6, 2, 21)
+    estimates = estimate_all(StoreEnsemble(mdp, 0.5, 0.5, 64, 22), policies)
+    assert estimates.tobytes() == expected.tobytes()
+    # 64 entries, each holding only its MDP and policy: no field was filled.
+    assert len(mdp.policy_evaluations) == 64
+    for entry in mdp.policy_evaluations.values():
+        assert set(vars(entry)) == {"mdp", "policy"}

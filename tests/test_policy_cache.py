@@ -3,6 +3,7 @@ the per-policy feature Q-tables the MWAL rounds check their warm start against, 
 the blocked MWAL rounds against the round-by-round reference."""
 
 import math
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -10,9 +11,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from cftp_rl import solvers
 from cftp_rl.apprenticeship import _mwal_rounds, _row_dots, feature_expectations_exact
 from cftp_rl.chains import DeterministicPolicy, RewardModel, TabularMDP
-from cftp_rl.errors import NonErgodicError
+from cftp_rl.errors import NonErgodicError, SolveError
 from cftp_rl.hedge import LOSS_TOL, HedgeState, hedge_step
 from cftp_rl.instances import random_mdp
 from cftp_rl.solvers import (
@@ -189,6 +191,42 @@ def test_feature_q_table_times_w_matches_dense_reference(instance):
     q = (table @ w).reshape(mdp.n_states, mdp.n_actions)
     expected = dense_bias_and_q(mdp, policy, per_action(mdp, mdp.features @ w))[2]
     np.testing.assert_allclose(q, expected, rtol=1e-12, atol=1e-12)
+
+
+FIELDS = ("mu", "lu", "piv", "mu_cdf", "phi", "q_features")
+
+
+@PROPERTY_SETTINGS
+@given(feature_instances())
+def test_entry_fields_are_built_once_on_first_read(instance):
+    mdp, _, policy = instance
+    evaluation = policy_evaluation(mdp, policy)
+    assert set(vars(evaluation)) == {"mdp", "policy"}
+    with mock.patch(
+        "cftp_rl.solvers.stationary_distribution", wraps=solvers.stationary_distribution
+    ) as solves, mock.patch(
+        "cftp_rl.solvers.state_reward_q", wraps=state_reward_q
+    ) as q_tables, mock.patch("cftp_rl.solvers._lapack", wraps=solvers._lapack) as factors:
+        first = [getattr(evaluation, name) for name in FIELDS]
+        second = [getattr(policy_evaluation(mdp, policy), name) for name in FIELDS]
+    assert (solves.call_count, q_tables.call_count) == (1, 1)
+    assert factors.call_count == 2  # one dgetrf for lu and piv, one dgetrs for q_features
+    for name, a, b in zip(FIELDS, first, second):
+        assert a is b, name
+        assert not a.flags.writeable, name
+    assert evaluation.phi.tobytes() == (evaluation.mu @ mdp.features).tobytes()
+    assert evaluation.q_features.tobytes() == state_reward_q(mdp, policy, mdp.features).tobytes()
+
+
+def test_a_singular_factor_raises_on_every_read(monkeypatch):
+    mdp = random_mdp(3, 2, 4)
+    evaluation = policy_evaluation(mdp, DeterministicPolicy(np.zeros(3, dtype=int)))
+    singular = SimpleNamespace(dgetrf=lambda a: (a, np.zeros(3, dtype=np.int32), 2))
+    monkeypatch.setattr(solvers, "_lapack", lambda: singular)
+    for name in ("lu", "piv", "lu"):
+        with pytest.raises(SolveError, match="singular"):
+            getattr(evaluation, name)
+    assert set(vars(evaluation)) == {"mdp", "policy", "mu"}
 
 
 def sweep_loss(k):
