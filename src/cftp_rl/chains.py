@@ -22,23 +22,27 @@ ROW_SUM_TOL = 1e-12
 # table with n rows, 2-core Intel Xeon, numpy 2.4.
 #
 # Rows wider than COUNT_MAX_STATES compare whole rows below this many
-# entries (u.size * n) and binary-search above:
+# entries (u.size * n) and binary-search above (draws: u.size):
 #
 #       n  draws  entries  compare  search
-#      12    128     1536      7.6    18.2
-#      12    512     6144     26.3    40.7
-#      16    512     8192     27.7    27.4
-#      50    128     6400     16.7    28.3
-#      50    512    25600     52.8    35.2
-#     200     32     6400     15.9    53.0
-#     200    128    25600     45.7    51.4
-#     200    512   102400    149.6    44.8
+#      12    128     1536      6.6    11.9
+#      12    512     6144     20.8    15.4
+#      16    512     8192     24.8    17.5
+#      50    128     6400     12.9    18.3
+#      50    512    25600     42.9    24.9
+#     200     32     6400     10.2    21.6
+#     200     64    12800     18.9    23.1
+#     200    128    25600     34.3    24.6
+#     200    512   102400    125.5    31.0
 #
-# The crossover lies between 8e3 and 2.6e4 entries, so a higher cut would
-# speed up mid-size calls. It stays at 2**12 because it also sets the draws
-# of the benchmark's n = 50 and n = 200 chains, whose iteration count sets
-# that workload's peak RSS.
-SEARCH_MIN_ENTRIES = 2**12
+# The crossover lies between 1.3e4 and 2.6e4 entries at n = 200 and between
+# 6.4e3 and 2.6e4 at n = 50, the widths of perfbench's sample-large chains.
+# At n = 12 and 16 it lies lower, between 1.5e3 and 8e3, so calls of a few
+# hundred draws there compare where a search would be faster (20.8 against
+# 15.4 us at n = 12 and 512 draws). The probe prints, per n, the smallest
+# measured draw count at which search wins beside the one at which this cut
+# picks it.
+SEARCH_MIN_ENTRIES = 2**14
 # Rows of at most this many entries count thresholds (the uint8 counts
 # hold up to 255). From n = 12 on, the search wins the large calls:
 #

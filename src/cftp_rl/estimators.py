@@ -26,7 +26,7 @@ from .chains import (
 from .errors import CapExceededError
 from .sampling import _pair_walk, _require_count, cftp_batch
 from .seeding import as_generator
-from .solvers import require_coalescing_policy, stationary_distribution
+from .solvers import policy_evaluation, require_coalescing_policy, stationary_distribution
 
 
 class SoftmaxPolicy:
@@ -105,8 +105,8 @@ def coupled_difference_batch(
     else:
         raise ValueError(f"unknown value kind {value!r}")
     t_c, apart = _pair_walk(
-        mdp.cumulative(), np.stack((s0, s0)),
-        np.stack((first_actions_a, first_actions_b)).astype(np.int64),
+        mdp.cumulative(), np.array((s0, s0)),
+        np.array((first_actions_a, first_actions_b), dtype=np.int64),
         draw_actions, gen, step_cap, on_step, step_uniforms, ledger,
     )
     if apart.size:
@@ -154,18 +154,22 @@ def delta_rho_batch(
     (``MarkovChain.require_coalescing``); CapExceededError when a pair has
     not met within ``step_cap`` steps.
     A deterministic ``pi`` that passes gets a ``solvers.policy_evaluation``
-    entry, which solves nothing, and is not checked again on that MDP.
+    entry, which solves nothing, and is not checked again on that MDP. An
+    exact start law for a deterministic ``pi_prime`` is its entry's
+    ``mu_cdf``, solved once per MDP; a stochastic one is solved per call.
     """
     _require_count(n_samples, "n_samples")
     _require_count(step_cap, "step_cap")
     require_coalescing_policy(mdp, pi)
     gen = as_generator(rng)
-    chain = induce_chain(mdp, pi_prime)
     if s0_source == "exact_solve":
-        cum = cdf_table(stationary_distribution(chain))[None, :]
+        if isinstance(pi_prime, DeterministicPolicy):
+            cum = policy_evaluation(mdp, pi_prime).mu_cdf
+        else:
+            cum = cdf_table(stationary_distribution(induce_chain(mdp, pi_prime)))[None, :]
         s0 = inverse_cdf(cum, np.zeros(n_samples, dtype=np.int64), gen.random(n_samples))
     elif s0_source == "cftp":
-        s0, _ = cftp_batch(chain, n_samples, gen, step_cap=step_cap, ledger=ledger)
+        s0, _ = cftp_batch(induce_chain(mdp, pi_prime), n_samples, gen, step_cap=step_cap, ledger=ledger)
     else:
         raise ValueError(f"unknown start-state source {s0_source!r}")
     draw_pi = policy_action_drawer(pi, mdp, gen)

@@ -11,17 +11,21 @@ first. Each map is drawn once, for one past time, and used once: it is
 composed into the running composite and never read again. Drawing a second
 map for a past time already composed would break exactness.
 
-Scalar ``cftp`` runs ``_cftp_core``; every batched CFTP runs the one
-batched loop, ``_cftp_batch_core``. ``cftp``, ``cftp_batch`` and
-``grand_coupling_sim`` take their maps from one source that draws them a
-block ahead (``_map_blocks``): one ``Generator.random`` call and one
-inverse-CDF call per block, not per map or per step. Each map is still
-drawn for its step from the uniforms a per-step loop would give it, and
-used at most once. When a run ends, the maps it did not use are discarded
-and the Generator is rewound, so outputs and generator state are those of
-the per-step loop. Small chains count their blocks state-major, so a
-batched step's maps reach ``_compose`` as contiguous per-state rows; wider
-ones search them map-major. Every loop that takes a ``step_cap`` raises
+Every batched CFTP runs the one batched loop, ``_cftp_batch_core``.
+``cftp``, ``cftp_batch`` and ``grand_coupling_sim`` take their maps from
+one source that draws them a block ahead (``_map_blocks``): one
+``Generator.random`` call and one inverse-CDF call per block, not per map
+or per step. Each map is still drawn for its step from the uniforms a
+per-step loop would give it, and used at most once. ``cftp`` and
+``grand_coupling_sim`` take a block at a time as a pass, apply its maps one
+gather each, and test the whole pass at once; the maps after the step that
+ends the run go back to the source unused. When a run ends, the maps it
+did not use are discarded and the Generator is rewound, so outputs and
+generator state are those of the per-step loop. Small chains count their
+blocks state-major, so a batched step's maps reach ``_compose`` as
+contiguous per-state rows; wider ones search them map-major. The coupled
+pairs (``_pair_walk``) draw per step, and do their bookkeeping only on a
+step where some pair met. Every loop that takes a ``step_cap`` raises
 ValueError for a negative one before its first step; 0 is legal.
 """
 
@@ -72,20 +76,25 @@ def draw_random_map(chain: MarkovChain, rng: np.random.Generator) -> np.ndarray:
 def _map_blocks(cum: np.ndarray, gen: np.random.Generator):
     """Hand out the random maps for steps t = 1, 2, ..., drawn a block ahead.
 
-    Start the generator with ``next``. After that, ``next`` returns the next
-    map and ``send(k)`` the next k maps as a (k, n_states) array. Each block
-    is one ``gen.random`` call inverted by one ``inverse_cdf`` call. A block
-    holds at least the maps requested; beyond that, blocks double from one
-    map up to ``MAP_BLOCK_ENTRIES`` entries. Maps left over when a request
-    outgrows the block are carried, in order, to the front of the next one.
-    Map t gets the uniforms a per-step ``draw_random_map`` loop would give
-    it: for float64 draws, ``random(a)`` then ``random(b)`` equals
-    ``random(a + b)`` on every numpy BitGenerator. The state before a block
-    that may outlast its first request is kept, and closing the iterator
-    restores it and redraws the part of the block handed out. The
-    Generator then ends where the per-step loop stopping at the last map
-    handed out would leave it. Callers must close the iterator however the
-    run ends.
+    Start the generator with ``next``. After that, ``send(k)`` returns the
+    next k maps as a (k, n_states) array, and ``next`` returns a pass: the
+    maps left in the block, after drawing a fresh block if none are left.
+    ``send(-j)`` hands the last j maps of the last pass back (it returns an
+    empty array): they count as never handed out. Each block is one ``gen.random`` call inverted by one
+    ``inverse_cdf`` call. A block holds at least the maps requested (a pass
+    asks for one); beyond that, blocks double from one map up to
+    ``MAP_BLOCK_ENTRIES`` entries, so passes that each drain their block
+    double likewise. Maps left over when a request outgrows the block are
+    carried, in order, to the front of the next one. Map t gets the
+    uniforms a per-step ``draw_random_map`` loop would give it: for float64
+    draws, ``random(a)`` then ``random(b)`` equals ``random(a + b)`` on
+    every numpy BitGenerator. The state before a block that may outlast its
+    first request is kept: a block longer than its ``send(k)``, or a pass
+    of more than one map, whose tail may be handed back. Closing the
+    iterator restores that state and redraws the part of the block handed
+    out. The Generator then ends where the per-step loop stopping at the
+    last map handed out would leave it. Callers must close the iterator
+    however the run ends.
 
     A block is indexed map-major, as (maps, n_states), so ``next`` and
     ``send`` hand out rows. Rows of at most ``COUNT_MAX_STATES`` entries are
@@ -108,6 +117,8 @@ def _map_blocks(cum: np.ndarray, gen: np.random.Generator):
     req = yield
     try:
         while True:
+            # A negative k draws nothing and moves pos back over the maps
+            # handed back; the empty slice it returns hands out none.
             k = 1 if req is None else req
             if pos + k > size:
                 carried = size - pos
@@ -125,37 +136,14 @@ def _map_blocks(cum: np.ndarray, gen: np.random.Generator):
                     drawn = inverse_cdf(cum, rows[: u.size], u).reshape(fresh, n)
                 block = np.concatenate((block[pos:], drawn)) if carried else drawn
                 pos = 0
-            if req is None:
-                out = block[pos]
-            else:
-                out = block[pos : pos + k]
-            pos += k
+            end = size if req is None else pos + k
+            out = block[pos:end]
+            pos = end
             req = yield out
     finally:
         if saved is not None and pos < size:
             gen.bit_generator.state = saved
             gen.random((fresh - size + pos) * n)
-
-
-def _cftp_core(map_at, n_states: int, step_cap: int, ledger=None) -> tuple[int, int]:
-    """CFTP loop over the maps ``map_at(t)`` for past times t = 1, 2, ...; returns (state, t_c).
-
-    Charges ``ledger`` the map entries composed, t_c * n_states, or
-    step_cap * n_states before it raises CapExceededError at the cap.
-    """
-    _require_count(step_cap, "step_cap")
-    composite = np.arange(n_states)
-    t_c = 0
-    for t in range(1, step_cap + 1):
-        composite = composite[map_at(t)]
-        if (composite == composite[0]).all():
-            t_c = t
-            break
-    if ledger is not None:
-        ledger.add_generative((t_c or step_cap) * n_states)
-    if not t_c:
-        raise CapExceededError(f"no coalescence within {step_cap} steps")
-    return int(composite[0]), t_c
 
 
 def _compose(flat: np.ndarray, width: int, cols, maps: np.ndarray):
@@ -165,7 +153,7 @@ def _compose(flat: np.ndarray, width: int, cols, maps: np.ndarray):
     ``width``) array: run c's image of state x sits at x * width + c.
     ``maps`` holds the new maps state-major, column j for the run at column
     ``cols[j]`` of ``flat``. The new composite of that run is its old one
-    applied after its new map, as ``_cftp_core`` composes, and sits in
+    applied after its new map, as ``cftp`` composes, and sits in
     column j of the returned (n_states, len(cols)) array. A run has
     coalesced when every state's image equals state 0's: n_states - 1
     compares of whole rows, and no row at all for one state.
@@ -183,7 +171,7 @@ def _cftp_batch_core(
     and ``eval_store._cftp_chunk``, differ only in ``draw_maps(active)``: it
     gets the ascending indices of the k unfinished runs and returns their
     next step's maps state-major, (n_states, k), column j for run
-    ``active[j]``. Each run composes its own maps as ``_cftp_core`` does,
+    ``active[j]``. Each run composes its own maps as ``cftp`` does,
     newest first, and retires at its t_c, in one gather (``_compose``) for
     all runs from the last step's composites, held state-major. A run
     retires by column: the next gather reads the survivors' columns of the
@@ -191,7 +179,7 @@ def _cftp_batch_core(
     identity, one column that all runs read.
 
     Charges ``ledger`` n_states calls per run per step composed,
-    sum(t_c) * n_states, as ``_cftp_core`` charges each run. A run still
+    sum(t_c) * n_states, as ``cftp`` charges its run. A run still
     apart after ``step_cap`` steps counts ``step_cap`` steps, and the loop
     then raises CapExceededError.
     """
@@ -227,19 +215,43 @@ def cftp(
 ) -> tuple[int, CoalescenceRecord]:
     """Exact draw from the stationary distribution of a chain with one aperiodic closed class.
 
-    Extends the past one step per iteration with a map drawn from
-    ``as_generator(rng)`` (a block ahead, see ``_map_blocks``); the composite
-    is maintained incrementally, so each step costs O(n_states) plus the map
-    draw and no map is kept once composed.
+    Extends the past one step per map, with maps drawn from
+    ``as_generator(rng)`` a pass at a time (see ``_map_blocks``). Each map
+    is composed into the running composite by one gather into a row of a
+    (pass, n_states) array, so each step costs O(n_states) and no map is
+    kept once composed; one compare over the pass then finds the first
+    constant row. The maps after it go back to ``_map_blocks`` unused.
 
-    Charges ``ledger`` and raises CapExceededError at ``step_cap`` as
-    ``_cftp_core`` does. Raises NonErgodicError before drawing when the maps
-    can never coalesce (``MarkovChain.require_coalescing``).
+    Charges ``ledger`` the map entries composed, t_c * n_states, or
+    step_cap * n_states before it raises CapExceededError at the cap.
+    Raises NonErgodicError before drawing when the maps can never coalesce
+    (``MarkovChain.require_coalescing``).
     """
     chain.require_coalescing()
+    _require_count(step_cap, "step_cap")
+    n = chain.n_states
+    composite = np.arange(n)
+    t = t_c = 0
     with closing(_map_blocks(chain.cumulative(), as_generator(rng))) as maps:
         next(maps)
-        state, t_c = _cftp_core(lambda t: next(maps), chain.n_states, step_cap, ledger)
+        while not t_c and t < step_cap:
+            block = next(maps)
+            paths = np.empty((min(len(block), step_cap - t), n), dtype=composite.dtype)
+            for f, out in zip(block, paths):
+                # Every map entry is a state, so no index wraps; "wrap" skips
+                # the bounds check that buffers ``out``.
+                composite = composite.take(f, out=out, mode="wrap")
+            coalesced = np.flatnonzero((paths == paths[:, :1]).all(axis=1))
+            used = int(coalesced[0]) + 1 if coalesced.size else len(paths)
+            if used < len(block):
+                maps.send(used - len(block))
+            t += used
+            if coalesced.size:
+                t_c, state = t, int(paths[used - 1, 0])
+    if ledger is not None:
+        ledger.add_generative((t_c or step_cap) * n)
+    if not t_c:
+        raise CapExceededError(f"no coalescence within {step_cap} steps")
     return state, CoalescenceRecord(t_c=t_c, state=state)
 
 
@@ -283,9 +295,11 @@ def _pair_walk(
     flattened CDF table whose row s * n_actions + a is the next-state law of
     action a in state s. Each step flattens the pairs' rows s * n_actions +
     a into one index, x sides first; moves both sides with one inverse-CDF
-    call on it; retires the pairs now in one state; and, if another step
-    follows, draws the next actions with one ``draw_actions`` call on the
-    raveled states. A pair's time is the step at which it met. After
+    call on it; compares the sides once, and on a step where some pair
+    met retires those pairs; and, if another step follows, draws the next
+    actions with one ``draw_actions`` call on the raveled states. A
+    one-action table with the scalar action 0 needs no index: its rows are
+    the states. A pair's time is the step at which it met. After
     ``step_cap`` steps the pairs still apart, ``apart``, get time
     ``step_cap``; the caller raises or censors. Charges ``ledger`` 2 calls
     per pair per step, one per side: 2 * sum(times).
@@ -300,12 +314,13 @@ def _pair_walk(
     """
     _require_count(step_cap, "step_cap")
     n_actions = cum.shape[0] // cum.shape[1]
+    by_state = n_actions == 1 and draw_actions is None and a == 0
     times = np.zeros(xy.shape[1], dtype=np.int64)
     active = np.arange(xy.shape[1])
     t = 0
     while active.size and t < step_cap:
         t += 1
-        index = (xy * n_actions + a).ravel()
+        index = xy.ravel() if by_state else (xy * n_actions + a).ravel()
         if step_uniforms:
             u = gen.random(index.size * (step_uniforms + 1))
             split = index.size * step_uniforms
@@ -316,9 +331,11 @@ def _pair_walk(
                 on_step(active, xy, index, None)
             u = gen.random(index.size)
         xy = inverse_cdf(cum, index, u).reshape(2, -1)
-        keep = xy[0] != xy[1]
-        times[active[~keep]] = t
-        active, xy = active[keep], xy[:, keep]
+        met = xy[0] == xy[1]
+        if np.count_nonzero(met):
+            times[active[met]] = t
+            keep = ~met
+            active, xy = active[keep], xy[:, keep]
         if active.size and draw_actions is not None and t < step_cap:
             a = draw_actions(xy.ravel()).reshape(xy.shape)
     times[active] = step_cap
@@ -354,7 +371,7 @@ def coalescence_times_batch(
         return np.zeros(n_runs, dtype=np.int64)
     chain.require_coalescing()
     # The chain is a one-action table. Its action 0 stays a scalar, so the
-    # loop builds no action arrays.
+    # loop builds no action arrays and indexes rows by the states themselves.
     xy = np.array([[i], [j]], dtype=np.int64).repeat(n_runs, axis=1)
     times, apart = _pair_walk(chain.cumulative(), xy, 0, None, as_generator(rng), step_cap)
     if apart.size and not censor_at_cap:
@@ -397,9 +414,13 @@ def grand_coupling_sim(
     Chains occupying the same state move together from then on, so the
     surviving classes are the distinct occupied states; the returned
     trajectory records their count after each step, starting at n_states
-    before any step. Its maps come from ``_map_blocks``, as ``cftp``'s do.
-    Raises NonErgodicError before drawing when the shared maps can never
-    merge every chain (``MarkovChain.require_coalescing``).
+    before any step. Its maps come from ``_map_blocks`` a pass at a time, as
+    ``cftp``'s do: each map moves the classes of the pass's start by one
+    gather into a row of a (pass, classes) array, one sort of its rows
+    counts the classes after every step, and the maps after the first
+    step that leaves one class go back unused. Raises NonErgodicError
+    before drawing when the shared maps can never merge every chain
+    (``MarkovChain.require_coalescing``).
     """
     chain.require_coalescing()
     _require_count(step_cap, "step_cap")
@@ -408,13 +429,24 @@ def grand_coupling_sim(
     counts = [n]
     if n == 1:
         return GrandCouplingRecord(merge_time=0, class_counts=counts, final_state=0)
+    t = 0
     with closing(_map_blocks(chain.cumulative(), as_generator(rng))) as maps:
         next(maps)
-        for t in range(1, step_cap + 1):
-            occupied = np.zeros(n, dtype=bool)
-            occupied[next(maps)[position]] = True
-            position = np.flatnonzero(occupied)
-            counts.append(position.size)
-            if position.size == 1:
-                return GrandCouplingRecord(merge_time=t, class_counts=counts, final_state=int(position[0]))
+        while t < step_cap:
+            block = next(maps)
+            paths = np.empty((min(len(block), step_cap - t), position.size), dtype=block.dtype)
+            row = position
+            for f, out in zip(block, paths):
+                row = f.take(row, out=out, mode="wrap")  # as in cftp
+            paths.sort(axis=1)
+            classes = 1 + np.count_nonzero(paths[:, 1:] != paths[:, :-1], axis=1)
+            merged = np.flatnonzero(classes == 1)
+            used = int(merged[0]) + 1 if merged.size else len(paths)
+            if used < len(block):
+                maps.send(used - len(block))
+            t += used
+            counts += classes[:used].tolist()
+            if merged.size:
+                return GrandCouplingRecord(merge_time=t, class_counts=counts, final_state=int(paths[used - 1, 0]))
+            position = np.unique(paths[-1])
     raise CapExceededError(f"no full merge within {step_cap} steps")

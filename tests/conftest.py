@@ -3,6 +3,7 @@ import pytest
 from hypothesis import settings
 
 from cftp_rl.chains import MarkovChain, RewardModel, TabularMDP
+from cftp_rl.errors import CapExceededError
 from cftp_rl.instances import random_ergodic_chain, random_mdp, two_state_chain
 
 # Property tests draw numpy work whose time varies with load, so no example
@@ -65,3 +66,18 @@ def uniform_chain():
         return MarkovChain(transition, RewardModel(np.linspace(0, 1, n)))
 
     return make
+
+
+def reference_cftp(map_at, n_states, step_cap):
+    """Per-step scalar CFTP over the maps ``map_at(t)`` for past times t = 1, 2, ...; returns (state, t_c).
+
+    Composes the newest map first, one map per step, and tests every
+    composite. Raises CapExceededError when none is constant within
+    ``step_cap`` steps. The library's loops are compared against it.
+    """
+    composite = np.arange(n_states)
+    for t in range(1, step_cap + 1):
+        composite = composite[map_at(t)]
+        if (composite == composite[0]).all():
+            return int(composite[0]), t
+    raise CapExceededError(f"no coalescence within {step_cap} steps")

@@ -12,6 +12,7 @@ from cftp_rl.chains import (
     SampleLedger,
     StochasticPolicy,
     TabularMDP,
+    cdf_table,
     induce_chain,
 )
 from cftp_rl.errors import CapExceededError, NonErgodicError
@@ -249,13 +250,17 @@ class TestBoundedFailure:
         mdp = random_mdp(4, 2, rng=3)
         pi, pi_prime = DeterministicPolicy(np.array([0, 1, 0, 1])), DeterministicPolicy(np.ones(4, dtype=int))
         first = delta_rho_batch(mdp, pi, pi_prime, 20, rng=5)
-        assert list(mdp.policy_evaluations) == [pi.key()]
+        # pi's verdict, and pi_prime's exact start law, each have an entry.
+        assert list(mdp.policy_evaluations) == [pi.key(), pi_prime.key()]
         checks = []
         gate = MarkovChain.require_coalescing
         monkeypatch.setattr(MarkovChain, "require_coalescing", lambda chain: checks.append(chain) or gate(chain))
         second = delta_rho_batch(mdp, pi, pi_prime, 20, rng=5)
-        # pi's verdict is cached; only the exact start-state oracle checks pi_prime's chain.
-        assert [chain.transition.tolist() for chain in checks] == [induce_chain(mdp, pi_prime).transition.tolist()]
+        # Both are cached, so the repeat call checks no chain.
+        assert checks == []
+        # The cached start law has the bits of a fresh solve, so the start states are those of one.
+        fresh = cdf_table(stationary_distribution(induce_chain(mdp, pi_prime)))[None, :]
+        assert np.array_equal(mdp.policy_evaluations[pi_prime.key()].mu_cdf, fresh)
         for a, b in zip(first, second):
             assert np.array_equal(a, b)
 

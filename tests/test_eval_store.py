@@ -13,8 +13,9 @@ from cftp_rl.chains import DeterministicPolicy, RewardModel, SampleLedger, Tabul
 from cftp_rl.errors import CapExceededError, NonErgodicError
 from cftp_rl.eval_store import SampleMatrix, StoreEnsemble, estimate_all, evaluate_policy
 from cftp_rl.instances import random_mdp
-from cftp_rl.sampling import _cftp_core, lower_bound_chain
+from cftp_rl.sampling import lower_bound_chain
 from cftp_rl.solvers import average_reward, mixing_time, stationary_distribution
+from conftest import reference_cftp
 
 PROPERTY_SETTINGS = settings(max_examples=60)
 
@@ -59,7 +60,7 @@ def reference_row(mdp, seed, copy, t):
 
 def reference_evaluate(store, policy):
     """Per-pair reference: scalar CFTP over the restricted maps, reward from row t_c."""
-    state, t_c = _cftp_core(lambda t: store.restricted_map(t, policy), store.mdp.n_states, 10**6)
+    state, t_c = reference_cftp(lambda t: store.restricted_map(t, policy), store.mdp.n_states, 10**6)
     reward = float(store.row_at(t_c).reward[state, policy.actions[state]])
     return reward, t_c, state
 

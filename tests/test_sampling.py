@@ -1,3 +1,4 @@
+from contextlib import closing
 from unittest import mock
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from cftp_rl.chains import DeterministicPolicy, MarkovChain, RewardModel, SampleLedger, closed_class
+from cftp_rl.chains import COUNT_MAX_STATES, DeterministicPolicy, MarkovChain, RewardModel, SampleLedger, closed_class
 from cftp_rl.errors import CapExceededError, NonErgodicError
 from cftp_rl import sampling
 from cftp_rl.apprenticeship import ExpertModel, game_column_batch, mwal_generative
@@ -18,7 +19,6 @@ from cftp_rl.sampling import (
     CoalescenceRecord,
     GrandCouplingRecord,
     _cftp_batch_core,
-    _cftp_core,
     cftp,
     cftp_batch,
     coalescence_times_batch,
@@ -27,6 +27,7 @@ from cftp_rl.sampling import (
     lower_bound_chain,
 )
 from cftp_rl.solvers import mixing_time, stationary_distribution
+from conftest import reference_cftp
 
 
 def swap_chain():
@@ -99,15 +100,25 @@ class TestCftp:
         state, record = cftp(chain, rng=5)
         assert state == 1 and record.t_c == 1
 
-    def test_composition_applies_newest_map_first(self):
+    def test_composition_applies_newest_map_first(self, uniform_chain):
         f1 = np.array([1, 1, 2])
         f2 = np.array([0, 0, 1])
-        maps = {1: f1, 2: f2}
-        state, t_c = _cftp_core(lambda t: maps[t], 3, step_cap=10)
+        sent = []
+
+        def one_pass(cum, gen):
+            # Primed, then one pass of three maps, then the hand-back.
+            sent.append((yield))
+            sent.append((yield np.array([f1, f2, f1])))
+            yield
+
+        with mock.patch.object(sampling, "_map_blocks", one_pass):
+            state, record = cftp(uniform_chain(3), rng=0)
         # f1 o f2 is constant at 1; f2 o f1 is not constant.
-        assert (state, t_c) == (1, 2)
+        assert (state, record.t_c) == (1, 2)
         composed_wrong = f2[f1]
         assert not (composed_wrong == composed_wrong[0]).all()
+        # The pass's third map was never composed, so it goes back.
+        assert sent == [None, -1]
 
     def test_batched_composition_applies_each_runs_newest_map_first(self):
         f1 = np.array([1, 1, 2])
@@ -280,7 +291,7 @@ def reference_map(chain, gen):
 
 def per_step_cftp(chain, gen, step_cap):
     """Reference scalar CFTP: one freshly drawn map per step."""
-    state, t_c = _cftp_core(lambda t: reference_map(chain, gen), chain.n_states, step_cap)
+    state, t_c = reference_cftp(lambda t: reference_map(chain, gen), chain.n_states, step_cap)
     return state, t_c, t_c * chain.n_states
 
 
@@ -388,6 +399,90 @@ class TestBlockedMaps:
         want = per_step_cftp_batch(chain, 2000, per_step, 10**6)
         np.testing.assert_equal(got, want)
         np.testing.assert_equal(blocked.bit_generator.state, per_step.bit_generator.state)
+
+    @pytest.mark.parametrize("sampler", ["cftp", "grand_coupling_sim"])
+    @pytest.mark.parametrize("where", ["first", "middle", "last", "at the cap", "past the cap"])
+    def test_an_event_anywhere_in_a_pass(self, sampler, where):
+        # Passes of 1, 2, 4, 8, 8, ... maps, so step 9 lies inside the pass
+        # of steps 8 to 15. Take the first seed whose per-step coalescence
+        # or merge time t falls where wanted in a pass of three or more
+        # maps. "at the cap" caps the run at such a t; "past the cap" caps
+        # it at step 9, which t overshoots.
+        n, pass_maps = 5, 8
+        chain = lower_bound_chain(n, 0.3)
+        ledger = SampleLedger()
+
+        def blocked(gen, step_cap):
+            if sampler == "grand_coupling_sim":
+                return outcome(lambda: grand_coupling_sim(chain, gen, step_cap=step_cap))
+            got = outcome(lambda: cftp(chain, gen, step_cap=step_cap, ledger=ledger))
+            return got if got == "cap exceeded" else (got[0], got[1].t_c)
+
+        def per_step(gen, step_cap):
+            if sampler == "grand_coupling_sim":
+                return outcome(lambda: per_step_grand_coupling(chain, gen, step_cap))
+            got = outcome(lambda: per_step_cftp(chain, gen, step_cap))
+            return got if got == "cap exceeded" else got[:2]
+
+        for seed in range(1000):
+            got = per_step(half_used_generator(np.random.PCG64, seed), 10**6)
+            t = got.merge_time if sampler == "grand_coupling_sim" else got[1]
+            start, size = pass_of(t, pass_maps)
+            inside = 0 < t - start < size - 1
+            wanted = {"first": t == start, "middle": inside, "last": t == start + size - 1,
+                      "at the cap": inside, "past the cap": t > 9}
+            if size > 2 and wanted[where]:
+                break
+        else:
+            pytest.fail(f"no seed puts the event {where}")
+        step_cap = {"at the cap": t, "past the cap": 9}.get(where, 10**6)
+        gens = half_used_generator(np.random.PCG64, seed), half_used_generator(np.random.PCG64, seed)
+        with mock.patch.object(sampling, "MAP_BLOCK_ENTRIES", n * pass_maps):
+            assert blocked(gens[0], step_cap) == per_step(gens[1], step_cap)
+        assert gens[0].bit_generator.state == gens[1].bit_generator.state
+        assert ledger.generative_calls == (0 if sampler == "grand_coupling_sim" else min(t, step_cap) * n)
+
+    @settings(max_examples=60)
+    @given(
+        st.sampled_from((3, COUNT_MAX_STATES, COUNT_MAX_STATES + 1, 50)),
+        st.lists(st.one_of(st.none(), st.integers(1, 12)), max_size=8),
+        st.sampled_from(BIT_GENERATORS),
+        st.integers(0, 2**32 - 1),
+        st.data(),
+    )
+    def test_a_handed_back_tail_is_as_if_never_handed_out(self, n, requests, bit_generator, seed, data):
+        # Rows of at most COUNT_MAX_STATES entries are counted state-major,
+        # wider ones searched map-major. Blocks of at most four maps make
+        # requests of up to 12 outgrow them, so maps are carried over.
+        cum = random_ergodic_chain(n, seed).cumulative()
+        gens = half_used_generator(bit_generator, seed), half_used_generator(bit_generator, seed)
+        with (
+            mock.patch.object(sampling, "MAP_BLOCK_ENTRIES", 4 * n),
+            closing(sampling._map_blocks(cum, gens[0])) as handing_back,
+            closing(sampling._map_blocks(cum, gens[1])) as handing_out,
+        ):
+            next(handing_back)
+            next(handing_out)
+            # The same passes (None) and counts on both sides first.
+            for req in requests:
+                got = next(handing_back) if req is None else handing_back.send(req)
+                want = next(handing_out) if req is None else handing_out.send(req)
+                np.testing.assert_array_equal(got, want)
+            last = next(handing_back)
+            j = data.draw(st.integers(0, len(last) - 1), label="maps handed back")
+            if j:
+                handing_back.send(-j)
+            np.testing.assert_array_equal(handing_out.send(len(last) - j), last[: len(last) - j])
+        np.testing.assert_equal(gens[0].bit_generator.state, gens[1].bit_generator.state)
+
+
+def pass_of(t, max_maps):
+    """(first step, maps) of the pass holding step t when each pass drains a block of ``_map_blocks``."""
+    start, size = 1, 1
+    while start + size <= t:
+        start += size
+        size = min(2 * size, max_maps)
+    return start, size
 
 
 def negative_cap_runs():

@@ -28,6 +28,7 @@ def test_kernel_probe_checks_every_strategy_and_layout():
     done = run_tool("kernel_probe.py", "--repeat", "1", "--states", "2,12")
     assert done.returncode == 0, done.stderr
     assert "chosen" in done.stdout
+    assert "search_wins  search_chosen" in done.stdout
 
 
 @pytest.mark.parametrize("name", ["cli_pairs.py", "bench_pairs.py"])

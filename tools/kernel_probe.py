@@ -12,6 +12,12 @@ module constants that select it; ``chosen`` names the one the constants
 pick as they stand. A count is only exact up to 255 states (uint8
 counts), so larger n print ``-`` for it.
 
+A short table after it gives, per n, the smallest measured draw count at
+which search beats compare on both table sizes (``search_wins``), beside
+the smallest draw count at which ``SEARCH_MIN_ENTRIES`` picks search
+(``search_chosen``; ``-`` where rows are narrow enough to count). A new
+value of the constant can be read off it.
+
 The second table times one batched CFTP step per map-block layout: draw
 ``maps`` random maps from uniforms and compose them into as many runs
 (``sampling._compose``). ``state-major`` counts per-state rows of shape
@@ -73,10 +79,13 @@ def cdf(gen: np.random.Generator, n_rows: int, n: int) -> np.ndarray:
     return chains.cdf_table(gen.dirichlet(np.ones(n), size=n_rows))
 
 
-def strategy_table(states, repeat: int) -> None:
+def strategy_table(states, repeat: int) -> dict:
+    """Print the strategy table; return, per n, the draw counts at which search beat compare on every table."""
     gen = np.random.default_rng(1905)
     print("n  table_rows  draws  compare  count  search  chosen")
+    search_wins = {}
     for n in states:
+        search_wins[n] = set(DRAWS)
         for n_rows in (n, 2 * n):
             table = cdf(gen, n_rows, n)
             for draws in DRAWS:
@@ -89,8 +98,18 @@ def strategy_table(states, repeat: int) -> None:
                         if not np.array_equal(chains.inverse_cdf(table, rows, u), want):
                             raise AssertionError(f"{name} differs at n={n}, draws={draws}")
                         times[name] = best_us(lambda: chains.inverse_cdf(table, rows, u), repeat)
+                if times["search"] >= times["compare"]:
+                    search_wins[n].discard(draws)
                 cells = [f"{times[s]:.1f}" if s in times else "-" for s in FORCE]
                 print(n, n_rows, draws, *cells, chosen_strategy(n, draws), sep="  ")
+    return search_wins
+
+
+def crossover_table(search_wins: dict) -> None:
+    print("n  search_wins  search_chosen")
+    for n, wins in search_wins.items():
+        chosen = "-" if n <= chains.COUNT_MAX_STATES else -(-chains.SEARCH_MIN_ENTRIES // n)
+        print(n, min(wins, default="-"), chosen, sep="  ")
 
 
 def layout_table(states, repeat: int) -> None:
@@ -130,7 +149,7 @@ def main() -> None:
     states = [int(v) for v in args.states.split(",")]
     if min(states) < 1:
         parser.error("--states must be positive")
-    strategy_table(states, args.repeat)
+    crossover_table(strategy_table(states, args.repeat))
     print()
     layout_table(states, args.repeat)
 
