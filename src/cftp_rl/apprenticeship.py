@@ -9,7 +9,9 @@ learners are provided:
   model; then play Hedge against exactly-evaluated candidate policies.
 - ``mwal_generative``: never estimate expert feature expectations; instead,
   each round queries the expert for two coalescing trajectories to get an
-  unbiased sample of the game-matrix column of the current candidate.
+  unbiased sample of the game-matrix column of the current candidate. That
+  one sample is walked with Python scalars (``game_column_batch`` at
+  ``n_samples=1``), with the draws and bits of the batched pair loop.
 
 Both run the same Hedge loop and differ only in the loss they feed it; both
 return a mixed policy mixing the per-round optimal policies uniformly. Phi and
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -65,6 +68,7 @@ class ExpertModel:
         probs = policy.action_probs(n_actions)
         self.policy = StochasticPolicy(probs)
         self._cum = cdf_table(probs)
+        self._rows = self._cum.tolist()
         self.rng = as_generator(rng)
         self.ledger = ledger if ledger is not None else SampleLedger()
 
@@ -72,6 +76,17 @@ class ExpertModel:
         actions = inverse_cdf(self._cum, states, self.rng.random(states.shape[0]))
         self.ledger.add_expert(states.shape[0])
         return actions
+
+    def act(self, state: int) -> int:
+        """One query: ``act_batch`` of the single state, as a Python int.
+
+        It draws the same uniform from the same Generator, counts the
+        entries <= u of the same CDF row (held as a list, so one
+        ``bisect_right``) and charges the same ledger one call.
+        """
+        action = bisect_right(self._rows[state], self.rng.random())
+        self.ledger.add_expert(1)
+        return action
 
 
 def _require_expert_fits(mdp: TabularMDP, expert: ExpertModel) -> None:
@@ -205,16 +220,27 @@ def game_column_batch(
     start; feature differences (A minus B) accumulate until the pair
     coalesces, charging ``ledger`` 2 * sum(t_c) calls and the expert
     2 * sum(t_c) - n_samples. The expert's chain is unknown, so only
-    ``step_cap`` bounds pairs that can never meet (CapExceededError).
+    ``step_cap`` bounds pairs that can never meet (CapExceededError); a
+    pair still apart counts t_c = ``step_cap`` in both charges. At
+    ``step_cap=0`` no pair steps: the expert is charged the n_samples first
+    actions and ``ledger`` nothing before the error.
     Raises ValueError before any check or draw for a negative
     ``n_samples``, and before drawing for an expert whose policy table is
     not (n_states, n_actions) of ``mdp`` or for a negative ``step_cap``.
+
+    Two or more samples walk together in ``estimators.coupled_difference_batch``.
+    One sample, the size ``mwal_generative`` asks for once per round, walks
+    in ``_game_column_one`` with Python scalars, since numpy's per-call cost
+    exceeds the work of a one-pair step; it draws the same uniforms in the
+    same order and returns the same bits, Generator states and charges.
     """
     _require_count(n_samples, "n_samples")
     _require_expert_fits(mdp, expert)
     _require_count(step_cap, "step_cap")
     gen = as_generator(rng)
     cum_mu = policy_evaluation(mdp, pi_t).mu_cdf
+    if n_samples == 1:
+        return _game_column_one(mdp, expert, pi_t, cum_mu, gen, step_cap, ledger)
     s0 = inverse_cdf(cum_mu, np.zeros(n_samples, dtype=np.int64), gen.random(n_samples))
     first_a = pi_t.actions[s0]
     first_b = expert.act_batch(s0)
@@ -230,6 +256,46 @@ def game_column_batch(
         ledger=ledger,
     )
     return g, t_c
+
+
+def _game_column_one(mdp, expert, pi_t, cum_mu, gen, step_cap, ledger):
+    """``game_column_batch`` of one sample, walked with Python scalars.
+
+    Every categorical draw is one ``bisect_right`` on the list of its
+    ``cdf_table`` row: the count of entries <= u that ``inverse_cdf``
+    returns. The uniforms come one at a time in the batched walk's order: a
+    step moves side A, then side B (``sampling._pair_walk``), and the
+    expert then acts for A, then B, unless the pair met or the cap is
+    reached. Each step adds f(x) - f(y) at the states before the move, as
+    ``acc + (f_x - f_y)`` per feature: the batched walk's float operations.
+    """
+    s = bisect_right(cum_mu[0].tolist(), gen.random())
+    x = y = s
+    a_x = int(pi_t.actions[s])
+    a_y = expert.act(s)
+    features = mdp.features
+    if features is None:
+        raise ValueError("feature accumulation requires an MDP with features")
+    cum, n_actions = mdp.cumulative(), mdp.n_actions
+    acc = [0.0] * features.shape[1]
+    t = 0
+    met = False
+    while t < step_cap:
+        t += 1
+        acc = [c + (p - q) for c, p, q in zip(acc, features[x].tolist(), features[y].tolist())]
+        x = bisect_right(cum[x * n_actions + a_x].tolist(), gen.random())
+        y = bisect_right(cum[y * n_actions + a_y].tolist(), gen.random())
+        if x == y:
+            met = True
+            break
+        if t < step_cap:
+            a_x = expert.act(x)
+            a_y = expert.act(y)
+    if ledger is not None:
+        ledger.add_generative(2 * t)
+    if not met:
+        raise CapExceededError(f"trajectories did not coalesce within {step_cap} steps")
+    return np.array([acc]), np.array([t], dtype=np.int64)
 
 
 @dataclass

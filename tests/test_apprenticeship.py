@@ -89,6 +89,23 @@ class TestExpertModel:
         expert = ExpertModel(DeterministicPolicy(np.array([1, 0])), 2, rng=0)
         assert expert.act_batch(np.array([0, 1])).tolist() == [1, 0]
 
+    @pytest.mark.parametrize("k", range(6))
+    @pytest.mark.parametrize("kind", ["deterministic", "stochastic"])
+    def test_single_queries_equal_one_batch(self, kind, k):
+        gen = np.random.default_rng(k)
+        n, n_actions = 4, 3
+        if kind == "deterministic":
+            policy = DeterministicPolicy(gen.integers(0, n_actions, n))
+        else:
+            policy = random_stochastic_policy(n, n_actions, gen)
+        states = gen.integers(0, n, k)
+        single, batch = ExpertModel(policy, n_actions, rng=7), ExpertModel(policy, n_actions, rng=7)
+        actions = [single.act(int(s)) for s in states]
+        assert all(type(a) is int for a in actions)
+        assert actions == batch.act_batch(states).tolist()
+        assert single.rng.bit_generator.state == batch.rng.bit_generator.state
+        assert single.ledger.expert_calls == batch.ledger.expert_calls == k
+
 
 class TestFeatureExpectationsExact:
     def test_constant_features(self):

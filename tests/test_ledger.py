@@ -11,7 +11,8 @@ through a spy, so the count is checked against the times that paid for it.
 The ``-cap`` rows run a sampler into its step cap. It must raise
 CapExceededError after charging what it composed: each run or pair counts
 min(t_c, cap) steps, with t_c from the same call without a cap, which
-draws the same maps up to the cap.
+draws the same maps up to the cap. A ``-cap0`` row runs at cap 0, where
+nothing steps; a one-sample row whose pair meets by the cap returns.
 """
 
 from unittest import mock
@@ -139,15 +140,19 @@ def run_policy_gradient_batch(ledger, seed):
     return (grads, gen.bit_generator.state), (calls, 0)
 
 
-def run_game_column_batch(ledger, seed):
+def run_game_column_batch(n_samples):
     # The expert acts once at each start, then once per side on every step
     # but the one at which its pair meets: 2 sum(t_c) - n_samples queries.
-    gen = np.random.default_rng(seed)
-    expert = ExpertModel(EXPERT, M, seed + 1, ledger)
-    g, t_c = game_column_batch(MDP, expert, PI, 40, gen, ledger=ledger)
-    calls = 2 * int(t_c.sum())
-    outputs = (g, t_c, gen.bit_generator.state, expert.rng.bit_generator.state)
-    return outputs, (calls, calls - 40)
+    # One sample walks in Python scalars, more walk batched; both charge so.
+    def run(ledger, seed):
+        gen = np.random.default_rng(seed)
+        expert = ExpertModel(EXPERT, M, seed + 1, ledger)
+        g, t_c = game_column_batch(MDP, expert, PI, n_samples, gen, ledger=ledger)
+        calls = 2 * int(t_c.sum())
+        outputs = (g, t_c, gen.bit_generator.state, expert.rng.bit_generator.state)
+        return outputs, (calls, calls - n_samples)
+
+    return run
 
 
 def run_estimate_all(ledger, seed):
@@ -257,19 +262,32 @@ def run_delta_rho_batch_cap(ledger, seed):
     return (gen.bit_generator.state,), (calls, 0)
 
 
-def run_game_column_batch_cap(ledger, seed):
+def run_game_column_batch_cap(n_samples, step_cap):
     # The expert acts once at each start and once per side after each step
     # that another step follows: 2 * sum(min(t_c, cap)) - n_samples queries.
-    _, t_c = game_column_batch(
-        MDP, ExpertModel(EXPERT, M, seed + 1), PI, 40, np.random.default_rng(seed)
-    )
-    gen = np.random.default_rng(seed)
-    expert = ExpertModel(EXPERT, M, seed + 1, ledger)
-    with pytest.raises(CapExceededError):
-        game_column_batch(MDP, expert, PI, 40, gen, step_cap=CAP, ledger=ledger)
-    assert (t_c <= CAP).any()
-    calls = 2 * int(np.minimum(t_c, CAP).sum())
-    return (gen.bit_generator.state, expert.rng.bit_generator.state), (calls, calls - 40)
+    # At cap 0 no pair steps, so the expert answers only the n_samples first
+    # queries and the dynamics none. The call raises exactly when some pair
+    # is still apart at the cap, so one sample that meets by it returns; 40
+    # samples hold pairs on both sides of the cap.
+    def run(ledger, seed):
+        _, t_c = game_column_batch(
+            MDP, ExpertModel(EXPERT, M, seed + 1), PI, n_samples, np.random.default_rng(seed)
+        )
+        gen = np.random.default_rng(seed)
+        expert = ExpertModel(EXPERT, M, seed + 1, ledger)
+        try:
+            game_column_batch(MDP, expert, PI, n_samples, gen, step_cap=step_cap, ledger=ledger)
+        except CapExceededError:
+            assert step_cap == 0 or (t_c > step_cap).any()
+        else:
+            assert step_cap > 0 and (t_c <= step_cap).all()
+        if n_samples > 1:
+            assert step_cap == 0 or (t_c <= step_cap).any()
+        calls = 2 * int(np.minimum(t_c, step_cap).sum())
+        outputs = (gen.bit_generator.state, expert.rng.bit_generator.state)
+        return outputs, (calls, calls - n_samples if step_cap else n_samples)
+
+    return run
 
 
 def run_estimate_all_cap(ledger, seed):
@@ -310,7 +328,8 @@ ROWS = {
     "delta_rho_batch-exact_solve": run_delta_rho_batch("exact_solve"),
     "delta_rho_batch-cftp": run_delta_rho_batch("cftp"),
     "policy_gradient_batch": run_policy_gradient_batch,
-    "game_column_batch": run_game_column_batch,
+    "game_column_batch": run_game_column_batch(40),
+    "game_column_batch-1": run_game_column_batch(1),
     "estimate_all": run_estimate_all,
     "estimate_all-unshared": run_estimate_all_unshared,
     "cftp-cap": run_cftp_cap,
@@ -318,7 +337,10 @@ ROWS = {
     "expert_stationary_samples-cap": run_expert_stationary_samples_cap,
     "coupled_difference_batch-cap": run_coupled_difference_batch_cap,
     "delta_rho_batch-cap": run_delta_rho_batch_cap,
-    "game_column_batch-cap": run_game_column_batch_cap,
+    "game_column_batch-cap": run_game_column_batch_cap(40, CAP),
+    "game_column_batch-cap0": run_game_column_batch_cap(40, 0),
+    "game_column_batch-1-cap": run_game_column_batch_cap(1, CAP),
+    "game_column_batch-1-cap0": run_game_column_batch_cap(1, 0),
     "estimate_all-cap": run_estimate_all_cap,
     "estimate_all-unshared-cap": run_estimate_all_unshared_cap,
 }

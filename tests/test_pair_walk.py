@@ -16,11 +16,12 @@ from hypothesis import strategies as st
 
 from cftp_rl import apprenticeship, estimators, sampling
 from cftp_rl.apprenticeship import ExpertModel, game_column_batch
-from cftp_rl.chains import DeterministicPolicy, RewardModel, SampleLedger
+from cftp_rl.chains import DeterministicPolicy, RewardModel, SampleLedger, inverse_cdf
 from cftp_rl.errors import CapExceededError
 from cftp_rl.estimators import SoftmaxPolicy, delta_rho_batch, policy_gradient_batch
 from cftp_rl.instances import random_ergodic_chain, random_mdp, random_stochastic_policy
 from cftp_rl.sampling import coalescence_times_batch, lower_bound_chain
+from cftp_rl.solvers import policy_evaluation
 
 
 def per_step_pair_walk(cum, xy, a, draw_actions, gen, step_cap, on_step=None):
@@ -153,8 +154,11 @@ class TestSameDrawsAsThePerStepLoop:
         np.testing.assert_equal(got, want)
         np.testing.assert_equal(gens[0].bit_generator.state, gens[1].bit_generator.state)
 
+    # One sample walks in Python scalars, not in coupled_difference_batch, so
+    # patching that would compare the one-sample walk with itself; it has
+    # its own test below.
     @settings(max_examples=30)
-    @given(st.integers(1, 5), st.integers(1, 3), POLICY_KINDS, st.integers(1, 30), SEEDS, CAPS)
+    @given(st.integers(1, 5), st.integers(1, 3), POLICY_KINDS, st.integers(2, 30), SEEDS, CAPS)
     def test_game_column_batch(self, n, n_actions, kind, n_samples, seed, cap):
         mdp = random_mdp(n, n_actions, seed, n_features=2)
         gen = np.random.default_rng(seed)
@@ -176,6 +180,44 @@ class TestSameDrawsAsThePerStepLoop:
             experts[0].rng.bit_generator.state, experts[1].rng.bit_generator.state
         )
         assert experts[0].ledger == experts[1].ledger
+
+    @settings(max_examples=150)
+    @given(
+        st.integers(1, 5), st.integers(1, 3), POLICY_KINDS, st.integers(1, 3), SEEDS,
+        st.sampled_from((0, 1, 2, 3, 10**6)),
+    )
+    def test_game_column_batch_of_one_sample(self, n, n_actions, kind, n_features, seed, cap):
+        mdp = random_mdp(n, n_actions, seed, n_features=n_features)
+        gen = np.random.default_rng(seed)
+        pi_t = DeterministicPolicy(gen.integers(0, n_actions, n))
+        expert_policy = random_policy(kind, n, n_actions, gen)
+        runs = []
+
+        def start(reference):
+            gen = np.random.default_rng(seed + 1)
+            ledger = SampleLedger()
+            expert = ExpertModel(expert_policy, n_actions, rng=seed + 2)
+            runs.append((gen, ledger, expert))
+            if not reference:
+                return game_column_batch(mdp, expert, pi_t, 1, gen, step_cap=cap, ledger=ledger)
+            # The start state and first actions, drawn as the batched path draws them.
+            mu_cdf = policy_evaluation(mdp, pi_t).mu_cdf
+            s0 = inverse_cdf(mu_cdf, np.zeros(1, np.int64), gen.random(1))
+            return per_step_coupled_difference(
+                mdp, s0, pi_t.actions[s0], expert.act_batch(s0), expert.act_batch, gen,
+                value="features", step_cap=cap, ledger=ledger,
+            )
+
+        got, want = outcome(lambda: start(False)), outcome(lambda: start(True))
+        assert (got == "cap exceeded") == (want == "cap exceeded")
+        if want != "cap exceeded":
+            for a, b in zip(got, want):
+                assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
+        (gen, ledger, expert), (ref_gen, ref_ledger, ref_expert) = runs
+        assert gen.bit_generator.state == ref_gen.bit_generator.state
+        assert expert.rng.bit_generator.state == ref_expert.rng.bit_generator.state
+        assert ledger == ref_ledger
+        assert expert.ledger == ref_expert.ledger
 
     @settings(max_examples=30)
     @given(

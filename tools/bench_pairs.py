@@ -30,11 +30,22 @@ parent minus change. ``digest_mismatches`` lists the phases whose
 digests differ between the sides (a side whose runs disagree counts as
 differing); each is also printed to stderr.
 
+Per metric, ``verdict`` holds the acceptance reading of the two sides
+(``acceptance_verdict``), judged against that metric's relative ``bound``
+in the ``BENCHMARK.json`` next to this tool, the only file it reads there:
+"beyond bound" when the change's median is worse than the parent's by more
+than the bound; else "unresolved" when the parent's IQR, over its median,
+is wider than the bound and not every change run beats every parent run;
+else "claim met" when the change won at least 9 in 10 of the pairs and its
+median gain, the median per-pair gap, exceeds the parent's IQR; else
+"within bound". A metric the file gives no bound is judged on the claim
+rule alone.
+
 The verdict goes to stderr, one line per end-to-end metric: the parent
-and change medians, the change in percent of the parent's median, and the
-pairs the change won. The JSON is written in every case. The exit code is
-1 when a phase digest differs or any run of either side failed a check,
-and 0 otherwise.
+and change medians, the change in percent of the parent's median, the
+pairs the change won and the verdict. The JSON is written in every case.
+The exit code is 1 when a phase digest differs or any run of either side
+failed a check, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -45,6 +56,8 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
@@ -93,6 +106,26 @@ def rss_fit(runs: list[tuple[dict, dict]]) -> dict | None:
             "max_residual": max(abs(r) for r in residuals)}
 
 
+def acceptance_verdict(parent: dict, change: dict, wins: int, pairs: int, median_gap: float,
+                       bound: float | None) -> str:
+    """The acceptance reading of one metric from its two sides' ``quartiles`` summaries.
+
+    ``wins`` counts the pairs the change won and ``median_gap`` is the
+    median per-pair gap, parent minus change; lower is better. The module
+    docstring gives the rules and their order.
+    """
+    before = parent["median"]
+    if bound is not None:
+        if change["median"] - before > bound * before:
+            return "beyond bound"
+        every_run_beaten = max(change["runs"]) < min(parent["runs"])
+        if parent["iqr"] > bound * before and not every_run_beaten:
+            return "unresolved"
+    if 10 * wins >= 9 * pairs and median_gap > parent["iqr"]:
+        return "claim met"
+    return "within bound"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True)
@@ -116,11 +149,17 @@ def main(argv=None) -> int:
     summary["seconds"] = args.seconds
     summary["change_wins"] = {}
     summary["median_gap"] = {}
+    summary["verdict"] = {}
+    bounds = {m["name"]: m.get("bound") for m in json.loads(BENCHMARK.read_text())["end_to_end"]}
     for name in summary["parent"]["metrics"]:
         gaps = [p["metrics"][name]["value"] - c["metrics"][name]["value"]
                 for (p, _), (c, _) in zip(runs["parent"], runs["change"])]
         summary["change_wins"][name] = sum(g > 0 for g in gaps)
         summary["median_gap"][name] = statistics.median(gaps)
+        summary["verdict"][name] = acceptance_verdict(
+            summary["parent"]["metrics"][name], summary["change"]["metrics"][name],
+            summary["change_wins"][name], args.pairs, summary["median_gap"][name], bounds.get(name),
+        )
     digests = {side: summary[side]["digests"] for side in sides}
     summary["digest_mismatches"] = sorted(
         phase for phase in digests["parent"].keys() | digests["change"].keys()
@@ -142,7 +181,8 @@ def main(argv=None) -> int:
         after = summary["change"]["metrics"][name]["median"]
         percent = 100.0 * (after - before) / before if before else float("nan")
         print(f"{args.workload}@{args.seed} {name}: parent {before:.4g}, change {after:.4g} "
-              f"({percent:+.1f}%), change won {summary['change_wins'][name]}/{args.pairs}",
+              f"({percent:+.1f}%), change won {summary['change_wins'][name]}/{args.pairs}: "
+              f"{summary['verdict'][name]}",
               file=sys.stderr)
     failed = {side: summary[side]["failed"] for side in sides}
     if any(failed.values()):
