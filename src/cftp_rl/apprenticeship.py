@@ -44,7 +44,7 @@ from .hedge import (
     HedgeState, checked_loss, clamp_mask, hedge_step, normalized_weights, rescale_loss,
 )
 from .sampling import _cftp_batch_core, _require_count
-from .seeding import as_generator, seed_sequence, substream
+from .seeding import KeyedUniforms, as_generator, seed_sequence, substream
 from .solvers import improved_actions, optimal_policy, policy_evaluation, stationary_distribution
 
 # Most deterministic policies, |A| ** |S|, the exact game-value oracle enumerates.
@@ -268,6 +268,9 @@ def _game_column_one(mdp, expert, pi_t, cum_mu, gen, step_cap, ledger):
     expert then acts for A, then B, unless the pair met or the cap is
     reached. Each step adds f(x) - f(y) at the states before the move, as
     ``acc + (f_x - f_y)`` per feature: the batched walk's float operations.
+    Each feature or CDF row becomes a list once per call, on the walk's
+    first visit to it (``feature_rows``, ``cdf_rows``); the lookup
+    ``get(i) or setdefault(i, ...)`` relies on a row list never being empty.
     """
     s = bisect_right(cum_mu[0].tolist(), gen.random())
     x = y = s
@@ -277,14 +280,18 @@ def _game_column_one(mdp, expert, pi_t, cum_mu, gen, step_cap, ledger):
     if features is None:
         raise ValueError("feature accumulation requires an MDP with features")
     cum, n_actions = mdp.cumulative(), mdp.n_actions
+    feature_rows, cdf_rows = {}, {}
     acc = [0.0] * features.shape[1]
     t = 0
     met = False
     while t < step_cap:
         t += 1
-        acc = [c + (p - q) for c, p, q in zip(acc, features[x].tolist(), features[y].tolist())]
-        x = bisect_right(cum[x * n_actions + a_x].tolist(), gen.random())
-        y = bisect_right(cum[y * n_actions + a_y].tolist(), gen.random())
+        f_x = feature_rows.get(x) or feature_rows.setdefault(x, features[x].tolist())
+        f_y = feature_rows.get(y) or feature_rows.setdefault(y, features[y].tolist())
+        acc = [c + (p - q) for c, p, q in zip(acc, f_x, f_y)]
+        i, j = x * n_actions + a_x, y * n_actions + a_y
+        x = bisect_right(cdf_rows.get(i) or cdf_rows.setdefault(i, cum[i].tolist()), gen.random())
+        y = bisect_right(cdf_rows.get(j) or cdf_rows.setdefault(j, cum[j].tolist()), gen.random())
         if x == y:
             met = True
             break
@@ -475,14 +482,18 @@ def mwal_generative(
     Each round draws one unbiased game-column sample from two expert
     trajectories, rescales it into [0, 1] with B = b log(2 T k / delta)
     (clamping the low-probability overshoots), and feeds it to Hedge.
-    Policy iteration warm-starts from the previous round's policy. Raises
-    ValueError for n_rounds < 1 before drawing.
+    Round t draws from one keyed Philox stream per call,
+    ``KeyedUniforms(seed_sequence(rng)).at(t)``, not from a substream of
+    its own, so the uniforms it reads are a pure function of (rng, t) and
+    cost no ``SeedSequence``; the expert answers from its own Generator, in
+    round order. Policy iteration warm-starts from the previous round's policy.
+    Raises ValueError for n_rounds < 1 before drawing.
     """
     _require_game(mdp, k, n_rounds)
     if b <= 0.0 or not 0.0 < delta < 1.0:
         raise ValueError("need b > 0 and delta in (0, 1)")
     bound = b * math.log(2.0 * n_rounds * k / delta)
-    base = seed_sequence(rng)
+    keyed = KeyedUniforms(seed_sequence(rng))
     ledger = SampleLedger()
     expert_before = expert.ledger.expert_calls
     raw = np.empty((n_rounds, k))
@@ -490,7 +501,7 @@ def mwal_generative(
 
     def sampled_loss(t, pi_t, phi_t):
         g, _ = game_column_batch(
-            mdp, expert, pi_t, 1, substream(base, t), step_cap=step_cap, ledger=ledger,
+            mdp, expert, pi_t, 1, keyed.at(t), step_cap=step_cap, ledger=ledger,
         )
         raw[t] = g[0]
         clamped[t] = clamp_mask(g[0], bound)

@@ -7,15 +7,16 @@ in one of two forms.
   key with integer path components, so the stream for (seed, run, t) never
   depends on how many other streams were created before it. Every call
   site that takes a Generator (the CLI runners, ``mwal``,
-  ``mwal_generative``, ``cftp_batch``, ``expert_stationary_samples``, the
-  estimators) derives its streams this way.
+  ``cftp_batch``, ``expert_stationary_samples``, the estimators) derives
+  its streams this way.
 - **Keyed uniforms.** ``SampleMatrix`` draws one short row per past time
-  t. A fresh substream per row costs more than the row, so rows read a
-  counter-based Philox stream instead (Salmon, Moraes, Dror & Shaw,
-  "Parallel random numbers: as easy as 1, 2, 3", SC 2011).
+  t, and ``mwal_generative`` one short game-column walk per round t. A
+  fresh substream per row or round costs more than its draws, so both
+  read a counter-based Philox stream instead (Salmon, Moraes, Dror &
+  Shaw, "Parallel random numbers: as easy as 1, 2, 3", SC 2011).
   ``KeyedUniforms(seed)`` derives one 128-bit key per seed; ``at(t)``
   starts the stream at the one counter word t, counter (0, t, 0, 0), so
-  row t is a pure function of (seed, t).
+  row t, or round t's draws, is a pure function of (seed, t).
 """
 
 from __future__ import annotations

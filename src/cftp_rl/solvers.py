@@ -52,9 +52,13 @@ def stationary_distribution(chain: MarkovChain) -> np.ndarray:
     with the last equation replaced by the normalization constraint. Dense
     and exact; this layer is the oracle.
     """
-    mask = chain.require_coalescing()
+    return _stationary_on(chain.transition, chain.require_coalescing())
+
+
+def _stationary_on(transition: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``stationary_distribution`` of ``transition``, given its closed class's mask."""
     m = int(mask.sum())
-    a = chain.transition[np.ix_(mask, mask)].T - np.eye(m)
+    a = transition[np.ix_(mask, mask)].T - np.eye(m)
     a[-1, :] = 1.0
     b = np.zeros(m)
     b[-1] = 1.0
@@ -62,9 +66,9 @@ def stationary_distribution(chain: MarkovChain) -> np.ndarray:
         mu_class = np.linalg.solve(a, b)
     except np.linalg.LinAlgError as exc:
         raise SolveError("stationary solve is singular") from exc
-    mu = np.zeros(chain.n_states)
+    mu = np.zeros(transition.shape[0])
     mu[mask] = mu_class
-    residual = np.max(np.abs(mu @ chain.transition - mu))
+    residual = np.max(np.abs(mu @ transition - mu))
     if residual > STATIONARY_TOL or np.any(mu_class <= 0.0):
         raise SolveError(f"stationary solve residual {residual:.3g} beyond tolerance")
     return mu
@@ -113,7 +117,8 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 class PolicyEvaluation:
     """What is known about one deterministic policy of an MDP, each field built on first read.
 
-    An entry holds no array until a field is read. Each field is a
+    An entry holds only the mask of its induced chain's closed class, which
+    the coalescing check returned, until a field is read. Each field is a
     ``functools.cached_property``: computed at most once, a plain attribute
     read afterwards, read-only; a computation that raises (SolveError for a
     singular solve) stores nothing. ``lu``/``piv`` is scipy's ``dgetrf``
@@ -123,16 +128,21 @@ class PolicyEvaluation:
 
     mdp: TabularMDP
     policy: DeterministicPolicy
+    mask: np.ndarray
+
+    def _transition(self) -> np.ndarray:
+        """The induced chain's transition matrix P."""
+        return self.mdp.transition[self.policy.actions, np.arange(self.mdp.n_states)]
 
     @functools.cached_property
     def mu(self) -> np.ndarray:
-        """Stationary distribution of P (``stationary_distribution``)."""
-        return _read_only(stationary_distribution(induce_chain(self.mdp, self.policy)))
+        """Stationary distribution of P (``stationary_distribution``), solved on ``mask``."""
+        return _read_only(_stationary_on(self._transition(), self.mask))
 
     @functools.cached_property
     def _factor(self) -> tuple[np.ndarray, np.ndarray]:
         n = self.mdp.n_states
-        p = self.mdp.transition[self.policy.actions, np.arange(n)]
+        p = self._transition()
         lu, piv, info = _lapack().dgetrf(np.eye(n) - p + np.outer(np.ones(n), self.mu))
         if info != 0:
             raise SolveError("bias solve is singular")
@@ -160,14 +170,15 @@ class PolicyEvaluation:
 def policy_evaluation(mdp: TabularMDP, policy: DeterministicPolicy) -> PolicyEvaluation:
     """The entry of ``policy`` in the MDP's one per-policy cache, ``mdp.policy_evaluations``.
 
-    A missing entry is made, holding no array, once the induced chain passes
-    ``MarkovChain.require_coalescing``; a failed check inserts nothing and
-    raises on every call. Keyed by ``policy.key()``; lives as long as the MDP.
+    A missing entry is made, holding the closed-class mask and no solve,
+    once the induced chain passes ``MarkovChain.require_coalescing``; a
+    failed check inserts nothing and raises on every call. Keyed by
+    ``policy.key()``; lives as long as the MDP.
     """
     evaluation = mdp.policy_evaluations.get(policy.key())
     if evaluation is None:
-        induce_chain(mdp, policy).require_coalescing()
-        evaluation = mdp.policy_evaluations[policy.key()] = PolicyEvaluation(mdp, policy)
+        mask = induce_chain(mdp, policy).require_coalescing()
+        evaluation = mdp.policy_evaluations[policy.key()] = PolicyEvaluation(mdp, policy, mask)
     return evaluation
 
 
@@ -178,7 +189,7 @@ def require_coalescing_policy(mdp: TabularMDP, policy) -> None:
     NonErgodicError when the chain has no single aperiodic closed class
     (``MarkovChain.require_coalescing``); transient states are accepted. A
     deterministic policy that passes gets its ``policy_evaluation`` entry,
-    which solves nothing, and is not checked again.
+    which keeps the mask and solves nothing, and is not checked again.
     """
     if isinstance(policy, DeterministicPolicy):
         policy_evaluation(mdp, policy)

@@ -42,6 +42,7 @@ from cftp_rl.instances import (
     sparse_cycle_mdp,
     two_state_chain,
 )
+from cftp_rl.seeding import KeyedUniforms, seed_sequence
 from cftp_rl.solvers import average_reward, optimal_policy, stationary_distribution
 
 
@@ -169,12 +170,12 @@ class TestFeatureExpectationsExact:
         with mock.patch(
             "cftp_rl.apprenticeship.stationary_distribution", wraps=stationary_distribution
         ) as solves, mock.patch(
-            "cftp_rl.solvers.stationary_distribution", wraps=stationary_distribution
-        ) as cached_solves:
+            "cftp_rl.solvers._stationary_on", wraps=solvers._stationary_on
+        ) as all_solves:
             phi_mix = feature_expectations_exact(mdp, MixedPolicy(weights, members))
         assert phi_mix.tobytes() == np.einsum("m,mk->k", weights, per_member).tobytes()
-        assert cached_solves.call_count == 2  # a and b, by key
         assert solves.call_count == 2  # each stochastic member on its own
+        assert all_solves.call_count == 4  # those two, and a and b once each, by key
 
     def test_missing_features_rejected(self):
         mdp = random_mdp(3, 2, rng=6)
@@ -691,6 +692,27 @@ class TestMwalGenerative:
         assert result.clamped.shape == (n_rounds, 2)
         assert result.raw_columns.shape == (n_rounds, 2)
         assert np.all(result.losses >= 0.0) and np.all(result.losses <= 1.0)
+
+    @pytest.mark.parametrize("seed", [163, np.random.SeedSequence(164, spawn_key=(2, 5))])
+    def test_round_t_draws_from_the_keyed_stream_at_t(self, seed):
+        """Round t's column is ``game_column_batch`` on the keyed stream at counter t.
+
+        A fresh ``KeyedUniforms`` per round replays it, with an expert seeded
+        as the run's and stepped in round order, so a round's own draws are a
+        pure function of (seed, t).
+        """
+        mdp, expert_policy = thm8_style_instance(seed=165)
+        expert_policy = StochasticPolicy(0.8 * expert_policy.action_probs(2) + 0.1)
+        expert = ExpertModel(expert_policy, 2, rng=166)
+        result = mwal_generative(mdp, expert, 2, 40, delta=0.1, b=2.0, rng=seed)
+        expert_replay = ExpertModel(expert_policy, 2, rng=166)
+        for t, pi_t in enumerate(result.policies):
+            g, _ = game_column_batch(
+                mdp, expert_replay, pi_t, 1, KeyedUniforms(seed_sequence(seed)).at(t)
+            )
+            assert g[0].tobytes() == result.raw_columns[t].tobytes(), t
+        assert expert_replay.ledger.expert_calls == result.expert_calls
+        assert expert_replay.rng.bit_generator.state == expert.rng.bit_generator.state
 
     def test_sparse_cycle_tail_decays_exponentially(self):
         mdp = sparse_cycle_mdp(8, 0.01)

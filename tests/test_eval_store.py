@@ -501,12 +501,12 @@ def test_the_coalescing_check_solves_nothing(monkeypatch):
     def refuse(*args):
         raise AssertionError("the coalescing check solved a system")
 
-    monkeypatch.setattr(solvers, "stationary_distribution", refuse)
+    monkeypatch.setattr(solvers, "_stationary_on", refuse)
     monkeypatch.setattr(solvers, "_lapack", refuse)
     mdp = random_mdp(6, 2, 21)
     estimates = estimate_all(StoreEnsemble(mdp, 0.5, 0.5, 64, 22), policies)
     assert estimates.tobytes() == expected.tobytes()
-    # 64 entries, each holding only its MDP and policy: no field was filled.
+    # 64 entries, each holding only its MDP, policy and class mask: no field was filled.
     assert len(mdp.policy_evaluations) == 64
     for entry in mdp.policy_evaluations.values():
-        assert set(vars(entry)) == {"mdp", "policy"}
+        assert set(vars(entry)) == {"mdp", "policy", "mask"}

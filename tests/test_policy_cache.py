@@ -11,14 +11,15 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cftp_rl import solvers
+from cftp_rl import chains, solvers
 from cftp_rl.apprenticeship import _mwal_rounds, _row_dots, feature_expectations_exact
-from cftp_rl.chains import DeterministicPolicy, RewardModel, TabularMDP
+from cftp_rl.chains import DeterministicPolicy, RewardModel, TabularMDP, induce_chain
 from cftp_rl.errors import NonErgodicError, SolveError
 from cftp_rl.hedge import LOSS_TOL, HedgeState, hedge_step
 from cftp_rl.instances import random_mdp
 from cftp_rl.solvers import (
     bias_and_q, improved_actions, optimal_policy, policy_evaluation, state_reward_q,
+    stationary_distribution,
 )
 
 PROPERTY_SETTINGS = settings(max_examples=60)
@@ -201,9 +202,9 @@ FIELDS = ("mu", "lu", "piv", "mu_cdf", "phi", "q_features")
 def test_entry_fields_are_built_once_on_first_read(instance):
     mdp, _, policy = instance
     evaluation = policy_evaluation(mdp, policy)
-    assert set(vars(evaluation)) == {"mdp", "policy"}
+    assert set(vars(evaluation)) == {"mdp", "policy", "mask"}
     with mock.patch(
-        "cftp_rl.solvers.stationary_distribution", wraps=solvers.stationary_distribution
+        "cftp_rl.solvers._stationary_on", wraps=solvers._stationary_on
     ) as solves, mock.patch(
         "cftp_rl.solvers.state_reward_q", wraps=state_reward_q
     ) as q_tables, mock.patch("cftp_rl.solvers._lapack", wraps=solvers._lapack) as factors:
@@ -226,7 +227,20 @@ def test_a_singular_factor_raises_on_every_read(monkeypatch):
     for name in ("lu", "piv", "lu"):
         with pytest.raises(SolveError, match="singular"):
             getattr(evaluation, name)
-    assert set(vars(evaluation)) == {"mdp", "policy", "mu"}
+    assert set(vars(evaluation)) == {"mdp", "policy", "mask", "mu"}
+
+
+@PROPERTY_SETTINGS
+@given(feature_instances())
+def test_a_cold_policy_is_checked_once(instance):
+    """The first ``phi`` read checks the chain once; ``mu`` solves on the check's mask."""
+    mdp, _, policy = instance
+    with mock.patch("cftp_rl.chains.closed_class", wraps=chains.closed_class) as checks:
+        phi = policy_evaluation(mdp, policy).phi
+    assert checks.call_count == 1
+    mu = stationary_distribution(induce_chain(mdp, policy))
+    assert phi.tobytes() == (mu @ mdp.features).tobytes()
+    assert policy_evaluation(mdp, policy).mu.tobytes() == mu.tobytes()
 
 
 def sweep_loss(k):

@@ -5,8 +5,9 @@ and calls ``sampling._compose``; before it times anything it checks that
 every strategy and map-block layout gives the same integers, and raises if
 one does not. One repeat at two state counts runs those checks in about a
 second. The pair tools run whole benchmarks or CLI recipes, so only their
-``--help`` is run here, and ``bench_pairs``'s verdict rule is checked on
-synthetic summaries.
+``--help`` is run here, ``bench_pairs``'s verdict rule is checked on
+synthetic summaries, and ``cli_pairs``'s ``--expect-diff`` rule on
+synthetic lists of differing files and flags.
 """
 
 import importlib.util
@@ -75,3 +76,23 @@ def test_bench_pairs_verdict(parent_runs, change_runs, bound, verdict):
         len(gaps), statistics.median(gaps), bound,
     )
     assert got == verdict
+
+
+@pytest.mark.parametrize("differ, flags, expected, breaches", [
+    # Exactly the named subcommand's outputs differ, at both configs or one.
+    (["mwal-gen-default/mwal_rounds.csv", "mwal-gen-t12/mwal_rounds.csv"], [], ["mwal-gen"], []),
+    (["mwal-gen-t12/mwal_summary.csv (only in change)"], [], ["mwal-gen"], []),
+    # A file of another subcommand differs; "mwal-" is not "mwal-gen-".
+    (["mwal-gen-t12/a.csv", "mwal-t12/a.csv"], [], ["mwal-gen"], ["mwal-t12/a.csv (not expected)"]),
+    (["mwal-gen-t12/a.csv"], [], ["mwal"], ["mwal-gen-t12/a.csv (not expected)",
+                                            "mwal (expected a diff, none found)"]),
+    # A named subcommand with no differing file, and nothing differing at all.
+    (["pg-t12/pg.csv"], [], ["pg", "mwal-gen"], ["mwal-gen (expected a diff, none found)"]),
+    ([], [], ["pg"], ["pg (expected a diff, none found)"]),
+    # No flag may differ.
+    (["pg-default/pg.csv"], ["pg --samples"], ["pg"], ["pg --samples (not expected)"]),
+    # A repeated name counts once.
+    (["pg-default/pg.csv", "eval-store-t12/x.csv"], [], ["pg", "eval-store", "pg"], []),
+])
+def test_cli_pairs_expected_diff(differ, flags, expected, breaches):
+    assert load_tool("cli_pairs").expected_diff_breaches(differ, flags, expected) == breaches

@@ -2,7 +2,7 @@
 
 Usage, from anywhere:
 
-    python3 tools/cli_pairs.py --parent DIR --change DIR
+    python3 tools/cli_pairs.py --parent DIR --change DIR [--expect-diff SUB ...]
 
 DIR is the root of a checkout (e.g. ``git archive <commit> | tar -x -C DIR``).
 In each checkout it runs the six subcommands at the test_12 configs and at
@@ -18,6 +18,12 @@ on one side only, then a count, then one line per flag that exists on one
 side only, then a count. It exits 1 if any file or flag differs, 0 if all
 match. A subcommand that exits non-zero stops the comparison with exit
 code 2.
+
+``--expect-diff SUB`` (repeatable) states the diff a change to the draws
+of subcommand SUB should make. The tool then exits 0 only when every
+differing file lies under ``SUB-t12/`` or ``SUB-default/`` of a named
+subcommand, each named subcommand has at least one differing file, and no
+flag differs; it prints one line per breach of that rule, then a count.
 """
 
 from __future__ import annotations
@@ -100,10 +106,24 @@ def differing_files(left: Path, right: Path) -> tuple[list[str], int]:
     return differ, len(names)
 
 
+def expected_diff_breaches(differ: list[str], flags_differ: list[str], expected: list[str]) -> list[str]:
+    """Every way the differences break ``--expect-diff``: [] when they are exactly as expected."""
+    runs = {sub: {f"{sub}-t12", f"{sub}-default"} for sub in expected}
+    allowed = set().union(*runs.values())
+    touched = {name.split("/", 1)[0] for name in differ}
+    breaches = [f"{name} (not expected)" for name in differ if name.split("/", 1)[0] not in allowed]
+    breaches += [f"{sub} (expected a diff, none found)" for sub, dirs in runs.items() if not dirs & touched]
+    breaches += [f"{flag} (not expected)" for flag in flags_differ]
+    return breaches
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--expect-diff", action="append", choices=SUBCOMMANDS, metavar="SUB",
+                        help="a subcommand whose outputs should differ (repeatable); "
+                             "exit 0 only when exactly these differ and no flag does")
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -131,7 +151,13 @@ def main(argv=None) -> int:
     for flag in one_side:
         print(f"{flag} (only in {'parent' if flag in flags['parent'] else 'change'})")
     print(f"{len(one_side)} of {len(flags['parent'] | flags['change'])} flags differ")
-    return 1 if differ or one_side else 0
+    if args.expect_diff is None:
+        return 1 if differ or one_side else 0
+    breaches = expected_diff_breaches(differ, one_side, args.expect_diff)
+    for breach in breaches:
+        print(breach)
+    print(f"{len(breaches)} breaches of --expect-diff {' '.join(args.expect_diff)}")
+    return 1 if breaches else 0
 
 
 if __name__ == "__main__":
