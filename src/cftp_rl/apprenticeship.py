@@ -41,11 +41,13 @@ from .chains import (
 from .errors import CapExceededError
 from .estimators import coupled_difference_batch
 from .hedge import (
-    HedgeState, checked_loss, clamp_mask, hedge_step, normalized_weights, rescale_loss,
+    HedgeState, checked_loss, clamp_flags, hedge_step, normalized_weights, rescale_values,
 )
 from .sampling import _cftp_batch_core, _require_count
 from .seeding import KeyedUniforms, as_generator, seed_sequence, substream
-from .solvers import improved_actions, optimal_policy, policy_evaluation, stationary_distribution
+from .solvers import (
+    improved_actions, keeps_actions, optimal_policy, policy_evaluation, stationary_distribution,
+)
 
 # Most deterministic policies, |A| ** |S|, the exact game-value oracle enumerates.
 ENUMERATION_BUDGET = 256
@@ -353,6 +355,14 @@ def _mwal_rounds(
     would stop at once and return it, so the round keeps it; only when the
     rule proposes a change does the round call ``optimal_policy``.
 
+    A single round works on length-k vectors, where a numpy call costs more
+    than its arithmetic, so its bookkeeping runs on Python floats: the
+    stay test is ``solvers.keeps_actions`` on one ``tolist()`` of
+    Q_F . w, and the Hedge update is ``hedge.hedge_step``. Numpy keeps the
+    calls whose rounding the results depend on and Python's need not match:
+    ``hedge.normalized_weights`` (``np.exp`` and the sum), ``Q_F @ w`` and
+    ``w @ Phi``. Both learners run this one single-round path.
+
     ``policy_only=True`` says the loss depends on pi_t alone, not on t.
     Then, while pi_t stays, every round subtracts the same beta * loss from
     the log-weights, so after each single round the loop computes a block
@@ -379,13 +389,11 @@ def _mwal_rounds(
     while t < n_rounds:
         w = state.weights
         weights[t] = w
-        stays = pi_t is not None and (
-            improved_actions((q_features @ w).reshape(shape)) == pi_t.actions
-        ).all()
-        if not stays:
+        if pi_t is None or not keeps_actions((q_features @ w).tolist(), actions, mdp.n_actions):
             pi_t = optimal_policy(mdp, reward_override=features @ w, start=pi_t)
             evaluation = policy_evaluation(mdp, pi_t)
             q_features, phi_t = evaluation.q_features, evaluation.phi
+            actions = pi_t.actions.tolist()
             block = 1
         policies.append(pi_t)
         g_tilde = loss(t, pi_t, phi_t)
@@ -487,11 +495,16 @@ def mwal_generative(
     its own, so the uniforms it reads are a pure function of (rng, t) and
     cost no ``SeedSequence``; the expert answers from its own Generator, in
     round order. Policy iteration warm-starts from the previous round's policy.
-    Raises ValueError for n_rounds < 1 before drawing.
+    The round's column is rescaled and its clamps flagged on Python floats
+    (``hedge.rescale_values``, ``hedge.clamp_flags``), with the bits of
+    ``rescale_loss`` and ``clamp_mask``; the rounds run singly, never in
+    blocks, since each round's loss is a fresh sample.
+    Raises ValueError before drawing for n_rounds < 1, for a ``b`` that is
+    not positive and finite, and for ``delta`` outside (0, 1).
     """
     _require_game(mdp, k, n_rounds)
-    if b <= 0.0 or not 0.0 < delta < 1.0:
-        raise ValueError("need b > 0 and delta in (0, 1)")
+    if not 0.0 < b < math.inf or not 0.0 < delta < 1.0:
+        raise ValueError("need b > 0 and finite, and delta in (0, 1)")
     bound = b * math.log(2.0 * n_rounds * k / delta)
     keyed = KeyedUniforms(seed_sequence(rng))
     ledger = SampleLedger()
@@ -504,8 +517,9 @@ def mwal_generative(
             mdp, expert, pi_t, 1, keyed.at(t), step_cap=step_cap, ledger=ledger,
         )
         raw[t] = g[0]
-        clamped[t] = clamp_mask(g[0], bound)
-        return rescale_loss(g[0], bound)
+        column = g[0].tolist()
+        clamped[t] = clamp_flags(column, bound)
+        return rescale_values(column, bound)
 
     result = _mwal_rounds(mdp, k, n_rounds, sampled_loss)
     return replace(

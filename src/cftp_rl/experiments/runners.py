@@ -35,7 +35,7 @@ from ..sampling import (
     lower_bound_chain,
 )
 from ..seeding import child_sequence, substream
-from ..solvers import average_reward, mixing_time, optimal_policy
+from ..solvers import average_reward, mixing_time, optimal_policy, policy_evaluation
 from .config import ExperimentConfig
 from .svg import line_chart
 
@@ -466,7 +466,11 @@ def run_eval_store(config: ExperimentConfig) -> None:
         config.param("n_states"), config.param("n_actions"), config.param("instance_seed")
     )
     policies = enumerate_deterministic_policies(mdp.n_states, mdp.n_actions)
-    exact = np.array([average_reward(induce_chain(mdp, p)) for p in policies])
+    # Each policy's cache entry, made here, also serves the store's coalescing checks.
+    states = np.arange(mdp.n_states)
+    exact = np.array([
+        float(policy_evaluation(mdp, p).mu @ mdp.reward.means[states, p.actions]) for p in policies
+    ])
     rows = []
     summary_rows = []
     for replicate in range(config.replicates):

@@ -3,6 +3,14 @@ transform that brings a [-B, B] payoff vector into that range.
 
 Weights are kept in the log domain so long horizons cannot underflow; the
 observable normalized weights are unchanged by the stabilization.
+
+One Hedge round works on a length-k vector, often k = 2, where a numpy
+call costs more than its arithmetic. ``hedge_step`` therefore checks, clips
+and subtracts on Python floats, and ``rescale_values`` and ``clamp_flags``
+are the Python-float forms of ``rescale_loss`` and ``clamp_mask`` for one
+column. Each is elementwise IEEE arithmetic, so it returns the bits of its
+numpy form. ``normalized_weights`` stays numpy: its ``np.exp`` and sum are
+not guaranteed to round as Python's ``math.exp`` and ``sum`` do.
 """
 
 from __future__ import annotations
@@ -68,13 +76,28 @@ def checked_loss(loss: np.ndarray) -> np.ndarray:
 def hedge_step(state: HedgeState, loss: np.ndarray) -> HedgeState:
     """Multiplicative update W_i *= exp(-beta * loss_i); loss must lie in [0, 1].
 
-    The loss goes through ``checked_loss``; a wrong shape raises ValueError.
-    The input state is unchanged.
+    The loss is checked and clipped as ``checked_loss`` does; a wrong shape
+    raises ValueError. The input state is unchanged. The update runs on
+    Python floats, one ``tolist()`` of the loss and one of the log-weights,
+    and gives the bits of ``log_weights - beta * checked_loss(loss)``: the
+    loss is converted to float64 first, so a float32 loss is widened, not
+    multiplied in float32.
     """
     loss = np.asarray(loss, dtype=float)
     if loss.shape != (state.k,):
         raise ValueError(f"loss must have shape ({state.k},)")
-    return HedgeState(state.log_weights - state.beta * checked_loss(loss), state.beta, state.t + 1)
+    values = loss.tolist()
+    # Each entry is tested on its own: min() and max() skip a NaN that is
+    # not first, and a NaN fails both comparisons.
+    for v in values:
+        if not -LOSS_TOL <= v <= 1.0 + LOSS_TOL:
+            raise ValueError("loss entries must lie in [0, 1]")
+    beta = state.beta
+    log_weights = [
+        w - beta * (0.0 if v < 0.0 else 1.0 if v > 1.0 else v)
+        for w, v in zip(state.log_weights.tolist(), values)
+    ]
+    return HedgeState(np.array(log_weights), beta, state.t + 1)
 
 
 def rescale_loss(g: np.ndarray, bound: float) -> np.ndarray:
@@ -92,6 +115,21 @@ def clamp_mask(g: np.ndarray, bound: float) -> np.ndarray:
     """Per-coordinate indicator of inputs the rescale had to clamp."""
     g = np.asarray(g, dtype=float)
     return (g < -bound) | (g > bound)
+
+
+def rescale_values(g: list[float], bound: float) -> list[float]:
+    """``rescale_loss`` of one column given as Python floats, bit for bit.
+
+    The caller has checked that ``bound`` is positive.
+    """
+    scale = 2.0 * bound
+    values = [(x + bound) / scale for x in g]
+    return [0.0 if v < 0.0 else 1.0 if v > 1.0 else v for v in values]
+
+
+def clamp_flags(g: list[float], bound: float) -> list[bool]:
+    """``clamp_mask`` of one column given as Python floats."""
+    return [x < -bound or x > bound for x in g]
 
 
 def hedge_regret(losses: np.ndarray, horizon: int | None = None) -> float:

@@ -258,6 +258,22 @@ def improved_actions(q: np.ndarray) -> np.ndarray:
     return np.argmax(q >= q.max(axis=-1, keepdims=True) - IMPROVEMENT_TOL, axis=-1)
 
 
+def keeps_actions(q: list[float], actions: list[int], n_actions: int) -> bool:
+    """Whether ``improved_actions`` keeps ``actions``, on a flat Q-table of Python floats.
+
+    ``q`` is a finite (n_states * n_actions) table in row-major order, as
+    ``q.ravel().tolist()``; the answer is that of
+    ``(improved_actions(q.reshape(n_states, n_actions)) == actions).all()``,
+    from the same comparisons, without a numpy call per state.
+    """
+    for s, action in enumerate(actions):
+        row = q[s * n_actions : (s + 1) * n_actions]
+        threshold = max(row) - IMPROVEMENT_TOL
+        if not row[action] >= threshold or any(v >= threshold for v in row[:action]):
+            return False
+    return True
+
+
 def optimal_policy(
     mdp: TabularMDP,
     reward_override: np.ndarray | None = None,

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -674,6 +675,16 @@ class TestMwalGenerative:
         expert = ExpertModel(expert_policy, 2, rng=199)
         with pytest.raises(ValueError, match="round"):
             mwal_generative(mdp, expert, 2, n_rounds, delta=0.1, b=2.0, rng=200)
+        assert expert.ledger.expert_calls == 0
+
+    @pytest.mark.parametrize("b", [math.inf, math.nan, 0.0, -1.0])
+    def test_a_b_not_positive_and_finite_is_rejected_before_drawing(self, b):
+        mdp, expert_policy = thm8_style_instance(seed=198)
+        expert = ExpertModel(expert_policy, 2, rng=199)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"need b > 0 and finite"):
+                mwal_generative(mdp, expert, 2, 20, delta=0.1, b=b, rng=200)
         assert expert.ledger.expert_calls == 0
 
     def test_single_feature_degenerates(self):

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cftp_rl
+from cftp_rl import chains
 from cftp_rl.apprenticeship import game_value_oracle
 from cftp_rl.chains import DeterministicPolicy
 from cftp_rl.experiments import runners
@@ -310,6 +312,17 @@ class TestOtherRunners:
         row = dict(zip(lines[1].split(","), lines[2].split(",")))
         assert row["shared_below_unshared"] == "1"
         assert int(row["shared_calls"]) < int(row["unshared_calls"])
+
+    def test_eval_store_checks_each_policy_chain_once(self, tmp_path):
+        """The exact oracle reads each policy's cache entry, which the store's
+        coalescing checks then reuse: one ``closed_class`` call per policy."""
+        with mock.patch("cftp_rl.chains.closed_class", wraps=chains.closed_class) as checks:
+            code = run_cli(
+                "eval-store", "--out", str(tmp_path), "--seed", "3", "--n-states", "6",
+                "--epsilon", "0.25", "--delta", "0.25", "--replicates", "1",
+            )
+        assert code == 0
+        assert checks.call_count == 2**6
 
 
 class TestExitCodes:

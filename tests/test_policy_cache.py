@@ -1,6 +1,7 @@
 """Property tests for the per-MDP policy-evaluation cache, warm-started policy iteration,
-the per-policy feature Q-tables the MWAL rounds check their warm start against, and
-the blocked MWAL rounds against the round-by-round reference."""
+the per-policy feature Q-tables the MWAL rounds check their warm start against, the
+blocked MWAL rounds against the round-by-round reference, and the single round's
+Python-float pieces against their numpy forms."""
 
 import math
 from types import SimpleNamespace
@@ -15,11 +16,14 @@ from cftp_rl import chains, solvers
 from cftp_rl.apprenticeship import _mwal_rounds, _row_dots, feature_expectations_exact
 from cftp_rl.chains import DeterministicPolicy, RewardModel, TabularMDP, induce_chain
 from cftp_rl.errors import NonErgodicError, SolveError
-from cftp_rl.hedge import LOSS_TOL, HedgeState, hedge_step
+from cftp_rl.hedge import (
+    LOSS_TOL, HedgeState, checked_loss, clamp_flags, clamp_mask, hedge_step, rescale_loss,
+    rescale_values,
+)
 from cftp_rl.instances import random_mdp
 from cftp_rl.solvers import (
-    bias_and_q, improved_actions, optimal_policy, policy_evaluation, state_reward_q,
-    stationary_distribution,
+    IMPROVEMENT_TOL, bias_and_q, improved_actions, keeps_actions, optimal_policy,
+    policy_evaluation, state_reward_q, stationary_distribution,
 )
 
 PROPERTY_SETTINGS = settings(max_examples=60)
@@ -402,3 +406,133 @@ def test_row_dots_give_each_row_the_bits_of_its_own_product():
         assert _row_dots(w, phi).tobytes() == values.tobytes()
         product_differs += (w @ table.T).tobytes() != expected.tobytes()
     assert product_differs > 0
+
+
+# The single round on Python floats. Each scalar piece must give the bits of
+# its numpy form: the blocked rounds and the CSVs depend on it.
+
+LOSS_EDGES = [0.0, -0.0, 1.0, 0.5, -LOSS_TOL, 1.0 + LOSS_TOL, -LOSS_TOL / 2, 1.0 + LOSS_TOL / 2]
+
+
+@st.composite
+def hedge_inputs(draw):
+    """Log-weights, beta and a loss within ``LOSS_TOL`` of [0, 1], as float64 or float32."""
+    k = draw(st.integers(1, 5))
+    log_weights = draw(st.lists(st.floats(-50.0, 50.0), min_size=k, max_size=k))
+    loss = draw(st.lists(st.floats(0.0, 1.0) | st.sampled_from(LOSS_EDGES), min_size=k, max_size=k))
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    return np.array(log_weights), draw(st.floats(0.0, 2.0)), np.array(loss, dtype=dtype)
+
+
+@settings(max_examples=200)
+@given(hedge_inputs())
+@example((np.array([0.3, -0.2]), 0.7, np.array([1.0 + LOSS_TOL, -LOSS_TOL])))
+@example((np.array([0.1, 0.2, 0.3]), 0.25, np.array([0.5, 1.0 + LOSS_TOL, 0.125], dtype=np.float32)))
+def test_hedge_step_is_the_numpy_update(inputs):
+    log_weights, beta, loss = inputs
+    state = HedgeState(log_weights, beta, 3)
+    try:
+        expected = log_weights - beta * checked_loss(np.asarray(loss, dtype=float))
+    except ValueError:
+        # float32 can round -LOSS_TOL a hair below the tolerance.
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            hedge_step(state, loss)
+        return
+    after = hedge_step(state, loss)
+    assert after.log_weights.dtype == np.float64
+    assert after.log_weights.tobytes() == expected.tobytes()
+    assert (after.beta, after.t) == (beta, 4)
+
+
+@st.composite
+def bounded_columns(draw):
+    """A bound and a column with entries inside it, at +-bound and just beyond."""
+    bound = draw(st.floats(1e-3, 1e3))
+    edges = [
+        bound, -bound, float(np.nextafter(bound, np.inf)), float(np.nextafter(-bound, -np.inf)),
+        0.0, -0.0,
+    ]
+    entries = st.floats(-3.0 * bound, 3.0 * bound) | st.sampled_from(edges)
+    return bound, draw(st.lists(entries, min_size=1, max_size=5))
+
+
+@settings(max_examples=200)
+@given(bounded_columns())
+@example((8.226067272402588, [6.790710291491807, -8.226067272402588, 8.226067272402589]))
+def test_rescale_values_and_clamp_flags_are_the_numpy_forms(instance):
+    bound, column = instance
+    rescaled = rescale_values(column, bound)
+    assert all(type(v) is float for v in rescaled)
+    assert np.array(rescaled).tobytes() == rescale_loss(np.array(column), bound).tobytes()
+    assert clamp_flags(column, bound) == clamp_mask(np.array(column), bound).tolist()
+
+
+@st.composite
+def tied_q_tables(draw):
+    """A Q-table whose rows tie within ``IMPROVEMENT_TOL``, some at the threshold
+    exactly, and actions: the improvement rule's own, or any."""
+    n_states, n_actions = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rows = []
+    for _ in range(n_states):
+        # At 1e7 the best minus the tolerance rounds back to the best.
+        best = draw(st.sampled_from([0.0, 1.0, -3.5, 1e7]) | st.floats(-10.0, 10.0))
+        threshold = best - IMPROVEMENT_TOL
+        near = [
+            best, threshold, float(np.nextafter(threshold, -np.inf)), best - IMPROVEMENT_TOL / 2,
+            best - 3 * IMPROVEMENT_TOL, best - 1.0,
+        ]
+        row = draw(st.lists(st.sampled_from(near), min_size=n_actions, max_size=n_actions))
+        row[draw(st.integers(0, n_actions - 1))] = best
+        rows.append(row)
+    q = np.array(rows)
+    if draw(st.booleans()):
+        actions = improved_actions(q).tolist()
+    else:
+        actions = draw(st.lists(st.integers(0, n_actions - 1), min_size=n_states, max_size=n_states))
+    return q, actions
+
+
+@settings(max_examples=300)
+@given(tied_q_tables())
+@example((np.array([[-IMPROVEMENT_TOL, 0.0]]), [0]))
+@example((np.array([[-IMPROVEMENT_TOL, 0.0]]), [1]))
+@example((np.array([[1e7, 1e7], [0.0, 1.0]]), [0, 1]))
+def test_keeps_actions_is_the_improvement_rule(instance):
+    q, actions = instance
+    kept = keeps_actions(q.ravel().tolist(), actions, q.shape[1])
+    assert kept == bool((improved_actions(q) == actions).all())
+
+
+BAD_POSITIONS = [(k, i) for k in range(1, 5) for i in range(k)]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("k, position", BAD_POSITIONS)
+def test_a_non_finite_loss_raises_at_every_coordinate(k, position, bad):
+    loss = np.full(k, 0.5)
+    loss[position] = bad
+    mdp = random_mdp(3, 2, 27, n_features=k)
+    for policy_only in (False, True):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            _mwal_rounds(mdp, k, 50, lambda t, pi_t, phi_t: loss, policy_only=policy_only)
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        hedge_step(HedgeState.create(k, 50), loss)
+    # The blocked rounds' check.
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        checked_loss(loss)
+
+
+@pytest.mark.parametrize("over, clipped", [(-LOSS_TOL, 0.0), (1.0 + LOSS_TOL, 1.0)])
+@pytest.mark.parametrize("k, position", BAD_POSITIONS)
+def test_a_loss_within_tolerance_is_clipped_in_the_update_and_stored_as_given(k, position, over, clipped):
+    base = np.linspace(0.2, 0.8, k)
+    loss, reference = base.copy(), base.copy()
+    loss[position], reference[position] = over, clipped
+    mdp = random_mdp(3, 2, 27, n_features=k)
+    for policy_only in (False, True):
+        got = _mwal_rounds(mdp, k, 40, lambda t, pi_t, phi_t: loss, policy_only=policy_only)
+        want = _mwal_rounds(mdp, k, 40, lambda t, pi_t, phi_t: reference, policy_only=policy_only)
+        assert [p.key() for p in got.policies] == [p.key() for p in want.policies]
+        assert got.weights.tobytes() == want.weights.tobytes()
+        assert got.round_values.tobytes() == want.round_values.tobytes()
+        assert got.losses.tobytes() == np.tile(loss, (40, 1)).tobytes()
