@@ -41,7 +41,7 @@ from .chains import (
 from .errors import CapExceededError
 from .estimators import coupled_difference_batch
 from .hedge import (
-    HedgeState, checked_loss, clamp_flags, hedge_step, normalized_weights, rescale_values,
+    HedgeState, checked_loss, clamp_mask, hedge_step, normalized_weights, rescale_loss,
 )
 from .sampling import _cftp_batch_core, _require_count
 from .seeding import KeyedUniforms, as_generator, seed_sequence, substream
@@ -355,13 +355,16 @@ def _mwal_rounds(
     would stop at once and return it, so the round keeps it; only when the
     rule proposes a change does the round call ``optimal_policy``.
 
-    A single round works on length-k vectors, where a numpy call costs more
-    than its arithmetic, so its bookkeeping runs on Python floats: the
-    stay test is ``solvers.keeps_actions`` on one ``tolist()`` of
-    Q_F . w, and the Hedge update is ``hedge.hedge_step``. Numpy keeps the
-    calls whose rounding the results depend on and Python's need not match:
-    ``hedge.normalized_weights`` (``np.exp`` and the sum), ``Q_F @ w`` and
-    ``w @ Phi``. Both learners run this one single-round path.
+    A single round's bookkeeping runs on Python floats, where a numpy call
+    costs more than its arithmetic: the Hedge update, ``hedge.hedge_step``,
+    on length-k vectors, and the stay test, ``solvers.keeps_actions``, on
+    one ``tolist()`` of Q_F . w. The stay test costs a few Python steps per
+    state, S . A entries in all, so it pays off only on small tables; from
+    about 16 x 4 up the numpy form is faster (see ``keeps_actions``).
+    Numpy keeps the calls whose rounding the results depend on and Python's
+    need not match: ``hedge.normalized_weights`` (``np.exp`` and the sum),
+    ``Q_F @ w`` and ``w @ Phi``. Both learners run this one single-round
+    path.
 
     ``policy_only=True`` says the loss depends on pi_t alone, not on t.
     Then, while pi_t stays, every round subtracts the same beta * loss from
@@ -496,9 +499,8 @@ def mwal_generative(
     cost no ``SeedSequence``; the expert answers from its own Generator, in
     round order. Policy iteration warm-starts from the previous round's policy.
     The round's column is rescaled and its clamps flagged on Python floats
-    (``hedge.rescale_values``, ``hedge.clamp_flags``), with the bits of
-    ``rescale_loss`` and ``clamp_mask``; the rounds run singly, never in
-    blocks, since each round's loss is a fresh sample.
+    (``hedge.rescale_loss``, ``hedge.clamp_mask``); the rounds run singly,
+    never in blocks, since each round's loss is a fresh sample.
     Raises ValueError before drawing for n_rounds < 1, for a ``b`` that is
     not positive and finite, and for ``delta`` outside (0, 1).
     """
@@ -517,9 +519,8 @@ def mwal_generative(
             mdp, expert, pi_t, 1, keyed.at(t), step_cap=step_cap, ledger=ledger,
         )
         raw[t] = g[0]
-        column = g[0].tolist()
-        clamped[t] = clamp_flags(column, bound)
-        return rescale_values(column, bound)
+        clamped[t] = clamp_mask(g[0], bound)
+        return rescale_loss(g[0], bound)
 
     result = _mwal_rounds(mdp, k, n_rounds, sampled_loss)
     return replace(

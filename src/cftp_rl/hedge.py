@@ -6,11 +6,11 @@ observable normalized weights are unchanged by the stabilization.
 
 One Hedge round works on a length-k vector, often k = 2, where a numpy
 call costs more than its arithmetic. ``hedge_step`` therefore checks, clips
-and subtracts on Python floats, and ``rescale_values`` and ``clamp_flags``
-are the Python-float forms of ``rescale_loss`` and ``clamp_mask`` for one
-column. Each is elementwise IEEE arithmetic, so it returns the bits of its
-numpy form. ``normalized_weights`` stays numpy: its ``np.exp`` and sum are
-not guaranteed to round as Python's ``math.exp`` and ``sum`` do.
+and subtracts on Python floats, and ``rescale_loss`` and ``clamp_mask``
+rescale and flag a column the same way. Each is elementwise IEEE
+arithmetic, so it returns the bits of the numpy expression it documents.
+``normalized_weights`` stays numpy: its ``np.exp`` and sum are not
+guaranteed to round as Python's ``math.exp`` and ``sum`` do.
 """
 
 from __future__ import annotations
@@ -104,32 +104,21 @@ def rescale_loss(g: np.ndarray, bound: float) -> np.ndarray:
     """Map a payoff vector in [-B, B] to a loss in [0, 1] via (g + B) / 2B.
 
     Entries that fall outside [0, 1] after rescaling (inputs beyond the
-    bound) are clamped; use ``clamp_mask`` to count them.
+    bound) are clamped; use ``clamp_mask`` to count them. The arithmetic
+    runs on Python floats, one ``tolist()`` of ``g``, and gives the bits of
+    ``np.clip((g + B) / (2 * B), 0.0, 1.0)``.
     """
     if bound <= 0.0:
         raise ValueError("bound must be positive")
-    return np.clip((np.asarray(g, dtype=float) + bound) / (2.0 * bound), 0.0, 1.0)
-
-
-def clamp_mask(g: np.ndarray, bound: float) -> np.ndarray:
-    """Per-coordinate indicator of inputs the rescale had to clamp."""
-    g = np.asarray(g, dtype=float)
-    return (g < -bound) | (g > bound)
-
-
-def rescale_values(g: list[float], bound: float) -> list[float]:
-    """``rescale_loss`` of one column given as Python floats, bit for bit.
-
-    The caller has checked that ``bound`` is positive.
-    """
     scale = 2.0 * bound
-    values = [(x + bound) / scale for x in g]
-    return [0.0 if v < 0.0 else 1.0 if v > 1.0 else v for v in values]
+    values = [(x + bound) / scale for x in np.asarray(g, dtype=float).tolist()]
+    return np.array([0.0 if v < 0.0 else 1.0 if v > 1.0 else v for v in values])
 
 
-def clamp_flags(g: list[float], bound: float) -> list[bool]:
-    """``clamp_mask`` of one column given as Python floats."""
-    return [x < -bound or x > bound for x in g]
+def clamp_mask(g: np.ndarray, bound: float) -> list[bool]:
+    """Per-coordinate flags of the payoff vector's entries the rescale had to
+    clamp: those below -B or above B."""
+    return [x < -bound or x > bound for x in np.asarray(g, dtype=float).tolist()]
 
 
 def hedge_regret(losses: np.ndarray, horizon: int | None = None) -> float:

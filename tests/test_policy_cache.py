@@ -17,8 +17,7 @@ from cftp_rl.apprenticeship import _mwal_rounds, _row_dots, feature_expectations
 from cftp_rl.chains import DeterministicPolicy, RewardModel, TabularMDP, induce_chain
 from cftp_rl.errors import NonErgodicError, SolveError
 from cftp_rl.hedge import (
-    LOSS_TOL, HedgeState, checked_loss, clamp_flags, clamp_mask, hedge_step, rescale_loss,
-    rescale_values,
+    LOSS_TOL, HedgeState, checked_loss, clamp_mask, hedge_step, rescale_loss,
 )
 from cftp_rl.instances import random_mdp
 from cftp_rl.solvers import (
@@ -409,7 +408,7 @@ def test_row_dots_give_each_row_the_bits_of_its_own_product():
 
 
 # The single round on Python floats. Each scalar piece must give the bits of
-# its numpy form: the blocked rounds and the CSVs depend on it.
+# the numpy expression it documents: the blocked rounds and the CSVs depend on it.
 
 LOSS_EDGES = [0.0, -0.0, 1.0, 0.5, -LOSS_TOL, 1.0 + LOSS_TOL, -LOSS_TOL / 2, 1.0 + LOSS_TOL / 2]
 
@@ -428,6 +427,10 @@ def hedge_inputs(draw):
 @given(hedge_inputs())
 @example((np.array([0.3, -0.2]), 0.7, np.array([1.0 + LOSS_TOL, -LOSS_TOL])))
 @example((np.array([0.1, 0.2, 0.3]), 0.25, np.array([0.5, 1.0 + LOSS_TOL, 0.125], dtype=np.float32)))
+# A -0.0 loss entry beside one that needs the clip: the sign of the zero
+# reaches a -0.0 log-weight.
+@example((np.array([-0.0, 0.1]), 0.7, np.array([-0.0, 1.0 + LOSS_TOL])))
+@example((np.array([-0.0, 0.1]), 0.7, np.array([-0.0, 0.5])))
 def test_hedge_step_is_the_numpy_update(inputs):
     log_weights, beta, loss = inputs
     state = HedgeState(log_weights, beta, 3)
@@ -459,12 +462,12 @@ def bounded_columns(draw):
 @settings(max_examples=200)
 @given(bounded_columns())
 @example((8.226067272402588, [6.790710291491807, -8.226067272402588, 8.226067272402589]))
-def test_rescale_values_and_clamp_flags_are_the_numpy_forms(instance):
+def test_rescale_loss_and_clamp_mask_are_the_numpy_formulas(instance):
     bound, column = instance
-    rescaled = rescale_values(column, bound)
-    assert all(type(v) is float for v in rescaled)
-    assert np.array(rescaled).tobytes() == rescale_loss(np.array(column), bound).tobytes()
-    assert clamp_flags(column, bound) == clamp_mask(np.array(column), bound).tolist()
+    g = np.array(column)
+    expected = np.clip((g + bound) / (2.0 * bound), 0.0, 1.0)
+    assert rescale_loss(g, bound).tobytes() == expected.tobytes()
+    assert clamp_mask(g, bound) == ((g < -bound) | (g > bound)).tolist()
 
 
 @st.composite
