@@ -15,10 +15,6 @@ from .chains import (
     StochasticPolicy,
     TabularMDP,
     induce_chain,
-    load_chain,
-    load_mdp,
-    save_chain,
-    save_mdp,
 )
 from .errors import CapExceededError, NonErgodicError, SolveError
 from .solvers import (

@@ -121,7 +121,7 @@ def feature_expectations_exact(mdp: TabularMDP, policy) -> np.ndarray:
 
 @dataclass
 class ExpertFeatureEstimate:
-    """Monte-Carlo estimate of the expert's feature expectations via CFTP."""
+    """CFTP estimate of the expert's feature expectations; the call counts are ledger charges."""
 
     phi: np.ndarray
     n_samples: int
@@ -228,7 +228,7 @@ def game_column_batch(
     actions and ``ledger`` nothing before the error.
     Raises ValueError before any check or draw for a negative
     ``n_samples``, and before drawing for an expert whose policy table is
-    not (n_states, n_actions) of ``mdp`` or for a negative ``step_cap``.
+    not (n_states, n_actions) of ``mdp``, an MDP with no features or a negative ``step_cap``.
 
     Two or more samples walk together in ``estimators.coupled_difference_batch``.
     One sample, the size ``mwal_generative`` asks for once per round, walks
@@ -238,6 +238,8 @@ def game_column_batch(
     """
     _require_count(n_samples, "n_samples")
     _require_expert_fits(mdp, expert)
+    if mdp.features is None:
+        raise ValueError("feature accumulation requires an MDP with features")
     _require_count(step_cap, "step_cap")
     gen = as_generator(rng)
     cum_mu = policy_evaluation(mdp, pi_t).mu_cdf
@@ -278,10 +280,7 @@ def _game_column_one(mdp, expert, pi_t, cum_mu, gen, step_cap, ledger):
     x = y = s
     a_x = int(pi_t.actions[s])
     a_y = expert.act(s)
-    features = mdp.features
-    if features is None:
-        raise ValueError("feature accumulation requires an MDP with features")
-    cum, n_actions = mdp.cumulative(), mdp.n_actions
+    features, cum, n_actions = mdp.features, mdp.cumulative(), mdp.n_actions
     feature_rows, cdf_rows = {}, {}
     acc = [0.0] * features.shape[1]
     t = 0
@@ -309,7 +308,7 @@ def _game_column_one(mdp, expert, pi_t, cum_mu, gen, step_cap, ledger):
 
 @dataclass
 class MwalResult:
-    """Mixed policy plus the per-round trail of a multiplicative-weights run."""
+    """Mixed policy, per-round trail and ledger call counts of a multiplicative-weights run."""
 
     mixture: MixedPolicy
     policies: list[DeterministicPolicy]

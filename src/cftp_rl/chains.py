@@ -451,94 +451,3 @@ class SampleLedger:
         if n < 0:
             raise ValueError("ledger increments must be non-negative")
         self.expert_calls += int(n)
-
-
-# ---------------------------------------------------------------------------
-# Plain-text serialization
-#
-# Format: header line "states n actions m features k", then each per-action
-# transition matrix row-major (one row per line), then reward means (one
-# state per line, m values), then, if k > 0, features (one state per line,
-# k values). Floats use 17 significant digits so round-trips are exact.
-# ---------------------------------------------------------------------------
-
-def _fmt_row(values) -> str:
-    return " ".join(f"{float(v):.17g}" for v in values)
-
-
-def dumps_mdp(mdp: TabularMDP) -> str:
-    k = 0 if mdp.features is None else mdp.features.shape[1]
-    lines = [f"states {mdp.n_states} actions {mdp.n_actions} features {k}"]
-    for a in range(mdp.n_actions):
-        for s in range(mdp.n_states):
-            lines.append(_fmt_row(mdp.transition[a, s]))
-    for s in range(mdp.n_states):
-        lines.append(_fmt_row(mdp.reward.means[s]))
-    if k:
-        for s in range(mdp.n_states):
-            lines.append(_fmt_row(mdp.features[s]))
-    return "\n".join(lines) + "\n"
-
-
-def loads_mdp(text: str, reward_mode: str = "bernoulli") -> TabularMDP:
-    """Parse ``dumps_mdp`` text.
-
-    Raises ValueError for empty text, a bad header, a line count other than
-    the header's, or a line of the wrong width.
-    """
-    lines = [ln.split() for ln in text.splitlines() if ln.strip()]
-    header = lines[0] if lines else []
-    if (
-        len(header) != 6
-        or header[0::2] != ["states", "actions", "features"]
-        or not all(v.isdigit() for v in header[1::2])
-        or min(int(header[1]), int(header[3])) < 1
-    ):
-        raise ValueError(
-            "bad header; expected 'states S actions A features F' with integers, the first two >= 1"
-        )
-    n, m, k = (int(v) for v in header[1::2])
-    widths = [n] * (m * n) + [m] * n + [k] * (n if k else 0)
-    n_lines = 1 + len(widths)
-    if len(lines) != n_lines:
-        raise ValueError(f"header '{' '.join(header)}' calls for {n_lines} lines, got {len(lines)}")
-    for number, (tokens, width) in enumerate(zip(lines[1:], widths), start=2):
-        if len(tokens) != width:
-            raise ValueError(f"line {number}: expected {width} entries, got {len(tokens)}")
-    rows = [[float(v) for v in tokens] for tokens in lines[1:]]
-    transition = np.array(rows[: m * n]).reshape(m, n, n)
-    rewards = np.array(rows[m * n : m * n + n])
-    features = np.array(rows[m * n + n :]) if k else None
-    return TabularMDP(transition, RewardModel(rewards, reward_mode), features)
-
-
-def dumps_chain(chain: MarkovChain) -> str:
-    mdp = TabularMDP(chain.transition[None, :, :], RewardModel(chain.reward.means[:, None], chain.reward.mode))
-    return dumps_mdp(mdp)
-
-
-def loads_chain(text: str, reward_mode: str = "bernoulli") -> MarkovChain:
-    mdp = loads_mdp(text, reward_mode)
-    if mdp.n_actions != 1:
-        raise ValueError("chain files must have exactly one action")
-    return MarkovChain(mdp.transition[0], RewardModel(mdp.reward.means[:, 0], reward_mode))
-
-
-def save_mdp(mdp: TabularMDP, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(dumps_mdp(mdp))
-
-
-def load_mdp(path, reward_mode: str = "bernoulli") -> TabularMDP:
-    with open(path) as fh:
-        return loads_mdp(fh.read(), reward_mode)
-
-
-def save_chain(chain: MarkovChain, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(dumps_chain(chain))
-
-
-def load_chain(path, reward_mode: str = "bernoulli") -> MarkovChain:
-    with open(path) as fh:
-        return loads_chain(fh.read(), reward_mode)

@@ -5,7 +5,7 @@ command-line flags. Each ParamSpec checks its range as its value is read,
 and validate() checks the rules that tie parameters together, all before
 any sampling happens. The resolved configuration is echoed into the output
 directory as config.txt and hashed; every CSV the run emits carries the
-hash in a comment line.
+hash in a comment line. A run's config.txt reproduces it as ``--config``.
 """
 
 from __future__ import annotations
@@ -315,6 +315,7 @@ def build_config(subcommand: str, cli_values: dict, file_path: Path | None) -> E
     file_subcommand = file_values.pop("subcommand", subcommand)
     if file_subcommand != subcommand:
         raise ConfigError(f"config file is for {file_subcommand!r}, not {subcommand!r}")
+    file_values.pop("config_hash", None)  # a run's config.txt ends with its own hash
 
     merged = {name: spec.default for name, spec in specs.items()}
     for values in (file_values, cli_values):

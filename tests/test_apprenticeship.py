@@ -479,6 +479,22 @@ class TestGameColumn:
         game_column_batch(mdp, expert, DeterministicPolicy(np.array([0, 1, 0])), 1, rng=72)
         assert expert.ledger.expert_calls > before
 
+    @pytest.mark.parametrize("n_samples", [1, 3])
+    def test_an_mdp_without_features_is_rejected_before_drawing(self, n_samples):
+        mdp = random_mdp(3, 2, 0)
+        expert = ExpertModel(StochasticPolicy(np.full((3, 2), 0.5)), 2, rng=73)
+        gen = np.random.default_rng(74)
+        gen_before, expert_before = gen.bit_generator.state, expert.rng.bit_generator.state
+        ledger = SampleLedger()
+        with pytest.raises(ValueError, match="requires an MDP with features"):
+            game_column_batch(
+                mdp, expert, DeterministicPolicy(np.zeros(3, dtype=int)), n_samples, gen,
+                ledger=ledger,
+            )
+        assert gen.bit_generator.state == gen_before
+        assert expert.rng.bit_generator.state == expert_before
+        assert (expert.ledger.expert_calls, ledger.generative_calls) == (0, 0)
+
 
 class TestGameValueOracle:
     def test_attainable_expert_gives_zero(self):

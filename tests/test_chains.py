@@ -1,6 +1,4 @@
 import math
-import tempfile
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -19,19 +17,11 @@ from cftp_rl.chains import (
     TabularMDP,
     cdf_table,
     closed_class,
-    dumps_chain,
-    dumps_mdp,
     induce_chain,
     inverse_cdf,
-    load_chain,
-    load_mdp,
-    loads_chain,
-    loads_mdp,
-    save_chain,
-    save_mdp,
 )
 from cftp_rl.errors import NonErgodicError
-from cftp_rl.instances import random_ergodic_chain, random_mdp, two_state_chain
+from cftp_rl.instances import random_mdp, two_state_chain
 from cftp_rl.sampling import cftp_batch
 from cftp_rl.solvers import stationary_distribution
 
@@ -93,19 +83,6 @@ class TestNonFiniteEntriesAreRejected:
         member = DeterministicPolicy(np.array([0, 1]))
         with pytest.raises(ValueError, match="mixture weights"):
             MixedPolicy(np.array([bad, 0.5]), [member, member])
-
-    @pytest.mark.parametrize("line", [1, 5, 7], ids=["transition", "reward", "feature"])
-    def test_load_mdp(self, bad, line, tmp_path):
-        # A 2-state, 2-action, 1-feature MDP: header, 4 transition rows,
-        # 2 reward rows, 2 feature rows.
-        lines = dumps_mdp(random_mdp(2, 2, rng=3, n_features=1)).splitlines()
-        tokens = lines[line].split()
-        tokens[0] = str(bad)
-        lines[line] = " ".join(tokens)
-        path = tmp_path / "mdp.txt"
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            load_mdp(path)
 
 
 # Module constants that force each inverse_cdf strategy; the counts are
@@ -385,108 +362,6 @@ class TestLedgerAndGenerativeModel:
         assert (ledger.generative_calls, ledger.expert_calls) == (3, 1)
         with pytest.raises(ValueError):
             ledger.add_generative(-1)
-
-
-class TestSerialization:
-    def test_mdp_round_trip_is_exact(self):
-        mdp = random_mdp(4, 3, rng=2, n_features=2)
-        loaded = loads_mdp(dumps_mdp(mdp))
-        assert np.array_equal(loaded.transition, mdp.transition)
-        assert np.array_equal(loaded.reward.means, mdp.reward.means)
-        assert np.array_equal(loaded.features, mdp.features)
-
-    def test_chain_round_trip_is_exact(self):
-        chain = two_state_chain()
-        loaded = loads_chain(dumps_chain(chain))
-        assert np.array_equal(loaded.transition, chain.transition)
-        assert np.array_equal(loaded.reward.means, chain.reward.means)
-
-    def test_round_trip_survives_awkward_floats(self):
-        rng = np.random.default_rng(9)
-        p = rng.dirichlet(np.ones(5), size=5)
-        p = p / p.sum(axis=1, keepdims=True)
-        chain = MarkovChain(p, RewardModel(rng.random(5)))
-        loaded = loads_chain(dumps_chain(chain))
-        assert np.array_equal(loaded.transition, chain.transition)
-
-    @settings(max_examples=60)
-    @given(
-        st.integers(1, 6),
-        st.integers(1, 3),
-        st.integers(0, 3),
-        st.sampled_from(RewardModel.MODES),
-        st.integers(0, 2**32 - 1),
-    )
-    def test_mdp_file_round_trip_is_exact(self, n, n_actions, k, mode, seed):
-        mdp = random_mdp(n, n_actions, seed, n_features=k or None, reward_mode=mode)
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "mdp.txt"
-            save_mdp(mdp, path)
-            loaded = load_mdp(path, reward_mode=mode)
-        assert loaded.transition.tobytes() == mdp.transition.tobytes()
-        assert loaded.reward.means.tobytes() == mdp.reward.means.tobytes()
-        assert loaded.reward.mode == mode
-        if k:
-            assert loaded.features.tobytes() == mdp.features.tobytes()
-        else:
-            assert loaded.features is None
-
-    @settings(max_examples=60)
-    @given(st.integers(1, 8), st.sampled_from(RewardModel.MODES), st.integers(0, 2**32 - 1))
-    def test_chain_file_round_trip_is_exact(self, n, mode, seed):
-        chain = random_ergodic_chain(n, seed, reward_mode=mode)
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "chain.txt"
-            save_chain(chain, path)
-            loaded = load_chain(path, reward_mode=mode)
-        assert loaded.transition.tobytes() == chain.transition.tobytes()
-        assert loaded.reward.means.tobytes() == chain.reward.means.tobytes()
-        assert loaded.reward.mode == mode
-
-    def test_header_validation(self):
-        with pytest.raises(ValueError, match="header"):
-            loads_mdp("states 2 foo 1 features 0\n")
-
-    @pytest.mark.parametrize(
-        "corrupt, match",
-        [
-            (lambda ls: [], "header"),
-            (lambda ls: ["states 2 actions 2 features"] + ls[1:], "header"),
-            (lambda ls: ["states 2 acts 2 features 1"] + ls[1:], "header"),
-            (lambda ls: ["states 2.5 actions 2 features 1"] + ls[1:], "header"),
-            (lambda ls: ["states 0 actions 2 features 1"] + ls[1:], "header"),
-            (lambda ls: ls[:-1], "lines"),
-            (lambda ls: ls + ls[-1:], "lines"),
-            (lambda ls: [ls[0], ls[1] + " 0.5"] + ls[2:], "entries"),
-            (lambda ls: ls[:5] + [ls[5].split()[0]] + ls[6:], "entries"),
-            (lambda ls: ls[:-1] + [ls[-1] + " 0.1"], "entries"),
-            (lambda ls: ["states 2 actions 2 features 1 extra"] + ls[1:], "header"),
-            (lambda ls: ["states 2 actions 0 features 1"] + ls[1:], "header"),
-            (lambda ls: ["states 2 actions 2 features 0"] + ls[1:], "lines"),
-        ],
-        ids=[
-            "empty", "header_short", "header_key", "header_float", "no_states",
-            "line_missing", "line_extra", "transition_long", "reward_short", "feature_long",
-            "header_long", "no_actions", "features_0_with_feature_lines",
-        ],
-    )
-    def test_corrupt_file_is_rejected(self, corrupt, match):
-        # A 2-state, 2-action, 1-feature MDP: header, 4 transition rows,
-        # 2 reward rows, 2 feature rows.
-        lines = dumps_mdp(random_mdp(2, 2, rng=3, n_features=1)).splitlines()
-        text = "\n".join(corrupt(lines)) + "\n"
-        for parse in (loads_mdp, loads_chain):
-            with pytest.raises(ValueError, match=match):
-                parse(text)
-
-    def test_files_round_trip(self, tmp_path):
-        from cftp_rl.chains import load_mdp, save_mdp
-
-        mdp = random_mdp(3, 2, rng=4, n_features=1)
-        path = tmp_path / "mdp.txt"
-        save_mdp(mdp, path)
-        loaded = load_mdp(path)
-        assert np.array_equal(loaded.transition, mdp.transition)
 
 
 def test_immutability_of_stored_arrays():

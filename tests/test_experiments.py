@@ -86,6 +86,16 @@ class TestConfig:
         rebuilt = build_config("coalescence", {}, path)
         assert rebuilt.params == config.params
 
+    def test_a_runs_config_txt_reproduces_it(self, tmp_path):
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run_cli("pg", "--out", str(first), "--samples", "200", "--seed", "4") == 0
+        assert "config_hash=" in (first / "config.txt").read_text()
+        assert run_cli("pg", "--config", str(first / "config.txt"), "--out", str(second)) == 0
+        files = sorted(p.name for p in first.iterdir())
+        assert sorted(p.name for p in second.iterdir()) == files
+        for name in files:
+            assert (second / name).read_bytes() == (first / name).read_bytes(), name
+
 
 SPEC_PAIRS = [
     (sub, spec) for sub, specs in PARAM_SPECS.items() for spec in COMMON_SPECS + specs
