@@ -496,6 +496,19 @@ class TestGameColumn:
         assert (expert.ledger.expert_calls, ledger.generative_calls) == (0, 0)
 
 
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_estimating_an_mdp_without_features_is_rejected_before_drawing(self, m):
+        mdp = random_mdp(3, 2, 0)
+        expert = ExpertModel(StochasticPolicy(np.full((3, 2), 0.5)), 2, rng=75)
+        gen = np.random.default_rng(76)
+        gen_before, expert_before = gen.bit_generator.state, expert.rng.bit_generator.state
+        with pytest.raises(ValueError, match="no feature map"):
+            estimate_expert_features(mdp, expert, m, gen)
+        assert gen.bit_generator.state == gen_before
+        assert expert.rng.bit_generator.state == expert_before
+        assert expert.ledger.expert_calls == 0
+
+
 class TestGameValueOracle:
     def test_attainable_expert_gives_zero(self):
         mdp = two_state_feature_mdp()
@@ -703,6 +716,19 @@ class TestMwalGenerative:
                 mwal_generative(mdp, expert, 2, 20, delta=0.1, b=b, rng=200)
         assert expert.ledger.expert_calls == 0
 
+    @pytest.mark.parametrize("delta", [0.0, 1.0, -0.5, math.nan])
+    def test_a_delta_outside_the_open_unit_interval_is_rejected_before_drawing(self, delta):
+        mdp, expert_policy = thm8_style_instance(seed=198)
+        expert = ExpertModel(expert_policy, 2, rng=199)
+        gen = np.random.default_rng(200)
+        before = gen.bit_generator.state
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"delta in \(0, 1\)"):
+                mwal_generative(mdp, expert, 2, 20, delta=delta, b=2.0, rng=gen)
+        assert gen.bit_generator.state == before
+        assert expert.ledger.expert_calls == 0
+
     def test_single_feature_degenerates(self):
         mdp = random_mdp(3, 2, rng=150, n_features=1)
         expert = ExpertModel(DeterministicPolicy(np.array([1, 1, 1])), 2, rng=151)
@@ -761,6 +787,31 @@ class TestMwalGenerative:
         result = mwal_generative(mdp, expert, 2, 800, delta=0.1, b=2.0, rng=182)
         margin = margin_against_all_rewards(mdp, result.mixture, phi_expert)
         assert margin >= v_star - 0.3
+
+
+LEARNERS = {
+    "mwal": lambda mdp, expert, k, rng: mwal(mdp, expert, k, n_rounds=5, m=20, rng=rng),
+    "mwal_generative": lambda mdp, expert, k, rng: mwal_generative(
+        mdp, expert, k, 5, delta=0.1, b=2.0, rng=rng
+    ),
+}
+
+
+class TestAGameNeedsFeaturesOfWidthK:
+    """Both learners reject a missing or mis-sized feature map before any draw."""
+
+    @pytest.mark.parametrize("n_features, k", [(None, 2), (2, 3), (3, 2)], ids=["none", "narrower", "wider"])
+    @pytest.mark.parametrize("learner", list(LEARNERS))
+    def test_rejected_before_drawing(self, learner, n_features, k):
+        mdp = random_mdp(3, 2, rng=201, n_features=n_features)
+        expert = ExpertModel(StochasticPolicy(np.full((3, 2), 0.5)), 2, rng=202)
+        gen = np.random.default_rng(203)
+        gen_before, expert_before = gen.bit_generator.state, expert.rng.bit_generator.state
+        with pytest.raises(ValueError, match="features must be present with width k"):
+            LEARNERS[learner](mdp, expert, k, gen)
+        assert gen.bit_generator.state == gen_before
+        assert expert.rng.bit_generator.state == expert_before
+        assert expert.ledger.expert_calls == 0
 
 
 class TestRoundsCsv:

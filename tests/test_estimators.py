@@ -18,6 +18,7 @@ from cftp_rl.chains import (
 from cftp_rl.errors import CapExceededError, NonErgodicError
 from cftp_rl.estimators import (
     SoftmaxPolicy,
+    coupled_difference_batch,
     delta_rho_batch,
     policy_gradient_batch,
 )
@@ -351,3 +352,20 @@ class TestSampleCounts:
         assert gen.bit_generator.state == before
         for array in call(random_mdp(4, 2, rng=3), 0, gen):
             assert array.shape[0] == 0
+
+
+class TestCoupledDifferenceBatch:
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_features_of_an_mdp_without_them_are_rejected_before_drawing(self, n):
+        mdp = random_mdp(3, 2, rng=5)
+        s0, actions = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+        gen = np.random.default_rng(6)
+        before = gen.bit_generator.state
+        ledger = SampleLedger()
+        with pytest.raises(ValueError, match="requires an MDP with features"):
+            coupled_difference_batch(
+                mdp, s0, actions, actions, lambda states: np.zeros_like(states), gen,
+                value="features", ledger=ledger,
+            )
+        assert gen.bit_generator.state == before
+        assert ledger.generative_calls == 0

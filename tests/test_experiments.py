@@ -97,6 +97,27 @@ class TestConfig:
             assert (second / name).read_bytes() == (first / name).read_bytes(), name
 
 
+    @pytest.mark.parametrize("subcommand", list(PARAM_SPECS))
+    def test_each_subcommands_config_txt_rebuilds_its_config(self, subcommand, tmp_path):
+        values = {"out": str(tmp_path / "run"), "seed": "7", "replicates": "2"}
+        config = build_config(subcommand, values, None)
+        path = runners._prepare_out(config) / "config.txt"
+        rebuilt = build_config(subcommand, {"out": str(tmp_path / "rerun")}, path)
+        assert rebuilt.resolved_text() == config.resolved_text()
+        assert path.read_text() == rebuilt.resolved_text() + f"config_hash={rebuilt.config_hash()}\n"
+
+    def test_a_config_hash_line_in_a_file_is_dropped_whatever_its_value(self, tmp_path):
+        config = build_config("pg", {"seed": "3"}, None)
+        path = tmp_path / "config.txt"
+        path.write_text(config.resolved_text() + "config_hash=0000000000000000\n")
+        rebuilt = build_config("pg", {}, path)
+        assert rebuilt.config_hash() == config.config_hash() != "0000000000000000"
+
+    def test_config_hash_is_not_a_parameter(self):
+        with pytest.raises(ConfigError, match="unknown config key 'config_hash'"):
+            build_config("pg", {"config_hash": "0000000000000000"}, None)
+
+
 SPEC_PAIRS = [
     (sub, spec) for sub, specs in PARAM_SPECS.items() for spec in COMMON_SPECS + specs
 ]
