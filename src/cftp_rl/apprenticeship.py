@@ -609,26 +609,3 @@ def margin_against_all_rewards(mdp: TabularMDP, mixture: MixedPolicy, phi_expert
     """
     gap = feature_expectations_exact(mdp, mixture) - phi_expert
     return float(gap.min())
-
-
-def mwal_rounds_csv(result: MwalResult) -> str:
-    """CSV serialization: one row per round, then a summary line with ledger totals."""
-    k = result.weights.shape[1]
-    header = ["t"] + [f"w_{i}" for i in range(k)] + ["rho_t"] + [f"loss_{i}" for i in range(k)]
-    if result.raw_columns is not None:
-        header += [f"g_{i}" for i in range(k)] + [f"clamped_{i}" for i in range(k)]
-    lines = [",".join(header)]
-    for t in range(result.weights.shape[0]):
-        row = [str(t + 1)]
-        row += [f"{v:.17g}" for v in result.weights[t]]
-        row.append(f"{result.round_values[t]:.17g}")
-        row += [f"{v:.17g}" for v in result.losses[t]]
-        if result.raw_columns is not None:
-            row += [f"{v:.17g}" for v in result.raw_columns[t]]
-            row += [str(int(v)) for v in result.clamped[t]]
-        lines.append(",".join(row))
-    lines.append(
-        f"# summary expert_calls={result.expert_calls} "
-        f"generative_calls={result.generative_calls} beta={result.beta:.17g}"
-    )
-    return "\n".join(lines) + "\n"

@@ -21,7 +21,6 @@ from ..apprenticeship import (
     margin_against_all_rewards,
     mwal,
     mwal_generative,
-    mwal_rounds_csv,
 )
 from ..chains import induce_chain, inverse_cdf
 from ..errors import CapExceededError
@@ -52,10 +51,30 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list], config: ExperimentConfig) -> None:
+def _write_csv(
+    path: Path, header: list[str], rows: list[list], config: ExperimentConfig, footer: str | None = None
+) -> None:
     lines = [f"# config_hash={config.config_hash()}", ",".join(header)]
     lines.extend(",".join(_format_cell(cell) for cell in row) for row in rows)
+    if footer is not None:
+        lines.append(footer)
     path.write_text("\n".join(lines) + "\n")
+
+
+def _write_rounds_csv(path: Path, result, config: ExperimentConfig) -> None:
+    """One row per MWAL round, then a summary line with the ledger totals and beta."""
+    k = result.weights.shape[1]
+    header = ["t", *(f"w_{i}" for i in range(k)), "rho_t", *(f"loss_{i}" for i in range(k))]
+    parts = [result.weights, result.round_values[:, None], result.losses]
+    if result.raw_columns is not None:
+        header += [f"g_{i}" for i in range(k)] + [f"clamped_{i}" for i in range(k)]
+        parts += [result.raw_columns, result.clamped]
+    rows = [[t, *cells] for t, cells in enumerate(np.hstack(parts, dtype=object), start=1)]
+    footer = (
+        f"# summary expert_calls={result.expert_calls} "
+        f"generative_calls={result.generative_calls} beta={_format_cell(result.beta)}"
+    )
+    _write_csv(path, header, rows, config, footer)
 
 
 def _prepare_out(config: ExperimentConfig) -> Path:
@@ -348,8 +367,7 @@ def _run_apprenticeship(config: ExperimentConfig, stem: str, n_rounds: int, lear
             "expert_calls": result.expert_calls, "generative_calls": result.generative_calls,
         })
         if replicate == 0:
-            text = f"# config_hash={config.config_hash()}\n" + mwal_rounds_csv(result)
-            (out / f"{stem}_rounds.csv").write_text(text)
+            _write_rounds_csv(out / f"{stem}_rounds.csv", result, config)
             series = [
                 (f"w_{i}", list(range(1, n_rounds + 1)), list(result.weights[:, i]))
                 for i in range(k)

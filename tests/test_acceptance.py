@@ -9,6 +9,7 @@ lines as they complete.
 import contextlib
 import itertools
 import math
+import re
 import time
 from pathlib import Path
 
@@ -319,29 +320,70 @@ def test_11_eval_store():
         assert shared_calls < fresh_calls
 
 
-def test_12_determinism(tmp_path):
+T12_COMMANDS = {
+    "example": ["--runs", "400", "--replicates", "3"],
+    "coalescence": [
+        "--runs", "120", "--sizes", "4", "--chains-per-size", "1",
+        "--grand-sizes", "5", "--grand-runs", "25", "--lazy-eps", "0.4,0.2",
+    ],
+    "mwal": ["--n-rounds", "25", "--m", "60", "--replicates", "2"],
+    "mwal-gen": ["--n-rounds", "30", "--replicates", "2"],
+    "pg": ["--samples", "1500"],
+    "eval-store": ["--epsilon", "0.25", "--delta", "0.25", "--replicates", "1"],
+}
+
+
+@pytest.fixture(scope="module")
+def t12_runs(tmp_path_factory):
+    """Every subcommand run twice at seed 3: {subcommand: [(exit code, out dir), (exit code, out dir)]}."""
+    root = tmp_path_factory.mktemp("t12")
+    return {
+        sub: [
+            (cli_main([sub, "--out", str(root / f"{sub}-{tag}"), "--seed", "3", *extra]), root / f"{sub}-{tag}")
+            for tag in ("a", "b")
+        ]
+        for sub, extra in T12_COMMANDS.items()
+    }
+
+
+def test_12_determinism(t12_runs):
     with criterion(12, "every subcommand reruns to byte-identical CSVs"):
-        commands = {
-            "example": ["--runs", "400", "--replicates", "3"],
-            "coalescence": [
-                "--runs", "120", "--sizes", "4", "--chains-per-size", "1",
-                "--grand-sizes", "5", "--grand-runs", "25", "--lazy-eps", "0.4,0.2",
-            ],
-            "mwal": ["--n-rounds", "25", "--m", "60", "--replicates", "2"],
-            "mwal-gen": ["--n-rounds", "30", "--replicates", "2"],
-            "pg": ["--samples", "1500"],
-            "eval-store": ["--epsilon", "0.25", "--delta", "0.25", "--replicates", "1"],
-        }
-        for sub, extra in commands.items():
-            outs = []
-            for tag in ("a", "b"):
-                out = tmp_path / f"{sub}-{tag}"
-                code = cli_main([sub, "--out", str(out), "--seed", "3", *extra])
+        for sub, runs in t12_runs.items():
+            for code, _ in runs:
                 assert code == 0, f"{sub} exited {code}"
-                outs.append(out)
+            outs = [out for _, out in runs]
             csvs = sorted(p.name for p in outs[0].glob("*.csv"))
             assert csvs, f"{sub} wrote no CSVs"
             for name in csvs:
                 assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), (
                     f"{sub}: {name} differs between reruns"
                 )
+
+
+def stated_headers(help_text: str, k: int) -> dict[str, list[str]]:
+    """File name to header of each CSV a subcommand's help states, with w_*, loss_*, g_* and
+    clamped_* expanded to k columns and tail_1b..tail_4b to four."""
+    stated = " ".join(help_text.split("Emitted CSVs:")[1].split("\n\n")[0].split())
+    headers = {}
+    for entry in re.sub(r" \([^)]*\)", "", stated).split(";"):
+        name, header = (part.strip() for part in entry.split(":"))
+        cells = []
+        for cell in header.split(","):
+            if cell.endswith("_*"):
+                cells += [f"{cell[:-1]}{i}" for i in range(k)]
+            elif cell == "tail_1b..tail_4b":
+                cells += [f"tail_{ell}b" for ell in range(1, 5)]
+            else:
+                cells.append(cell)
+        headers[name] = cells
+    return headers
+
+
+def test_help_states_the_csvs_each_run_writes(t12_runs, capsys):
+    for sub, [(_, out), _] in t12_runs.items():
+        with pytest.raises(SystemExit):
+            cli_main([sub, "--help"])
+        config = dict(line.split("=", 1) for line in (out / "config.txt").read_text().splitlines())
+        stated = stated_headers(capsys.readouterr().out, int(config.get("k", 0)))
+        written = {path.name: path.read_text().splitlines()[1].split(",") for path in out.glob("*.csv")}
+        assert stated == written, sub

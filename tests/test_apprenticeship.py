@@ -18,9 +18,7 @@ from cftp_rl.chains import (
     SampleLedger,
     StochasticPolicy,
     TabularMDP,
-    cdf_table,
     induce_chain,
-    inverse_cdf,
 )
 from cftp_rl.apprenticeship import (
     ExpertModel,
@@ -33,10 +31,11 @@ from cftp_rl.apprenticeship import (
     margin_against_all_rewards,
     mwal,
     mwal_generative,
-    mwal_rounds_csv,
     solve_game_lp,
 )
 from cftp_rl.errors import CapExceededError
+from cftp_rl.experiments import runners
+from cftp_rl.experiments.config import build_config
 from cftp_rl.instances import (
     random_mdp,
     random_stochastic_policy,
@@ -45,6 +44,7 @@ from cftp_rl.instances import (
 )
 from cftp_rl.seeding import KeyedUniforms, seed_sequence
 from cftp_rl.solvers import average_reward, optimal_policy, stationary_distribution
+from reference import SEEDS
 
 
 def two_state_feature_mdp():
@@ -184,34 +184,6 @@ class TestFeatureExpectationsExact:
             feature_expectations_exact(mdp, DeterministicPolicy(np.zeros(3, dtype=int)))
 
 
-def reference_expert_samples(mdp, expert, m, gen, step_cap=1_000_000):
-    """Lockstep reference: m scalar CFTP runs, advanced one step at a time.
-
-    At step t each unfinished sample, in index order, draws its n dynamics
-    uniforms from ``gen``, queries the expert once for each of its n
-    states and composes that one map into its own composite, the newest
-    map applied first.
-    """
-    n = mdp.n_states
-    cum = cdf_table(mdp.transition).reshape(-1, n)
-    all_states = np.arange(n)
-    composites = [all_states] * m
-    samples = np.full(m, -1, dtype=np.int64)
-    times = np.zeros(m, dtype=np.int64)
-    calls = 0
-    for t in range(1, step_cap + 1):
-        for i in np.flatnonzero(samples < 0):
-            u = gen.random(n)
-            actions = expert.act_batch(all_states)
-            calls += n
-            composites[i] = composites[i][inverse_cdf(cum, actions * n + all_states, u)]
-            if (composites[i] == composites[i][0]).all():
-                samples[i], times[i] = composites[i][0], t
-        if (samples >= 0).all():
-            return samples, times, calls
-    raise CapExceededError(f"no coalescence within {step_cap} steps")
-
-
 def example_chain_mdp():
     """The two-state chain with a second, lazier action out of state 0.
 
@@ -225,78 +197,7 @@ def example_chain_mdp():
     return TabularMDP(transition, RewardModel(np.full((2, 2), 0.5)))
 
 
-@st.composite
-def expert_instances(draw, stochastic):
-    """A random Dirichlet MDP with an expert on it, a sample count and a seed."""
-    n = draw(st.integers(1, 5))
-    n_actions = draw(st.integers(1, 3))
-    mdp = random_mdp(n, n_actions, draw(st.integers(0, 2**32 - 1)))
-    if stochastic:
-        policy = random_stochastic_policy(n, n_actions, draw(st.integers(0, 2**32 - 1)))
-    else:
-        actions = draw(st.lists(st.integers(0, n_actions - 1), min_size=n, max_size=n))
-        policy = DeterministicPolicy(np.array(actions, dtype=int))
-    m = draw(st.integers(1, 40))
-    return mdp, policy, m, draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 2**32 - 1))
-
-
-RNG_KINDS = ["int", "seed_sequence", "generator"]
-
-
 class TestExpertStationarySamples:
-    @staticmethod
-    def assert_matches_reference(case, rng_kind):
-        # Every sample, time and counter, and the state of both generators,
-        # must equal the lockstep loop's, whatever form the seed takes.
-        mdp, policy, m, expert_seed, seed = case
-        ref_gen = np.random.default_rng(seed)
-        ref_expert = ExpertModel(policy, mdp.n_actions, expert_seed)
-        expected = reference_expert_samples(mdp, ref_expert, m, ref_gen)
-        rng = {
-            "int": seed,
-            "seed_sequence": np.random.SeedSequence(seed),
-            "generator": np.random.default_rng(seed),
-        }[rng_kind]
-        expert = ExpertModel(policy, mdp.n_actions, expert_seed)
-        ledger = SampleLedger()
-        samples, times = expert_stationary_samples(mdp, expert, m, rng, ledger=ledger)
-        assert np.array_equal(samples, expected[0])
-        assert np.array_equal(times, expected[1])
-        assert ledger.generative_calls == expected[2]
-        assert expert.ledger == ref_expert.ledger
-        assert expert.rng.bit_generator.state == ref_expert.rng.bit_generator.state
-        if rng_kind == "generator":
-            assert rng.bit_generator.state == ref_gen.bit_generator.state
-
-    @settings(max_examples=80)
-    @given(expert_instances(stochastic=False), st.sampled_from(RNG_KINDS))
-    def test_deterministic_expert_matches_per_sample_reference(self, case, rng_kind):
-        self.assert_matches_reference(case, rng_kind)
-
-    @settings(max_examples=80)
-    @given(expert_instances(stochastic=True), st.sampled_from(RNG_KINDS))
-    def test_stochastic_expert_matches_per_sample_reference(self, case, rng_kind):
-        self.assert_matches_reference(case, rng_kind)
-
-    @settings(max_examples=60)
-    @given(expert_instances(stochastic=True), st.booleans())
-    def test_stochastic_expert_counts_one_query_per_map_entry(self, case, as_int):
-        mdp, policy, m, expert_seed, seed = case
-        n = mdp.n_states
-        expert = ExpertModel(policy, mdp.n_actions, expert_seed)
-        rng = seed if as_int else np.random.default_rng(seed)
-        ledger = SampleLedger()
-        samples, times = expert_stationary_samples(mdp, expert, m, rng, ledger=ledger)
-        calls = ledger.generative_calls
-        assert samples.shape == times.shape == (m,)
-        assert ((samples >= 0) & (samples < n)).all() and (times >= 1).all()
-        assert expert.ledger.expert_calls == calls == int(times.sum()) * n
-        if not as_int:
-            # The Generator supplied exactly one uniform per map entry.
-            replay = np.random.default_rng(seed)
-            replay.random(calls)
-            assert rng.bit_generator.state == replay.bit_generator.state
-
     @pytest.mark.parametrize("as_int", [True, False], ids=["int", "generator"])
     def test_stochastic_expert_samples_are_exact(self, as_int):
         mdp = example_chain_mdp()
@@ -339,7 +240,7 @@ class TestExpertStationarySamples:
 
     @settings(max_examples=40)
     @given(
-        st.integers(1, 6), st.integers(1, 3), st.data(), st.integers(0, 2**32 - 1), st.booleans()
+        st.integers(1, 6), st.integers(1, 3), st.data(), SEEDS, st.booleans()
     )
     def test_rank_one_dynamics_coalesce_in_one_step(self, n, n_actions, data, seed, as_int):
         # Every action sends every state to the same state j: each map is
@@ -581,7 +482,7 @@ class TestGameValueOracle:
     @settings(max_examples=50)
     @given(
         st.integers(2, 4), st.integers(2, 3), st.integers(2, 4),
-        st.integers(0, 2**32 - 1), st.data(),
+        SEEDS, st.data(),
     )
     def test_value_equals_the_row_players_lp(self, n, n_actions, k, seed, data):
         mdp = random_mdp(n, n_actions, rng=seed, n_features=k)
@@ -656,7 +557,11 @@ class TestMwal:
             assert mdp.policy_evaluations[key].q_features is table
         fresh = run(TabularMDP(mdp.transition, mdp.reward, mdp.features), 152)
         assert [p.key() for p in second.policies] == [p.key() for p in fresh.policies]
-        assert mwal_rounds_csv(second) == mwal_rounds_csv(fresh)
+        for name in ("weights", "losses", "round_values"):
+            assert getattr(second, name).tobytes() == getattr(fresh, name).tobytes()
+        assert (second.beta, second.expert_calls, second.generative_calls) == (
+            fresh.beta, fresh.expert_calls, fresh.generative_calls
+        )
         assert second.phi_expert_estimate.tobytes() == fresh.phi_expert_estimate.tobytes()
 
     def test_mixture_weights_are_uniform(self):
@@ -815,15 +720,18 @@ class TestAGameNeedsFeaturesOfWidthK:
 
 
 class TestRoundsCsv:
-    def test_schema_and_summary_line(self):
+    def test_schema_and_summary_line(self, tmp_path):
         mdp, expert_policy = thm8_style_instance(seed=190)
         expert = ExpertModel(expert_policy, 2, rng=191)
+        config = build_config("mwal", {}, None)
         result = mwal(mdp, expert, k=2, n_rounds=5, m=50, rng=192)
-        text = mwal_rounds_csv(result)
-        lines = text.strip().split("\n")
-        assert lines[0] == "t,w_0,w_1,rho_t,loss_0,loss_1"
-        assert len(lines) == 1 + 5 + 1
+        runners._write_rounds_csv(tmp_path / "rounds.csv", result, config)
+        lines = (tmp_path / "rounds.csv").read_text().strip().split("\n")
+        assert lines[0] == f"# config_hash={config.config_hash()}"
+        assert lines[1] == "t,w_0,w_1,rho_t,loss_0,loss_1"
+        assert len(lines) == 2 + 5 + 1
         assert lines[-1].startswith("# summary expert_calls=")
         gen_result = mwal_generative(mdp, expert, 2, 4, delta=0.1, b=2.0, rng=193)
-        gen_lines = mwal_rounds_csv(gen_result).strip().split("\n")
-        assert gen_lines[0] == "t,w_0,w_1,rho_t,loss_0,loss_1,g_0,g_1,clamped_0,clamped_1"
+        runners._write_rounds_csv(tmp_path / "gen_rounds.csv", gen_result, config)
+        gen_lines = (tmp_path / "gen_rounds.csv").read_text().strip().split("\n")
+        assert gen_lines[1] == "t,w_0,w_1,rho_t,loss_0,loss_1,g_0,g_1,clamped_0,clamped_1"

@@ -1,4 +1,3 @@
-import math
 from unittest import mock
 
 import numpy as np
@@ -24,6 +23,7 @@ from cftp_rl.errors import NonErgodicError
 from cftp_rl.instances import random_mdp, two_state_chain
 from cftp_rl.sampling import cftp_batch
 from cftp_rl.solvers import stationary_distribution
+from reference import SEEDS, categorical, cdf_rows, reference_class
 
 
 def test_transition_rows_must_sum_to_one():
@@ -101,7 +101,7 @@ def cdf_rows_and_uniforms(draw, shape):
     u mixes uniforms with exact table entries (1.0, the pinned last entry,
     included) and the largest double below 1.
     """
-    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gen = np.random.default_rng(draw(SEEDS))
     n = draw(st.integers(1, 40))
     n_rows = draw(st.integers(1, 6))
     probs = gen.random((n_rows, n)) * (gen.random((n_rows, n)) < draw(st.floats(0.2, 1.0)))
@@ -135,10 +135,6 @@ def broadcast_cases(draw):
     return probs, table, rows[:, :1], u
 
 
-def searched(table, rows, u):
-    return np.array([np.searchsorted(table[r], x, side="right") for r, x in zip(rows, u)])
-
-
 class TestInverseCdf:
     @by_strategy
     @settings(max_examples=150)
@@ -148,7 +144,8 @@ class TestInverseCdf:
         with mock.patch.multiple(chains, **STRATEGIES[strategy]):
             got = inverse_cdf(table, rows, u)
         assert got.dtype == np.intp
-        assert np.array_equal(got, searched(table, rows, u))
+        assert table.tobytes() == cdf_rows(probs).tobytes()
+        assert np.array_equal(got, categorical(table, rows, u))
         below_one = u < 1.0
         assert (probs[rows[below_one], got[below_one]] > 0.0).all()
 
@@ -165,7 +162,7 @@ class TestInverseCdf:
             flat = inverse_cdf(table, tiled, u.ravel())
         assert got.shape == u.shape
         assert np.array_equal(got.ravel(), flat)
-        assert np.array_equal(flat, searched(table, tiled, u.ravel()))
+        assert np.array_equal(flat, categorical(table, tiled, u.ravel()))
 
     @by_strategy
     def test_zero_probability_tail_is_never_drawn(self, strategy):
@@ -244,36 +241,9 @@ def sparse_chains(draw):
     return transition / transition.sum(axis=1, keepdims=True)
 
 
-def reference_class(transition):
-    """Closed class and aperiodicity by boolean matrix powers, with no graph search.
-
-    The closed class is the set of states reached from every state, if any.
-    Its period is the gcd of the lengths t <= |class| of its closed walks:
-    every simple cycle is one of them, and every closed walk's length is a
-    multiple of the period.
-    """
-    support = (transition > 0.0).astype(int)
-    n = support.shape[0]
-    walks = reach = np.eye(n, dtype=int)
-    for _ in range(n):
-        walks = np.minimum(walks @ support, 1)
-        reach = reach | walks
-    core = reach.all(axis=0)
-    if not core.any():
-        return None, False
-    inner = support[np.ix_(core, core)]
-    walks = np.eye(inner.shape[0], dtype=int)
-    period = 0
-    for t in range(1, inner.shape[0] + 1):
-        walks = np.minimum(walks @ inner, 1)
-        if walks.diagonal().any():
-            period = math.gcd(period, t)
-    return core, period == 1
-
-
 class TestOneChainContract:
     @settings(max_examples=300)
-    @given(sparse_chains(), st.integers(0, 2**32 - 1))
+    @given(sparse_chains(), SEEDS)
     def test_samplers_and_oracles_accept_the_same_chains(self, transition, seed):
         mask, aperiodic = closed_class(transition)
         core, expected = reference_class(transition)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from cftp_rl import chains, estimators
-from cftp_rl.apprenticeship import ExpertModel, game_column_batch
 from cftp_rl.chains import (
     DeterministicPolicy,
     MarkovChain,
@@ -23,8 +22,10 @@ from cftp_rl.estimators import (
     policy_gradient_batch,
 )
 from cftp_rl.instances import random_mdp
-from cftp_rl.sampling import cftp_batch, coalescence_times_batch, lower_bound_chain
+from cftp_rl.sampling import lower_bound_chain
 from cftp_rl.solvers import average_reward, mixing_time, stationary_distribution
+from reference import generator
+from test_same_bits import LIBRARY, ROWS, Record, case
 
 
 def exact_rho(mdp, policy):
@@ -304,53 +305,36 @@ def constant_policy(mdp, action):
     return DeterministicPolicy(np.full(mdp.n_states, action))
 
 
-def action_zero_chain(mdp):
-    return induce_chain(mdp, constant_policy(mdp, 0))
+def counted_case(mdp, count):
+    """A case for every row of the table that takes a sample count: ``count`` samples on ``mdp``.
 
-
-def delta_rho(source):
-    return lambda mdp, k, gen: delta_rho_batch(
-        mdp, constant_policy(mdp, 0), constant_policy(mdp, 1), k, gen, s0_source=source
+    The chain samplers run on the chain of action 0 from states 0 and 1;
+    pi takes action 0 and pi_prime and the expert action 1; the softmax is
+    uniform; the game reads one constant feature.
+    """
+    return case(
+        mdp=TabularMDP(mdp.transition, mdp.reward, np.full((mdp.n_states, 1), 0.5)),
+        chain=induce_chain(mdp, constant_policy(mdp, 0)), i=0, j=1, censor=False, n=count,
+        pi=constant_policy(mdp, 0), pi_prime=constant_policy(mdp, 1), expert=constant_policy(mdp, 1),
+        expert_seed=0, softmax=SoftmaxPolicy(np.zeros((mdp.n_states, mdp.n_actions))),
     )
 
 
-def uniform_softmax_gradient(mdp, k, gen):
-    return (policy_gradient_batch(mdp, SoftmaxPolicy(np.zeros((mdp.n_states, mdp.n_actions))), k, gen),)
-
-
-def game_column(mdp, k, gen):
-    featured = TabularMDP(mdp.transition, mdp.reward, np.full((mdp.n_states, 1), 0.5))
-    expert = ExpertModel(constant_policy(mdp, 1), mdp.n_actions, rng=0)
-    return game_column_batch(featured, expert, constant_policy(mdp, 0), k, gen)
-
-
-# Each sampler that takes a sample count: the argument's name, and a call
-# on an MDP (or the chain of its action-0 policy) returning its arrays.
-COUNTED_SAMPLERS = {
-    "cftp_batch": ("n_samples", lambda mdp, k, gen: cftp_batch(action_zero_chain(mdp), k, gen)),
-    "coalescence_times_batch": (
-        "n_runs", lambda mdp, k, gen: (coalescence_times_batch(action_zero_chain(mdp), 0, 1, k, gen),)
-    ),
-    "delta_rho_batch-exact_solve": ("n_samples", delta_rho("exact_solve")),
-    "delta_rho_batch-cftp": ("n_samples", delta_rho("cftp")),
-    "policy_gradient_batch": ("n_samples", uniform_softmax_gradient),
-    "game_column_batch": ("n_samples", game_column),
-}
-
-
 class TestSampleCounts:
-    @pytest.mark.parametrize("sampler", list(COUNTED_SAMPLERS))
+    @pytest.mark.parametrize("sampler", [name for name, row in ROWS.items() if row.count])
     def test_a_negative_count_is_named_before_any_check_or_draw(self, sampler):
-        name, call = COUNTED_SAMPLERS[sampler]
+        row = ROWS[sampler]
         # Every policy of this MDP swaps the states, so a valid count would
         # raise NonErgodicError: the count is checked first.
         periodic = TabularMDP(np.stack([SWAP, SWAP]), RewardModel(np.full((2, 2), 0.5)))
-        gen = np.random.default_rng(0)
-        before = gen.bit_generator.state
-        with pytest.raises(ValueError, match=f"{name} must be non-negative, got -2"):
-            call(periodic, -2, gen)
-        assert gen.bit_generator.state == before
-        for array in call(random_mdp(4, 2, rng=3), 0, gen):
+        record = Record(counted_case(periodic, -2))
+        with pytest.raises(ValueError, match=f"{row.count} must be non-negative, got -2"):
+            row.call(record.case, LIBRARY, record)
+        fresh = generator(*record.case.gen)
+        assert record.generator().bit_generator.state == fresh.bit_generator.state
+        record = Record(counted_case(random_mdp(4, 2, rng=3), 0))
+        out = row.call(record.case, LIBRARY, record)
+        for array in out if isinstance(out, tuple) else (out,):
             assert array.shape[0] == 0
 
 

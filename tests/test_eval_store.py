@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from cftp_rl import eval_store, solvers
-from cftp_rl.chains import DeterministicPolicy, RewardModel, SampleLedger, TabularMDP, induce_chain
+from cftp_rl.chains import DeterministicPolicy, RewardModel, TabularMDP, induce_chain
 from cftp_rl.errors import CapExceededError, NonErgodicError
 from cftp_rl.eval_store import SampleMatrix, StoreEnsemble, estimate_all, evaluate_policy
 from cftp_rl.instances import random_mdp
 from cftp_rl.sampling import lower_bound_chain
 from cftp_rl.solvers import average_reward, mixing_time, stationary_distribution
-from conftest import reference_cftp
+from reference import SEEDS
 
 PROPERTY_SETTINGS = settings(max_examples=60)
 
@@ -40,53 +40,19 @@ def swap_mdp():
     return TabularMDP(transition, RewardModel(np.full((2, 1), 0.5), "mean"))
 
 
-def reference_row(mdp, seed, copy, t):
-    """Row t of copy ``copy`` drawn with one inverse-CDF comparison per action.
-
-    The uniforms come from a fresh Philox stream built here: the key from
-    the copy's SeedSequence, the counter at (0, t).
-    """
-    n, m = mdp.n_states, mdp.n_actions
-    key = np.random.SeedSequence(seed, spawn_key=(copy,)).generate_state(2, np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key, counter=[0, t, 0, 0]))
-    u_next = gen.random((n, m))
-    cum = np.cumsum(mdp.transition, axis=2)
-    nxt = np.empty((n, m), dtype=np.int64)
-    for a in range(m):
-        nxt[:, a] = (u_next[:, [a]] >= cum[a]).sum(axis=1)
-    np.minimum(nxt, n - 1, out=nxt)
-    return nxt, mdp.reward.sample(mdp.reward.means, gen)
-
-
-def reference_evaluate(store, policy):
-    """Per-pair reference: scalar CFTP over the restricted maps, reward from row t_c."""
-    state, t_c = reference_cftp(lambda t: store.restricted_map(t, policy), store.mdp.n_states, 10**6)
-    reward = float(store.row_at(t_c).reward[state, policy.actions[state]])
-    return reward, t_c, state
-
-
-def reference_estimate_all(ensemble, policies):
-    """Per-pair reference for estimate_all: one scalar CFTP per (copy, policy), copy order."""
-    estimates = np.zeros(len(policies))
-    for copy in ensemble.copies:
-        for j, policy in enumerate(policies):
-            estimates[j] += reference_evaluate(copy, policy)[0]
-    return estimates / ensemble.n_copies
-
-
 @st.composite
 def store_instances(draw, modes=RewardModel.MODES):
     """A random Dirichlet MDP and a list of its policies, with repeats allowed."""
     n = draw(st.integers(1, 5))
     n_actions = draw(st.integers(1, 3))
     mode = draw(st.sampled_from(modes))
-    mdp = random_mdp(n, n_actions, draw(st.integers(0, 2**32 - 1)), reward_mode=mode)
+    mdp = random_mdp(n, n_actions, draw(SEEDS), reward_mode=mode)
     action_lists = st.lists(st.integers(0, n_actions - 1), min_size=n, max_size=n)
     policies = [
         DeterministicPolicy(np.array(actions, dtype=int))
         for actions in draw(st.lists(action_lists, min_size=1, max_size=6))
     ]
-    return mdp, policies, draw(st.integers(0, 2**32 - 1))
+    return mdp, policies, draw(SEEDS)
 
 
 def assert_same_rows(a, b):
@@ -97,13 +63,6 @@ def assert_same_rows(a, b):
 
 
 class TestSampleMatrix:
-    def test_append_cost_is_exactly_states_times_actions(self):
-        mdp = random_mdp(3, 2, rng=0)
-        store = SampleMatrix(mdp, rng=1)
-        store.row_at(4)
-        assert len(store) == 4
-        assert store.ledger.generative_calls == 4 * 3 * 2
-
     def test_rows_are_immutable_and_stable(self):
         mdp = random_mdp(3, 2, rng=2)
         store = SampleMatrix(mdp, rng=3)
@@ -145,62 +104,12 @@ class TestSampleMatrix:
         assert len(store) == 0
         assert store.ledger.generative_calls == 0
 
-    def test_staged_growth_reproduces_the_uninterrupted_run(self):
-        mdp = random_mdp(3, 2, rng=32)
-        full = SampleMatrix(mdp, rng=33)
-        full.row_at(12)
-        staged = SampleMatrix(mdp, rng=33)
-        staged.row_at(5)
-        staged.row_at(12)
-        assert_same_rows(full, staged)
-        assert staged.ledger.generative_calls == full.ledger.generative_calls == 12 * 3 * 2
-
-    @PROPERTY_SETTINGS
-    @given(
-        st.integers(1, 5),
-        st.integers(1, 3),
-        st.sampled_from(RewardModel.MODES),
-        st.integers(0, 2**32 - 1),
-        st.integers(0, 2**32 - 1),
-        st.data(),
-    )
-    def test_stopping_anywhere_then_growing_is_bit_identical(self, n, n_actions, mode, mdp_seed, seed, data):
-        # Row t depends only on (seed, t), so a matrix grown in two stages,
-        # split anywhere, holds the bytes of one grown in one go.
-        mdp = random_mdp(n, n_actions, mdp_seed, reward_mode=mode)
-        total = data.draw(st.integers(1, 30))
-        stop_at = data.draw(st.integers(0, total))
-        full = SampleMatrix(mdp, rng=seed)
-        full.row_at(total)
-        staged = SampleMatrix(mdp, rng=seed)
-        if stop_at:
-            staged.row_at(stop_at)
-        assert len(staged) == stop_at
-        staged.row_at(total)
-        assert len(staged) == total
-        for a, b in zip(full.rows, staged.rows):
-            assert a.next_state.tobytes() == b.next_state.tobytes()
-            assert a.reward.tobytes() == b.reward.tobytes()
-
 
 class TestBatchedEvaluation:
-    """The batched loop against the per-pair reference kept in this file."""
+    """Policies split over several calls on one ensemble give the one call's bits.
 
-    @PROPERTY_SETTINGS
-    @given(store_instances())
-    def test_estimate_all_matches_the_per_pair_loop(self, instance):
-        mdp, policies, seed = instance
-        batched = StoreEnsemble(mdp, 0.6, 0.5, len(policies), seed)
-        reference = StoreEnsemble(mdp, 0.6, 0.5, len(policies), seed)
-        estimates = estimate_all(batched, policies)
-        assert estimates.tobytes() == reference_estimate_all(reference, policies).tobytes()
-        assert batched.ledger_total == reference.ledger_total
-        for i, (copy, ref_copy) in enumerate(zip(batched.copies, reference.copies)):
-            assert_same_rows(copy, ref_copy)
-            for t, row in enumerate(copy.rows, start=1):
-                next_state, reward = reference_row(mdp, seed, i, t)
-                assert np.array_equal(row.next_state, next_state)
-                assert np.array_equal(row.reward, reward)
+    ``test_same_bits`` checks the batched loop against its per-pair reference.
+    """
 
     @PROPERTY_SETTINGS
     @given(store_instances(), st.lists(st.integers(1, 5), min_size=1, max_size=4))
@@ -217,46 +126,6 @@ class TestBatchedEvaluation:
         assert np.concatenate(parts).tobytes() == expected.tobytes()
         for copy, ref_copy in zip(grouped.copies, whole.copies):
             assert_same_rows(copy, ref_copy)
-
-    @PROPERTY_SETTINGS
-    @given(store_instances())
-    def test_evaluate_policy_matches_the_per_pair_loop(self, instance):
-        mdp, policies, seed = instance
-        store = SampleMatrix(mdp, rng=seed)
-        reference = SampleMatrix(mdp, rng=seed)
-        for policy in policies:
-            record = evaluate_policy(store, policy)
-            assert (record.reward, record.rows_consumed, record.state) == reference_evaluate(
-                reference, policy
-            )
-            assert_same_rows(store, reference)
-
-    @pytest.mark.parametrize("mode", RewardModel.MODES)
-    @PROPERTY_SETTINGS
-    @given(data=st.data())
-    def test_copies_of_unequal_length_grow_as_fresh_ones(self, mode, data):
-        # Copies start at random, unequal lengths, each grown alone with
-        # row_at, so each batched growth step appends to some copies and
-        # must leave the longer ones alone.
-        mdp, policies, seed = data.draw(store_instances(modes=(mode,)))
-        ensemble = StoreEnsemble(mdp, 0.6, 0.5, len(policies), seed)
-        lengths = data.draw(
-            st.lists(st.integers(0, 12), min_size=ensemble.n_copies, max_size=ensemble.n_copies)
-        )
-        for copy, length in zip(ensemble.copies, lengths):
-            if length:
-                copy.row_at(length)
-        fresh = StoreEnsemble(mdp, 0.6, 0.5, len(policies), seed)
-        estimates = estimate_all(ensemble, policies)
-        assert estimates.tobytes() == estimate_all(fresh, policies).tobytes()
-        entries = mdp.n_states * mdp.n_actions
-        for i, copy in enumerate(ensemble.copies):
-            assert len(copy) == max(lengths[i], len(fresh.copies[i]))
-            assert copy.ledger.generative_calls == len(copy) * entries
-            for t, row in enumerate(copy.rows, start=1):
-                next_state, reward = reference_row(mdp, seed, i, t)
-                assert np.array_equal(row.next_state, next_state)
-                assert np.array_equal(row.reward, reward)
 
 
 class TestChunkedPairs:
@@ -385,14 +254,6 @@ class TestEvaluatePolicy:
         third = evaluate_policy(store, pi)
         assert len(store) == grown  # the third call consumed no new rows
         assert third.rows_consumed <= grown
-
-    def test_call_accounting_is_exact(self):
-        mdp = random_mdp(4, 3, rng=12)
-        ledger = SampleLedger()
-        store = SampleMatrix(mdp, rng=13, ledger=ledger)
-        for policy in all_policies(mdp)[:5]:
-            evaluate_policy(store, policy)
-        assert ledger.generative_calls == len(store) * 4 * 3
 
     def test_unbiased_for_every_policy(self):
         # Bias is measured across fresh matrices; within one matrix the

@@ -24,36 +24,9 @@ from cftp_rl.solvers import (
     IMPROVEMENT_TOL, bias_and_q, improved_actions, keeps_actions, optimal_policy,
     policy_evaluation, state_reward_q, stationary_distribution,
 )
+from reference import SEEDS, dense_bias_and_q, reference_howard, reference_mwal_rounds
 
 PROPERTY_SETTINGS = settings(max_examples=60)
-
-
-def dense_bias_and_q(mdp, policy, reward):
-    """Uncached reference: mu and h by least squares on the stacked, constrained systems."""
-    n = mdp.n_states
-    idx = np.arange(n)
-    p = mdp.transition[policy.actions, idx, :]
-    stacked = np.vstack([p.T - np.eye(n), np.ones(n)])
-    mu = np.linalg.lstsq(stacked, np.eye(n + 1)[-1], rcond=None)[0]
-    r = reward[idx, policy.actions]
-    rho = float(mu @ r)
-    stacked = np.vstack([np.eye(n) - p, mu])
-    h = np.linalg.lstsq(stacked, np.append(r - rho, 0.0), rcond=None)[0]
-    q = reward - rho + np.einsum("axy,y->xa", mdp.transition, h)
-    return rho, h, q
-
-
-def reference_howard(mdp, reward, tol=1e-10):
-    """Cold-start Howard iteration on the dense reference, lowest-index tie-breaking."""
-    policy = DeterministicPolicy(np.zeros(mdp.n_states, dtype=int))
-    seen = {policy.key()}
-    while True:
-        _, _, q = dense_bias_and_q(mdp, policy, reward)
-        improved = DeterministicPolicy(np.argmax(q >= q.max(axis=1, keepdims=True) - tol, axis=1))
-        if improved == policy or improved.key() in seen:
-            return policy
-        seen.add(improved.key())
-        policy = improved
 
 
 @st.composite
@@ -61,7 +34,7 @@ def instances(draw):
     """A random ergodic MDP (Dirichlet rows), a per-state reward and a policy on it."""
     n = draw(st.integers(2, 6))
     n_actions = draw(st.integers(2, 3))
-    mdp = random_mdp(n, n_actions, draw(st.integers(0, 2**32 - 1)))
+    mdp = random_mdp(n, n_actions, draw(SEEDS))
     reward = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
     actions = draw(st.lists(st.integers(0, n_actions - 1), min_size=n, max_size=n))
     return mdp, reward, DeterministicPolicy(np.array(actions))
@@ -129,7 +102,7 @@ def periodic_first_action_mdp(n, n_actions, seed):
 
 
 @PROPERTY_SETTINGS
-@given(st.integers(2, 6), st.integers(2, 3), st.integers(0, 2**32 - 1))
+@given(st.integers(2, 6), st.integers(2, 3), SEEDS)
 def test_periodic_policy_raises_on_every_call(n, n_actions, seed):
     mdp = periodic_first_action_mdp(n, n_actions, seed)
     cycle = DeterministicPolicy(np.zeros(n, dtype=int))
@@ -145,7 +118,7 @@ def test_periodic_policy_raises_on_every_call(n, n_actions, seed):
 
 
 @PROPERTY_SETTINGS
-@given(instances(), st.integers(0, 2**32 - 1))
+@given(instances(), SEEDS)
 def test_mdps_of_one_shape_never_share_entries(instance, other_seed):
     mdp, _, policy = instance
     other = random_mdp(mdp.n_states, mdp.n_actions, other_seed)
@@ -172,8 +145,8 @@ def feature_instances(draw):
     n = draw(st.integers(2, 6))
     n_actions = draw(st.integers(2, 3))
     k = draw(st.sampled_from((2, 3, 4, 1)))
-    mdp = random_mdp(n, n_actions, draw(st.integers(0, 2**32 - 1)), n_features=k)
-    w = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).dirichlet(np.ones(k))
+    mdp = random_mdp(n, n_actions, draw(SEEDS), n_features=k)
+    w = np.random.default_rng(draw(SEEDS)).dirichlet(np.ones(k))
     actions = draw(st.lists(st.integers(0, n_actions - 1), min_size=n, max_size=n))
     return mdp, w, DeterministicPolicy(np.array(actions))
 
@@ -263,24 +236,6 @@ def sweep_loss(k):
     return n_rounds, lambda t, pi_t, phi_t: charges[np.searchsorted(starts, t, side="right")]
 
 
-def reference_mwal_rounds(mdp, k, n_rounds, loss):
-    """The Hedge loop with a warm-started ``optimal_policy`` call every round."""
-    state = HedgeState.create(k, n_rounds)
-    policies, weights, losses, values = [], [], [], []
-    pi_t = None
-    for t in range(n_rounds):
-        w = state.weights
-        pi_t = optimal_policy(mdp, reward_override=mdp.features @ w, start=pi_t)
-        phi_t = feature_expectations_exact(mdp, pi_t)
-        g = loss(t, pi_t, phi_t)
-        policies.append(pi_t)
-        weights.append(w)
-        losses.append(g)
-        values.append(float(w @ phi_t))
-        state = hedge_step(state, g)
-    return policies, np.array(weights), np.array(losses), np.array(values)
-
-
 @settings(max_examples=30, deadline=None)
 @given(feature_instances())
 def test_mwal_rounds_match_a_full_solve_every_round(instance):
@@ -322,8 +277,8 @@ def hull_instances(draw):
     n = draw(st.integers(2, 5))
     n_actions = draw(st.integers(2, 3))
     k = draw(st.sampled_from((2, 3, 4, 1)))
-    mdp = random_mdp(n, n_actions, draw(st.integers(0, 2**32 - 1)), n_features=k)
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mdp = random_mdp(n, n_actions, draw(SEEDS), n_features=k)
+    rng = np.random.default_rng(draw(SEEDS))
     corners = [optimal_policy(mdp, reward_override=mdp.features[:, j]) for j in range(k)]
     corners += [
         DeterministicPolicy(rng.integers(0, n_actions, size=n))

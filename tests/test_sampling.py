@@ -17,7 +17,6 @@ from cftp_rl.instances import random_ergodic_chain, random_mdp
 from cftp_rl.seeding import substream
 from cftp_rl.sampling import (
     CoalescenceRecord,
-    GrandCouplingRecord,
     _cftp_batch_core,
     cftp,
     cftp_batch,
@@ -27,7 +26,10 @@ from cftp_rl.sampling import (
     lower_bound_chain,
 )
 from cftp_rl.solvers import mixing_time, stationary_distribution
-from conftest import reference_cftp
+from reference import (
+    BIT_GENERATORS, SEEDS, generator, outcome, per_step_cftp, per_step_cftp_batch,
+    per_step_grand_coupling,
+)
 
 
 def swap_chain():
@@ -176,11 +178,6 @@ class TestCftp:
         tv = 0.5 * np.abs(freq - np.array([2 / 3, 1 / 3])).sum()
         assert tv < 0.01
 
-    def test_ledger_and_calls_accounting(self, example_chain):
-        ledger = SampleLedger()
-        _, record = cftp(example_chain, rng=3, ledger=ledger)
-        assert ledger.generative_calls == record.t_c * 2
-
     @pytest.mark.parametrize("seed", range(3))
     def test_exactness_chi_square(self, chain_factory, seed):
         chain = chain_factory(4 + seed * 3, seed=20 + seed)
@@ -238,7 +235,7 @@ class TestCftp:
         assert gen.bit_generator.state == before
 
     @settings(max_examples=40)
-    @given(st.integers(1, 8), st.data(), st.integers(0, 2**32 - 1))
+    @given(st.integers(1, 8), st.data(), SEEDS)
     def test_rank_one_chain_coalesces_in_one_step(self, n, data, seed):
         j = data.draw(st.integers(0, n - 1))
         chain = rank_one_chain(n, j)
@@ -248,145 +245,14 @@ class TestCftp:
         states, times = cftp_batch(chain, data.draw(st.integers(1, 20)), rng=seed)
         assert (states == j).all() and (times == 1).all()
 
-    @settings(max_examples=40)
-    @given(st.integers(1, 8), st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
-    def test_ledger_counts_t_c_maps_and_coalesces_exactly_at_t_c(self, n, chain_seed, seed):
-        chain = random_ergodic_chain(n, chain_seed)
-        ledger = SampleLedger()
-        state, record = cftp(chain, np.random.default_rng(seed), ledger=ledger)
-        assert ledger.generative_calls == record.t_c * n
-        # Replay the run's maps, newest applied first, from the same stream.
-        replay = np.random.default_rng(seed)
-        composite = np.arange(n)
-        for _ in range(record.t_c):
-            # Not constant before t_c (a one-state chain is constant from the start).
-            assert n == 1 or (composite != composite[0]).any()
-            composite = composite[draw_random_map(chain, replay)]
-        assert (composite == state).all()
-
-
-BIT_GENERATORS = (np.random.PCG64, np.random.Philox, np.random.MT19937, np.random.SFC64)
-
-
-def half_used_generator(bit_generator, seed):
-    """A Generator whose last draw left half of a 64-bit word buffered."""
-    gen = np.random.Generator(bit_generator(seed))
-    gen.integers(0, 2**32, dtype=np.uint32)
-    return gen
-
-
-def searched_maps(cum, u):
-    """Random maps from (k, n_states) uniforms by np.searchsorted per state, without inverse_cdf.
-
-    The references below draw their maps here, so a fault in inverse_cdf
-    cannot show on both sides of a comparison.
-    """
-    return np.stack([np.searchsorted(row, col, side="right") for row, col in zip(cum, u.T)], axis=1)
-
-
-def reference_map(chain, gen):
-    """One random map, drawn from the uniforms draw_random_map reads."""
-    return searched_maps(chain.cumulative(), gen.random((1, chain.n_states)))[0]
-
-
-def per_step_cftp(chain, gen, step_cap):
-    """Reference scalar CFTP: one freshly drawn map per step."""
-    state, t_c = reference_cftp(lambda t: reference_map(chain, gen), chain.n_states, step_cap)
-    return state, t_c, t_c * chain.n_states
-
-
-def per_step_grand_coupling(chain, gen, step_cap):
-    """Reference grand coupling: one freshly drawn map per step, classes by np.unique."""
-    n = chain.n_states
-    position = np.arange(n)
-    counts = [n]
-    if n == 1:
-        return GrandCouplingRecord(merge_time=0, class_counts=counts, final_state=0)
-    for t in range(1, step_cap + 1):
-        position = np.unique(reference_map(chain, gen)[position])
-        counts.append(position.size)
-        if position.size == 1:
-            return GrandCouplingRecord(t, counts, int(position[0]))
-    raise CapExceededError(f"no full merge within {step_cap} steps")
-
-
-def per_step_cftp_batch(chain, n_samples, gen, step_cap):
-    """Reference batched CFTP: each step draws one fresh map per unfinished run, in run order."""
-    n = chain.n_states
-    cum = chain.cumulative()
-    states = np.zeros(n_samples, dtype=np.int64)
-    times = np.zeros(n_samples, dtype=np.int64)
-    active = np.arange(n_samples)
-    composite = np.tile(np.arange(n), (n_samples, 1))
-    for t in range(1, step_cap + 1):
-        if not active.size:
-            return states, times
-        maps = searched_maps(cum, gen.random((active.size, n)))
-        composite = np.take_along_axis(composite, maps, axis=1)
-        done = (composite == composite[:, :1]).all(axis=1)
-        states[active[done]] = composite[done, 0]
-        times[active[done]] = t
-        active, composite = active[~done], composite[~done]
-    if active.size:
-        raise CapExceededError(f"no coalescence within {step_cap} steps")
-    return states, times
-
-
-def outcome(call):
-    try:
-        return call()
-    except CapExceededError:
-        return "cap exceeded"
-
 
 class TestBlockedMaps:
-    """The maps of cftp and cftp_batch, drawn a block ahead, are the per-step loop's.
+    """The maps of cftp, cftp_batch and grand_coupling_sim, drawn a block ahead, are the per-step loop's.
 
-    So are grand_coupling_sim's. Each must also leave the Generator in the
-    per-step loop's state, calls of all three interleaved on one Generator.
+    ``test_same_bits`` checks this on random cases. These tests put a run's
+    end where a block or a pass puts it: at the default block cap, at each
+    place in a pass, and at a tail handed back.
     """
-
-    @settings(max_examples=40)
-    @given(
-        st.integers(1, 60),
-        st.integers(0, 40),
-        st.sampled_from(BIT_GENERATORS),
-        st.integers(0, 2**32 - 1),
-        st.integers(0, 2**32 - 1),
-        st.integers(2, 100),
-        st.sampled_from((16, 100, sampling.MAP_BLOCK_ENTRIES)),
-    )
-    def test_same_draws_and_generator_state_as_the_per_step_loop(
-        self, n, n_samples, bit_generator, chain_seed, seed, cap, block_entries
-    ):
-        chain = random_ergodic_chain(n, chain_seed)
-        # Almost never coalesces within ``cap`` steps, so the cap (which may
-        # fall inside a block) ends most of its runs.
-        lazy = lower_bound_chain(n, 0.001)
-        blocked = half_used_generator(bit_generator, seed)
-        per_step = half_used_generator(bit_generator, seed)
-        runs = [(chain, 10**6)] * 3 + [(lazy, cap), (chain, 10**6)]
-        # A small block cap makes the largest block, of any number of maps, come early.
-        with mock.patch.object(sampling, "MAP_BLOCK_ENTRIES", block_entries):
-            for target, step_cap in runs:
-                got = outcome(lambda: cftp_batch(target, n_samples, blocked, step_cap=step_cap))
-                want = outcome(lambda: per_step_cftp_batch(target, n_samples, per_step, step_cap))
-                np.testing.assert_equal(got, want)
-                np.testing.assert_equal(blocked.bit_generator.state, per_step.bit_generator.state)
-                ledger = SampleLedger()
-                got = outcome(lambda: cftp(target, blocked, step_cap=step_cap, ledger=ledger))
-                want = outcome(lambda: per_step_cftp(target, per_step, step_cap))
-                if got != "cap exceeded":
-                    state, record = got
-                    got = (state, record.t_c, ledger.generative_calls)
-                assert got == want
-                np.testing.assert_equal(blocked.bit_generator.state, per_step.bit_generator.state)
-            for target, step_cap in runs:
-                got = outcome(lambda: grand_coupling_sim(target, blocked, step_cap=step_cap))
-                want = outcome(lambda: per_step_grand_coupling(target, per_step, step_cap))
-                assert got == want
-                np.testing.assert_equal(blocked.bit_generator.state, per_step.bit_generator.state)
-        assert np.array_equal(blocked.random(5), per_step.random(5))
 
     @pytest.mark.parametrize("n", [6, 12])
     def test_wide_batch_at_the_default_block_cap(self, n):
@@ -411,22 +277,12 @@ class TestBlockedMaps:
         n, pass_maps = 5, 8
         chain = lower_bound_chain(n, 0.3)
         ledger = SampleLedger()
-
-        def blocked(gen, step_cap):
-            if sampler == "grand_coupling_sim":
-                return outcome(lambda: grand_coupling_sim(chain, gen, step_cap=step_cap))
-            got = outcome(lambda: cftp(chain, gen, step_cap=step_cap, ledger=ledger))
-            return got if got == "cap exceeded" else (got[0], got[1].t_c)
-
-        def per_step(gen, step_cap):
-            if sampler == "grand_coupling_sim":
-                return outcome(lambda: per_step_grand_coupling(chain, gen, step_cap))
-            got = outcome(lambda: per_step_cftp(chain, gen, step_cap))
-            return got if got == "cap exceeded" else got[:2]
-
+        grand = sampler == "grand_coupling_sim"
+        blocked, per_step = (grand_coupling_sim, per_step_grand_coupling) if grand else (cftp, per_step_cftp)
+        charged = {} if grand else {"ledger": ledger}
         for seed in range(1000):
-            got = per_step(half_used_generator(np.random.PCG64, seed), 10**6)
-            t = got.merge_time if sampler == "grand_coupling_sim" else got[1]
+            got = per_step(chain, generator(np.random.PCG64, seed))
+            t = got.merge_time if grand else got[1].t_c
             start, size = pass_of(t, pass_maps)
             inside = 0 < t - start < size - 1
             wanted = {"first": t == start, "middle": inside, "last": t == start + size - 1,
@@ -436,18 +292,19 @@ class TestBlockedMaps:
         else:
             pytest.fail(f"no seed puts the event {where}")
         step_cap = {"at the cap": t, "past the cap": 9}.get(where, 10**6)
-        gens = half_used_generator(np.random.PCG64, seed), half_used_generator(np.random.PCG64, seed)
+        gens = generator(np.random.PCG64, seed), generator(np.random.PCG64, seed)
         with mock.patch.object(sampling, "MAP_BLOCK_ENTRIES", n * pass_maps):
-            assert blocked(gens[0], step_cap) == per_step(gens[1], step_cap)
+            got = outcome(lambda: blocked(chain, gens[0], step_cap=step_cap, **charged))
+        assert got == outcome(lambda: per_step(chain, gens[1], step_cap=step_cap))
         assert gens[0].bit_generator.state == gens[1].bit_generator.state
-        assert ledger.generative_calls == (0 if sampler == "grand_coupling_sim" else min(t, step_cap) * n)
+        assert ledger.generative_calls == (0 if grand else min(t, step_cap) * n)
 
     @settings(max_examples=60)
     @given(
         st.sampled_from((3, COUNT_MAX_STATES, COUNT_MAX_STATES + 1, 50)),
         st.lists(st.one_of(st.none(), st.integers(1, 12)), max_size=8),
         st.sampled_from(BIT_GENERATORS),
-        st.integers(0, 2**32 - 1),
+        SEEDS,
         st.data(),
     )
     def test_a_handed_back_tail_is_as_if_never_handed_out(self, n, requests, bit_generator, seed, data):
@@ -455,7 +312,7 @@ class TestBlockedMaps:
         # wider ones searched map-major. Blocks of at most four maps make
         # requests of up to 12 outgrow them, so maps are carried over.
         cum = random_ergodic_chain(n, seed).cumulative()
-        gens = half_used_generator(bit_generator, seed), half_used_generator(bit_generator, seed)
+        gens = generator(bit_generator, seed), generator(bit_generator, seed)
         with (
             mock.patch.object(sampling, "MAP_BLOCK_ENTRIES", 4 * n),
             closing(sampling._map_blocks(cum, gens[0])) as handing_back,
@@ -606,9 +463,9 @@ class TestCoalescenceTimesBatch:
     @settings(max_examples=60)
     @given(
         st.integers(2, 10),
-        st.integers(0, 2**32 - 1),
+        SEEDS,
         st.one_of(st.none(), st.floats(0.05, 0.95)),
-        st.integers(0, 2**32 - 1),
+        SEEDS,
         st.integers(1, 40),
     )
     def test_censoring_truncates_the_uncapped_times(self, n, chain_seed, lazy_eps, seed, cap):
@@ -660,7 +517,7 @@ class TestGrandCoupling:
         assert record.class_counts == [4, 1]
 
     @settings(max_examples=60)
-    @given(st.integers(1, 10), st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
+    @given(st.integers(1, 10), SEEDS, SEEDS)
     def test_class_counts_monotone(self, n, chain_seed, seed):
         chain = random_ergodic_chain(n, chain_seed)
         record = grand_coupling_sim(chain, rng=seed)
