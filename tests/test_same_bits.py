@@ -12,7 +12,9 @@ the library (``LIBRARY``) and once with the per-step references
 - the cap outcome.
 
 A case may pass no ledger (``charged``); the values and Generators must
-then be the same, so a ledger changes nothing. ``ROWS`` is also the one
+then be the same, so a ledger changes nothing. Each row runs its drawn
+cases in one test and each of its fixed cases in a test of its own, so a
+failing fixed case is named by its id. ``ROWS`` is also the one
 registry of how to call each sampler: other tables build their calls from
 it. A new sampler or fast path adds its reference to ``reference.py`` and
 one row here.
@@ -26,7 +28,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cftp_rl import sampling
@@ -363,7 +365,7 @@ def store_row_cases(draw):
     return case(mdp=draw(mdps()), seed=draw(SEEDS), stops=(draw(st.integers(0, total)), total))
 
 
-# Fixed cases, run before the drawn ones: one instance at three seeds, capped
+# Fixed cases, each run as a test of its own: one instance at three seeds, capped
 # where some runs or pairs coalesce by the cap and some do not, at cap 0 and
 # uncapped, as the former ledger table ran it.
 
@@ -503,6 +505,13 @@ def test_sampler_matches_its_reference(name):
     def check(case):
         assert_matches_reference(row, case)
 
-    for fixed_case in row.examples:
-        check = example(fixed_case)(check)
     check()
+
+
+FIXED_CASES = [(name, index) for name, row in ROWS.items() for index in range(len(row.examples))]
+
+
+@pytest.mark.parametrize("name, index", FIXED_CASES, ids=[f"{name}-{index}" for name, index in FIXED_CASES])
+def test_sampler_matches_its_reference_at_a_fixed_case(name, index):
+    row = ROWS[name]
+    assert_matches_reference(row, row.examples[index])
